@@ -145,7 +145,6 @@ fn build_store(p: &ReportParams, optimized: bool) -> BlobSeer {
         .metadata_providers(16)
         .io_threads(4)
         .zero_copy_pages(optimized)
-        .io_chunks_per_thread(usize::from(optimized))
         .build()
         .expect("valid bench config")
 }
@@ -260,7 +259,6 @@ pub fn hot_blob_snapshot(p: &ReportParams, lockfree: bool) -> RunStats {
         .metadata_providers(16)
         .io_threads(4)
         .zero_copy_pages(true)
-        .io_chunks_per_thread(1)
         .lockfree_publication(lockfree)
         .build()
         .expect("valid bench config");
@@ -478,7 +476,6 @@ fn build_faulty_store(p: &ReportParams) -> (BlobSeer, Vec<std::sync::Arc<blobsee
         .io_threads(4)
         .replication(2)
         .zero_copy_pages(true)
-        .io_chunks_per_thread(1)
         .page_stores(plans.iter().map(|pl| Arc::clone(pl) as Arc<dyn PageStore>).collect())
         .build()
         .expect("valid bench config");
@@ -644,7 +641,6 @@ pub fn elastic_rebalance(p: &ReportParams) -> ElasticTrajectory {
         .io_threads(4)
         .replication(2)
         .zero_copy_pages(true)
-        .io_chunks_per_thread(1)
         .page_stores(handles.iter().map(|h| Arc::clone(h) as Arc<dyn PageStore>).collect())
         .build()
         .expect("valid bench config");

@@ -103,14 +103,6 @@ impl Builder {
         self
     }
 
-    /// Fork-join chunking factor: parallel page/metadata batches are
-    /// dispatched as at most `client_io_threads * k` range jobs. `0`
-    /// restores per-item dispatch (the pre-chunking ablation baseline).
-    pub fn io_chunks_per_thread(mut self, k: usize) -> Self {
-        self.config.io_chunks_per_thread = k;
-        self
-    }
-
     /// Worker threads completing pipelined (non-blocking) updates —
     /// the practical bound on in-flight `write_pipelined` /
     /// `append_pipelined` completions making progress at once.

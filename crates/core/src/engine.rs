@@ -137,13 +137,4 @@ impl Engine {
     pub fn psize(&self) -> u64 {
         self.config.page_size
     }
-
-    /// Upper bound on boxed jobs per parallel fan-out, from the
-    /// configured chunking factor (0 = per-item dispatch baseline).
-    pub fn max_parallel_jobs(&self) -> usize {
-        match self.config.io_chunks_per_thread {
-            0 => usize::MAX,
-            k => self.pool.threads().saturating_mul(k),
-        }
-    }
 }

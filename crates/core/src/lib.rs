@@ -135,7 +135,7 @@ pub use write::CrashPoint;
 // the fault-injection seam ([`Builder::page_stores`] + [`FaultPlan`]).
 pub use blobseer_provider::{
     AllocationStrategy, FaultPlan, FilePageStore, MembershipCounts, MemoryPageStore, PageStore,
-    PlacementCandidate, PlacementPolicy, ProviderStats,
+    PlacementCandidate, PlacementPolicy, ProviderStats, SealedPage, SUM_BLOCK,
 };
 pub use blobseer_types::{
     BlobError, BlobId, ByteRange, PageId, ProviderId, QosConfig, Result, StoreConfig, TenantId,
@@ -690,6 +690,12 @@ impl BlobSeer {
             "blobseer_vm_lockfree_reads_total",
             "hot VM reads served wait-free from a blob's seqlock cell (no blob mutex)",
             stats.vm.lockfree_reads as i64,
+        );
+        blobseer_metrics::write_counter(
+            &mut out,
+            "blobseer_checksum_verified_bytes_total",
+            "payload bytes providers re-hashed to verify fetches (only the blocks returned)",
+            self.engine.providers.total_bytes_verified(),
         );
         self.engine.metrics.render_provider_latency(&mut out);
         if let Some(qos) = &self.engine.qos {

@@ -253,7 +253,9 @@ fn mark_expected(engine: &Arc<Engine>) -> Result<(HashMap<PageId, ProviderId>, u
 /// Migrate one judged-live page off the victim: source a verified
 /// copy, fill the post-retirement chain on the survivors (never
 /// overwriting a verifying copy — the repairer's discipline), and only
-/// then delete the victim's copy.
+/// then delete the victim's copy. The source is fetched whole-page
+/// verified and re-placed as the sealed value it is, client sums
+/// included — migration never re-hashes a payload.
 fn migrate_one(
     engine: &Arc<Engine>,
     victim: &Arc<DataProvider>,

@@ -43,6 +43,9 @@ pub(crate) struct EngineMetrics {
     pub failovers: Arc<Counter>,
     pub corrupt_pages: Arc<Counter>,
     pub under_replicated_stores: Arc<Counter>,
+    /// Payload bytes the client checksummed while sealing pages — once
+    /// per page, whatever the replication factor.
+    pub sealed_bytes: Arc<Counter>,
     /// Per-provider page-store latency, indexed by provider id. Kept
     /// out of the [`Registry`] — labeled series (`{provider="N"}`)
     /// need one shared `# TYPE` header, so exposition goes through
@@ -137,6 +140,10 @@ impl EngineMetrics {
             "blobseer_under_replicated_stores_total",
             "page stores that published fewer copies than the replication factor",
         );
+        let sealed_bytes = r.counter(
+            "blobseer_checksum_sealed_bytes_total",
+            "payload bytes checksummed by the client when sealing pages (once per page)",
+        );
         EngineMetrics {
             enabled,
             registry: r,
@@ -164,6 +171,7 @@ impl EngineMetrics {
             failovers,
             corrupt_pages,
             under_replicated_stores,
+            sealed_bytes,
             provider_store_latency: (0..providers)
                 .map(|_| Arc::new(WindowedHistogram::new()))
                 .collect(),

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use blobseer_meta::Lineage;
 use blobseer_meta::{read_meta, read_meta_multi, RootRef, TreeReader};
-use blobseer_rt::try_parallel_jobs;
+use blobseer_rt::try_parallel;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageSlice, Result, Version};
 use bytes::Bytes;
 
@@ -138,8 +138,7 @@ pub(crate) fn fetch_slices(
     let shared = Arc::new(slices);
     let eng = Arc::clone(engine);
     let jobs = Arc::clone(&shared);
-    let max_jobs = engine.max_parallel_jobs();
-    try_parallel_jobs(&engine.pool, shared.len(), max_jobs, move |i| {
+    try_parallel(&engine.pool, shared.len(), move |i| {
         let s = &jobs[i];
         let data = fetch_with_fallback(&eng, &s.descriptor, s.within)?;
         Ok::<_, BlobError>((s.buffer_offset, data))
@@ -147,7 +146,7 @@ pub(crate) fn fetch_slices(
 }
 
 /// [`fetch_slices`] without destination offsets: fetch every slice and
-/// return the payloads in input order ([`try_parallel_jobs`] preserves
+/// return the payloads in input order ([`try_parallel`] preserves
 /// it). The vectored-read path dedups identical page windows across
 /// requests and indexes into this result to hand each request a
 /// refcounted clone of the single fetch.
@@ -175,6 +174,11 @@ pub(crate) fn fetch_slices_into(
 /// the deterministic replica chain — and past it, through the fallback
 /// sequence write-path failover re-places copies onto — when a copy is
 /// missing, its provider is down, or it fails checksum verification.
+/// Only the blocks overlapping `within` are verified (see
+/// [`blobseer_provider::DataProvider::fetch_page_range`]).
+///
+/// The chain is derived **only after the primary missed**: the healthy
+/// read costs one provider lookup and no registry walk.
 ///
 /// A corrupt copy is treated as a miss (counted in
 /// `corrupt_pages_detected_total`) and the walk continues; the typed
@@ -186,20 +190,16 @@ fn fetch_with_fallback(
     descriptor: &blobseer_types::PageDescriptor,
     within: ByteRange,
 ) -> Result<Bytes> {
-    let fetch = |id| {
-        engine
-            .providers
-            .provider(id)
-            .and_then(|p| p.fetch_page_range(descriptor.pid, within.offset, within.size))
-    };
-    let replicas = engine.providers.replicas_of(descriptor.provider, engine.config.replication)?;
-    let fallbacks = engine.providers.fallbacks_of(descriptor.provider, 1 + replicas.len())?;
     let mut corrupt = None;
     let mut unavailable = None;
     let mut last = None;
-    for id in std::iter::once(descriptor.provider).chain(replicas).chain(fallbacks) {
+    let mut attempt = |id: blobseer_types::ProviderId| {
         let timer = engine.metrics.timer();
-        match fetch(id) {
+        let fetched = engine
+            .providers
+            .provider(id)
+            .and_then(|p| p.fetch_page_range(descriptor.pid, within.offset, within.size));
+        match fetched {
             Ok(data) => {
                 // Per-provider fetch split: only the successful attempt
                 // is attributed (a miss on a fallback that never held
@@ -209,7 +209,7 @@ fn fetch_with_fallback(
                 {
                     t.stop(hist);
                 }
-                return Ok(data);
+                return Some(data);
             }
             Err(e @ BlobError::PageCorrupt { .. }) => {
                 engine.metrics.corrupt_pages.increment();
@@ -219,6 +219,18 @@ fn fetch_with_fallback(
             // a mere miss from a fallback that never had it.
             Err(e @ BlobError::ProviderUnavailable(_)) => unavailable = Some(e),
             Err(e) => last = Some(e),
+        }
+        None
+    };
+    if let Some(data) = attempt(descriptor.provider) {
+        return Ok(data);
+    }
+    // Replica chain first, then everything live beyond it, both in
+    // registry order — which is simply every serving successor of the
+    // primary, in order.
+    for id in engine.providers.fallbacks_of(descriptor.provider, 1)? {
+        if let Some(data) = attempt(id) {
+            return Ok(data);
         }
     }
     Err(corrupt.or(unavailable).or(last).unwrap_or(BlobError::NoAvailableProvider))

@@ -22,10 +22,14 @@
 //! 3. **Diff + copy**: for each live page, the expected chain is the
 //!    deterministic function writers use
 //!    ([`blobseer_provider::ProviderManager::replicas_of`]). Every
-//!    chain copy present is fetched and checksum-verified; every slot
-//!    that is empty or holds a corrupt copy is re-filled from the
-//!    first copy that verifies anywhere — chain first, then the
-//!    failover fallbacks. **Repair fills, never overwrites**: a copy
+//!    chain copy present is fetched and verified **whole** (every
+//!    block — the one place rot in a block no reader happened to touch
+//!    is found); every slot that is empty or holds a corrupt copy is
+//!    re-filled from the first copy that verifies anywhere — chain
+//!    first, then the failover fallbacks. The fill re-places the
+//!    fetched [`blobseer_provider::SealedPage`] as it is: the client's
+//!    sums travel with it and nothing is hashed a second time.
+//!    **Repair fills, never overwrites**: a copy
 //!    that verifies is never rewritten (the one exception is replacing
 //!    a checksum-failed copy, whose bytes were provably not the page).
 //!    Once a page's chain is fully verified, redundant failover copies
@@ -43,7 +47,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use blobseer_meta::NodeKey;
-use blobseer_rt::parallel_map_jobs;
+use blobseer_provider::SealedPage;
+use blobseer_rt::parallel_map;
 use blobseer_types::{PageId, ProviderId, Result};
 
 use crate::engine::Engine;
@@ -136,13 +141,12 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
     let providers = engine.providers.all_providers();
     let n = providers.len();
     let scan_providers = providers.clone();
-    let scans: Vec<Option<HashSet<PageId>>> =
-        parallel_map_jobs(&engine.pool, n, engine.max_parallel_jobs(), move |i| {
-            scan_providers[i]
-                .scan_pages()
-                .ok()
-                .map(|pages| pages.into_iter().map(|(pid, _)| pid).collect())
-        });
+    let scans: Vec<Option<HashSet<PageId>>> = parallel_map(&engine.pool, n, move |i| {
+        scan_providers[i]
+            .scan_pages()
+            .ok()
+            .map(|pages| pages.into_iter().map(|(pid, _)| pid).collect())
+    });
     let mut holders: HashMap<ProviderId, HashSet<PageId>> = HashMap::new();
     let mut report = RepairReport { mark_restarts, ..RepairReport::default() };
     for (provider, scan) in providers.iter().zip(scans) {
@@ -183,7 +187,7 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
 
         // Verify what the chain holds; classify each slot.
         let mut degraded: Vec<ProviderId> = Vec::new(); // empty or corrupt slot
-        let mut source: Option<bytes::Bytes> = None;
+        let mut source: Option<SealedPage> = None;
         for &id in &chain {
             let holds = holders.get(&id).is_some_and(|pages| pages.contains(&pid));
             if !holds {

@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use blobseer_meta::{collect_tree_pages, NodeKey, TreeNode, TreeReader};
 use blobseer_provider::ScrubPass;
-use blobseer_rt::parallel_map_jobs;
+use blobseer_rt::parallel_map;
 use blobseer_types::{BlobError, NodePos, PageId, Result};
 
 use crate::engine::Engine;
@@ -162,24 +162,23 @@ pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
     let n = providers.len();
     let shared = Arc::new(SweepShared { live, epoch, exempt: AtomicU64::new(0) });
     let jobs_shared = Arc::clone(&shared);
-    let outcomes: Vec<Option<ScrubPass>> =
-        parallel_map_jobs(&engine.pool, n, engine.max_parallel_jobs(), move |i| {
-            let provider = &providers[i];
-            let s = Arc::clone(&jobs_shared);
-            let condemned = move |pid: PageId| {
-                if s.live.contains(&pid) {
-                    return false; // marked live — not the cut's doing
-                }
-                if pid >= s.epoch {
-                    s.exempt.fetch_add(1, Ordering::Relaxed);
-                    return false; // unjudgeable yet: in-flight or post-mark
-                }
-                true
-            };
-            // An offline (or mid-sweep-failing) provider keeps its
-            // copies; it is re-swept after recovery, like GC.
-            provider.scrub(&condemned).ok()
-        });
+    let outcomes: Vec<Option<ScrubPass>> = parallel_map(&engine.pool, n, move |i| {
+        let provider = &providers[i];
+        let s = Arc::clone(&jobs_shared);
+        let condemned = move |pid: PageId| {
+            if s.live.contains(&pid) {
+                return false; // marked live — not the cut's doing
+            }
+            if pid >= s.epoch {
+                s.exempt.fetch_add(1, Ordering::Relaxed);
+                return false; // unjudgeable yet: in-flight or post-mark
+            }
+            true
+        };
+        // An offline (or mid-sweep-failing) provider keeps its
+        // copies; it is re-swept after recovery, like GC.
+        provider.scrub(&condemned).ok()
+    });
 
     let mut report = ScrubReport {
         pages_marked,

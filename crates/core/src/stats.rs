@@ -35,9 +35,9 @@ pub struct StoreStats {
     pub physical_pages: usize,
     /// Total metadata tree nodes stored.
     pub metadata_nodes: usize,
-    /// Lifetime boxed jobs submitted to the client I/O pool — the
-    /// dispatch-overhead gauge behind the chunked fork-join (a large
-    /// batch should cost ~one job per worker, not one per page).
+    /// Lifetime boxed helpers submitted to the client I/O pool — the
+    /// fork-join's dispatch-overhead gauge (a batch costs at most one
+    /// helper per worker, not one per page; the caller works too).
     pub io_jobs_dispatched: u64,
 }
 
@@ -212,6 +212,16 @@ pub struct StatsSnapshot {
     /// replication factor — run [`crate::BlobSeer::repair_replicas`]
     /// when this moves; see `docs/OPERATIONS.md` ("degraded mode").
     pub under_replicated_stores: u64,
+    /// Lifetime payload bytes the client checksummed while sealing
+    /// pages: once per page stored, whatever the replication factor,
+    /// and never for a repair or drain copy (those re-place a page
+    /// that is already sealed).
+    pub checksum_sealed_bytes: u64,
+    /// Lifetime payload bytes providers re-hashed to verify fetches —
+    /// whole pages for repair and drain, only the blocks a read
+    /// returns bytes from otherwise (per-provider splits are in
+    /// [`StoreStats::providers`]).
+    pub checksum_verified_bytes: u64,
     /// `APPEND` over the recent window (rate + latency).
     pub append_window: OpWindow,
     /// `WRITE` over the recent window.
@@ -250,6 +260,8 @@ pub(crate) fn snapshot(engine: &Engine) -> StatsSnapshot {
         failovers_total: m.failovers.value(),
         corrupt_pages_detected: m.corrupt_pages.value(),
         under_replicated_stores: m.under_replicated_stores.value(),
+        checksum_sealed_bytes: m.sealed_bytes.value(),
+        checksum_verified_bytes: engine.providers.total_bytes_verified(),
         append_window: win(&m.append_latency),
         write_window: win(&m.write_latency),
         read_window: win(&m.read_latency),

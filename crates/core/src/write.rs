@@ -18,15 +18,18 @@
 //!    total-order semantics: snapshot `vw` equals snapshot `vw − 1`
 //!    with the update applied.
 //! 4. **Build and store metadata** — `BUILD_META` weaves the new tree
-//!    with older versions; all nodes are stored in parallel
-//!    (Algorithm 4 line 34).
+//!    with older versions; all nodes are stored (Algorithm 4 line 34's
+//!    "in parallel" is a loop on the calling thread here: an in-process
+//!    `put_new` is a fraction of a microsecond, far less than handing
+//!    it to another thread — see `docs/ARCHITECTURE.md`).
 //! 5. **Notify the version manager** — which publishes `vw` once all
 //!    lower versions are published.
 
 use std::sync::Arc;
 
 use blobseer_meta::{build_meta, TreeReader, UpdateContext};
-use blobseer_rt::try_parallel_jobs;
+use blobseer_provider::SealedPage;
+use blobseer_rt::try_parallel;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageDescriptor, ProviderId, Result, Version};
 use blobseer_version::{AssignedUpdate, UpdateKind};
 use bytes::Bytes;
@@ -60,7 +63,7 @@ pub enum CrashPoint {
     /// metadata.
     AfterBoundaryPages,
     /// Die mid metadata store with only the *inner* tree nodes durable
-    /// — the parallel node store lost exactly the leaf puts. (A fixed
+    /// — the node store lost exactly the leaf puts. (A fixed
     /// subset keeps injected crashes deterministic: leaves are what
     /// give a dead version observable content, so "no leaves" makes
     /// this point content-equivalent to [`CrashPoint::AfterPrepare`]
@@ -190,7 +193,7 @@ pub(crate) fn finish_until(
         return Ok(assigned.vw);
     }
 
-    // 4: build the new tree and store every node in parallel.
+    // 4: build the new tree and store every node.
     let reader = TreeReader::new(&engine.meta, &lineage);
     let ctx = UpdateContext {
         vw: assigned.vw,
@@ -199,7 +202,7 @@ pub(crate) fn finish_until(
         overrides: assigned.overrides.clone(),
         ref_root: assigned.ref_root,
     };
-    let nodes = Arc::new(build_meta(&reader, &ctx, &leaves)?);
+    let nodes = build_meta(&reader, &ctx, &leaves)?;
     engine.vm.renew_lease(blob, assigned.vw)?;
     // build_meta emits leaves first; AfterPartialMetadata drops exactly
     // that prefix (see the enum docs).
@@ -207,21 +210,12 @@ pub(crate) fn finish_until(
         Some(CrashPoint::AfterPartialMetadata) => leaves.len().min(nodes.len()),
         _ => 0,
     };
-    let eng = Arc::clone(engine);
-    let jobs = Arc::clone(&nodes);
     // Insert-if-absent: nodes are immutable once visible, so the only
     // way this key can already exist is an abort repair having placed
     // it — a presumed-dead writer racing its own repair must lose.
-    try_parallel_jobs(
-        &engine.pool,
-        nodes.len() - store_from,
-        engine.max_parallel_jobs(),
-        move |i| {
-            let (key, node) = jobs[store_from + i];
-            eng.meta.put_new(key, node);
-            Ok::<_, BlobError>(())
-        },
-    )?;
+    for &(key, node) in &nodes[store_from..] {
+        engine.meta.put_new(key, node);
+    }
     if matches!(crash, Some(CrashPoint::AfterPartialMetadata) | Some(CrashPoint::BeforeNotify)) {
         return Ok(assigned.vw);
     }
@@ -422,23 +416,28 @@ fn store_boundary_pages(
 /// repairer's cue). The update only fails when *no* provider in the
 /// deployment accepted the page.
 ///
-/// `payload` is refcounted, so every copy is a cheap clone of the same
-/// window — no byte is ever copied per replica (with zero-copy
-/// carving).
+/// **This is where a page is sealed**: `payload` is checksummed here,
+/// once, on the client and inside the page's own fork-join item — and
+/// the one refcounted [`SealedPage`] goes to every replica and every
+/// failover target. No byte is copied and no block is hashed per copy
+/// (with zero-copy carving the payload still aliases the caller's
+/// buffer).
 pub(crate) fn store_one_replicated(
     engine: &Arc<Engine>,
     pid: blobseer_types::PageId,
     primary: ProviderId,
     payload: Bytes,
 ) -> Result<()> {
-    let mut targets = vec![primary];
-    targets.extend(engine.providers.replicas_of(primary, engine.config.replication)?);
-    let desired = targets.len();
+    engine.metrics.sealed_bytes.add(payload.len() as u64);
+    let page = SealedPage::seal(payload);
+    // (Without replication this is empty and costs no registry walk.)
+    let replicas = engine.providers.replicas_of(primary, engine.config.replication)?;
+    let desired = 1 + replicas.len();
     let mut stored = 0usize;
     let mut failed = 0usize;
     let mut last_err = None;
-    for target in targets {
-        match store_with_retry(engine, target, pid, &payload) {
+    for target in std::iter::once(primary).chain(replicas) {
+        match store_with_retry(engine, target, pid, &page) {
             Ok(()) => stored += 1,
             Err(e) => {
                 failed += 1;
@@ -455,7 +454,7 @@ pub(crate) fn store_one_replicated(
         let mut fallbacks = engine.providers.fallbacks_of(primary, desired)?.into_iter();
         while failed > 0 {
             let Some(fallback) = fallbacks.next() else { break };
-            match store_with_retry(engine, fallback, pid, &payload) {
+            match store_with_retry(engine, fallback, pid, &page) {
                 Ok(()) => {
                     stored += 1;
                     failed -= 1;
@@ -482,12 +481,12 @@ fn store_with_retry(
     engine: &Arc<Engine>,
     target: ProviderId,
     pid: blobseer_types::PageId,
-    payload: &Bytes,
+    page: &SealedPage,
 ) -> Result<()> {
     let timer = engine.metrics.timer();
     let mut attempt = 0u32;
     loop {
-        match engine.providers.provider(target).and_then(|p| p.store_page(pid, payload.clone())) {
+        match engine.providers.provider(target).and_then(|p| p.store_page(pid, page.clone())) {
             Ok(()) => {
                 // Per-provider store split: the whole attempt sequence
                 // (including backoff) lands on the provider that finally
@@ -542,7 +541,7 @@ fn store_pages(
     let shared = Arc::new((jobs, pids));
     let eng = Arc::clone(engine);
     let batch = Arc::clone(&shared);
-    try_parallel_jobs(&engine.pool, n, engine.max_parallel_jobs(), move |i| {
+    try_parallel(&engine.pool, n, move |i| {
         let (jobs, pids) = &*batch;
         let (_, provider, payload) = &jobs[i];
         store_one_replicated(&eng, pids[i], *provider, payload.clone())
@@ -582,7 +581,8 @@ mod tests {
         leaves
             .iter()
             .map(|pd| {
-                store.engine.providers.provider(pd.provider).unwrap().fetch_page(pd.pid).unwrap()
+                let provider = store.engine.providers.provider(pd.provider).unwrap();
+                provider.fetch_page(pd.pid).unwrap().into_data()
             })
             .collect()
     }

@@ -11,16 +11,19 @@
 //!   probability `p`, drawn from a **seeded** RNG so every run of a
 //!   test replays the same fault schedule;
 //! * **latency** — every request sleeps first (a degraded disk);
-//! * **bit-flip corruption** — the stored copy differs from the caller's
-//!   payload by one flipped bit (silent media rot). The caller's
-//!   `Bytes` is never mutated — corruption happens on a private copy —
-//!   so zero-copy aliasing with the client buffer stays intact and the
-//!   oracle a test compares against is never poisoned.
+//! * **bit-flip corruption** — the stored copy's payload differs from
+//!   the caller's by one flipped bit (silent media rot) while the
+//!   **sums the client sealed are kept** — re-sealing the rotted bytes
+//!   would turn every corruption test into a silent adoption. The
+//!   caller's `Bytes` is never mutated — corruption happens on a
+//!   private copy — so zero-copy aliasing with the client buffer stays
+//!   intact and the oracle a test compares against is never poisoned.
 //!
 //! The plan sits *below* [`crate::DataProvider`], which means the
-//! provider's checksum sidecar sees the faults exactly the way it would
-//! see real ones: a corrupted store is detected on the next fetch, an
-//! injected error is indistinguishable from a genuine storage failure.
+//! provider's verification sees the faults exactly the way it would
+//! see real ones: a corrupted store is detected by the next fetch that
+//! covers the flipped block, an injected error is indistinguishable
+//! from a genuine storage failure.
 //!
 //! All knobs are interior-mutable (`&self`): tests keep one
 //! `Arc<FaultPlan>` clone as a control handle while the engine owns the
@@ -36,6 +39,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::sealed::SealedPage;
 use crate::store::PageStore;
 
 /// A fault-injecting [`PageStore`] wrapper; see the module docs.
@@ -130,8 +134,7 @@ impl FaultPlan {
             Ok(p) => p,
             Err(_) => return Ok(false),
         };
-        let flipped = self.flip_one_bit(&page);
-        self.inner.store(pid, flipped)?;
+        self.inner.store(pid, self.flip_one_bit(&page))?;
         self.injected_corruptions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -147,18 +150,19 @@ impl FaultPlan {
         self.injected_corruptions.load(Ordering::Relaxed)
     }
 
-    /// Copy `data` with one RNG-chosen bit flipped (empty payloads pass
-    /// through untouched — nothing to flip).
-    fn flip_one_bit(&self, data: &Bytes) -> Bytes {
-        if data.is_empty() {
-            return data.clone();
+    /// `page` with one RNG-chosen payload bit flipped on a private copy
+    /// and its sealed sums kept (empty payloads pass through untouched
+    /// — nothing to flip).
+    fn flip_one_bit(&self, page: &SealedPage) -> SealedPage {
+        if page.is_empty() {
+            return page.clone();
         }
-        let mut copy = data.to_vec();
+        let mut copy = page.to_vec();
         let mut rng = self.rng.lock();
         let byte = rng.gen_range(0..copy.len());
         let bit = rng.gen_range(0..8u32);
         copy[byte] ^= 1 << bit;
-        Bytes::from(copy)
+        page.with_payload(Bytes::from(copy))
     }
 
     /// Common request gate: latency, offline, one-shot and
@@ -217,25 +221,20 @@ impl FaultPlan {
 }
 
 impl PageStore for FaultPlan {
-    fn store(&self, pid: PageId, data: Bytes) -> Result<()> {
+    fn store(&self, pid: PageId, page: SealedPage) -> Result<()> {
         self.gate("store", &self.fail_next_stores)?;
-        let data = if self.take_corruption() {
+        let page = if self.take_corruption() {
             self.injected_corruptions.fetch_add(1, Ordering::Relaxed);
-            self.flip_one_bit(&data)
+            self.flip_one_bit(&page)
         } else {
-            data
+            page
         };
-        self.inner.store(pid, data)
+        self.inner.store(pid, page)
     }
 
-    fn fetch(&self, pid: PageId) -> Result<Bytes> {
+    fn fetch(&self, pid: PageId) -> Result<SealedPage> {
         self.gate("fetch", &self.fail_next_fetches)?;
         self.inner.fetch(pid)
-    }
-
-    fn fetch_range(&self, pid: PageId, offset: u64, len: u64) -> Result<Bytes> {
-        self.gate("fetch", &self.fail_next_fetches)?;
-        self.inner.fetch_range(pid, offset, len)
     }
 
     fn contains(&self, pid: PageId) -> bool {
@@ -275,6 +274,10 @@ mod tests {
     use crate::DataProvider;
     use blobseer_types::ProviderId;
 
+    fn sealed(bytes: &'static [u8]) -> SealedPage {
+        SealedPage::seal(Bytes::from_static(bytes))
+    }
+
     fn plan() -> (Arc<FaultPlan>, Arc<MemoryPageStore>) {
         let mem = Arc::new(MemoryPageStore::new());
         let plan = Arc::new(FaultPlan::with_seed(Arc::clone(&mem) as Arc<dyn PageStore>, 42));
@@ -284,9 +287,8 @@ mod tests {
     #[test]
     fn transparent_when_no_faults_armed() {
         let (plan, _) = plan();
-        plan.store(PageId(1), Bytes::from_static(b"payload")).unwrap();
-        assert_eq!(plan.fetch(PageId(1)).unwrap(), Bytes::from_static(b"payload"));
-        assert_eq!(plan.fetch_range(PageId(1), 0, 3).unwrap(), Bytes::from_static(b"pay"));
+        plan.store(PageId(1), sealed(b"payload")).unwrap();
+        assert_eq!(&plan.fetch(PageId(1)).unwrap()[..], b"payload");
         assert_eq!(plan.scan().unwrap(), vec![(PageId(1), 7)]);
         assert_eq!(plan.injected_errors(), 0);
     }
@@ -294,13 +296,13 @@ mod tests {
     #[test]
     fn offline_fails_everything_then_recovers() {
         let (plan, _) = plan();
-        plan.store(PageId(1), Bytes::from_static(b"kept")).unwrap();
+        plan.store(PageId(1), sealed(b"kept")).unwrap();
         plan.set_offline(true);
-        assert!(plan.store(PageId(2), Bytes::from_static(b"no")).is_err());
+        assert!(plan.store(PageId(2), sealed(b"no")).is_err());
         assert!(plan.fetch(PageId(1)).is_err());
         assert!(plan.scan().is_err());
         plan.set_offline(false);
-        assert_eq!(plan.fetch(PageId(1)).unwrap(), Bytes::from_static(b"kept"));
+        assert_eq!(&plan.fetch(PageId(1)).unwrap()[..], b"kept");
         assert_eq!(plan.injected_errors(), 3);
     }
 
@@ -308,12 +310,12 @@ mod tests {
     fn one_shot_errors_consume_then_clear() {
         let (plan, _) = plan();
         plan.fail_next_stores(2);
-        assert!(plan.store(PageId(1), Bytes::from_static(b"a")).is_err());
-        assert!(plan.store(PageId(1), Bytes::from_static(b"a")).is_err());
-        plan.store(PageId(1), Bytes::from_static(b"a")).unwrap();
+        assert!(plan.store(PageId(1), sealed(b"a")).is_err());
+        assert!(plan.store(PageId(1), sealed(b"a")).is_err());
+        plan.store(PageId(1), sealed(b"a")).unwrap();
         plan.fail_next_fetches(1);
         assert!(plan.fetch(PageId(1)).is_err());
-        assert_eq!(plan.fetch(PageId(1)).unwrap(), Bytes::from_static(b"a"));
+        assert_eq!(&plan.fetch(PageId(1)).unwrap()[..], b"a");
     }
 
     #[test]
@@ -321,9 +323,7 @@ mod tests {
         let run = || {
             let (plan, _) = plan();
             plan.set_error_probability(0.5);
-            (0..64)
-                .map(|i| plan.store(PageId(i), Bytes::from_static(b"x")).is_err())
-                .collect::<Vec<_>>()
+            (0..64).map(|i| plan.store(PageId(i), sealed(b"x")).is_err()).collect::<Vec<_>>()
         };
         let a = run();
         let b = run();
@@ -332,16 +332,18 @@ mod tests {
     }
 
     #[test]
-    fn corruption_never_touches_the_callers_bytes() {
+    fn corruption_flips_one_payload_bit_and_keeps_the_sealed_sums() {
         let (plan, mem) = plan();
         let original = Bytes::from(vec![0u8; 512]);
+        let page = SealedPage::seal(original.clone());
         plan.corrupt_next_stores(1);
-        plan.store(PageId(1), original.clone()).unwrap();
+        plan.store(PageId(1), page.clone()).unwrap();
         assert!(original.iter().all(|&b| b == 0), "caller's buffer was mutated");
         let stored = mem.fetch(PageId(1)).unwrap();
-        assert_ne!(stored, original);
         let diff: u32 = stored.iter().zip(original.iter()).map(|(a, b)| (a ^ b).count_ones()).sum();
         assert_eq!(diff, 1, "exactly one bit flips");
+        assert_eq!(stored.sums(), page.sums(), "re-sealing would adopt the rot");
+        assert_eq!(stored.verify(), None);
         assert_eq!(plan.injected_corruptions(), 1);
     }
 
@@ -349,7 +351,7 @@ mod tests {
     fn at_rest_corruption_is_caught_by_the_provider_checksum() {
         let (plan, _) = plan();
         let p = DataProvider::new(ProviderId(0), Arc::clone(&plan) as Arc<dyn PageStore>);
-        p.store_page(PageId(9), Bytes::from(vec![7u8; 128])).unwrap();
+        p.store_page(PageId(9), SealedPage::seal(Bytes::from(vec![7u8; 128]))).unwrap();
         assert!(plan.corrupt_stored_page(PageId(9)).unwrap());
         assert!(matches!(p.fetch_page(PageId(9)), Err(BlobError::PageCorrupt { .. })));
         assert!(!plan.corrupt_stored_page(PageId(404)).unwrap(), "absent page: nothing to rot");
@@ -360,7 +362,7 @@ mod tests {
         let (plan, _) = plan();
         plan.set_latency(Duration::from_millis(5));
         let t0 = std::time::Instant::now();
-        plan.store(PageId(1), Bytes::from_static(b"slow")).unwrap();
+        plan.store(PageId(1), sealed(b"slow")).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(5));
         plan.set_latency(Duration::ZERO);
     }

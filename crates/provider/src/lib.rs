@@ -8,9 +8,12 @@
 //!
 //! This crate supplies:
 //!
+//! * [`SealedPage`] — a page payload plus the block checksums
+//!   ([`SUM_BLOCK`] bytes each) its client took; the unit every store
+//!   and provider below traffics in;
 //! * [`PageStore`] — the storage backend trait, with a sharded
 //!   in-memory implementation ([`MemoryPageStore`]) and a file-backed
-//!   one ([`FilePageStore`]);
+//!   one ([`FilePageStore`], sums persisted as a page-file header);
 //! * [`DataProvider`] — one storage node: a store plus access counters;
 //! * [`ProviderManager`] + [`AllocationStrategy`] — page-to-provider
 //!   placement. §4.3 notes that the placement strategy "plays a central
@@ -20,13 +23,15 @@
 //!   probabilistic I/O errors, latency, bit-flip corruption) wrapping
 //!   any store, so provider failure is a first-class, testable event.
 //!
-//! Every [`DataProvider`] checksums stored pages (a sidecar, verified
-//! on fetch) and exposes corruption/repair counters; see the type docs.
+//! Integrity in one sentence: the client seals a page once, providers
+//! trust the sums on store and verify — block by block, only the blocks
+//! they return — on every fetch; see [`SealedPage`] and [`DataProvider`].
 
 mod fault;
 mod manager;
 mod placement;
 mod provider;
+mod sealed;
 mod store;
 
 pub use fault::FaultPlan;
@@ -36,4 +41,5 @@ pub use placement::{
     RoundRobinPolicy,
 };
 pub use provider::{DataProvider, ProviderStats, ScrubPass};
+pub use sealed::{SealedPage, SUM_BLOCK};
 pub use store::{FilePageStore, MemoryPageStore, PageStore};

@@ -243,9 +243,14 @@ impl ProviderManager {
     /// The chain is computed over all serving providers, available or
     /// not, so it is stable across failures and recoveries; only
     /// **retirement** (a completed drain) re-derives it, identically
-    /// for every reader, writer and repairer.
+    /// for every reader, writer and repairer. Without replication
+    /// (`replicas == 1`) the answer is empty whatever the registry
+    /// holds, and no walk is made — this sits on every page store.
     pub fn replicas_of(&self, primary: ProviderId, replicas: usize) -> Result<Vec<ProviderId>> {
         assert!(replicas >= 1);
+        if replicas == 1 {
+            return Ok(Vec::new());
+        }
         let (_, mut succ) = self.walk(primary, None)?;
         succ.truncate(replicas - 1);
         Ok(succ)
@@ -313,6 +318,13 @@ impl ProviderManager {
         self.providers.read().iter().map(|p| p.stored_bytes()).sum()
     }
 
+    /// Lifetime payload bytes re-hashed by verifying fetches, summed
+    /// over every provider ever registered (retired tombstones keep
+    /// their counts, so the total never steps backwards).
+    pub fn total_bytes_verified(&self) -> u64 {
+        self.providers.read().iter().map(|p| p.bytes_verified()).sum()
+    }
+
     /// Total pages stored across all providers.
     pub fn total_pages(&self) -> usize {
         self.providers.read().iter().map(|p| p.page_count()).sum()
@@ -331,6 +343,7 @@ impl std::fmt::Debug for ProviderManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sealed::SealedPage;
     use blobseer_types::PageId;
     use bytes::Bytes;
 
@@ -339,7 +352,7 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             mgr.provider(*id)
                 .unwrap()
-                .store_page(PageId(i as u128), Bytes::from(vec![0u8; page_bytes]))
+                .store_page(PageId(i as u128), SealedPage::seal(Bytes::from(vec![0u8; page_bytes])))
                 .unwrap();
         }
     }
@@ -381,7 +394,7 @@ mod tests {
         // Pre-load provider 0 heavily.
         mgr.provider(ProviderId(0))
             .unwrap()
-            .store_page(PageId(999), Bytes::from(vec![0u8; 10_000]))
+            .store_page(PageId(999), SealedPage::seal(Bytes::from(vec![0u8; 10_000])))
             .unwrap();
         let ids = mgr.allocate(2).unwrap();
         assert!(!ids.contains(&ProviderId(0)), "{ids:?}");
@@ -395,7 +408,10 @@ mod tests {
             for (i, id) in ids.iter().enumerate() {
                 mgr.provider(*id)
                     .unwrap()
-                    .store_page(PageId((round * 100 + i) as u128), Bytes::from(vec![0u8; 100]))
+                    .store_page(
+                        PageId((round * 100 + i) as u128),
+                        SealedPage::seal(Bytes::from(vec![0u8; 100])),
+                    )
                     .unwrap();
             }
         }
@@ -484,7 +500,7 @@ mod tests {
         // Load provider 0; least-loaded must now avoid it.
         mgr.provider(ProviderId(0))
             .unwrap()
-            .store_page(PageId(1), Bytes::from(vec![0u8; 4096]))
+            .store_page(PageId(1), SealedPage::seal(Bytes::from(vec![0u8; 4096])))
             .unwrap();
         mgr.set_placement(AllocationStrategy::LeastLoaded);
         assert_eq!(mgr.placement_name(), "least_loaded");

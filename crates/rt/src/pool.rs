@@ -60,8 +60,8 @@ impl ThreadPool {
     }
 
     /// Lifetime count of boxed jobs submitted — the dispatch-overhead
-    /// gauge behind the chunked fork-join optimization (benches assert
-    /// a large batch costs ~one job per worker, not one per item).
+    /// gauge of the fork-join (a batch boxes at most one helper per
+    /// worker, however many items it has; see the crate docs).
     pub fn jobs_dispatched(&self) -> u64 {
         self.dispatched.load(Ordering::Relaxed)
     }

@@ -34,12 +34,6 @@ pub struct StoreConfig {
     /// Entries in the client-side metadata node cache (0 disables it).
     /// Tree nodes are immutable, so the cache needs no invalidation.
     pub metadata_cache_entries: usize,
-    /// Fork-join chunking factor: a parallel page/metadata batch is
-    /// split into at most `client_io_threads * io_chunks_per_thread`
-    /// dispatched jobs, each covering a contiguous index range. `0`
-    /// disables chunking and dispatches one boxed job per item (the
-    /// pre-chunking behaviour, kept as an ablation baseline).
-    pub io_chunks_per_thread: usize,
     /// Carve page payloads out of an update as refcounted `Bytes`
     /// slices of the caller's buffer (`true`, zero-copy) instead of
     /// per-page copies (`false`, kept as an ablation baseline).
@@ -165,7 +159,6 @@ impl Default for StoreConfig {
             client_io_threads: 8,
             replication: 1,
             metadata_cache_entries: 0,
-            io_chunks_per_thread: 1,
             zero_copy_pages: true,
             pipeline_threads: 4,
             lease_ttl_ticks: 1 << 20,

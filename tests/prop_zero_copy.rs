@@ -1,7 +1,7 @@
 //! Property tests for the zero-copy write path: `write_bytes` /
 //! `append_bytes` must be observationally identical to the `&[u8]` API
 //! across unaligned offsets and page sizes, with and without the
-//! zero-copy carving and chunked-dispatch optimizations.
+//! zero-copy carving optimization.
 
 use blobseer::{BlobSeer, Bytes};
 use proptest::prelude::*;
@@ -12,14 +12,13 @@ fn pattern(seed: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| (seed.wrapping_mul(31).wrapping_add(i as u64) % 251) as u8).collect()
 }
 
-fn build(page_size: u64, zero_copy: bool, chunks: usize) -> BlobSeer {
+fn build(page_size: u64, zero_copy: bool) -> BlobSeer {
     BlobSeer::builder()
         .page_size(page_size)
         .data_providers(4)
         .metadata_providers(4)
         .io_threads(3)
         .zero_copy_pages(zero_copy)
-        .io_chunks_per_thread(chunks)
         .build()
         .unwrap()
 }
@@ -36,8 +35,8 @@ proptest! {
         ops in proptest::collection::vec((any::<u64>(), 1usize..6000, any::<u64>()), 1..10),
     ) {
         let psize = 1u64 << page_pow;
-        let slice_store = build(psize, false, 0); // the pre-PR baseline
-        let bytes_store = build(psize, true, 1); // the optimized path
+        let slice_store = build(psize, false); // the pre-PR baseline
+        let bytes_store = build(psize, true); // the optimized path
         let a = slice_store.create().id();
         let b = bytes_store.create().id();
 
@@ -79,7 +78,7 @@ proptest! {
         total in 2000usize..20000,
         cuts in proptest::collection::vec(1usize..2000, 0..6),
     ) {
-        let store = build(1u64 << page_pow, true, 1);
+        let store = build(1u64 << page_pow, true);
         let blob = store.create().id();
         let source = Bytes::from(pattern(42, total));
 
