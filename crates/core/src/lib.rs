@@ -107,6 +107,7 @@ mod blob;
 mod builder;
 mod engine;
 mod gc;
+mod maintenance;
 mod membership;
 mod metrics;
 mod pending;
@@ -436,12 +437,12 @@ impl BlobSeer {
     /// # Ok::<(), blobseer::BlobError>(())
     /// ```
     pub fn add_provider(&self) -> ProviderId {
-        membership::add_provider(&self.engine, Arc::new(MemoryPageStore::new()))
+        self.add_provider_store(Arc::new(MemoryPageStore::new()))
     }
 
     /// [`BlobSeer::add_provider`] over a caller-supplied page store.
     pub fn add_provider_store(&self, store: Arc<dyn PageStore>) -> ProviderId {
-        membership::add_provider(&self.engine, store)
+        self.engine.providers.add_provider(store)
     }
 
     /// Evacuate data provider `id` and retire it from the deployment.

@@ -5,17 +5,18 @@
 use std::sync::Arc;
 
 use blobseer::{
-    Blob, BlobError, BlobSeer, ByteRange, Bytes, MemoryPageStore, PageStore, ProviderId, Version,
+    Blob, BlobError, BlobSeer, ByteRange, Bytes, FaultPlan, MemoryPageStore, PageStore, ProviderId,
+    Version,
 };
 
 const PSIZE: u64 = 64;
 
-/// A deployment over `n` shared in-memory page stores (returned so
-/// tests can inspect or corrupt the physical copies underneath the
-/// providers), replication 2.
-fn store_with_handles(n: usize) -> (BlobSeer, Vec<Arc<MemoryPageStore>>) {
-    let handles: Vec<Arc<MemoryPageStore>> =
-        (0..n).map(|_| Arc::new(MemoryPageStore::new())).collect();
+/// A deployment over `n` fault-plan-wrapped in-memory page stores
+/// (returned so tests can inspect or corrupt the physical copies
+/// underneath the providers), replication 2.
+fn store_with_handles(n: usize) -> (BlobSeer, Vec<Arc<FaultPlan>>) {
+    let handles: Vec<Arc<FaultPlan>> =
+        (0..n).map(|_| Arc::new(FaultPlan::new(Arc::new(MemoryPageStore::new())))).collect();
     let store = BlobSeer::builder()
         .page_size(PSIZE)
         .data_providers(n)
@@ -115,12 +116,7 @@ fn drain_sources_from_replica_when_victim_copy_is_dead() {
     let victim_pages = handles[0].scan().unwrap();
     assert!(!victim_pages.is_empty(), "test needs pages on the victim");
     for (pid, _) in &victim_pages {
-        let good = handles[0].fetch(*pid).unwrap();
-        let mut garbage = good.to_vec();
-        for b in &mut garbage {
-            *b ^= 0xA5;
-        }
-        handles[0].store(*pid, Bytes::from(garbage)).unwrap();
+        assert!(handles[0].corrupt_stored_page(*pid).unwrap());
     }
 
     // With both survivors offline, no verifying source exists: the

@@ -209,11 +209,16 @@ pub fn read_meta_multi(
 ///
 /// A missing node surfaces as an error ([`BlobError::MetadataMissing`])
 /// rather than being skipped: under-marking would let a sweep delete
-/// live pages, so the caller must abort its pass instead.
+/// live pages, so the caller must abort its pass instead. Every key this
+/// call adds to `visited` is also pushed onto `undo`; after a failed
+/// walk, removing them restores `visited` exactly — a key left behind
+/// before its subtree was enumerated would make a retry skip that
+/// subtree.
 pub fn collect_tree_pages(
     reader: &TreeReader<'_>,
     root: RootRef,
     visited: &mut HashSet<NodeKey>,
+    undo: &mut Vec<NodeKey>,
     on_leaf: &mut dyn FnMut(PageId, ProviderId),
 ) -> Result<()> {
     let mut stack = vec![(root.version, root.pos)];
@@ -222,6 +227,7 @@ pub fn collect_tree_pages(
         if !visited.insert(key) {
             continue; // shared subtree already enumerated
         }
+        undo.push(key);
         match reader.fetch(version, pos, false)? {
             TreeNode::Leaf { pid, provider, .. } => on_leaf(pid, provider),
             TreeNode::Inner { left, right } => {
@@ -347,13 +353,15 @@ mod tests {
         let mut on_leaf = |pid: PageId, _prov: ProviderId| pids.push(pid.raw());
         let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
         let root2 = RootRef { version: Version(2), pos: NodePos::new(0, 4) };
-        collect_tree_pages(&reader, root1, &mut visited, &mut on_leaf).unwrap();
-        collect_tree_pages(&reader, root2, &mut visited, &mut on_leaf).unwrap();
+        let mut undo = Vec::new();
+        collect_tree_pages(&reader, root1, &mut visited, &mut undo, &mut on_leaf).unwrap();
+        collect_tree_pages(&reader, root2, &mut visited, &mut undo, &mut on_leaf).unwrap();
         pids.sort_unstable();
         // v1's four leaves plus v2's one new leaf — the shared right
         // half is walked exactly once.
         assert_eq!(pids, vec![100, 101, 102, 103, 200]);
         assert_eq!(visited.len(), 7 + 3, "v1's 7 nodes + v2's 3 new ones");
+        assert_eq!(undo.len(), visited.len(), "every insertion is logged once");
     }
 
     #[test]
@@ -362,9 +370,13 @@ mod tests {
         let lineage = Lineage::root(BlobId(3));
         let reader = TreeReader::new(&store, &lineage);
         let root = RootRef { version: Version(1), pos: NodePos::new(0, 2) };
-        let mut visited = HashSet::new();
-        let err = collect_tree_pages(&reader, root, &mut visited, &mut |_, _| {}).unwrap_err();
+        let (mut visited, mut undo) = (HashSet::new(), Vec::new());
+        let err =
+            collect_tree_pages(&reader, root, &mut visited, &mut undo, &mut |_, _| {}).unwrap_err();
         assert!(matches!(err, BlobError::MetadataMissing { .. }));
+        // The missing root was inserted before its fetch failed: the
+        // log holds it, so the caller can roll the walk back.
+        assert_eq!(undo, visited.iter().copied().collect::<Vec<_>>());
     }
 
     #[test]

@@ -85,21 +85,6 @@ impl MemoryPageStore {
         // Low bits of the sequence part spread consecutive pages.
         &self.shards[(pid.raw() as usize) % MEM_SHARDS]
     }
-
-    /// Test hook — rot a stored copy **beneath** whatever provider
-    /// wraps this store: replace the payload of `pid` with `rotted`
-    /// and keep the sums the client sealed, exactly what failing media
-    /// does. The next fetch of a block whose bytes changed reports
-    /// [`BlobError::PageCorrupt`]. Errors when `pid` is not stored
-    /// (there is nothing to rot, and no sums to keep).
-    ///
-    /// On a concrete `MemoryPageStore` this inherent method shadows
-    /// [`PageStore::store`]; storing a sealed page goes through the
-    /// trait (`PageStore::store(&mem, pid, page)` or a `dyn PageStore`).
-    pub fn store(&self, pid: PageId, rotted: Bytes) -> Result<()> {
-        let sealed = PageStore::fetch(self, pid)?;
-        PageStore::store(self, pid, sealed.with_payload(rotted))
-    }
 }
 
 impl Default for MemoryPageStore {
@@ -412,20 +397,8 @@ mod tests {
     fn memory_store_keeps_the_callers_allocation() {
         let store = MemoryPageStore::new();
         let data = Bytes::from(vec![3u8; 64]);
-        PageStore::store(&store, pid(1), SealedPage::seal(data.clone())).unwrap();
+        store.store(pid(1), SealedPage::seal(data.clone())).unwrap();
         assert_eq!(store.fetch(pid(1)).unwrap().data().as_ptr(), data.as_ptr());
-    }
-
-    #[test]
-    fn rotting_beneath_the_provider_keeps_the_sealed_sums() {
-        let store = MemoryPageStore::new();
-        assert!(store.store(pid(1), Bytes::from_static(b"nothing to rot")).is_err());
-        PageStore::store(&store, pid(1), sealed(b"healthy")).unwrap();
-        store.store(pid(1), Bytes::from_static(b"heolthy")).unwrap();
-        let page = store.fetch(pid(1)).unwrap();
-        assert_eq!(&page[..], b"heolthy");
-        assert_eq!(page.sums(), sealed(b"healthy").sums());
-        assert_eq!(page.verify(), None);
     }
 
     #[test]
@@ -491,7 +464,7 @@ mod tests {
                 for i in 0..500u128 {
                     let id = pid(t * 1000 + i);
                     let page = SealedPage::seal(Bytes::from(vec![t as u8; 64]));
-                    PageStore::store(&*s, id, page).unwrap();
+                    s.store(id, page).unwrap();
                     assert_eq!(s.fetch(id).unwrap().len(), 64);
                 }
             }));
