@@ -179,7 +179,7 @@ pub(crate) fn abort_version(engine: &Arc<Engine>, blob: BlobId, v: Version) -> R
     // `scrub_orphans` never reclaims repair pages mid-flight.
     let _pin = engine.pin_update();
     let ticket = engine.vm.begin_abort(blob, v)?;
-    repair(engine, blob, &ticket)?;
+    repair(engine, blob, ticket)?;
     match engine.vm.commit_abort(blob, v) {
         // A concurrent aborter (the sweeper retries `Aborting` versions)
         // committed between our repair and our commit: the abort we
@@ -196,7 +196,7 @@ pub(crate) fn abort_version(engine: &Arc<Engine>, blob: BlobId, v: Version) -> R
 /// Reads of snapshot `vw − 1` may wait on strictly lower in-flight
 /// versions (the same rule as boundary merges), so repairs processed in
 /// ascending version order cannot deadlock.
-fn repair(engine: &Arc<Engine>, blob: BlobId, t: &AbortTicket) -> Result<()> {
+fn repair(engine: &Arc<Engine>, blob: BlobId, t: AbortTicket) -> Result<()> {
     let psize = engine.psize();
     let lineage = engine.vm.lineage(blob)?;
 
@@ -249,7 +249,7 @@ fn repair(engine: &Arc<Engine>, blob: BlobId, t: &AbortTicket) -> Result<()> {
         vw: t.vw,
         range: t.range,
         new_root: t.new_root,
-        overrides: t.overrides.clone(),
+        overrides: t.overrides,
         ref_root: t.ref_root,
     };
     for (key, node) in build_meta(&reader, &ctx, &leaves)? {

@@ -199,7 +199,7 @@ pub(crate) fn finish_until(
         vw: assigned.vw,
         range: assigned.range,
         new_root: assigned.new_root,
-        overrides: assigned.overrides.clone(),
+        overrides: assigned.overrides,
         ref_root: assigned.ref_root,
     };
     let nodes = build_meta(&reader, &ctx, &leaves)?;
@@ -339,6 +339,9 @@ fn store_boundary_pages(
     let psize = engine.psize();
     let offset = assigned.offset;
     let end = offset + assigned.size;
+    if offset.is_multiple_of(psize) && end.is_multiple_of(psize) {
+        return Ok(Vec::new()); // the aligned fast path allocates nothing
+    }
 
     let mut boundary_pages: Vec<u64> = Vec::with_capacity(2);
     if !offset.is_multiple_of(psize) {
@@ -349,9 +352,6 @@ fn store_boundary_pages(
         if boundary_pages.last() != Some(&tail) {
             boundary_pages.push(tail);
         }
-    }
-    if boundary_pages.is_empty() {
-        return Ok(Vec::new());
     }
 
     let providers = engine.providers.allocate(boundary_pages.len())?;

@@ -273,6 +273,35 @@ fn metadata_is_shared_across_versions() {
 }
 
 #[test]
+fn border_resolution_is_one_descent() {
+    // §4.2: a writer reads each border's version out of its parent on
+    // the paths to its first and last page, fetching each path node
+    // once — not one root-to-border descent per border (105 gets for a
+    // one-page write at depth 15).
+    let s = store();
+    let b = s.create().id();
+    let pages = 1u64 << 14;
+    let v = s.append(b, &patterned((PSIZE * pages) as usize, 0)).unwrap();
+    s.sync(b, v).unwrap();
+    let write_gets = |first: u64, count: u64| {
+        let before = s.stats().metadata.total_gets;
+        let v = s.write(b, &patterned((PSIZE * count) as usize, 1), first * PSIZE).unwrap();
+        s.sync(b, v).unwrap();
+        s.stats().metadata.total_gets - before
+    };
+    // One page: 14 borders, one per level below the root, hang off one
+    // path whose nodes above the leaf level are fetched once each.
+    assert_eq!(write_gets(5000, 1), 14);
+    // Two pages either side of the middle: the paths part at the root,
+    // and every distinct node on them down to level 1 is fetched once.
+    let (first, last) = (pages / 2 - 1, pages / 2);
+    let path_nodes: std::collections::HashSet<(u32, u64)> =
+        (1..=14).flat_map(|level| [(level, first >> level), (level, last >> level)]).collect();
+    assert_eq!(path_nodes.len(), 27);
+    assert_eq!(write_gets(first, 2), path_nodes.len() as u64);
+}
+
+#[test]
 fn concurrent_appenders_against_model() {
     // N threads append concurrently; afterwards, replaying the updates
     // in *version* order on the model must reproduce every snapshot.

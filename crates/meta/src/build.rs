@@ -1,21 +1,20 @@
 //! `BUILD_META` (paper Algorithm 4): constructing a new snapshot's tree
 //! and weaving it with the trees of earlier versions.
 
-use std::collections::HashMap;
-
 use blobseer_types::{BlobError, NodePos, PageDescriptor, PageRange, Result, Version};
 
 use crate::node::{NodeKey, RootRef, TreeNode};
-use crate::plan::{border_positions, creates_position, update_plan};
+use crate::plan::{borders_at_level, creates_position, update_plan};
 use crate::read::TreeReader;
 
 /// The resolved border set `B_vw`: for every border position of the
-/// update, the version of the existing node there (or `None` when the
-/// position lies beyond the blob's content — the dangling children of an
-/// incomplete tree, cf. paper Fig. 1(c)).
-#[derive(Clone, Debug, Default)]
-pub struct BorderSet {
-    map: HashMap<NodePos, Option<Version>>,
+/// update, level by level from the top, the version of the existing
+/// node there (or `None` when the position lies beyond the blob's
+/// content — the dangling children of an incomplete tree, cf. paper
+/// Fig. 1(c)). At most two entries per level, so a scan beats a map.
+#[derive(Clone, Debug)]
+pub(crate) struct BorderSet {
+    entries: Vec<(NodePos, Option<Version>)>,
 }
 
 impl BorderSet {
@@ -23,27 +22,12 @@ impl BorderSet {
     ///
     /// Errors when `pos` was never resolved — that would mean the build
     /// walked a child position the planner did not classify, i.e. a bug.
-    pub fn lookup(&self, pos: NodePos) -> Result<Option<Version>> {
-        self.map
-            .get(&pos)
-            .copied()
+    pub(crate) fn lookup(&self, pos: NodePos) -> Result<Option<Version>> {
+        self.entries
+            .iter()
+            .find(|(p, _)| *p == pos)
+            .map(|&(_, v)| v)
             .ok_or_else(|| BlobError::Internal(format!("border position {pos:?} was not resolved")))
-    }
-
-    /// Number of resolved border positions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the update touches the whole tree (no borders).
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Build directly from `(position, version)` pairs — used by tests
-    /// and by the serialized-metadata ablation mode.
-    pub fn from_entries(entries: impl IntoIterator<Item = (NodePos, Option<Version>)>) -> Self {
-        BorderSet { map: entries.into_iter().collect() }
     }
 }
 
@@ -69,35 +53,163 @@ pub struct UpdateContext {
     pub ref_root: Option<RootRef>,
 }
 
+/// Where a walk down one path of the reference tree stands.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// The next node on the path, not fetched yet.
+    Next(Version, NodePos),
+    /// The deepest node fetched so far: its position and its children's
+    /// versions, `[left, right]`.
+    At(NodePos, [Option<Version>; 2]),
+    /// A `None` child ended the path: the tree has no node below.
+    Ended,
+}
+
+/// A top-down walk of the reference tree toward page `page`, fetching
+/// each node on the path once and only as deep as it is asked to go.
+#[derive(Clone, Copy, Debug)]
+struct Walk {
+    page: u64,
+    step: Step,
+}
+
+impl Walk {
+    /// The children of the path's node at `level` (≥ 1, at or below the
+    /// deepest level reached so far), or `None` when the path ended
+    /// above it.
+    fn children_at(
+        &mut self,
+        reader: &TreeReader<'_>,
+        level: u32,
+    ) -> Result<Option<[Option<Version>; 2]>> {
+        loop {
+            self.step = match self.step {
+                Step::Ended => return Ok(None),
+                Step::At(pos, children) if pos.level() <= level => {
+                    debug_assert_eq!(pos.level(), level, "walks only descend");
+                    return Ok(Some(children));
+                }
+                Step::At(pos, children) => {
+                    let child = pos.child_toward(self.page);
+                    match children[usize::from(!child.is_left_child())] {
+                        Some(v) => Step::Next(v, child),
+                        None => Step::Ended,
+                    }
+                }
+                Step::Next(version, pos) => match reader.fetch(version, pos, true)? {
+                    TreeNode::Inner { left, right } => Step::At(pos, [left, right]),
+                    TreeNode::Leaf { .. } => {
+                        return Err(BlobError::Internal(format!(
+                            "node {pos:?} of {version} is a leaf above the leaf level"
+                        )))
+                    }
+                },
+            };
+        }
+    }
+}
+
+/// The descent of the reference tree along an update's two boundary
+/// paths: to its first page (the left borders' parents) and to its last
+/// page (the right borders' parents). One walk covers the prefix the
+/// paths share and forks into one walk per side where they part, so
+/// every path node is fetched at most once.
+struct Descent {
+    reference: RootRef,
+    /// Pages the left and right walks lead to.
+    pages: [u64; 2],
+    /// Lowest level of the shared prefix: the paths' lowest common
+    /// ancestor, or the reference root when only the first page lies
+    /// under it.
+    fork: u32,
+    shared: Walk,
+    sides: [Option<Walk>; 2],
+}
+
+impl Descent {
+    fn new(reference: RootRef, first: u64, last: u64) -> Self {
+        let lca = u64::BITS - (first ^ last).leading_zeros();
+        Descent {
+            reference,
+            pages: [first, last],
+            fork: reference.pos.level().min(lca),
+            shared: Walk { page: first, step: Step::Next(reference.version, reference.pos) },
+            sides: [None, None],
+        }
+    }
+
+    /// [`TreeReader::version_at`] of border `pos` on `side` (0 = left),
+    /// read out of its parent. Borders must be asked for top-down.
+    fn version_of(
+        &mut self,
+        reader: &TreeReader<'_>,
+        side: usize,
+        pos: NodePos,
+    ) -> Result<Option<Version>> {
+        if pos == self.reference.pos {
+            return Ok(Some(self.reference.version));
+        }
+        if !self.reference.pos.contains(pos) {
+            return Ok(None);
+        }
+        // Strictly inside the reference root, so is the parent — and
+        // it lies on this side's path.
+        let parent = pos.level() + 1;
+        let walk = if parent >= self.fork {
+            &mut self.shared
+        } else {
+            match &mut self.sides[side] {
+                Some(walk) => walk,
+                slot @ None => {
+                    self.shared.children_at(reader, self.fork)?;
+                    slot.insert(Walk { page: self.pages[side], ..self.shared })
+                }
+            }
+        };
+        let children = walk.children_at(reader, parent)?;
+        Ok(children.and_then(|c| c[usize::from(!pos.is_left_child())]))
+    }
+}
+
 /// Resolve the full border set for an update: overrides first (nodes
-/// being created by concurrent, lower-versioned writers), then descent
-/// of the latest *published* tree, then `None` for positions beyond the
-/// blob's content.
+/// being created by concurrent, lower-versioned writers), then the
+/// latest *published* tree, then `None` for positions beyond the blob's
+/// content. Equivalent to [`TreeReader::version_at`] per position, in
+/// one [`Descent`] (paper §4.2): the gets are the distinct nodes those
+/// per-position descents would visit, each once — O(depth) per update.
 ///
 /// Descending the published tree never blocks (its nodes are complete);
 /// `wait` is still threaded through for the unaligned-write path where
 /// the reference may be an in-flight predecessor.
-pub fn resolve_borders(reader: &TreeReader<'_>, ctx: &UpdateContext) -> Result<BorderSet> {
-    let overrides: HashMap<NodePos, Version> = ctx.overrides.iter().copied().collect();
-    let mut map = HashMap::new();
-    for pos in border_positions(ctx.range, ctx.new_root) {
-        let version = if let Some(&v) = overrides.get(&pos) {
-            Some(v)
-        } else if let Some(ref_root) = ctx.ref_root {
-            reader.version_at(ref_root, pos, true)?
-        } else {
-            None
-        };
-        map.insert(pos, version);
+pub(crate) fn resolve_borders(reader: &TreeReader<'_>, ctx: &UpdateContext) -> Result<BorderSet> {
+    let first = ctx.range.first;
+    let last = ctx
+        .range
+        .last()
+        .ok_or_else(|| BlobError::Internal(format!("update {:?} covers no page", ctx.range)))?;
+    let top = ctx.new_root.level();
+    let mut descent = ctx.ref_root.map(|r| Descent::new(r, first, last));
+    let mut entries = Vec::with_capacity(2 * top as usize);
+    for level in (0..top).rev() {
+        for (side, border) in borders_at_level(first, last, level).into_iter().enumerate() {
+            let Some(pos) = border else { continue };
+            // The last override wins, as a map built from the list would.
+            let version = match (ctx.overrides.iter().rfind(|(p, _)| *p == pos), &mut descent) {
+                (Some(&(_, v)), _) => Some(v),
+                (None, Some(descent)) => descent.version_of(reader, side, pos)?,
+                (None, None) => None,
+            };
+            entries.push((pos, version));
+        }
     }
-    Ok(BorderSet { map })
+    Ok(BorderSet { entries })
 }
 
 /// `BUILD_META` (paper Algorithm 4): produce every tree node of snapshot
 /// `vw`, leaves first, weaving border children in via the resolved
 /// border set. Returns the `(key, node)` pairs; the caller stores them
-/// (in parallel — Algorithm 4 line 34) and then notifies the version
-/// manager.
+/// (Algorithm 4 line 34's parallel store is a loop on the calling
+/// thread in-process) and then notifies the version manager.
 pub fn build_meta(
     reader: &TreeReader<'_>,
     ctx: &UpdateContext,
@@ -429,11 +541,67 @@ mod tests {
 
     #[test]
     fn border_set_lookup_errors_on_unknown() {
-        let b = BorderSet::from_entries([(NodePos::new(0, 1), Some(Version(1)))]);
+        let b = BorderSet { entries: vec![(NodePos::new(0, 1), Some(Version(1)))] };
         assert_eq!(b.lookup(NodePos::new(0, 1)).unwrap(), Some(Version(1)));
         assert!(b.lookup(NodePos::new(1, 1)).is_err());
-        assert_eq!(b.len(), 1);
-        assert!(!b.is_empty());
+    }
+
+    /// A node store that answers with a leaf where the descent expects
+    /// an inner node: a typed error, not a panic.
+    #[test]
+    fn leaf_on_a_boundary_path_is_a_typed_error() {
+        let store = store();
+        let lineage = Lineage::root(BlobId(1));
+        let reader = TreeReader::new(&store, &lineage);
+        let root = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
+        let leaf = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 4 };
+        store.put(NodeKey { blob: BlobId(1), version: Version(1), pos: root.pos }, leaf);
+        let ctx = UpdateContext {
+            vw: Version(2),
+            range: PageRange::new(1, 1),
+            new_root: root.pos,
+            overrides: vec![],
+            ref_root: Some(root),
+        };
+        let err = build_meta(&reader, &ctx, &[pd(1, 2)]).unwrap_err();
+        assert!(matches!(err, BlobError::Internal(_)), "{err:?}");
+    }
+
+    /// Fig. 1(b) and (c) once more, counting node fetches: a border is
+    /// read out of its parent, and each path node is fetched once.
+    #[test]
+    fn borders_cost_one_get_per_distinct_path_node() {
+        let store = store();
+        let lineage = Lineage::root(BlobId(1));
+        let reader = TreeReader::new(&store, &lineage);
+        let ctx1 = UpdateContext {
+            vw: Version(1),
+            range: PageRange::new(0, 8),
+            new_root: NodePos::new(0, 8),
+            overrides: vec![],
+            ref_root: None,
+        };
+        let leaves1: Vec<_> = (0..8).map(|i| pd(i, 100 + i as u128)).collect();
+        commit(&store, build_meta(&reader, &ctx1, &leaves1).unwrap());
+        let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 8) };
+        let gets = |range: PageRange, new_root: NodePos, overrides: Vec<(NodePos, Version)>| {
+            let ctx =
+                UpdateContext { vw: Version(2), range, new_root, overrides, ref_root: Some(root1) };
+            let leaves: Vec<_> = range.iter().map(|i| pd(i, 200 + i as u128)).collect();
+            let before = store.stats().total_gets;
+            build_meta(&reader, &ctx, &leaves).unwrap();
+            store.stats().total_gets - before
+        };
+        // One page: the root, (0,4), (2,2) — not the three borders.
+        assert_eq!(gets(PageRange::new(3, 1), NodePos::new(0, 8), vec![]), 3);
+        // Pages 3..5 part at the root: root + (0,4), (2,2) + (4,4), (4,2).
+        assert_eq!(gets(PageRange::new(3, 2), NodePos::new(0, 8), vec![]), 5);
+        // Overrides for the deepest borders spare the walks below them.
+        let spared = vec![(NodePos::new(2, 1), Version(9)), (NodePos::new(5, 1), Version(9))];
+        assert_eq!(gets(PageRange::new(3, 2), NodePos::new(0, 8), spared), 3);
+        // A grown root: the old root is a border resolved without a get,
+        // and everything right of it lies beyond the content.
+        assert_eq!(gets(PageRange::new(8, 1), NodePos::new(0, 16), vec![]), 0);
     }
 
     use std::collections::HashMap;

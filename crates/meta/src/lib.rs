@@ -21,8 +21,9 @@
 //! * [`store`] — typed facade over the DHT (`blobseer-dht`);
 //! * [`read`] — `READ_META` (paper Algorithm 3);
 //! * [`build`] — `BUILD_META` (paper Algorithm 4) including border-set
-//!   resolution against the latest published tree plus the version
-//!   manager's overrides for in-flight concurrent updates (§4.2).
+//!   resolution — one descent of the latest published tree along the
+//!   update's two boundary paths — plus the version manager's overrides
+//!   for in-flight concurrent updates (§4.2).
 
 pub mod build;
 pub mod cache;
@@ -32,7 +33,7 @@ pub mod plan;
 pub mod read;
 pub mod store;
 
-pub use build::{build_meta, resolve_borders, BorderSet, UpdateContext};
+pub use build::{build_meta, UpdateContext};
 pub use cache::NodeCache;
 pub use lineage::Lineage;
 pub use node::{NodeKey, RootRef, TreeNode};

@@ -6,8 +6,9 @@
 //!
 //! * [`crate::build`] materialises exactly the positions planned here;
 //! * the version manager computes **partial border sets** for concurrent
-//!   writers by asking, for each border position, which in-flight update
-//!   creates it ([`creates_position`]) — the paper's §4.2 protocol;
+//!   writers by asking, for each border position ([`borders_at_level`]),
+//!   which in-flight update creates it ([`creates_position`]) — the
+//!   paper's §4.2 protocol;
 //! * the network simulator (`blobseer-sim`) prices operations by the
 //!   *planned* node counts, so simulated metadata overhead (including
 //!   the power-of-two step-downs visible in the paper's Figure 2(a))
@@ -100,12 +101,45 @@ pub fn creates_position(range: PageRange, root: NodePos, pos: NodePos) -> bool {
     root.contains(pos) && pos.intersects(range)
 }
 
+/// The border positions of an update of pages `first..=last` at one
+/// `level` below the root, as `[left, right]`.
+///
+/// The created nodes at `level` are indices `first >> level ..= last >>
+/// level`; their parents' other children are the borders. So there is a
+/// left border, the left sibling of `first`'s ancestor, iff bit `level`
+/// of `first` is 1, and a right border, the right sibling of `last`'s
+/// ancestor, iff bit `level` of `last` is 0. Every left border hangs off
+/// the root-to-`first` path and every right border off the
+/// root-to-`last` path, which is what lets the writer resolve them all
+/// in one descent.
+pub fn borders_at_level(first: u64, last: u64, level: u32) -> [Option<NodePos>; 2] {
+    let size = 1u64 << level;
+    let (lo, hi) = (first >> level, last >> level);
+    [
+        (lo & 1 == 1).then(|| NodePos::new((lo - 1) << level, size)),
+        (hi & 1 == 0).then(|| NodePos::new((hi + 1) << level, size)),
+    ]
+}
+
 /// The border positions of an update: children of created inner nodes
 /// that the update itself does not create (paper §4.2's set `B_vw`).
 /// Ordered top-down, left before right. Positions may lie beyond the
 /// blob's content; the resolver decides whether they map to an existing
 /// node or to a `None` child.
 pub fn border_positions(range: PageRange, root: NodePos) -> Vec<NodePos> {
+    let last = range.last().expect("updates cover at least one page");
+    let mut out = Vec::with_capacity(2 * root.level() as usize);
+    for level in (0..root.level()).rev() {
+        out.extend(borders_at_level(range.first, last, level).into_iter().flatten());
+    }
+    out
+}
+
+/// The original stack walk behind [`border_positions`], kept as its
+/// test oracle: visit every created node, collect its uncreated
+/// children, then sort.
+#[cfg(test)]
+fn border_positions_by_walk(range: PageRange, root: NodePos) -> Vec<NodePos> {
     assert!(!range.is_empty());
     let mut out = Vec::new();
     let mut stack = vec![root];
@@ -113,7 +147,6 @@ pub fn border_positions(range: PageRange, root: NodePos) -> Vec<NodePos> {
         if pos.is_leaf() {
             continue;
         }
-        // Visit right first so the (LIFO) traversal emits left-to-right.
         for child in [pos.right(), pos.left()] {
             if child.intersects(range) {
                 stack.push(child);
@@ -122,8 +155,6 @@ pub fn border_positions(range: PageRange, root: NodePos) -> Vec<NodePos> {
             }
         }
     }
-    // LIFO order above is top-down but right-heavy per level; normalise
-    // to a deterministic (level desc, offset asc) order for tests/sim.
     out.sort_by(|a, b| b.level().cmp(&a.level()).then(a.offset.cmp(&b.offset)));
     out
 }
@@ -282,6 +313,25 @@ mod tests {
                     created.contains(&child) ^ borders.contains(&child),
                     "child {child:?} of {p:?} must be exactly one of created/border"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn border_positions_match_the_stack_walk() {
+        // Every range under every root up to 128 pages, grown roots
+        // (range far left of the root's middle) included.
+        for level in 0..=7 {
+            let root = pos(0, 1 << level);
+            for first in 0..root.size {
+                for count in 1..=root.size - first {
+                    let range = PageRange::new(first, count);
+                    assert_eq!(
+                        border_positions(range, root),
+                        border_positions_by_walk(range, root),
+                        "{range:?} under {root:?}"
+                    );
+                }
             }
         }
     }

@@ -48,6 +48,10 @@ impl<'a> TreeReader<'a> {
     /// `root`, or `None` when the tree has no node there (position beyond
     /// the snapshot's content). Descends parent→child following the
     /// child-version pointers, exactly like a point query of Algorithm 3.
+    ///
+    /// The reference semantics of border resolution: `build_meta`
+    /// resolves a whole border set in one descent and must agree with
+    /// this, position by position (`tests/prop_border_walk.rs`).
     pub fn version_at(&self, root: RootRef, pos: NodePos, wait: bool) -> Result<Option<Version>> {
         if root.pos == pos {
             return Ok(Some(root.version));

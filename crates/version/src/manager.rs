@@ -1,11 +1,11 @@
 //! The version manager proper.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blobseer_meta::plan::{border_positions, creates_position};
+use blobseer_meta::plan::{borders_at_level, creates_position};
 use blobseer_meta::{Lineage, RootRef};
 use blobseer_types::{div_ceil, BlobError, BlobId, ByteRange, NodePos, PageRange, Result, Version};
 use parking_lot::{Mutex, RwLock};
@@ -444,22 +444,11 @@ impl VersionManager {
 
         // Partial border set: for each border position, the *highest*
         // in-flight (assigned, unpublished) version creating a node
-        // there. Iterating the BTreeMap ascending makes "last match
-        // wins" select the maximum.
-        let mut overrides = Vec::new();
-        if self.mode == ConcurrencyMode::Concurrent {
-            for pos in border_positions(range, new_root) {
-                let mut best: Option<Version> = None;
-                for (&vk, inf) in inner.inflight.iter() {
-                    if creates_position(inf.range, inf.root, pos) {
-                        best = Some(Version(vk));
-                    }
-                }
-                if let Some(v) = best {
-                    overrides.push((pos, v));
-                }
-            }
-        }
+        // there. `vw` is not in the table yet, so every entry counts.
+        let overrides = match self.mode {
+            ConcurrencyMode::Concurrent => inflight_overrides(&inner.inflight, vw, range, new_root),
+            ConcurrencyMode::SerializedMetadata => Vec::new(),
+        };
 
         inner.sizes.push(new_size);
         let lease_expires = now + self.lease_ttl;
@@ -705,21 +694,7 @@ impl VersionManager {
         // either still in flight (scanned here, aborted holes included:
         // their repair trees create those nodes) or already published
         // (resolved by descending `ref_root`).
-        let mut overrides = Vec::new();
-        for pos in border_positions(inf.range, inf.root) {
-            let mut best: Option<Version> = None;
-            for (&vk, other) in inner.inflight.iter() {
-                if vk >= v.raw() {
-                    break;
-                }
-                if creates_position(other.range, other.root, pos) {
-                    best = Some(Version(vk));
-                }
-            }
-            if let Some(creator) = best {
-                overrides.push((pos, creator));
-            }
-        }
+        let overrides = inflight_overrides(&inner.inflight, v, inf.range, inf.root);
         let prev = v.prev().expect("v ≥ 1: snapshot 0 is never in flight");
         Ok(AbortTicket {
             vw: v,
@@ -1027,7 +1002,8 @@ impl VersionManager {
 
     /// The blob's lineage (for metadata key resolution).
     pub fn lineage(&self, blob: BlobId) -> Result<Lineage> {
-        Ok(self.blob_state(blob)?.inner.lock().lineage.clone())
+        // Immutable since creation: the lock-free copy is the same value.
+        Ok(self.blob_state(blob)?.lineage.clone())
     }
 
     /// Counter snapshot.
@@ -1094,6 +1070,46 @@ impl std::fmt::Debug for VersionManager {
             .field("stats", &self.stats())
             .finish()
     }
+}
+
+/// The partial border set of an update of `range` under `root` (paper
+/// §4.2): for each border position, the highest version below `below`
+/// in `inflight` whose update creates a node there. Aborted holes count
+/// — their repair trees create those nodes. One ascending pass over
+/// `inflight`, each entry tested against the update's borders level by
+/// level, so the last match is the highest; nothing is allocated but
+/// the result. Ordered like `border_positions`: top-down, left first.
+fn inflight_overrides(
+    inflight: &BTreeMap<u64, Inflight>,
+    below: Version,
+    range: PageRange,
+    root: NodePos,
+) -> Vec<(NodePos, Version)> {
+    let (first, last) = (range.first, range.end() - 1);
+    let levels = root.level();
+    // `best[level][side]`: the raw creator version, 0 for none —
+    // snapshot 0 is never in flight.
+    let mut best = [[0u64; 2]; u64::BITS as usize];
+    for (&vk, inf) in inflight.range(..below.raw()) {
+        for level in 0..levels {
+            let borders = borders_at_level(first, last, level);
+            for (slot, border) in best[level as usize].iter_mut().zip(borders) {
+                if border.is_some_and(|pos| creates_position(inf.range, inf.root, pos)) {
+                    *slot = vk;
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for level in (0..levels).rev() {
+        let borders = borders_at_level(first, last, level);
+        for (border, &vk) in borders.into_iter().zip(&best[level as usize]) {
+            if let Some(pos) = border.filter(|_| vk > 0) {
+                out.push((pos, Version(vk)));
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
