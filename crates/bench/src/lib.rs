@@ -1,12 +1,8 @@
-//! Benchmark harness crate.
+//! Paper-shaped bench targets.
 //!
-//! The `benches/` directory holds the criterion targets for the paper
-//! figures and ablations. This library holds the **bench trajectory
-//! harness**: deterministic, fast-mode measurements of the two
-//! paper-critical hot paths (Figure 2(a) appends, Figure 2(b)-style
-//! hot metadata reads) in baseline vs optimized configuration, emitted
-//! as `BENCH_PR<n>.json` by the `bench_report` binary so every PR
-//! leaves a comparable performance data point behind.
-
-pub mod baseline;
-pub mod report;
+//! Everything lives in `benches/`: Figure 2(a) appends, Figure 2(b)
+//! reads, the four ablations and the space-efficiency experiment, each
+//! a plain `main` that prints its table and asserts the paper's shape.
+//! Performance claims are measured by the standalone benchmark under
+//! `examples/benchmark/` (contract: `BENCHMARK.json` at the repository
+//! root). This crate root exists only because Cargo needs a target.

@@ -303,11 +303,11 @@ pub(crate) fn sweep_expired(engine: &Arc<Engine>, below: Option<(BlobId, Version
     // Timed from gate acquisition (scan + repairs, not the wait for a
     // concurrent sweeper): the duration operators can act on when the
     // `lease_sweep` tail grows — see docs/OBSERVABILITY.md.
-    let sweep_timer = engine.metrics.timer();
+    let sweep_timer = blobseer_metrics::Timer::start();
     for (blob, v) in engine.vm.expired_leases() {
         run(blob, v, &mut report);
     }
-    crate::metrics::EngineMetrics::record(sweep_timer, &engine.metrics.lease_sweep_latency);
+    sweep_timer.stop(&engine.metrics.lease_sweep_latency);
     report
 }
 

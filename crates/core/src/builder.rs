@@ -96,13 +96,6 @@ impl Builder {
         self
     }
 
-    /// Client-side metadata node cache capacity (0 disables). Tree
-    /// nodes are immutable, so the cache needs no invalidation.
-    pub fn metadata_cache(mut self, entries: usize) -> Self {
-        self.config.metadata_cache_entries = entries;
-        self
-    }
-
     /// Worker threads completing pipelined (non-blocking) updates —
     /// the practical bound on in-flight `write_pipelined` /
     /// `append_pipelined` completions making progress at once.
@@ -151,67 +144,6 @@ impl Builder {
     /// ```
     pub fn lease_tick_interval_ms(mut self, ms: u64) -> Self {
         self.config.lease_tick_interval_ms = ms;
-        self
-    }
-
-    /// Record per-operation latency histograms (see
-    /// [`StoreConfig::latency_metrics`]). Default `true`; turn off for
-    /// an uninstrumented A/B baseline. DHT block-time recording is
-    /// unaffected.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let store = blobseer::BlobSeer::builder()
-    ///     .data_providers(2)
-    ///     .metadata_providers(2)
-    ///     .io_threads(1)
-    ///     .pipeline_threads(1)
-    ///     .latency_metrics(false)
-    ///     .build()?;
-    /// let blob = store.create();
-    /// blob.append(&[0u8; 64])?;
-    /// assert_eq!(store.stats_snapshot().append.count, 0); // not recorded
-    /// # Ok::<(), blobseer::BlobError>(())
-    /// ```
-    pub fn latency_metrics(mut self, enabled: bool) -> Self {
-        self.config.latency_metrics = enabled;
-        self
-    }
-
-    /// Serve hot version-manager reads (open-latest, `recent_version`,
-    /// latest-version snapshot views) wait-free from each blob's
-    /// seqlock cell (see [`StoreConfig::lockfree_publication`]).
-    /// Default `true`; `false` restores the all-locked read path as an
-    /// A/B baseline. The `vm.lockfree_reads` counter in
-    /// [`crate::BlobSeer::stats`] moves only on the seqlock path.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let store = blobseer::BlobSeer::builder()
-    ///     .data_providers(2)
-    ///     .metadata_providers(2)
-    ///     .io_threads(1)
-    ///     .pipeline_threads(1)
-    ///     .lockfree_publication(false)
-    ///     .build()?;
-    /// let blob = store.create();
-    /// blob.append(&[0u8; 64])?;
-    /// let _ = blob.latest()?;
-    /// assert_eq!(store.stats().vm.lockfree_reads, 0); // locked baseline
-    /// # Ok::<(), blobseer::BlobError>(())
-    /// ```
-    pub fn lockfree_publication(mut self, enabled: bool) -> Self {
-        self.config.lockfree_publication = enabled;
-        self
-    }
-
-    /// Carve page payloads as refcounted slices of the update buffer
-    /// (`true`, default) or as per-page copies (`false`, the ablation
-    /// baseline measured by the bench trajectory harness).
-    pub fn zero_copy_pages(mut self, enabled: bool) -> Self {
-        self.config.zero_copy_pages = enabled;
         self
     }
 
@@ -336,10 +268,8 @@ impl Builder {
         }
         let wait = Duration::from_millis(config.metadata_wait_ms);
         let meta = MetaStore::new(config.metadata_providers, wait)
-            .with_cache(config.metadata_cache_entries)
             .with_wait_slice(Duration::from_millis(config.metadata_wait_slice_ms));
-        let metrics =
-            EngineMetrics::new(config.latency_metrics, meta.wait_latency(), config.data_providers);
+        let metrics = EngineMetrics::new(meta.wait_latency(), config.data_providers);
         let providers = match stores {
             Some(stores) => ProviderManager::new(
                 stores
@@ -353,8 +283,7 @@ impl Builder {
         };
         let engine = Engine {
             vm: VersionManager::new(config.page_size, mode, wait)
-                .with_lease_ttl(config.lease_ttl_ticks)
-                .with_lockfree_reads(config.lockfree_publication),
+                .with_lease_ttl(config.lease_ttl_ticks),
             meta,
             metrics,
             providers,

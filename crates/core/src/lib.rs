@@ -585,10 +585,9 @@ impl BlobSeer {
     /// write, snapshot reads, DHT block time, lease sweeps, scrub
     /// phases — as nearest-rank percentiles over the store's lifetime.
     /// Percentiles are histogram bucket edges, within 1/128 above the
-    /// true sample; recording costs one relaxed atomic increment per
-    /// operation and can be disabled with
-    /// [`Builder::latency_metrics`] (DHT block time stays recorded).
-    /// See `docs/OBSERVABILITY.md` for how to read the tails.
+    /// true sample; recording is always on and costs two clock reads
+    /// and one relaxed atomic increment per operation. See
+    /// `docs/OBSERVABILITY.md` for how to read the tails.
     ///
     /// # Examples
     ///

@@ -14,13 +14,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use blobseer_meta::{collect_tree_pages, NodeKey, TreeNode, TreeReader};
-use blobseer_metrics::WindowedHistogram;
+use blobseer_metrics::{Timer, WindowedHistogram};
 use blobseer_provider::SealedPage;
 use blobseer_types::{BlobError, NodePos, PageId, ProviderId, Result};
 use blobseer_version::BlobScrubCut;
 
 use crate::engine::Engine;
-use crate::metrics::EngineMetrics;
 
 /// Every page the metadata proves live, with the primary its leaf
 /// names.
@@ -40,10 +39,10 @@ impl LiveSet {
     /// [`BlobError::ScrubConflict`] when a tree is incomplete and no
     /// retire explains it.
     pub(crate) fn mark(engine: &Arc<Engine>, latency: &WindowedHistogram) -> Result<LiveSet> {
-        let timer = engine.metrics.timer();
+        let timer = Timer::start();
         let epoch = engine.scrub_pid_epoch();
         let live = Self::mark_cuts(engine, epoch, engine.vm.scrub_cut())?;
-        EngineMetrics::record(timer, latency);
+        timer.stop(latency);
         Ok(live)
     }
 

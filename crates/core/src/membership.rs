@@ -22,12 +22,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use blobseer_metrics::Timer;
 use blobseer_provider::DataProvider;
 use blobseer_types::{BlobError, ProviderId, Result};
 
 use crate::engine::Engine;
 use crate::maintenance::{fill_chain, LiveSet};
-use crate::metrics::EngineMetrics;
 
 /// What a completed [`crate::BlobSeer::drain_provider`] did. All
 /// counters are for this drain only; the lifetime aggregates live in
@@ -128,7 +128,7 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
         })?;
         report.mark_restarts += live.restarts;
 
-        let copy_timer = engine.metrics.timer();
+        let copy_timer = Timer::start();
         let held = victim
             .scan_pages()
             .map_err(|e| BlobError::DrainConflict(format!("victim went offline mid-drain: {e}")))?;
@@ -177,7 +177,7 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
                 report.bytes_evacuated += bytes;
             }
         }
-        EngineMetrics::record(copy_timer, &engine.metrics.drain_copy_latency);
+        copy_timer.stop(&engine.metrics.drain_copy_latency);
 
         if Instant::now() >= deadline {
             return Err(BlobError::DrainConflict(format!(

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use blobseer_meta::Lineage;
 use blobseer_meta::{read_meta, read_meta_multi, RootRef, TreeReader};
+use blobseer_metrics::Timer;
 use blobseer_rt::try_parallel;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageSlice, Result, Version};
 use bytes::Bytes;
@@ -31,7 +32,7 @@ pub(crate) fn read(
     offset: u64,
     buf: &mut [u8],
 ) -> Result<()> {
-    let op_timer = engine.metrics.timer();
+    let op_timer = Timer::start();
     let size = buf.len() as u64;
     let view = engine.vm.snapshot_view(blob, v)?;
     if offset + size > view.size {
@@ -50,7 +51,7 @@ pub(crate) fn read(
         .ok_or_else(|| BlobError::Internal("non-empty snapshot without a tree root".into()))?;
     read_at_root_into(engine, &view.lineage, root, ByteRange::new(offset, size), buf)?;
     engine.metrics.read_ops.increment();
-    crate::metrics::EngineMetrics::record(op_timer, &engine.metrics.read_latency);
+    op_timer.stop(&engine.metrics.read_latency);
     Ok(())
 }
 
@@ -194,7 +195,7 @@ fn fetch_with_fallback(
     let mut unavailable = None;
     let mut last = None;
     let mut attempt = |id: blobseer_types::ProviderId| {
-        let timer = engine.metrics.timer();
+        let timer = Timer::start();
         let fetched = engine
             .providers
             .provider(id)
@@ -204,10 +205,8 @@ fn fetch_with_fallback(
                 // Per-provider fetch split: only the successful attempt
                 // is attributed (a miss on a fallback that never held
                 // the copy says nothing about that provider's latency).
-                if let (Some(t), Some(hist)) =
-                    (timer, engine.metrics.provider_fetch_latency.get(id.0 as usize))
-                {
-                    t.stop(hist);
+                if let Some(hist) = engine.metrics.provider_fetch_latency.get(id.0 as usize) {
+                    timer.stop(hist);
                 }
                 return Some(data);
             }

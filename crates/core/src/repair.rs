@@ -17,12 +17,12 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use blobseer_metrics::Timer;
 use blobseer_rt::parallel_map;
 use blobseer_types::{PageId, ProviderId, Result};
 
 use crate::engine::Engine;
 use crate::maintenance::{fill_chain, LiveSet};
-use crate::metrics::EngineMetrics;
 
 /// What a [`crate::BlobSeer::repair_replicas`] pass found and fixed.
 /// On a fully healthy deployment everything but `pages_examined`,
@@ -66,7 +66,7 @@ pub struct RepairReport {
 
 pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
     let live = LiveSet::mark(engine, &engine.metrics.repair_mark_latency)?;
-    let copy_timer = engine.metrics.timer();
+    let copy_timer = Timer::start();
 
     // Who physically holds what, one parallel job per provider. An
     // offline provider's scan fails: its copies are neither sourced nor
@@ -122,6 +122,6 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
             }
         }
     }
-    EngineMetrics::record(copy_timer, &engine.metrics.repair_copy_latency);
+    copy_timer.stop(&engine.metrics.repair_copy_latency);
     Ok(report)
 }

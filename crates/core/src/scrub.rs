@@ -16,13 +16,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use blobseer_metrics::Timer;
 use blobseer_provider::ScrubPass;
 use blobseer_rt::parallel_map;
 use blobseer_types::{PageId, Result};
 
 use crate::engine::Engine;
 use crate::maintenance::LiveSet;
-use crate::metrics::EngineMetrics;
 
 /// What a [`crate::BlobSeer::scrub_orphans`] pass found and reclaimed.
 ///
@@ -63,7 +63,7 @@ pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
     // Mark and sweep are timed apart (metadata- vs provider-bound); see
     // docs/OBSERVABILITY.md.
     let live = Arc::new(LiveSet::mark(engine, &engine.metrics.scrub_mark_latency)?);
-    let sweep_timer = engine.metrics.timer();
+    let sweep_timer = Timer::start();
 
     let providers = engine.providers.all_providers();
     let n = providers.len();
@@ -101,6 +101,6 @@ pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
         report.bytes_reclaimed += pass.bytes_reclaimed;
         report.pages_failed += pass.pages_failed;
     }
-    EngineMetrics::record(sweep_timer, &engine.metrics.scrub_sweep_latency);
+    sweep_timer.stop(&engine.metrics.scrub_sweep_latency);
     Ok(report)
 }

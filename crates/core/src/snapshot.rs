@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use blobseer_meta::{Lineage, RootRef};
+use blobseer_metrics::Timer;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageId, PageSlice, Result, Version};
 use bytes::Bytes;
 
@@ -212,10 +213,10 @@ impl Snapshot {
     /// # Ok::<(), blobseer::BlobError>(())
     /// ```
     pub fn read(&self, range: ByteRange) -> Result<Bytes> {
-        let op_timer = self.engine.metrics.timer();
+        let op_timer = Timer::start();
         let scatter = self.scatter_inner(range)?;
         self.engine.metrics.read_ops.increment();
-        crate::metrics::EngineMetrics::record(op_timer, &self.engine.metrics.read_latency);
+        op_timer.stop(&self.engine.metrics.read_latency);
         Ok(scatter.into_bytes())
     }
 
@@ -237,7 +238,7 @@ impl Snapshot {
     /// # Ok::<(), blobseer::BlobError>(())
     /// ```
     pub fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let op_timer = self.engine.metrics.timer();
+        let op_timer = Timer::start();
         let request = ByteRange::new(offset, buf.len() as u64);
         self.check(request)?;
         if request.is_empty() {
@@ -247,7 +248,7 @@ impl Snapshot {
             .and_then(|slices| read::fetch_slices_into(&self.engine, slices, buf))
             .map_err(|e| self.refine_error(e))?;
         self.engine.metrics.read_ops.increment();
-        crate::metrics::EngineMetrics::record(op_timer, &self.engine.metrics.read_latency);
+        op_timer.stop(&self.engine.metrics.read_latency);
         Ok(())
     }
 
@@ -273,10 +274,10 @@ impl Snapshot {
     /// # Ok::<(), blobseer::BlobError>(())
     /// ```
     pub fn read_scatter(&self, range: ByteRange) -> Result<ScatterRead> {
-        let op_timer = self.engine.metrics.timer();
+        let op_timer = Timer::start();
         let scatter = self.scatter_inner(range)?;
         self.engine.metrics.read_scatter_ops.increment();
-        crate::metrics::EngineMetrics::record(op_timer, &self.engine.metrics.read_scatter_latency);
+        op_timer.stop(&self.engine.metrics.read_scatter_latency);
         Ok(scatter)
     }
 
@@ -320,7 +321,7 @@ impl Snapshot {
     /// # Ok::<(), blobseer::BlobError>(())
     /// ```
     pub fn readv(&self, requests: &[ByteRange]) -> Result<Vec<ScatterRead>> {
-        let op_timer = self.engine.metrics.timer();
+        let op_timer = Timer::start();
         for &r in requests {
             self.check(r)?;
         }
@@ -355,7 +356,7 @@ impl Snapshot {
         let fetched =
             read::fetch_slices_data(&self.engine, unique).map_err(|e| self.refine_error(e))?;
         self.engine.metrics.readv_ops.increment();
-        crate::metrics::EngineMetrics::record(op_timer, &self.engine.metrics.readv_latency);
+        op_timer.stop(&self.engine.metrics.readv_latency);
 
         Ok(requests
             .iter()

@@ -28,6 +28,7 @@
 use std::sync::Arc;
 
 use blobseer_meta::{build_meta, TreeReader, UpdateContext};
+use blobseer_metrics::Timer;
 use blobseer_provider::SealedPage;
 use blobseer_rt::try_parallel;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageDescriptor, ProviderId, Result, Version};
@@ -110,7 +111,7 @@ pub(crate) fn prepare(
     if data.is_empty() {
         return Err(BlobError::EmptyUpdate);
     }
-    let prepare_timer = engine.metrics.timer();
+    let prepare_timer = Timer::start();
     // Register with the scrubber's epoch cut before any page id is
     // allocated; see `Prepared::pin`.
     let pin = engine.pin_update();
@@ -141,7 +142,7 @@ pub(crate) fn prepare(
             }
         };
     }
-    crate::metrics::EngineMetrics::record(prepare_timer, &engine.metrics.write_prepare_latency);
+    prepare_timer.stop(&engine.metrics.write_prepare_latency);
     Ok(Prepared { assigned, data, leaves, pin })
 }
 
@@ -241,7 +242,7 @@ pub(crate) fn update(
     tenant: blobseer_types::TenantId,
 ) -> Result<Version> {
     crate::qos::admit_blocking(engine, tenant, data.len() as u64)?;
-    let op_timer = engine.metrics.timer();
+    let op_timer = Timer::start();
     let is_append = matches!(target, Target::Append);
     let prepared = prepare(engine, blob, data, target)?;
     let vw = prepared.assigned.vw;
@@ -260,17 +261,13 @@ pub(crate) fn update(
 /// success: failed updates would pollute the tail with abort timing).
 /// Shared by the blocking path above and the pipelined completion stage
 /// in `crate::pending`.
-pub(crate) fn record_update(
-    engine: &Engine,
-    is_append: bool,
-    timer: Option<blobseer_metrics::Timer>,
-) {
+pub(crate) fn record_update(engine: &Engine, is_append: bool, timer: Timer) {
     if is_append {
         engine.metrics.append_ops.increment();
-        crate::metrics::EngineMetrics::record(timer, &engine.metrics.append_latency);
+        timer.stop(&engine.metrics.append_latency);
     } else {
         engine.metrics.write_ops.increment();
-        crate::metrics::EngineMetrics::record(timer, &engine.metrics.write_latency);
+        timer.stop(&engine.metrics.write_latency);
     }
 }
 
@@ -310,19 +307,12 @@ fn store_interior_pages(
     let providers = engine.providers.allocate(n)?;
 
     // Carve each page as an O(1) refcounted window into the update
-    // buffer — no payload bytes move here. The `zero_copy_pages = false`
-    // ablation keeps the old per-page copy for A/B measurement.
-    let zero_copy = engine.config.zero_copy_pages;
+    // buffer — no payload bytes move here.
     let jobs: Vec<(u64, ProviderId, Bytes)> = (0..n)
         .map(|i| {
             let page_index = first_full + i as u64;
             let start = (page_index * psize - offset) as usize;
-            let payload = if zero_copy {
-                data.slice(start..start + psize as usize)
-            } else {
-                Bytes::copy_from_slice(&data[start..start + psize as usize])
-            };
-            (page_index, providers[i], payload)
+            (page_index, providers[i], data.slice(start..start + psize as usize))
         })
         .collect();
     store_pages(engine, jobs, psize as u32)
@@ -483,7 +473,7 @@ fn store_with_retry(
     pid: blobseer_types::PageId,
     page: &SealedPage,
 ) -> Result<()> {
-    let timer = engine.metrics.timer();
+    let timer = Timer::start();
     let mut attempt = 0u32;
     loop {
         match engine.providers.provider(target).and_then(|p| p.store_page(pid, page.clone())) {
@@ -491,10 +481,8 @@ fn store_with_retry(
                 // Per-provider store split: the whole attempt sequence
                 // (including backoff) lands on the provider that finally
                 // accepted — which is what a capacity dashboard wants.
-                if let (Some(t), Some(hist)) =
-                    (timer, engine.metrics.provider_store_latency.get(target.0 as usize))
-                {
-                    t.stop(hist);
+                if let Some(hist) = engine.metrics.provider_store_latency.get(target.0 as usize) {
+                    timer.stop(hist);
                 }
                 return Ok(());
             }
@@ -565,12 +553,11 @@ mod tests {
 
     const PSIZE: usize = 4096;
 
-    fn build(zero_copy: bool) -> crate::BlobSeer {
+    fn build() -> crate::BlobSeer {
         crate::BlobSeer::builder()
             .page_size(PSIZE as u64)
             .data_providers(4)
             .replication(2)
-            .zero_copy_pages(zero_copy)
             .build()
             .unwrap()
     }
@@ -592,7 +579,7 @@ mod tests {
         // The acceptance check for the zero-copy path: every stored
         // interior page must alias the caller's allocation (pointer
         // identity), proving no per-page payload copy happened.
-        let store = build(true);
+        let store = build();
         let data = Bytes::from((0..4 * PSIZE).map(|i| i as u8).collect::<Vec<u8>>());
         let src = data.as_ptr() as usize..data.as_ptr() as usize + data.len();
 
@@ -614,7 +601,7 @@ mod tests {
     fn unaligned_carving_slices_at_page_boundaries_of_the_blob() {
         // An update starting mid-page: interior pages begin at the
         // first in-buffer offset that is page-aligned in blob space.
-        let store = build(true);
+        let store = build();
         let data = Bytes::from(vec![7u8; 3 * PSIZE]);
         let offset = (PSIZE / 2) as u64;
         let leaves = store_interior_pages(&store.engine, &data, offset).unwrap();
@@ -627,24 +614,10 @@ mod tests {
     }
 
     #[test]
-    fn baseline_mode_copies_instead_of_slicing() {
-        let store = build(false);
-        let data = Bytes::from(vec![1u8; 2 * PSIZE]);
-        let src = data.as_ptr() as usize..data.as_ptr() as usize + data.len();
-        let leaves = store_interior_pages(&store.engine, &data, 0).unwrap();
-        for page in stored_pages(&store, &leaves) {
-            assert!(
-                !src.contains(&(page.as_ptr() as usize)),
-                "ablation baseline must store copies, not aliases"
-            );
-        }
-    }
-
-    #[test]
     fn replicated_store_keeps_aliasing_every_copy() {
         // replication = 2: both the primary and the replica must hold
         // the same refcounted window — zero payload copies per update.
-        let store = build(true);
+        let store = build();
         let data = Bytes::from(vec![9u8; PSIZE]);
         let src = data.as_ptr() as usize;
         let leaves = store_interior_pages(&store.engine, &data, 0).unwrap();

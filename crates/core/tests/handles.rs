@@ -496,31 +496,6 @@ fn hot_reads_are_served_lock_free() {
 }
 
 #[test]
-fn disabled_lockfree_publication_keeps_the_locked_baseline() {
-    // The A/B knob: with lockfree_publication(false) every read takes
-    // the blob mutex and the counter stays at zero — this is the
-    // baseline side of the hot_blob_snapshot bench.
-    let s = BlobSeer::builder()
-        .page_size(PSIZE)
-        .data_providers(4)
-        .metadata_providers(2)
-        .io_threads(2)
-        .lockfree_publication(false)
-        .build()
-        .unwrap();
-    let blob = s.create();
-    let v = blob.append(&patterned(PSIZE as usize)).unwrap();
-    blob.sync(v).unwrap();
-    for _ in 0..8 {
-        let snap = blob.latest().unwrap();
-        assert_eq!(snap.version(), v);
-        blob.recent_version().unwrap();
-        blob.snapshot(v).unwrap();
-    }
-    assert_eq!(s.stats().vm.lockfree_reads, 0, "locked baseline must never touch the cell");
-}
-
-#[test]
 fn facade_wrappers_survive_concurrent_abort_retire_churn() {
     // ISSUE 10 satellite: latest()/snapshot()/branch under concurrent
     // abort + retire churn return a published version or a typed error

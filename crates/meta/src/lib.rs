@@ -26,7 +26,6 @@
 //!   for in-flight concurrent updates (§4.2).
 
 pub mod build;
-pub mod cache;
 pub mod lineage;
 pub mod node;
 pub mod plan;
@@ -34,7 +33,6 @@ pub mod read;
 pub mod store;
 
 pub use build::{build_meta, UpdateContext};
-pub use cache::NodeCache;
 pub use lineage::Lineage;
 pub use node::{NodeKey, RootRef, TreeNode};
 pub use plan::{read_plan, update_plan, ReadPlan, UpdatePlan};

@@ -7,7 +7,6 @@ use blobseer_dht::{Dht, DhtError, DhtStats};
 use blobseer_types::{BlobError, Result};
 use parking_lot::RwLock;
 
-use crate::cache::NodeCache;
 use crate::node::{NodeKey, TreeNode};
 
 /// The between-slices callback of a sliced blocking wait; see
@@ -34,30 +33,17 @@ pub struct MetaStore {
     /// after construction because the engine it calls into owns this
     /// store (see [`MetaStore::set_self_help`]).
     self_help: RwLock<Option<SelfHelpHook>>,
-    cache: Option<NodeCache>,
 }
 
 impl MetaStore {
     /// Fresh store over `metadata_providers` DHT buckets.
     pub fn new(metadata_providers: usize, wait_timeout: Duration) -> Self {
-        MetaStore {
-            dht: Arc::new(Dht::new(metadata_providers)),
-            wait_timeout,
-            wait_slice: Duration::ZERO,
-            self_help: RwLock::new(None),
-            cache: None,
-        }
+        Self::with_dht(Arc::new(Dht::new(metadata_providers)), wait_timeout)
     }
 
     /// Wrap an existing DHT (lets tests share one DHT across stores).
     pub fn with_dht(dht: Arc<Dht<NodeKey, TreeNode>>, wait_timeout: Duration) -> Self {
-        MetaStore {
-            dht,
-            wait_timeout,
-            wait_slice: Duration::ZERO,
-            self_help: RwLock::new(None),
-            cache: None,
-        }
+        MetaStore { dht, wait_timeout, wait_slice: Duration::ZERO, self_help: RwLock::new(None) }
     }
 
     /// Slice blocking waits into `slice`-sized chunks, running the
@@ -78,32 +64,14 @@ impl MetaStore {
         *self.self_help.write() = Some(hook);
     }
 
-    /// Enable a client-side node cache of roughly `entries` nodes.
-    /// Nodes are immutable, so cached values are always correct; see
-    /// [`NodeCache`].
-    pub fn with_cache(mut self, entries: usize) -> Self {
-        self.cache = (entries > 0).then(|| NodeCache::new(entries));
-        self
-    }
-
-    /// `(hits, misses)` of the node cache, if one is configured.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(NodeCache::stats)
-    }
-
     /// The configured blocking-get timeout.
     pub fn wait_timeout(&self) -> Duration {
         self.wait_timeout
     }
 
-    /// Store a tree node (idempotent: nodes are immutable). Also warms
-    /// the local cache — a writer's freshly built nodes are exactly
-    /// what its next border resolution will look up.
+    /// Store a tree node (idempotent: nodes are immutable).
     pub fn put(&self, key: NodeKey, node: TreeNode) {
         self.dht.put(key, node);
-        if let Some(cache) = &self.cache {
-            cache.insert(key, node);
-        }
     }
 
     /// Store a tree node only if the key is absent; returns `true`
@@ -114,40 +82,17 @@ impl MetaStore {
     /// consistent with the final tree. Parked `get_wait`ers wake only
     /// on a real insert.
     pub fn put_new(&self, key: NodeKey, node: TreeNode) -> bool {
-        let inserted = self.dht.put_new(key, node);
-        if inserted {
-            if let Some(cache) = &self.cache {
-                cache.insert(key, node);
-            }
-        }
-        inserted
+        self.dht.put_new(key, node)
     }
 
     /// Fetch a node without blocking.
     pub fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        if let Some(cache) = &self.cache {
-            if let Some(node) = cache.get(key) {
-                return Ok(node);
-            }
-        }
-        let node = self
-            .dht
-            .get(key)
-            .ok_or(BlobError::MetadataMissing { blob: key.blob, version: key.version })?;
-        if let Some(cache) = &self.cache {
-            cache.insert(*key, node);
-        }
-        Ok(node)
+        self.dht.get(key).ok_or(BlobError::MetadataMissing { blob: key.blob, version: key.version })
     }
 
     /// Fetch a node, waiting up to the configured timeout for an
     /// in-flight writer to store it.
     pub fn get_wait(&self, key: &NodeKey) -> Result<TreeNode> {
-        if let Some(cache) = &self.cache {
-            if let Some(node) = cache.get(key) {
-                return Ok(node);
-            }
-        }
         let got = if self.wait_slice.is_zero() {
             self.dht.get_wait(key, self.wait_timeout)
         } else {
@@ -158,13 +103,9 @@ impl MetaStore {
                 }
             })
         };
-        let node = got.map_err(|e| match e {
+        got.map_err(|e| match e {
             DhtError::WaitTimeout => BlobError::Timeout("metadata tree node"),
-        })?;
-        if let Some(cache) = &self.cache {
-            cache.insert(*key, node);
-        }
-        Ok(node)
+        })
     }
 
     /// Garbage-collection sweep: delete every node of `blob` created by
@@ -187,9 +128,6 @@ impl MetaStore {
             }
             !sweep
         });
-        if let Some(cache) = &self.cache {
-            cache.evict_retired(blob, before);
-        }
         (removed, orphaned_pages)
     }
 
@@ -253,14 +191,12 @@ mod tests {
     fn put_new_preserves_the_first_store() {
         // The abort-repair invariant: nodes are immutable once visible,
         // so a repair (or a zombie writer) can only fill gaps.
-        let store = MetaStore::new(4, Duration::from_millis(50)).with_cache(10);
+        let store = MetaStore::new(4, Duration::from_millis(50));
         let real = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 4 };
         let repair = TreeNode::Leaf { pid: PageId(2), provider: ProviderId(1), valid_len: 4 };
         assert!(store.put_new(key(1, 0, 1), real));
         assert!(!store.put_new(key(1, 0, 1), repair), "dead writer's node stays");
         assert_eq!(store.get(&key(1, 0, 1)).unwrap(), real);
-        // A rejected put must not poison the cache either.
-        assert_eq!(store.get_wait(&key(1, 0, 1)).unwrap(), real);
         // And a genuine gap is fillable.
         assert!(store.put_new(key(1, 1, 1), repair));
         assert_eq!(store.get(&key(1, 1, 1)).unwrap(), repair);
@@ -271,35 +207,6 @@ mod tests {
         let store = MetaStore::new(4, Duration::from_millis(20));
         assert!(matches!(store.get(&key(1, 0, 1)), Err(BlobError::MetadataMissing { .. })));
         assert_eq!(store.get_wait(&key(1, 0, 1)), Err(BlobError::Timeout("metadata tree node")));
-    }
-
-    #[test]
-    fn cache_serves_hits_and_tracks_stats() {
-        let store = MetaStore::new(4, Duration::from_millis(50)).with_cache(100);
-        let n = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 8 };
-        store.put(key(1, 0, 1), n);
-        // put warmed the cache; this get is a pure cache hit.
-        assert_eq!(store.get(&key(1, 0, 1)).unwrap(), n);
-        let (hits, _) = store.cache_stats().unwrap();
-        assert_eq!(hits, 1);
-        // get_wait also consults the cache first.
-        assert_eq!(store.get_wait(&key(1, 0, 1)).unwrap(), n);
-        assert_eq!(store.cache_stats().unwrap().0, 2);
-    }
-
-    #[test]
-    fn cache_fills_on_dht_miss_then_hit() {
-        let dht = Arc::new(blobseer_dht::Dht::new(2));
-        let warm = MetaStore::with_dht(Arc::clone(&dht), Duration::from_millis(50));
-        let n = TreeNode::Inner { left: Some(Version(1)), right: None };
-        warm.put(key(3, 0, 2), n);
-        // A second store (separate cache) over the same DHT.
-        let store = MetaStore::with_dht(dht, Duration::from_millis(50)).with_cache(10);
-        assert_eq!(store.get(&key(3, 0, 2)).unwrap(), n);
-        let (hits, misses) = store.cache_stats().unwrap();
-        assert_eq!((hits, misses), (0, 1));
-        assert_eq!(store.get(&key(3, 0, 2)).unwrap(), n);
-        assert_eq!(store.cache_stats().unwrap().0, 1);
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! The headline number is `migrate_to_ingest`: virtual drain seconds
 //! per virtual ingest second — the cost of shrinking a cluster by one
 //! node as a fraction of the work that filled it. The real-engine
-//! measurement of the same trajectory is `bench_report`'s
-//! `elastic_rebalance` case (`blobseer_workloads::ElasticIngest`).
+//! driver of the same trajectory is `blobseer_workloads::ElasticIngest`;
+//! the benchmark times real drains as `core.maintenance.drain_ms`
+//! inside `maint_cycle_ms`@`maintenance_cycle` (`BENCHMARK.json`).
 
 use std::sync::{Arc, Mutex};
 

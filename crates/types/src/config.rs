@@ -31,13 +31,6 @@ pub struct StoreConfig {
     /// registry order, so replica locations are derivable without any
     /// extra metadata.
     pub replication: usize,
-    /// Entries in the client-side metadata node cache (0 disables it).
-    /// Tree nodes are immutable, so the cache needs no invalidation.
-    pub metadata_cache_entries: usize,
-    /// Carve page payloads out of an update as refcounted `Bytes`
-    /// slices of the caller's buffer (`true`, zero-copy) instead of
-    /// per-page copies (`false`, kept as an ablation baseline).
-    pub zero_copy_pages: bool,
     /// Worker threads completing pipelined (non-blocking) updates:
     /// boundary merges, metadata weaving and version-manager
     /// notification of `write_pipelined`/`append_pipelined` run here so
@@ -94,25 +87,6 @@ pub struct StoreConfig {
     /// changes what happens *during* the wait, and block-time metrics
     /// still record one sample per blocked call.
     pub metadata_wait_slice_ms: u64,
-    /// Record per-operation latency histograms (append/write, reads,
-    /// metadata prepare, sweeps, scrubs) for
-    /// `BlobSeer::stats_snapshot`. **Default true**: recording is one
-    /// precise clock read plus one relaxed `fetch_add` per operation —
-    /// noise next to a page round-trip (`BENCH_PR6.json` checks in the
-    /// overhead ratio). Turn off to run an uninstrumented A/B baseline.
-    /// DHT block-time recording stays on regardless: a blocking
-    /// metadata wait is already orders of magnitude slower than its
-    /// own timestamping. See `docs/OBSERVABILITY.md`.
-    pub latency_metrics: bool,
-    /// Serve hot version-manager reads (`GET_RECENT`, open-latest,
-    /// latest-version snapshot views) wait-free from each blob's
-    /// seqlock-published hot triple instead of under the blob mutex.
-    /// **Default true**; `false` restores the all-locked read path as
-    /// an A/B baseline for the `hot_blob_snapshot` bench. Correctness
-    /// is identical either way — the seqlock path is proven
-    /// torn-read-free by the `prop_seqlock` stress suite. See the
-    /// seqlock section of `docs/ARCHITECTURE.md`.
-    pub lockfree_publication: bool,
 }
 
 impl StoreConfig {
@@ -158,16 +132,12 @@ impl Default for StoreConfig {
             metadata_wait_ms: 10_000,
             client_io_threads: 8,
             replication: 1,
-            metadata_cache_entries: 0,
-            zero_copy_pages: true,
             pipeline_threads: 4,
             lease_ttl_ticks: 1 << 20,
             lease_tick_interval_ms: 0,
             store_retry_attempts: 1,
             store_retry_backoff_ms: 0,
             metadata_wait_slice_ms: 250,
-            latency_metrics: true,
-            lockfree_publication: true,
         }
     }
 }

@@ -159,10 +159,11 @@ impl CrashyIngest {
 
     /// The crash-ingest-then-scrub trajectory: run the crash-injected
     /// ingest, measure the storage it leaked, scrub, and measure
-    /// again. The returned [`ScrubTrajectory`] is what the bench
-    /// harness checks into `BENCH_PR5.json`: leaked bytes before and
-    /// after, plus the scrub's wall-clock cost to weigh against the
-    /// ingest it cleans up after.
+    /// again. The returned [`ScrubTrajectory`] holds leaked bytes
+    /// before and after, plus the scrub's wall-clock cost to weigh
+    /// against the ingest it cleans up after. The benchmark measures
+    /// the same cleanup as `maint_cycle_ms`@`maintenance_cycle`
+    /// (`BENCHMARK.json`).
     ///
     /// "Leaked" is measured, not inferred: it is exactly what
     /// [`BlobSeer::scrub_orphans`] reclaims on the quiesced deployment

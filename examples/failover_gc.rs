@@ -12,13 +12,12 @@ use blobseer::{BlobError, BlobSeer, ProviderId, Version};
 const PAGE: u64 = 4096;
 
 fn main() {
-    // 8 providers, every page stored twice, node cache on.
+    // 8 providers, every page stored twice.
     let store = BlobSeer::builder()
         .page_size(PAGE)
         .data_providers(8)
         .metadata_providers(8)
         .replication(2)
-        .metadata_cache(10_000)
         .build()
         .unwrap();
     // This example drives the flat, id-keyed facade (the wrappers over
@@ -81,10 +80,6 @@ fn main() {
     }
     println!("all retained snapshots verified readable");
 
-    // The metadata cache quietly absorbed most node fetches.
     let meta = store.stats().metadata;
-    println!(
-        "metadata DHT saw {} gets / {} puts (cache in front)",
-        meta.total_gets, meta.total_puts
-    );
+    println!("metadata DHT saw {} gets / {} puts", meta.total_gets, meta.total_puts);
 }

@@ -106,10 +106,15 @@ proptest! {
                 Op::Abort { len, fill } => {
                     let pending = blob.append_pipelined(fill_bytes(len, fill)).unwrap();
                     last_assigned = pending.version();
-                    match pending.abort() {
+                    match blob.abort(pending.version()) {
                         Ok(()) | Err(BlobError::AbortConflict(_)) => {}
                         Err(other) => panic!("abort failed: {other}"),
                     }
+                    // The cancelled stage may still be queued, holding
+                    // its epoch pin; a scrub before it runs would exempt
+                    // (or later reclaim) its pages. The stage drops the
+                    // pin before it resolves, so waiting suffices.
+                    let _ = pending.wait();
                 }
                 Op::Retire => {
                     let keep = blob.recent_version().unwrap();
