@@ -7,8 +7,9 @@
 //! append bandwidth (MB/s, observed band ≈ 55..105).
 //!
 //! The paper does not state the per-append unit; we use 1 MiB appends
-//! so every series spans the figure's 0..1200-page x-range (see
-//! EXPERIMENTS.md). Expected shape: sustained high bandwidth, small
+//! so every series spans the figure's 0..1200-page x-range (16 pages
+//! of 64 KiB or 4 of 256 KiB per append; calibration constants are
+//! documented on `SimParams`). Expected shape: sustained high bandwidth, small
 //! permanent step-downs where the page count crosses a power of two
 //! (a new metadata tree level), larger pages ≥ smaller pages.
 

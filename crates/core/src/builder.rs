@@ -147,36 +147,6 @@ impl Builder {
         self
     }
 
-    /// Extra store attempts per replica target before write-path
-    /// failover gives up on it (see
-    /// [`StoreConfig::store_retry_attempts`]); `0` fails over on the
-    /// first error.
-    pub fn store_retry_attempts(mut self, attempts: u32) -> Self {
-        self.config.store_retry_attempts = attempts;
-        self
-    }
-
-    /// Base of the deterministic linear backoff between store retries:
-    /// attempt *n* sleeps `n ×` this duration (see
-    /// [`StoreConfig::store_retry_backoff_ms`]). Default 0 (no sleep),
-    /// which is what failure-injection tests want.
-    pub fn store_retry_backoff(mut self, base: Duration) -> Self {
-        self.config.store_retry_backoff_ms = base.as_millis() as u64;
-        self
-    }
-
-    /// Slice length for blocked metadata waits (see
-    /// [`StoreConfig::metadata_wait_slice_ms`]): a thread blocked on an
-    /// in-flight tree node wakes every slice to run the lease-sweep
-    /// self-help hook — *wait a bit, self-help, retry* — instead of
-    /// sleeping out the full [`Builder::metadata_wait`] behind a dead
-    /// writer. `Duration::ZERO` disables slicing (plain full-timeout
-    /// waits); the overall deadline is unchanged either way.
-    pub fn metadata_wait_slice(mut self, slice: Duration) -> Self {
-        self.config.metadata_wait_slice_ms = slice.as_millis() as u64;
-        self
-    }
-
     /// Back each data provider with a caller-supplied [`PageStore`]
     /// (one provider per store, in order — overriding
     /// [`Builder::data_providers`]). This is the fault-injection seam:
@@ -267,8 +237,7 @@ impl Builder {
             q.validate().map_err(BlobError::Storage)?;
         }
         let wait = Duration::from_millis(config.metadata_wait_ms);
-        let meta = MetaStore::new(config.metadata_providers, wait)
-            .with_wait_slice(Duration::from_millis(config.metadata_wait_slice_ms));
+        let meta = MetaStore::new(config.metadata_providers, wait);
         let metrics = EngineMetrics::new(meta.wait_latency(), config.data_providers);
         let providers = match stores {
             Some(stores) => ProviderManager::new(

@@ -397,14 +397,12 @@ fn store_boundary_pages(
 /// along the same deterministic chain (and past it, in registry
 /// order — see [`blobseer_provider::ProviderManager::fallbacks_of`]).
 ///
-/// Failure discipline per target: up to `store_retry_attempts` extra
-/// attempts with deterministic linear backoff
-/// (`attempt * store_retry_backoff_ms`), then the copy is re-placed on
-/// the next live fallback provider past the chain. Each re-placement
-/// counts one `failovers_total`; publishing fewer copies than the
-/// chain wanted counts one `under_replicated_stores_total` (the
-/// repairer's cue). The update only fails when *no* provider in the
-/// deployment accepted the page.
+/// Failure discipline per target: [`STORE_RETRIES`] extra attempts,
+/// then the copy is re-placed on the next live fallback provider past
+/// the chain. Each re-placement counts one `failovers_total`;
+/// publishing fewer copies than the chain wanted counts one
+/// `under_replicated_stores_total` (the repairer's cue). The update
+/// only fails when *no* provider in the deployment accepted the page.
 ///
 /// **This is where a page is sealed**: `payload` is checksummed here,
 /// once, on the client and inside the page's own fork-join item — and
@@ -463,10 +461,14 @@ pub(crate) fn store_one_replicated(
     Ok(())
 }
 
+/// Extra store attempts per target before its copy fails over: a retry
+/// absorbs a transient error (a store failing one request), failover a
+/// durable one (provider offline). In-process stores fail fast, so the
+/// retry does not back off.
+const STORE_RETRIES: u32 = 1;
+
 /// One target's share of a replicated store: the initial attempt plus
-/// up to `store_retry_attempts` retries, sleeping
-/// `attempt * store_retry_backoff_ms` between tries (linear, fully
-/// deterministic — no jitter, so failure tests replay exactly).
+/// up to [`STORE_RETRIES`] immediate retries.
 fn store_with_retry(
     engine: &Arc<Engine>,
     target: ProviderId,
@@ -479,21 +481,15 @@ fn store_with_retry(
         match engine.providers.provider(target).and_then(|p| p.store_page(pid, page.clone())) {
             Ok(()) => {
                 // Per-provider store split: the whole attempt sequence
-                // (including backoff) lands on the provider that finally
-                // accepted — which is what a capacity dashboard wants.
+                // lands on the provider that finally accepted — which
+                // is what a capacity dashboard wants.
                 if let Some(hist) = engine.metrics.provider_store_latency.get(target.0 as usize) {
                     timer.stop(hist);
                 }
                 return Ok(());
             }
-            Err(e) if attempt >= engine.config.store_retry_attempts => return Err(e),
-            Err(_) => {
-                attempt += 1;
-                let backoff = attempt as u64 * engine.config.store_retry_backoff_ms;
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-            }
+            Err(e) if attempt >= STORE_RETRIES => return Err(e),
+            Err(_) => attempt += 1,
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Provider fault tolerance end-to-end: write-path failover, corrupt
-//! copies treated as misses, the replica repairer, and the sliced-wait
-//! self-help hook. Deterministic companions to the randomized
-//! `tests/prop_provider_crash.rs`.
+//! Provider fault tolerance end-to-end: the in-place store retry,
+//! write-path failover, corrupt copies treated as misses, the replica
+//! repairer, and the sliced-wait self-help hook. Deterministic
+//! companions to the randomized `tests/prop_provider_crash.rs`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,11 +39,16 @@ fn read_all(blob: &Blob) -> Vec<u8> {
 fn offline_provider_fails_over_and_counts() {
     let (store, plans) = faulty_store(4, 2);
     let blob = store.create();
+    let data: Vec<u8> = (0..8 * PSIZE).map(|i| i as u8).collect();
+
+    // A healthy deployment never fails over.
+    let v = blob.append(&data).unwrap();
+    blob.sync(v).unwrap();
+    assert_eq!(store.stats_snapshot().failovers_total, 0, "healthy stores must not fail over");
 
     // Kill one provider, then write enough pages that round-robin
     // placement is guaranteed to pick it as primary or replica.
     plans[1].set_offline(true);
-    let data: Vec<u8> = (0..8 * PSIZE).map(|i| i as u8).collect();
     let v = blob.append(&data).unwrap(); // (a) the update must succeed
     blob.sync(v).unwrap();
 
@@ -53,7 +58,7 @@ fn offline_provider_fails_over_and_counts() {
     // and one dead there is always a live fallback, so no store
     // publishes under-replicated.
     assert_eq!(snap.under_replicated_stores, 0);
-    assert_eq!(read_all(&blob), data);
+    assert_eq!(read_all(&blob), data.repeat(2));
 
     // With fewer live providers than the replication factor, failover
     // runs out of fallbacks: the update still succeeds (one copy
@@ -67,7 +72,34 @@ fn offline_provider_fails_over_and_counts() {
     for plan in &plans {
         plan.set_offline(false);
     }
-    assert_eq!(read_all(&blob), [data.clone(), data.clone()].concat());
+    assert_eq!(read_all(&blob), data.repeat(3));
+}
+
+#[test]
+fn a_failed_store_is_retried_once_before_failing_over() {
+    // Two providers, no replication: round-robin puts the first page
+    // on provider 0 and the second on provider 1, and the other
+    // provider is each copy's failover target.
+    let (store, plans) = faulty_store(2, 1);
+    let blob = store.create();
+    let page = |b: u8| vec![b; PSIZE as usize];
+
+    // One transient error: the retry lands the copy where it belongs.
+    plans[0].fail_next_stores(1);
+    let v = blob.append(&page(1)).unwrap();
+    blob.sync(v).unwrap();
+    assert_eq!(plans[0].injected_errors(), 1, "the fault must hit the page's primary");
+    assert_eq!(store.stats_snapshot().failovers_total, 0, "a retried store does not fail over");
+    assert_eq!(plans[0].scan().unwrap().len(), 1);
+
+    // Two errors in a row exhaust the retry: the copy fails over.
+    plans[1].fail_next_stores(2);
+    let v = blob.append(&page(2)).unwrap();
+    blob.sync(v).unwrap();
+    assert_eq!(plans[1].injected_errors(), 2, "first attempt and retry both hit the primary");
+    assert_eq!(store.stats_snapshot().failovers_total, 1);
+    assert_eq!(plans[0].scan().unwrap().len(), 2, "the copy landed on the fallback");
+    assert_eq!(read_all(&blob), [page(1), page(2)].concat());
 }
 
 #[test]
@@ -223,7 +255,6 @@ fn sliced_wait_self_help_recovers_a_blocked_writer() {
         .pipeline_threads(1)
         .lease_ttl_ticks(5)
         .metadata_wait(Duration::from_secs(30))
-        .metadata_wait_slice(Duration::from_millis(10))
         .build()
         .unwrap();
     let blob = store.create();

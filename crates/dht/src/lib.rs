@@ -216,14 +216,44 @@ where
     /// Fetch a value, blocking until it appears or `timeout` elapses.
     ///
     /// This is how a reader of still-being-written metadata waits for
-    /// the lower-versioned writer to finish (§4.2).
+    /// the lower-versioned writer to finish (§4.2). One uninterrupted
+    /// block: [`Dht::get_wait_sliced`] with a single slice.
     pub fn get_wait(&self, key: &K, timeout: Duration) -> Result<V, DhtError> {
+        self.get_wait_sliced(key, timeout, timeout, || {})
+    }
+
+    /// [`Dht::get_wait`], sliced: park in `slice`-sized chunks and run
+    /// `between` after every slice that expires without the key
+    /// appearing — the **self-help hook**. The engine hangs a lease
+    /// sweep on it, so a reader blocked on a *dead* writer's missing
+    /// node recovers in roughly one slice (sweep → abort repair fills
+    /// the node) instead of burning the whole `timeout` and failing.
+    ///
+    /// `between` runs with the bucket's wait mutex **released** — it
+    /// may do arbitrary work, including `put`/`put_new` on this very
+    /// DHT. Our registration stays parked across the gap (the key's
+    /// queue entry cannot be dropped), and a notify landing in the gap
+    /// is not lost: the loop re-checks the map after re-locking.
+    ///
+    /// One `record_wait` and one block-time sample per call that
+    /// parked, spanning first park to exit — hook time included,
+    /// because the caller *was* blocked for all of it. A zero `slice`
+    /// (or one at/above `timeout`) is a single block: `between` never
+    /// runs.
+    pub fn get_wait_sliced(
+        &self,
+        key: &K,
+        timeout: Duration,
+        slice: Duration,
+        mut between: impl FnMut(),
+    ) -> Result<V, DhtError> {
         let b = &self.buckets[self.bucket_of(key)];
         b.stats.record_get();
         // Fast path: present already — identical cost to `get`.
         if let Some(v) = b.map.read().get(key) {
             return Ok(v.clone());
         }
+        let slice = if slice.is_zero() { timeout } else { slice };
         let deadline = Instant::now() + timeout;
         let mut queues = b.wait_queues.lock();
         // Register on this key's queue *before* the re-check below, so
@@ -244,82 +274,7 @@ where
             }
             if block_timer.is_none() {
                 // Exactly one recorded wait per blocking call, however
-                // many (possibly spurious) wakeups follow. The timer
-                // spans first park to loop exit, so its histogram
-                // sample counts the whole block including re-parks.
-                block_timer = Some(Timer::start());
-                b.stats.record_wait();
-            }
-            if cv.wait_until(&mut queues, deadline).timed_out() {
-                break match b.map.read().get(key) {
-                    Some(v) => Ok(v.clone()),
-                    None => Err(DhtError::WaitTimeout),
-                };
-            }
-        };
-        // Deregister; drop the key's queue once the last waiter leaves.
-        if let Some(q) = queues.get_mut(key) {
-            q.parked -= 1;
-            if q.parked == 0 {
-                queues.remove(key);
-            }
-        }
-        b.waiters.fetch_sub(1, Ordering::SeqCst);
-        if let Some(timer) = block_timer {
-            timer.stop(&self.wait_latency);
-        }
-        result
-    }
-
-    /// [`Dht::get_wait`], sliced: park in `slice`-sized chunks and run
-    /// `between` after every slice that expires without the key
-    /// appearing — the **self-help hook**. The engine hangs a lease
-    /// sweep on it, so a reader blocked on a *dead* writer's missing
-    /// node recovers in roughly one slice (sweep → abort repair fills
-    /// the node) instead of burning the whole `timeout` and failing.
-    ///
-    /// `between` runs with the bucket's wait mutex **released** — it
-    /// may do arbitrary work, including `put`/`put_new` on this very
-    /// DHT. Our registration stays parked across the gap (the key's
-    /// queue entry cannot be dropped), and a notify landing in the gap
-    /// is not lost: the loop re-checks the map after re-locking.
-    ///
-    /// Metrics match `get_wait` exactly: one `record_wait` and one
-    /// block-time sample per call that parked, spanning first park to
-    /// exit — hook time included, because the caller *was* blocked for
-    /// all of it. A zero `slice` (or one at/above `timeout`) degrades
-    /// to plain `get_wait`.
-    pub fn get_wait_sliced(
-        &self,
-        key: &K,
-        timeout: Duration,
-        slice: Duration,
-        mut between: impl FnMut(),
-    ) -> Result<V, DhtError> {
-        if slice.is_zero() || slice >= timeout {
-            return self.get_wait(key, timeout);
-        }
-        let b = &self.buckets[self.bucket_of(key)];
-        b.stats.record_get();
-        if let Some(v) = b.map.read().get(key) {
-            return Ok(v.clone());
-        }
-        let deadline = Instant::now() + timeout;
-        let mut queues = b.wait_queues.lock();
-        b.waiters.fetch_add(1, Ordering::SeqCst);
-        let cv = {
-            let q = queues
-                .entry(key.clone())
-                .or_insert_with(|| KeyQueue { cv: Arc::new(Condvar::new()), parked: 0 });
-            q.parked += 1;
-            Arc::clone(&q.cv)
-        };
-        let mut block_timer: Option<Timer> = None;
-        let result = loop {
-            if let Some(v) = b.map.read().get(key) {
-                break Ok(v.clone());
-            }
-            if block_timer.is_none() {
+                // many (possibly spurious) wakeups or slices follow.
                 block_timer = Some(Timer::start());
                 b.stats.record_wait();
             }
@@ -342,6 +297,7 @@ where
                 queues = b.wait_queues.lock();
             }
         };
+        // Deregister; drop the key's queue once the last waiter leaves.
         if let Some(q) = queues.get_mut(key) {
             q.parked -= 1;
             if q.parked == 0 {

@@ -13,6 +13,11 @@ use crate::node::{NodeKey, TreeNode};
 /// [`MetaStore::set_self_help`].
 pub type SelfHelpHook = Arc<dyn Fn() + Send + Sync>;
 
+/// Slice size of a blocking wait: the self-help hook runs after every
+/// slice that expires without the node appearing, so a reader parked on
+/// a dead writer's node recovers in about this long.
+const WAIT_SLICE: Duration = Duration::from_millis(250);
+
 /// The metadata provider: tree nodes distributed over DHT buckets.
 ///
 /// `get` is non-blocking and suits reads of *published* versions (whose
@@ -27,8 +32,6 @@ pub type SelfHelpHook = Arc<dyn Fn() + Send + Sync>;
 pub struct MetaStore {
     dht: Arc<Dht<NodeKey, TreeNode>>,
     wait_timeout: Duration,
-    /// Slice size for blocking waits (zero = one uninterrupted block).
-    wait_slice: Duration,
     /// Runs between wait slices with no DHT locks held; installed
     /// after construction because the engine it calls into owns this
     /// store (see [`MetaStore::set_self_help`]).
@@ -43,21 +46,15 @@ impl MetaStore {
 
     /// Wrap an existing DHT (lets tests share one DHT across stores).
     pub fn with_dht(dht: Arc<Dht<NodeKey, TreeNode>>, wait_timeout: Duration) -> Self {
-        MetaStore { dht, wait_timeout, wait_slice: Duration::ZERO, self_help: RwLock::new(None) }
+        MetaStore { dht, wait_timeout, self_help: RwLock::new(None) }
     }
 
-    /// Slice blocking waits into `slice`-sized chunks, running the
-    /// installed self-help hook between chunks (zero restores single-
-    /// block waits). See [`blobseer_dht::Dht::get_wait_sliced`].
-    pub fn with_wait_slice(mut self, slice: Duration) -> Self {
-        self.wait_slice = slice;
-        self
-    }
-
-    /// Install the self-help hook that runs between wait slices. The
-    /// engine hangs its lease sweeper here: a `get_wait` blocked on a
-    /// dead writer's missing node then recovers in about one slice
-    /// (sweep → abort → repair fills the node) instead of timing out.
+    /// Install the self-help hook that runs between wait slices (every
+    /// 250 ms of a blocked `get_wait`; see
+    /// [`blobseer_dht::Dht::get_wait_sliced`]). The engine hangs its
+    /// lease sweeper here: a `get_wait` blocked on a dead writer's
+    /// missing node then recovers in about one slice (sweep → abort →
+    /// repair fills the node) instead of timing out.
     /// Installed post-construction — the hook closes over the engine,
     /// and the engine owns this store.
     pub fn set_self_help(&self, hook: SelfHelpHook) {
@@ -91,21 +88,19 @@ impl MetaStore {
     }
 
     /// Fetch a node, waiting up to the configured timeout for an
-    /// in-flight writer to store it.
+    /// in-flight writer to store it; the self-help hook runs after
+    /// every 250 ms spent waiting.
     pub fn get_wait(&self, key: &NodeKey) -> Result<TreeNode> {
-        let got = if self.wait_slice.is_zero() {
-            self.dht.get_wait(key, self.wait_timeout)
-        } else {
-            self.dht.get_wait_sliced(key, self.wait_timeout, self.wait_slice, || {
+        self.dht
+            .get_wait_sliced(key, self.wait_timeout, WAIT_SLICE, || {
                 let hook = self.self_help.read().clone();
                 if let Some(hook) = hook {
                     hook();
                 }
             })
-        };
-        got.map_err(|e| match e {
-            DhtError::WaitTimeout => BlobError::Timeout("metadata tree node"),
-        })
+            .map_err(|e| match e {
+                DhtError::WaitTimeout => BlobError::Timeout("metadata tree node"),
+            })
     }
 
     /// Garbage-collection sweep: delete every node of `blob` created by
@@ -232,10 +227,7 @@ mod tests {
         // The hook supplies the missing node itself — the engine's
         // self-help sweep in miniature.
         let dht = Arc::new(blobseer_dht::Dht::new(2));
-        let store = Arc::new(
-            MetaStore::with_dht(Arc::clone(&dht), Duration::from_secs(5))
-                .with_wait_slice(Duration::from_millis(15)),
-        );
+        let store = Arc::new(MetaStore::with_dht(Arc::clone(&dht), Duration::from_secs(5)));
         let n = TreeNode::Leaf { pid: PageId(5), provider: ProviderId(0), valid_len: 2 };
         let d2 = Arc::clone(&dht);
         store.set_self_help(Arc::new(move || {
@@ -248,8 +240,7 @@ mod tests {
 
     #[test]
     fn sliced_wait_without_hook_still_times_out_typed() {
-        let store =
-            MetaStore::new(2, Duration::from_millis(40)).with_wait_slice(Duration::from_millis(10));
+        let store = MetaStore::new(2, Duration::from_millis(300));
         assert_eq!(store.get_wait(&key(9, 0, 1)), Err(BlobError::Timeout("metadata tree node")));
     }
 

@@ -21,10 +21,6 @@ use blobseer_types::{NodePos, PageRange};
 use crate::cluster::Cluster;
 use crate::params::SimParams;
 
-/// Shared sink for per-append completion times: `(global index,
-/// notify-ack time)` pairs, filled by every client of a run.
-pub(crate) type CompletionSink = Arc<Mutex<Vec<(u64, Nanos)>>>;
-
 /// One measured append: the paper plots `mbps` against `pages_after`.
 #[derive(Clone, Copy, Debug)]
 pub struct AppendPoint {
@@ -66,9 +62,6 @@ pub fn append_experiment(
         plan: None,
         append_start: 0,
         results: Some(Arc::clone(&results)),
-        crash_after_register: None,
-        crash_time: None,
-        completions: None,
     };
     let mut engine = Engine::new(net);
     engine.spawn(Box::new(proc));
@@ -123,9 +116,6 @@ pub fn pipelined_append_experiment(
             plan: None,
             append_start: 0,
             results: None,
-            crash_after_register: None,
-            crash_time: None,
-            completions: None,
         }));
     }
     let end = engine.run();
@@ -134,7 +124,7 @@ pub fn pipelined_append_experiment(
     PipelinedSummary { depth, seconds, mbps: bytes as f64 / 1e6 / seconds }
 }
 
-pub(crate) enum Phase {
+enum Phase {
     /// Start the next append (or finish).
     Begin,
     /// Pages stored; register with the version manager.
@@ -151,32 +141,23 @@ pub(crate) enum Phase {
     Record { start: Nanos, pages_after: u64, bytes: u64 },
 }
 
-pub(crate) struct AppendClient {
-    pub(crate) params: SimParams,
-    pub(crate) cluster: Cluster,
-    pub(crate) client: NodeId,
-    pub(crate) page_size: u64,
-    pub(crate) pages_per_append: u64,
-    pub(crate) total_pages: u64,
+struct AppendClient {
+    params: SimParams,
+    cluster: Cluster,
+    client: NodeId,
+    page_size: u64,
+    pages_per_append: u64,
+    total_pages: u64,
     /// Index (in the global version sequence) of this client's next
     /// append; advances by `stride` per append.
-    pub(crate) next_index: u64,
-    pub(crate) stride: u64,
-    pub(crate) phase: Phase,
-    pub(crate) plan: Option<UpdatePlan>,
-    pub(crate) append_start: Nanos,
+    next_index: u64,
+    stride: u64,
+    phase: Phase,
+    plan: Option<UpdatePlan>,
+    append_start: Nanos,
     /// Per-append measurement sink; `None` when the caller only wants
     /// the aggregate (the pipelined experiment).
-    pub(crate) results: Option<Arc<Mutex<Vec<AppendPoint>>>>,
-    /// Failure injection: after *registering* the append with this
-    /// global index (version assigned, nothing else durable), the
-    /// client dies — the crash-writer experiment's victim.
-    pub(crate) crash_after_register: Option<u64>,
-    /// Time-of-death cell for the victim.
-    pub(crate) crash_time: Option<Arc<Mutex<Option<Nanos>>>>,
-    /// Per-append completion sink — what the crash-writer experiment
-    /// replays the publication frontier from.
-    pub(crate) completions: Option<CompletionSink>,
+    results: Option<Arc<Mutex<Vec<AppendPoint>>>>,
 }
 
 impl AppendClient {
@@ -309,14 +290,6 @@ impl Process for AppendClient {
                     )]);
                 }
                 Phase::Borders => {
-                    if self.crash_after_register == Some(self.next_index) {
-                        // The writer dies holding an assigned version:
-                        // no metadata will be stored, no notify sent.
-                        if let Some(cell) = &self.crash_time {
-                            *cell.lock().expect("no poison") = Some(now);
-                        }
-                        return Step::Done;
-                    }
                     self.phase = Phase::Build;
                     if self.params.cached_border_descent {
                         // Single writer: every border node is one this
@@ -373,9 +346,6 @@ impl Process for AppendClient {
                     )]);
                 }
                 Phase::Record { start, pages_after, bytes } => {
-                    if let Some(completions) = &self.completions {
-                        completions.lock().expect("no poison").push((self.next_index, now));
-                    }
                     if let Some(results) = &self.results {
                         let seconds = to_secs(now - start);
                         results.lock().expect("no poison").push(AppendPoint {

@@ -12,30 +12,7 @@
 //! * [`pipelined_append_experiment`] — the Figure 4/5 overlap
 //!   scenario: a client keeps `depth` appends in flight (the engine's
 //!   `append_pipelined`), overlapping data transfers with metadata
-//!   work of lower versions;
-//! * [`crash_writer_experiment`] — beyond the paper (which defers
-//!   client failures to future work): one of the pipelined writers
-//!   dies right after registering a version, wedging publication until
-//!   the engine's writer lease expires and the version manager skips
-//!   the hole. Measures the stall and the recovery.
-//! * [`scrub_experiment`] — the other half of running versioned
-//!   storage as a long-lived service: the cost of the provider-side
-//!   orphan mark-and-sweep (PR 5) over the end state of a
-//!   crash-injected ingest, priced against the ingest itself.
-//! * [`degraded_read_experiment`] — Figure 2(b) under provider
-//!   failure (PR 7): dead data providers redirect their pages to live
-//!   replica-chain members, and the concurrent-reader bandwidth is
-//!   priced against the healthy baseline — the degraded-mode tax.
-//! * [`elastic_drain_experiment`] — the elastic-membership scenario
-//!   (PR 9): a replicated deployment grows by two providers and drains
-//!   one; the drain's mark/scan/migrate phases are priced against the
-//!   ingest that filled the victim — the cost of shrinking a cluster
-//!   by one node.
-//! * [`qos_isolation_experiment`] — the multi-tenant scenario (PR 8):
-//!   a noisy tenant floods a shared ingest with 10× a quiet tenant's
-//!   traffic; quiet-tenant p99 is measured solo, shared-FIFO, and
-//!   shared with `blobseer_qos` token-bucket admission + DRR drain —
-//!   the isolation the QoS subsystem buys.
+//!   work of lower versions.
 //!
 //! Crucially, the *costs* fed into the simulator come from the real
 //! implementation, not from formulas baked into the benchmark:
@@ -50,25 +27,15 @@
 //!   hotspots (every reader hits the same root bucket) are the real
 //!   ones.
 //!
-//! Calibration constants live in [`SimParams`]; see that type and
-//! EXPERIMENTS.md for the mapping to the paper's testbed.
+//! Calibration constants live in [`SimParams`]; its docs map each one
+//! to the paper's testbed.
 
 mod append;
 mod cluster;
-mod degraded;
-mod elastic;
-mod failure;
 mod params;
-mod qos;
 mod read;
-mod scrub;
 
 pub use append::{append_experiment, pipelined_append_experiment, AppendPoint, PipelinedSummary};
 pub use cluster::Cluster;
-pub use degraded::{degraded_read_experiment, DegradedReadSummary};
-pub use elastic::{elastic_drain_experiment, ElasticSimSummary};
-pub use failure::{crash_writer_experiment, CrashRecoverySummary};
 pub use params::SimParams;
-pub use qos::{qos_isolation_experiment, QosIsolationSummary};
 pub use read::{read_experiment, ReadSummary};
-pub use scrub::{scrub_experiment, ScrubSimSummary};

@@ -43,11 +43,6 @@ pub struct SimParams {
     pub meta_store_overhead: Nanos,
     /// Read path cost per tree node at a metadata provider.
     pub meta_read_overhead: Nanos,
-    /// Per-page CPU cost of a provider enumerating its local store
-    /// during an orphan-scrub sweep (directory/hash-shard walk — far
-    /// cheaper than serving a page, which is why the sweep is priced
-    /// per page scanned rather than per RPC).
-    pub provider_scan_overhead: Nanos,
     /// When `true`, a writer's border-set resolution is free of remote
     /// fetches because the client caches the nodes it wrote itself —
     /// exact for the single-writer experiments of Figure 2(a). Set to
@@ -82,7 +77,6 @@ impl Default for SimParams {
             provider_read_overhead: millis(0.36),
             meta_store_overhead: millis(0.03),
             meta_read_overhead: millis(0.01),
-            provider_scan_overhead: millis(0.002),
             cached_border_descent: true,
             fetch_window: 8,
             store_window: 16,

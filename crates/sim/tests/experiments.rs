@@ -2,10 +2,7 @@
 //! so they run in milliseconds; the full paper-scale sweeps live in the
 //! bench harnesses).
 
-use blobseer_sim::{
-    append_experiment, crash_writer_experiment, pipelined_append_experiment, read_experiment,
-    scrub_experiment, SimParams,
-};
+use blobseer_sim::{append_experiment, pipelined_append_experiment, read_experiment, SimParams};
 
 #[test]
 fn append_points_cover_the_sweep() {
@@ -130,91 +127,4 @@ fn cold_border_descent_costs_more() {
         pts.iter().map(|p| p.mbps).sum::<f64>() / pts.len() as f64
     };
     assert!(avg(&cold) < avg(&cached));
-}
-
-#[test]
-fn crashed_writer_wedges_then_recovers() {
-    // One of four pipelined writers dies right after registering
-    // append #16; the lease expires 80 virtual ms later. Publication
-    // must stall while the hole is wedged and burst past the
-    // pre-crash rate once the version manager skips it.
-    let p = SimParams::default();
-    let s = crash_writer_experiment(p, 16, 64 * 1024, 1 << 20, 1024, 4, 16, 0.08);
-    assert!(s.crash_at > 0.0);
-    assert!((s.stall_seconds - 0.08).abs() < 1e-9);
-    assert_eq!(s.abort_at, s.crash_at + s.stall_seconds);
-    // Everything but the hole publishes: 64 registered appends, the
-    // dead writer loses its own plus all its later slots never happen.
-    assert!(s.published >= 48, "got {}", s.published);
-    // Wedged: the only during-window publications are completions of
-    // versions *below* the hole that were still in flight at crash.
-    assert!(
-        s.mbps_during < 0.5 * s.mbps_before,
-        "publication must stall: {} vs {}",
-        s.mbps_during,
-        s.mbps_before
-    );
-    // Recovered: the backlog drains and ingest continues.
-    assert!(
-        s.mbps_after > s.mbps_before,
-        "post-abort burst must beat steady state: {} vs {}",
-        s.mbps_after,
-        s.mbps_before
-    );
-    assert!(s.total_seconds >= s.abort_at);
-}
-
-#[test]
-fn crash_recovery_is_deterministic() {
-    let p = SimParams::default();
-    let a = crash_writer_experiment(p, 16, 64 * 1024, 1 << 20, 512, 4, 8, 0.05);
-    let b = crash_writer_experiment(p, 16, 64 * 1024, 1 << 20, 512, 4, 8, 0.05);
-    assert_eq!(a.crash_at, b.crash_at);
-    assert_eq!(a.mbps_before, b.mbps_before);
-    assert_eq!(a.mbps_after, b.mbps_after);
-    assert_eq!(a.published, b.published);
-}
-
-#[test]
-fn longer_leases_stall_longer() {
-    let p = SimParams::default();
-    let short = crash_writer_experiment(p, 16, 64 * 1024, 1 << 20, 512, 4, 8, 0.05);
-    let long = crash_writer_experiment(p, 16, 64 * 1024, 1 << 20, 512, 4, 8, 0.5);
-    assert!(long.stall_seconds > short.stall_seconds);
-    assert!(long.total_seconds >= short.total_seconds);
-    assert_eq!(long.published, short.published, "the TTL changes when, not what");
-}
-
-#[test]
-fn scrub_cost_is_a_small_fraction_of_ingest() {
-    let s = scrub_experiment(SimParams::default(), 10, 64 * 1024, 1 << 20, 256, 8);
-    // 16 appends of 16 pages; every 8th crashed → 2 leaks of 16 pages.
-    assert_eq!(s.pages_deleted, 32);
-    assert_eq!(s.pages_scanned, 256 + 32);
-    assert!(s.nodes_fetched > 256, "at least one node per page plus inner levels");
-    assert!(s.mark_seconds > 0.0 && s.sweep_seconds > 0.0);
-    assert!((s.scrub_seconds - (s.mark_seconds + s.sweep_seconds)).abs() < 1e-9);
-    // The whole point of a background scrubber: far cheaper than the
-    // ingest it cleans up after.
-    assert!(
-        s.scrub_to_ingest < 0.5,
-        "scrub should be a fraction of ingest, got {}",
-        s.scrub_to_ingest
-    );
-}
-
-#[test]
-fn scrub_experiment_is_deterministic_and_scales_with_leaks() {
-    let p = SimParams::default();
-    let a = scrub_experiment(p, 10, 64 * 1024, 1 << 20, 256, 4);
-    let b = scrub_experiment(p, 10, 64 * 1024, 1 << 20, 256, 4);
-    assert_eq!(a.scrub_seconds, b.scrub_seconds);
-    assert_eq!(a.pages_deleted, b.pages_deleted);
-    // No failure injection → nothing to delete, but mark + scan still
-    // cost something.
-    let clean = scrub_experiment(p, 10, 64 * 1024, 1 << 20, 256, 0);
-    assert_eq!(clean.pages_deleted, 0);
-    assert!(clean.scrub_seconds > 0.0);
-    assert!(clean.scrub_seconds < a.scrub_seconds, "leaks add sweep work");
-    assert!(clean.pages_scanned < a.pages_scanned);
 }

@@ -63,30 +63,6 @@ pub struct StoreConfig {
     /// explicit advancement, keeping lease expiry deterministic under
     /// test. See `docs/OPERATIONS.md` for tuning guidance.
     pub lease_tick_interval_ms: u64,
-    /// Extra store attempts per page-store target after the first
-    /// failure, before the write path gives up on that provider and
-    /// fails over to the next live one in registry order. Retries catch
-    /// transient faults (a flaky store erroring one request); failover
-    /// catches durable ones (provider offline). `0` disables retries:
-    /// the first error per target immediately triggers failover.
-    pub store_retry_attempts: u32,
-    /// Backoff between store retries, in milliseconds: attempt `n`
-    /// (1-based) sleeps `n * store_retry_backoff_ms` before retrying —
-    /// deterministic, no jitter, so tests can reason about timing.
-    /// **Default 0 (no sleep)**: in-process stores fail fast and a
-    /// same-thread retry is already a meaningful delay for them.
-    pub store_retry_backoff_ms: u64,
-    /// Slice a blocking metadata wait into `metadata_wait_slice_ms`
-    /// chunks, running a **self-help lease sweep** between slices: a
-    /// reader (or higher update) blocked on a dead writer's missing
-    /// tree node then recovers in roughly one slice — the sweep aborts
-    /// the expired version, abort repair fills the hole — instead of
-    /// burning the full `metadata_wait_ms` and failing. `0` disables
-    /// slicing (one uninterrupted block, the pre-PR 7 behaviour). The
-    /// overall deadline is still `metadata_wait_ms`; slicing only
-    /// changes what happens *during* the wait, and block-time metrics
-    /// still record one sample per blocked call.
-    pub metadata_wait_slice_ms: u64,
 }
 
 impl StoreConfig {
@@ -135,9 +111,6 @@ impl Default for StoreConfig {
             pipeline_threads: 4,
             lease_ttl_ticks: 1 << 20,
             lease_tick_interval_ms: 0,
-            store_retry_attempts: 1,
-            store_retry_backoff_ms: 0,
-            metadata_wait_slice_ms: 250,
         }
     }
 }

@@ -12,7 +12,6 @@
 //! with all leaves durable).
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 use blobseer::{Blob, BlobSeer, Bytes, CrashPoint, PendingWrite, Result, Snapshot, Version};
 
@@ -44,32 +43,6 @@ pub struct CrashReport {
     pub last: Version,
     /// Per-chunk record, in version order.
     pub chunks: Vec<ChunkRecord>,
-}
-
-/// Leak/reclaim measurements of one [`CrashyIngest::run_then_scrub`].
-#[derive(Clone, Copy, Debug)]
-pub struct ScrubTrajectory {
-    /// Physical bytes stored right after the ingest quiesced (live set
-    /// + everything the crashed writers leaked).
-    pub stored_bytes_before: u64,
-    /// Leaked bytes the scrub reclaimed.
-    pub leaked_bytes_before: u64,
-    /// Leaked page copies the scrub reclaimed.
-    pub leaked_pages_before: u64,
-    /// Bytes a second scrub still found leaked (0 on a quiesced
-    /// deployment — the run's own completeness check).
-    pub leaked_bytes_after: u64,
-    /// Physical bytes stored after the scrub (the live-set size).
-    pub stored_bytes_after: u64,
-    /// Distinct pages the mark phase proved live.
-    pub pages_marked: usize,
-    /// Page copies the sweep inspected.
-    pub pages_scanned: u64,
-    /// Wall time of the crash-injected ingest (context for the scrub
-    /// cost).
-    pub ingest_elapsed: Duration,
-    /// Wall time of the scrub pass (mark + parallel sweep).
-    pub scrub_elapsed: Duration,
 }
 
 /// Pipelined ingest with failure injection; see the module docs.
@@ -157,55 +130,6 @@ impl CrashyIngest {
         Ok(CrashReport { appends, crashed, bytes, last, chunks })
     }
 
-    /// The crash-ingest-then-scrub trajectory: run the crash-injected
-    /// ingest, measure the storage it leaked, scrub, and measure
-    /// again. The returned [`ScrubTrajectory`] holds leaked bytes
-    /// before and after, plus the scrub's wall-clock cost to weigh
-    /// against the ingest it cleans up after. The benchmark measures
-    /// the same cleanup as `maint_cycle_ms`@`maintenance_cycle`
-    /// (`BENCHMARK.json`).
-    ///
-    /// "Leaked" is measured, not inferred: it is exactly what
-    /// [`BlobSeer::scrub_orphans`] reclaims on the quiesced deployment
-    /// (the run's own verification — a second scrub must find nothing).
-    pub fn run_then_scrub(
-        &self,
-        store: &BlobSeer,
-        blob: &Blob,
-        stream: &mut AppendStream,
-        appends: u64,
-    ) -> Result<(CrashReport, ScrubTrajectory)> {
-        let ingest_start = Instant::now();
-        let report = self.run(store, blob, stream, appends)?;
-        let ingest_elapsed = ingest_start.elapsed();
-
-        let stored_bytes_before = store.stats().physical_bytes;
-        let scrub_start = Instant::now();
-        let scrub = store.scrub_orphans()?;
-        let scrub_elapsed = scrub_start.elapsed();
-        // Sample storage *before* the verification pass: if that pass
-        // does reclaim a straggler (a background repair finishing
-        // between the two), the trajectory must still satisfy
-        // `before - leaked == after` for the measured scrub.
-        let stored_bytes_after = store.stats().physical_bytes;
-        let leak_after = store.scrub_orphans()?.bytes_reclaimed;
-
-        Ok((
-            report,
-            ScrubTrajectory {
-                stored_bytes_before,
-                leaked_bytes_before: scrub.bytes_reclaimed,
-                leaked_pages_before: scrub.pages_reclaimed,
-                leaked_bytes_after: leak_after,
-                stored_bytes_after,
-                pages_marked: scrub.pages_marked,
-                pages_scanned: scrub.pages_scanned,
-                ingest_elapsed,
-                scrub_elapsed,
-            },
-        ))
-    }
-
     /// Verify `snapshot` against the run that produced `report`:
     /// surviving chunks must match the seed-`seed` stream exactly;
     /// holes must read as zeros — or as the dead writer's stream bytes
@@ -285,25 +209,6 @@ mod tests {
         }
         let snap = blob.snapshot(report.last).unwrap();
         CrashyIngest::verify(&snap, 42, &report).unwrap();
-    }
-
-    #[test]
-    fn run_then_scrub_reclaims_the_leak_and_verifies() {
-        let s = store();
-        let blob = s.create();
-        let mut stream = AppendStream::new(11, 100, 3000);
-        let (report, traj) =
-            CrashyIngest::new(4, 5).run_then_scrub(&s, &blob, &mut stream, 25).unwrap();
-        assert_eq!(report.crashed, 5);
-        // Crashed writers leaked real storage, the scrub took it back,
-        // and a second pass found the deployment leak-free.
-        assert!(traj.leaked_bytes_before > 0, "crashes must leak");
-        assert_eq!(traj.leaked_bytes_after, 0, "scrub must be complete");
-        assert_eq!(traj.stored_bytes_after, traj.stored_bytes_before - traj.leaked_bytes_before);
-        assert_eq!(s.stats().physical_bytes, traj.stored_bytes_after);
-        // Surviving content is untouched.
-        let snap = blob.snapshot(report.last).unwrap();
-        CrashyIngest::verify(&snap, 11, &report).unwrap();
     }
 
     #[test]

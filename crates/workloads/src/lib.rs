@@ -12,38 +12,27 @@
 //!   map-reduce style statistics over snapshots, and overwriting
 //!   pictures in place (producing new versions) after enhancement.
 //!
-//! Plus [`PipelinedIngest`], a driver wiring [`AppendStream`] to the
-//! engine's non-blocking `append_pipelined` with a bounded in-flight
-//! window — the realistic pipelined client driven by
-//! `examples/concurrent_ingest.rs`. (The bench trajectory's
-//! `pipelined_append` hand-rolls the same window over one prebuilt
-//! buffer instead, so its A/B isolates the write path from chunk
-//! generation.) [`CrashyIngest`] is the same client under failure
-//! injection: every k-th writer dies mid-update and the engine's
-//! writer leases recover the blob. [`FlakyProviders`] injects faults
-//! on the *other* side of the wire — providers go offline mid-update
-//! and stored copies rot at rest — and drives write-path failover,
-//! checksum fallback reads, and the replica repairer (PR 7).
-//! [`MultiTenantIngest`] is the shared-deployment client (PR 8):
-//! zipfian-skewed, bursty appends from many tenants, retrying
-//! throttled chunks so published content is independent of QoS — the
-//! noisy-neighbour traffic `Builder::qos` admission control exists to
-//! contain.
+//! Plus three drivers over the real engine. [`PipelinedIngest`] wires
+//! [`AppendStream`] to the engine's non-blocking `append_pipelined`
+//! with a bounded in-flight window — the pipelined client driven by
+//! `examples/concurrent_ingest.rs`. [`CrashyIngest`] is the same client
+//! under failure injection: every k-th writer dies mid-update and the
+//! engine's writer leases recover the blob. [`MultiTenantIngest`] is
+//! the shared-deployment client: zipfian-skewed, bursty appends from
+//! many tenants, retrying throttled chunks so published content is
+//! independent of QoS — the noisy-neighbour traffic `Builder::qos`
+//! admission control exists to contain.
 
 pub mod photo;
 
 mod chunks;
 mod crashy;
 mod driver;
-mod elastic;
-mod flaky;
 mod stream;
 mod tenants;
 
 pub use chunks::DisjointChunks;
-pub use crashy::{ChunkRecord, CrashReport, CrashyIngest, ScrubTrajectory};
+pub use crashy::{ChunkRecord, CrashReport, CrashyIngest};
 pub use driver::{IngestReport, PipelinedIngest};
-pub use elastic::{ElasticIngest, ElasticReport};
-pub use flaky::{FlakyProviders, FlakyReport};
 pub use stream::AppendStream;
 pub use tenants::{MultiTenantIngest, MultiTenantReport, TenantIngestReport};
