@@ -49,17 +49,13 @@ pub(crate) fn retire_versions(
     let reader = TreeReader::new(&engine.meta, &lineage);
 
     // 2. Mark: every node reachable from a retained root. Published
-    // trees are complete, so non-blocking fetches suffice. The shared
-    // walk (`collect_tree_pages`, also the maintenance mark) fills
-    // `reachable` as its visited set; the leaves themselves are not
-    // needed here — the sweep derives orphaned pages from the removed
-    // leaf *nodes*. A failed walk fails the retire, so nothing is ever
-    // rolled back and the undo log is discarded.
+    // trees are complete, so non-blocking fetches suffice. The walk
+    // fills `reachable` as its visited set; the leaves themselves are
+    // not needed here — the sweep derives orphaned pages from the
+    // removed leaf *nodes*.
     let mut reachable: HashSet<NodeKey> = HashSet::new();
-    let mut undo = Vec::new();
     for root in &roots {
-        collect_tree_pages(&reader, *root, &mut reachable, &mut undo, &mut |_, _| {})?;
-        undo.clear();
+        collect_tree_pages(&reader, *root, &mut reachable, &mut |_, _| {})?;
     }
 
     // 3. Sweep nodes, then delete the orphaned pages on every replica.

@@ -309,11 +309,9 @@ impl BlobSeer {
     /// landed, and by repair pages that lost the `put_new` leaf race.
     /// Safe under full concurrency (no quiescence required): pages of
     /// in-flight operations are exempted by a page-id **epoch cut**,
-    /// and the mark covers every retained version of every blob and
-    /// branch, committed-abort repair trees and durable in-flight
-    /// leaves included. Fails typed ([`BlobError::ScrubConflict`]) —
-    /// with nothing deleted — if the mark races a `retire_versions`
-    /// sweep; just rerun. Compose with
+    /// and the mark is every leaf in the metadata table — every
+    /// retained version of every blob and branch, committed-abort
+    /// repair trees and durable in-flight leaves included. Compose with
     /// [`BlobSeer::sweep_expired_leases`] (run it first so dead
     /// writers' versions are repaired and their leaks judged) and
     /// [`BlobSeer::retire_versions`] (which reclaims *retired* history;

@@ -1,119 +1,50 @@
 //! The machinery scrub, repair and drain share: one mark, one fill.
 //!
 //! Pages and tree nodes are immutable and shared across versions
-//! (paper §3, §4.3), so "is this page live?" has one answer, computed
-//! by [`LiveSet::mark`] — the only mark loop in the engine. The epoch
-//! cut it takes first, and why marking is safe under live writers and
+//! (paper §3, §4.3). A node enters the metadata table only through
+//! `put_new`, so it is never replaced, and leaves it only through
+//! `retire_versions`, which deletes exactly the nodes no retained root
+//! reaches. So every leaf in the table names a live page, and every live
+//! page below the epoch cut is named by a leaf: [`LiveSet::mark`] — the
+//! only mark in the engine — is one pass over the table's leaves, with
+//! no roots, lineage, visited set or per-blob restart. The epoch cut it
+//! takes first, and why the scan is safe under live writers and
 //! concurrent `retire_versions`, is argued once in `docs/OPERATIONS.md`
 //! ("Marking the live set"). [`fill_chain`] is the only place a page
 //! copy is re-placed: repair fills the expected chain, drain the chain
 //! as it will read once the victim retires. What each caller does with
 //! the answer — reclaim, fill or evacuate — is its own module's policy.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use blobseer_meta::{collect_tree_pages, NodeKey, TreeNode, TreeReader};
 use blobseer_metrics::{Timer, WindowedHistogram};
 use blobseer_provider::SealedPage;
-use blobseer_types::{BlobError, NodePos, PageId, ProviderId, Result};
-use blobseer_version::BlobScrubCut;
+use blobseer_types::{PageId, ProviderId};
 
 use crate::engine::Engine;
 
-/// Every page the metadata proves live, with the primary its leaf
+/// Every page the metadata references, with the primary its leaf
 /// names.
 pub(crate) struct LiveSet {
     /// The page-id epoch cut: pages at or above it are unjudged.
     pub epoch: PageId,
     pub pages: HashMap<PageId, ProviderId>,
-    /// Per-blob re-cuts absorbed (a concurrent retire moved the blob's
-    /// retire generation mid-mark).
-    pub restarts: u64,
 }
 
 impl LiveSet {
-    /// Take the page-id epoch strictly before the metadata cut, then
-    /// mark every blob; a successful mark is timed into `latency` (the
-    /// caller's metadata-bound phase). Fails with
-    /// [`BlobError::ScrubConflict`] when a tree is incomplete and no
-    /// retire explains it.
-    pub(crate) fn mark(engine: &Arc<Engine>, latency: &WindowedHistogram) -> Result<LiveSet> {
+    /// Take the page-id epoch strictly before the scan, then collect
+    /// every leaf of the node table; timed into `latency` (the caller's
+    /// metadata-bound phase).
+    pub(crate) fn mark(engine: &Engine, latency: &WindowedHistogram) -> LiveSet {
         let timer = Timer::start();
         let epoch = engine.scrub_pid_epoch();
-        let live = Self::mark_cuts(engine, epoch, engine.vm.scrub_cut())?;
+        let mut pages = HashMap::new();
+        engine.meta.for_each_leaf(|pid, provider| {
+            pages.insert(pid, provider);
+        });
         timer.stop(latency);
-        Ok(live)
+        LiveSet { epoch, pages }
     }
-
-    fn mark_cuts(engine: &Arc<Engine>, epoch: PageId, cuts: Vec<BlobScrubCut>) -> Result<LiveSet> {
-        let mut live = LiveSet { epoch, pages: HashMap::new(), restarts: 0 };
-        // Spans blobs: branches resolve shared versions to their owner's
-        // keys, so shared history is walked once.
-        let mut visited = HashSet::new();
-        // Sized up front (the node table bounds one attempt's inserts):
-        // growing it by doubling re-copies and re-faults the log, ~10 %
-        // of a 10⁵-node mark.
-        let mut undo = Vec::with_capacity(engine.meta.node_count());
-        let mut leaves = Vec::new();
-        for mut cut in cuts {
-            loop {
-                undo.clear();
-                leaves.clear();
-                let mut on_leaf = |pid, provider| leaves.push((pid, provider));
-                let marked = mark_blob(engine, &cut, &mut visited, &mut undo, &mut on_leaf);
-                let Err(conflict) = marked else {
-                    live.pages.extend(leaves.drain(..));
-                    break;
-                };
-                // Roll the attempt back: its keys leave `visited` and its
-                // leaves (possibly of a retired tree) are dropped.
-                for key in &undo {
-                    visited.remove(key);
-                }
-                let gen = engine.vm.retire_generation(cut.blob).unwrap_or(cut.retire_gen);
-                if gen == cut.retire_gen {
-                    return Err(conflict);
-                }
-                // Each restart consumes one observed generation advance.
-                live.restarts += 1;
-                cut = engine.vm.scrub_cut_for(cut.blob)?;
-            }
-        }
-        Ok(live)
-    }
-}
-
-/// One blob's share of the mark: walk every retained root, then probe
-/// the leaf positions of its in-flight versions (a durable leaf names
-/// its page forever, even before a root reaches it).
-fn mark_blob(
-    engine: &Arc<Engine>,
-    cut: &BlobScrubCut,
-    visited: &mut HashSet<NodeKey>,
-    undo: &mut Vec<NodeKey>,
-    on_leaf: &mut dyn FnMut(PageId, ProviderId),
-) -> Result<()> {
-    let reader = TreeReader::new(&engine.meta, &cut.lineage);
-    for &root in &cut.roots {
-        collect_tree_pages(&reader, root, visited, undo, on_leaf).map_err(|e| {
-            BlobError::ScrubConflict(format!(
-                "mark of {} {} hit incomplete metadata ({e}); \
-                 likely racing retire_versions — nothing was swept",
-                cut.blob, root.version
-            ))
-        })?;
-    }
-    for &(version, range) in &cut.inflight {
-        for page in range.iter() {
-            if let Ok(TreeNode::Leaf { pid, provider, .. }) =
-                reader.fetch(version, NodePos::new(page, 1), false)
-            {
-                on_leaf(pid, provider);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// What [`fill_chain`] did for one page.
@@ -173,76 +104,148 @@ pub(crate) fn fill_chain(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use blobseer_meta::{collect_tree_pages, TreeNode, TreeReader};
+    use blobseer_types::{BlobId, NodePos};
+    use bytes::Bytes;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
-    use crate::{Blob, BlobSeer, Builder};
+    use crate::{Blob, BlobSeer, Builder, CrashPoint};
 
-    /// One blob of four 4-page appends, retired down to its last
-    /// version, and the mark cut taken just before the retire. Every
-    /// later root keeps an earlier one as its left subtree, so a walk
-    /// of the stale cut inserts retained keys before it reaches the
-    /// root the retire swept.
-    fn retired_under_a_stale_cut() -> (BlobSeer, Blob, Vec<BlobScrubCut>) {
+    /// The reference mark the scan replaced: walk every retained root
+    /// of every blob (shared subtrees once), then probe the leaf
+    /// positions of every in-flight update — a wedged writer's durable
+    /// leaves name pages its eventual repair keeps.
+    fn tree_mark(engine: &Engine) -> HashMap<PageId, ProviderId> {
+        let mut pages = HashMap::new();
+        let mut visited = HashSet::new();
+        for cut in engine.vm.scrub_cut() {
+            let reader = TreeReader::new(&engine.meta, &cut.lineage);
+            let mut on_leaf = |pid, provider| {
+                pages.insert(pid, provider);
+            };
+            for &root in &cut.roots {
+                collect_tree_pages(&reader, root, &mut visited, &mut on_leaf).unwrap();
+            }
+            for &(version, range) in &cut.inflight {
+                for page in range.iter() {
+                    if let Ok(TreeNode::Leaf { pid, provider, .. }) =
+                        reader.fetch(version, NodePos::new(page, 1), false)
+                    {
+                        on_leaf(pid, provider);
+                    }
+                }
+            }
+        }
+        pages
+    }
+
+    fn scan(s: &BlobSeer) -> LiveSet {
+        LiveSet::mark(&s.engine, &WindowedHistogram::new())
+    }
+
+    const CRASHES: [CrashPoint; 4] = [
+        CrashPoint::AfterPrepare,
+        CrashPoint::AfterBoundaryPages,
+        CrashPoint::AfterPartialMetadata,
+        CrashPoint::BeforeNotify,
+    ];
+
+    /// A random history over up to four blobs (the first created, the
+    /// rest branches): appends and overwrites at unaligned offsets,
+    /// writers dying at every [`CrashPoint`] and left wedged until a
+    /// later sweep, branches, and retires of blobs no branch pins.
+    struct History {
+        rng: StdRng,
+        blobs: Vec<Blob>,
+        wedged: HashSet<BlobId>,
+        forked: HashSet<BlobId>,
+    }
+
+    impl History {
+        fn step(&mut self, s: &BlobSeer) {
+            let blob = self.blobs[self.rng.gen_range(0..self.blobs.len())].clone();
+            let len = self.rng.gen_range(1..48usize);
+            let data = Bytes::from(vec![self.rng.gen_range(1..=255u8); len]);
+            let size = blob.latest().unwrap().len();
+            let offset = self.rng.gen_range(0..=size);
+            let free = !self.wedged.contains(&blob.id());
+            match self.rng.gen_range(0..10u32) {
+                0..=2 if free => drop(blob.append_bytes(data).unwrap()),
+                3..=4 if free => drop(blob.write_bytes(data, offset).unwrap()),
+                5..=6 if free => {
+                    let point = CRASHES[self.rng.gen_range(0..CRASHES.len())];
+                    if self.rng.gen_bool(0.5) {
+                        blob.crash_append(data, point).unwrap();
+                    } else {
+                        blob.crash_write(data, offset, point).unwrap();
+                    }
+                    self.wedged.insert(blob.id());
+                }
+                7 if self.blobs.len() < 4 => {
+                    let branch = blob.branch(blob.recent_version().unwrap()).unwrap();
+                    self.forked.insert(blob.id());
+                    self.blobs.push(branch);
+                }
+                8 if free && !self.forked.contains(&blob.id()) => {
+                    blob.retire_versions(blob.recent_version().unwrap()).unwrap();
+                }
+                _ => {
+                    s.advance_lease_clock(s.config().lease_ttl_ticks + 1);
+                    assert!(s.sweep_expired_leases().pending.is_empty());
+                    self.wedged.clear();
+                }
+            }
+        }
+    }
+
+    /// Scan ≡ walk: after every step of every history, the table's
+    /// leaves are exactly the pages the trees and the in-flight probes
+    /// reach — nothing over-marked (a leak the scrubber would keep) and
+    /// nothing under-marked (a live page it would delete).
+    #[test]
+    fn the_leaf_scan_marks_exactly_what_the_tree_walk_reaches() {
+        for seed in 0..24 {
+            let s = Builder::new().page_size(16).data_providers(3).replication(2).build().unwrap();
+            let mut history = History {
+                rng: StdRng::seed_from_u64(seed),
+                blobs: vec![s.create()],
+                wedged: HashSet::new(),
+                forked: HashSet::new(),
+            };
+            for step in 0..40 {
+                history.step(&s);
+                let marked = scan(&s);
+                assert_eq!(marked.pages, tree_mark(&s.engine), "seed {seed}, step {step}");
+                assert!(marked.pages.keys().all(|&pid| pid < marked.epoch));
+            }
+        }
+    }
+
+    /// A retire that sweeps history a branch still resolves to (the
+    /// branch's inherited v1 and v2 go with the parent's) leaves trees
+    /// no walk can finish. The scan has no trees to finish: every
+    /// maintenance pass still succeeds, and converges.
+    #[test]
+    fn a_retire_under_a_branch_does_not_wedge_maintenance() {
         let s = Builder::new().page_size(16).data_providers(3).replication(2).build().unwrap();
-        let blob = s.create();
-        for i in 0..4u8 {
-            blob.append(&[i; 64]).unwrap();
+        let parent = s.create();
+        parent.append(&[1; 64]).unwrap();
+        for fill in 2..5u8 {
+            parent.write(&[fill; 16], 0).unwrap();
         }
-        let stale = s.engine.vm.scrub_cut();
-        s.retire_versions(blob.id(), blob.recent_version().unwrap()).unwrap();
-        (s, blob, stale)
-    }
+        let v4 = parent.recent_version().unwrap();
+        let _branch = parent.branch(v4).unwrap();
+        assert!(parent.retire_versions(crate::Version(3)).unwrap().nodes_removed > 0);
 
-    fn mark(s: &BlobSeer, cuts: Vec<BlobScrubCut>) -> Result<LiveSet> {
-        LiveSet::mark_cuts(&s.engine, s.engine.scrub_pid_epoch(), cuts)
-    }
-
-    /// A retire between the cut and the walk costs exactly one restart,
-    /// and the restarted mark equals a fresh one.
-    #[test]
-    fn one_retire_is_one_restart_and_marks_like_a_fresh_cut() {
-        let (s, _, stale) = retired_under_a_stale_cut();
-        let restarted = mark(&s, stale).unwrap();
-        let fresh = mark(&s, s.engine.vm.scrub_cut()).unwrap();
-        assert_eq!((restarted.restarts, fresh.restarts), (1, 0));
-        assert_eq!(restarted.pages, fresh.pages);
-        assert_eq!(fresh.pages.len(), 16);
-    }
-
-    /// The undo log: a branch's failed attempt walks its retained trees
-    /// (subtrees shared with its parent, marked just before) and only
-    /// then hits a swept root. Its rollback must leave `visited` as it
-    /// was, or the retry skips the branch's own live subtrees and
-    /// under-marks.
-    #[test]
-    fn a_failed_attempt_on_a_branch_rolls_back_exactly() {
-        let (s, parent, _) = retired_under_a_stale_cut();
-        let branch = parent.branch(parent.recent_version().unwrap()).unwrap();
-        for i in 0..3u8 {
-            branch.write(&[0xB0 | i; 16], 16 * u64::from(i)).unwrap();
-        }
-        let stale = s.engine.vm.scrub_cut_for(branch.id()).unwrap();
-        s.retire_versions(branch.id(), branch.recent_version().unwrap()).unwrap();
-
-        // The parent's cut as it is, then the branch's fresh cut with a
-        // swept root of its own history appended last, under the
-        // generation it had before the retire.
-        let mut cuts = s.engine.vm.scrub_cut();
-        let doctored = cuts.iter_mut().find(|c| c.blob == branch.id()).unwrap();
-        doctored.roots.push(*stale.roots.iter().rev().nth(1).unwrap());
-        doctored.retire_gen = stale.retire_gen;
-        let restarted = mark(&s, cuts).unwrap();
-        assert_eq!(restarted.restarts, 1);
-        assert_eq!(restarted.pages, mark(&s, s.engine.vm.scrub_cut()).unwrap().pages);
-    }
-
-    /// A conflict the blob's generation does not explain is typed.
-    #[test]
-    fn an_unmoved_generation_is_a_typed_conflict() {
-        let (s, _, mut stale) = retired_under_a_stale_cut();
-        for cut in &mut stale {
-            cut.retire_gen = s.engine.vm.retire_generation(cut.blob).unwrap();
-        }
-        let err = mark(&s, stale).err().unwrap();
-        assert!(matches!(err, BlobError::ScrubConflict(_)), "got {err:?}");
+        s.scrub_orphans().unwrap();
+        s.repair_replicas().unwrap();
+        s.drain_provider(ProviderId(0)).unwrap();
+        assert_eq!(s.scrub_orphans().unwrap().pages_reclaimed, 0);
+        assert_eq!(s.repair_replicas().unwrap().copies_repaired, 0);
+        assert_eq!(scan(&s).pages.len(), 2 + 3, "page 0 of v3 and v4, and v1's other three");
     }
 }

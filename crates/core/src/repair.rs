@@ -59,13 +59,12 @@ pub struct RepairReport {
     /// Offline providers skipped (scan failed); their copies were
     /// neither counted nor trimmed — re-run after recovery.
     pub providers_skipped: usize,
-    /// Per-blob mark restarts absorbed (concurrent `retire_versions`);
-    /// same mechanism as [`crate::ScrubReport::mark_restarts`].
+    /// Always 0; see [`crate::ScrubReport::mark_restarts`].
     pub mark_restarts: u64,
 }
 
 pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
-    let live = LiveSet::mark(engine, &engine.metrics.repair_mark_latency)?;
+    let live = LiveSet::mark(engine, &engine.metrics.repair_mark_latency);
     let copy_timer = Timer::start();
 
     // Who physically holds what, one parallel job per provider. An
@@ -83,7 +82,6 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
     let mut report = RepairReport {
         providers_scanned: holders.len(),
         providers_skipped: n - holders.len(),
-        mark_restarts: live.restarts,
         ..RepairReport::default()
     };
 

@@ -52,17 +52,15 @@ pub struct ScrubReport {
     /// Offline (or mid-sweep unreadable) providers whose pass did not
     /// complete; re-scrub after recovery.
     pub providers_skipped: usize,
-    /// Per-blob mark restarts absorbed: a concurrent `retire_versions`
-    /// moved a blob's retire generation mid-mark, so that blob's mark
-    /// was re-cut and re-walked in place instead of failing the whole
-    /// pass with [`blobseer_types::BlobError::ScrubConflict`].
+    /// Always 0: the mark is one scan of the node table and has nothing
+    /// to restart. Kept so callers that sum it keep compiling.
     pub mark_restarts: u64,
 }
 
 pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
     // Mark and sweep are timed apart (metadata- vs provider-bound); see
     // docs/OBSERVABILITY.md.
-    let live = Arc::new(LiveSet::mark(engine, &engine.metrics.scrub_mark_latency)?);
+    let live = Arc::new(LiveSet::mark(engine, &engine.metrics.scrub_mark_latency));
     let sweep_timer = Timer::start();
 
     let providers = engine.providers.all_providers();
@@ -92,7 +90,6 @@ pub(crate) fn scrub_orphans(engine: &Arc<Engine>) -> Result<ScrubReport> {
         pages_exempt: exempt.load(Ordering::Relaxed),
         providers_scrubbed: passes.len(),
         providers_skipped: n - passes.len(),
-        mark_restarts: live.restarts,
         ..ScrubReport::default()
     };
     for pass in passes {

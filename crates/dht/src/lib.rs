@@ -26,18 +26,19 @@
 //! (hence present) node — takes a shared read guard and runs fully in
 //! parallel with other readers. This matters because metadata reads are
 //! massively read-dominated and hot (every reader of a snapshot starts
-//! at the same root node). Writes (`put`/`remove`/`retain`) take the
-//! write guard.
+//! at the same root node); a whole-table [`Dht::for_each`] visit takes
+//! the same shared guard, one bucket at a time. Writes
+//! (`put_new`/`remove`/`retain`) take the write guard.
 //!
 //! Blocking `get_wait`ers park on **per-key wait queues** under a
 //! separate wait mutex, and an atomic per-bucket waiter count gates the
-//! wakeup path: an uncontended `put` (no parked readers — by far the
+//! wakeup path: an uncontended `put_new` (no parked readers — by far the
 //! usual case) never touches the wait mutex or any condvar at all, and
-//! a contended `put` notifies only the condvar of *its own key* — a
-//! put can no longer spuriously wake waiters parked on other keys of
-//! the same bucket. The waiter registers its count *before* re-checking
+//! a contended `put_new` notifies only the condvar of *its own key* — a
+//! store cannot spuriously wake waiters parked on other keys of the
+//! same bucket. The waiter registers its count *before* re-checking
 //! the map under the wait mutex, and the re-check read-lock acquisition
-//! synchronizes with the `put`'s write-lock release, so a `put` that
+//! synchronizes with the store's write-lock release, so a store that
 //! the waiter missed is guaranteed to observe a non-zero waiter count
 //! and deliver the wakeup (no lost notifications). Per-bucket stats are
 //! relaxed atomics on their own cacheline so counter traffic does not
@@ -84,7 +85,7 @@ struct KeyQueue {
 }
 
 struct Bucket<K, V> {
-    /// The store proper. Readers share; only `put`/`remove`/`retain`
+    /// The store proper. Readers share; only `put_new`/`remove`/`retain`
     /// take the write guard.
     map: RwLock<HashMap<K, V>>,
     /// Slow-path parking lot for `get_wait`: per-key wait queues, held
@@ -92,7 +93,7 @@ struct Bucket<K, V> {
     /// which key — if any — to notify. Never held while a writer holds
     /// the map's write guard.
     wait_queues: Mutex<HashMap<K, KeyQueue>>,
-    /// Number of `get_wait`ers registered on this bucket. `put` skips
+    /// Number of `get_wait`ers registered on this bucket. `put_new` skips
     /// the wait mutex entirely while this is zero.
     waiters: AtomicUsize,
     stats: stats::BucketCounters,
@@ -112,7 +113,7 @@ impl<K, V> Bucket<K, V> {
 /// A sharded, in-process key/value store with static key distribution.
 ///
 /// One bucket models one metadata provider node. All operations are
-/// thread-safe; `put` wakes any `get_wait`ers for that bucket.
+/// thread-safe; `put_new` wakes the `get_wait`ers parked on its key.
 pub struct Dht<K, V> {
     buckets: Vec<Bucket<K, V>>,
     /// Block-time distribution of `get_wait` calls that actually
@@ -156,33 +157,16 @@ where
         static_bucket(key, self.buckets.len())
     }
 
-    /// Store a value; overwrites silently (tree nodes are immutable in
-    /// BlobSeer, so an overwrite only happens when a writer retries and
-    /// re-stores identical content). Wakes readers blocked on *this
-    /// key* — touching no locks at all while nobody is parked on the
-    /// bucket, and no condvar unless someone is parked on this key.
-    pub fn put(&self, key: K, value: V) {
-        let b = &self.buckets[self.bucket_of(&key)];
-        b.stats.record_put();
-        b.map.write().insert(key.clone(), value);
-        if b.waiters.load(Ordering::SeqCst) > 0 {
-            // Taking the wait lock serializes with a waiter that is
-            // between its map re-check and its park, so this notify
-            // cannot fall into that window and be lost. Only this
-            // key's queue is woken; waiters on other keys sleep on.
-            if let Some(q) = b.wait_queues.lock().get(&key) {
-                q.cv.notify_all();
-            }
-        }
-    }
-
     /// Store a value only if the key is absent; returns `true` when
-    /// this call inserted. The write-fencing primitive behind version
-    /// abort repair: a repair must fill in the nodes a dead writer
-    /// never stored without clobbering the ones it did (readers may
-    /// already have woven content from them), and a zombie writer's
-    /// late stores must lose to an already-placed repair node. Wakes
-    /// readers parked on the key only when it actually inserted.
+    /// this call inserted. The only store: a stored value is never
+    /// replaced, only removed. That is the write-fencing primitive
+    /// behind version abort repair: a repair must fill in the nodes a
+    /// dead writer never stored without clobbering the ones it did
+    /// (readers may already have woven content from them), and a
+    /// zombie writer's late stores must lose to an already-placed
+    /// repair node. An insert wakes readers blocked on *this
+    /// key*, touching no lock at all while nobody is parked on the
+    /// bucket, and no condvar unless someone is parked on this key.
     pub fn put_new(&self, key: K, value: V) -> bool {
         let b = &self.buckets[self.bucket_of(&key)];
         b.stats.record_put();
@@ -197,6 +181,10 @@ where
             }
         };
         if inserted && b.waiters.load(Ordering::SeqCst) > 0 {
+            // Taking the wait lock serializes with a waiter that is
+            // between its map re-check and its park, so this notify
+            // cannot fall into that window and be lost. Only this
+            // key's queue is woken; waiters on other keys sleep on.
             if let Some(q) = b.wait_queues.lock().get(&key) {
                 q.cv.notify_all();
             }
@@ -230,7 +218,7 @@ where
     /// the node) instead of burning the whole `timeout` and failing.
     ///
     /// `between` runs with the bucket's wait mutex **released** — it
-    /// may do arbitrary work, including `put`/`put_new` on this very
+    /// may do arbitrary work, including `put_new` on this very
     /// DHT. Our registration stays parked across the gap (the key's
     /// queue entry cannot be dropped), and a notify landing in the gap
     /// is not lost: the loop re-checks the map after re-locking.
@@ -325,6 +313,20 @@ where
         b.map.write().remove(key)
     }
 
+    /// Visit every stored entry, one bucket at a time under that
+    /// bucket's **read** guard: readers and `get_wait`ers proceed in
+    /// parallel, and a writer to a bucket waits only while that bucket
+    /// is being visited. The view is per-bucket consistent, not global —
+    /// an entry stored into a bucket the visit already passed is not
+    /// seen. Keep `f` cheap and non-reentrant (it runs under the guard).
+    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
+        for b in &self.buckets {
+            for (k, v) in b.map.read().iter() {
+                f(k, v);
+            }
+        }
+    }
+
     /// Keep only the entries for which `keep` returns `true`; returns
     /// the number removed. The predicate may be called under a bucket
     /// lock — keep it cheap and non-reentrant. This is the sweep
@@ -373,22 +375,13 @@ mod tests {
     #[test]
     fn put_get_roundtrip() {
         let dht: Dht<u64, String> = Dht::new(8);
-        dht.put(1, "one".into());
-        dht.put(2, "two".into());
+        dht.put_new(1, "one".into());
+        dht.put_new(2, "two".into());
         assert_eq!(dht.get(&1).as_deref(), Some("one"));
         assert_eq!(dht.get(&2).as_deref(), Some("two"));
         assert_eq!(dht.get(&3), None);
         assert_eq!(dht.len(), 2);
         assert!(!dht.is_empty());
-    }
-
-    #[test]
-    fn overwrite_replaces() {
-        let dht: Dht<u64, u64> = Dht::new(4);
-        dht.put(7, 1);
-        dht.put(7, 2);
-        assert_eq!(dht.get(&7), Some(2));
-        assert_eq!(dht.len(), 1);
     }
 
     #[test]
@@ -412,7 +405,7 @@ mod tests {
     #[test]
     fn remove_works() {
         let dht: Dht<u64, u64> = Dht::new(4);
-        dht.put(7, 1);
+        dht.put_new(7, 1);
         assert_eq!(dht.remove(&7), Some(1));
         assert_eq!(dht.remove(&7), None);
         assert!(dht.is_empty());
@@ -421,7 +414,7 @@ mod tests {
     #[test]
     fn get_wait_returns_immediately_when_present() {
         let dht: Dht<u64, u64> = Dht::new(4);
-        dht.put(1, 10);
+        dht.put_new(1, 10);
         assert_eq!(dht.get_wait(&1, Duration::from_millis(1)), Ok(10));
     }
 
@@ -431,7 +424,7 @@ mod tests {
         let d2 = Arc::clone(&dht);
         let waiter = std::thread::spawn(move || d2.get_wait(&42, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(30));
-        dht.put(42, 99);
+        dht.put_new(42, 99);
         assert_eq!(waiter.join().unwrap(), Ok(99));
     }
 
@@ -452,7 +445,7 @@ mod tests {
             handles.push(std::thread::spawn(move || d.get_wait(&5, Duration::from_secs(5))));
         }
         std::thread::sleep(Duration::from_millis(20));
-        dht.put(5, 55);
+        dht.put_new(5, 55);
         for h in handles {
             assert_eq!(h.join().unwrap(), Ok(55));
         }
@@ -471,7 +464,7 @@ mod tests {
         let got =
             dht.get_wait_sliced(&7, Duration::from_secs(5), Duration::from_millis(20), || {
                 h2.fetch_add(1, Ordering::SeqCst);
-                d2.put(7, 77);
+                d2.put_new(7, 77);
             });
         assert_eq!(got, Ok(77));
         assert_eq!(hook_runs.load(Ordering::SeqCst), 1, "recovered in one slice");
@@ -503,14 +496,14 @@ mod tests {
             d2.get_wait_sliced(&42, Duration::from_secs(5), Duration::from_millis(10), || {})
         });
         std::thread::sleep(Duration::from_millis(35));
-        dht.put(42, 99);
+        dht.put_new(42, 99);
         assert_eq!(waiter.join().unwrap(), Ok(99));
     }
 
     #[test]
     fn sliced_wait_with_zero_slice_degrades_to_plain_wait() {
         let dht: Dht<u64, u64> = Dht::new(4);
-        dht.put(1, 10);
+        dht.put_new(1, 10);
         assert_eq!(
             dht.get_wait_sliced(&1, Duration::from_millis(5), Duration::ZERO, || {
                 panic!("no hook without slicing")
@@ -529,7 +522,7 @@ mod tests {
     fn keys_spread_over_buckets() {
         let dht: Dht<u64, u64> = Dht::new(16);
         for k in 0..10_000 {
-            dht.put(k, k);
+            dht.put_new(k, k);
         }
         let stats = dht.stats();
         assert_eq!(stats.total_entries, 10_000);
@@ -544,7 +537,7 @@ mod tests {
     #[test]
     fn stats_count_operations() {
         let dht: Dht<u64, u64> = Dht::new(1);
-        dht.put(1, 1);
+        dht.put_new(1, 1);
         dht.get(&1);
         dht.get(&1);
         let _ = dht.get_wait(&2, Duration::from_millis(1));
@@ -558,13 +551,26 @@ mod tests {
     fn retain_removes_and_counts() {
         let dht: Dht<u64, u64> = Dht::new(4);
         for k in 0..100 {
-            dht.put(k, k * 2);
+            dht.put_new(k, k * 2);
         }
         let removed = dht.retain(|&k, _| k % 3 == 0);
         assert_eq!(removed, 66);
         assert_eq!(dht.len(), 34);
         assert_eq!(dht.get(&3), Some(6));
         assert_eq!(dht.get(&4), None);
+    }
+
+    #[test]
+    fn for_each_visits_every_entry_once_and_leaves_the_table_alone() {
+        let dht: Dht<u64, u64> = Dht::new(4);
+        for k in 0..100 {
+            dht.put_new(k, k * 2);
+        }
+        let mut seen = Vec::new();
+        dht.for_each(|&k, &v| seen.push((k, v)));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..100).map(|k| (k, k * 2)).collect::<Vec<_>>());
+        assert_eq!(dht.len(), 100);
     }
 
     #[test]
@@ -577,10 +583,10 @@ mod tests {
         let waiter = std::thread::spawn(move || d.get_wait(&1, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
         for k in 100..110 {
-            dht.put(k, k); // same bucket, wrong key: spurious wakeups
+            dht.put_new(k, k); // same bucket, wrong key: spurious wakeups
             std::thread::sleep(Duration::from_millis(2));
         }
-        dht.put(1, 11);
+        dht.put_new(1, 11);
         assert_eq!(waiter.join().unwrap(), Ok(11));
         assert_eq!(dht.stats().total_waits, 1);
 
@@ -598,9 +604,9 @@ mod tests {
         let d = Arc::clone(&dht);
         let waiter = std::thread::spawn(move || d.get_wait(&1, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(25));
-        dht.put(99, 99); // spurious wakeup: must not split the sample
+        dht.put_new(99, 99); // spurious wakeup: must not split the sample
         std::thread::sleep(Duration::from_millis(25));
-        dht.put(1, 11);
+        dht.put_new(1, 11);
         assert_eq!(waiter.join().unwrap(), Ok(11));
         let snap = dht.wait_latency().snapshot();
         assert_eq!(snap.count(), 1);
@@ -622,10 +628,10 @@ mod tests {
         let d2 = Arc::clone(&dht);
         let w2 = std::thread::spawn(move || d2.get_wait(&2, Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(30));
-        dht.put(1, 11);
+        dht.put_new(1, 11);
         assert_eq!(w1.join().unwrap(), Ok(11));
         assert!(!w2.is_finished(), "waiter on key 2 must still be parked");
-        dht.put(2, 22);
+        dht.put_new(2, 22);
         assert_eq!(w2.join().unwrap(), Ok(22));
     }
 
@@ -640,7 +646,7 @@ mod tests {
         let d = Arc::clone(&dht);
         let w = std::thread::spawn(move || d.get_wait(&8, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(20));
-        dht.put(8, 88);
+        dht.put_new(8, 88);
         assert_eq!(w.join().unwrap(), Ok(88));
         assert!(dht.buckets[0].wait_queues.lock().is_empty());
         assert_eq!(dht.buckets[0].waiters.load(Ordering::SeqCst), 0);
@@ -658,7 +664,7 @@ mod tests {
             if round % 2 == 0 {
                 std::thread::yield_now();
             }
-            dht.put(round, round * 3);
+            dht.put_new(round, round * 3);
             assert_eq!(waiter.join().unwrap(), Ok(round * 3), "round {round}");
         }
     }
@@ -694,7 +700,7 @@ mod tests {
             })
             .collect();
         for k in 0..KEYS {
-            dht.put(k, k);
+            dht.put_new(k, k);
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
@@ -712,7 +718,7 @@ mod tests {
             let d = Arc::clone(&dht);
             handles.push(std::thread::spawn(move || {
                 for i in 0..2000u64 {
-                    d.put((t, i), t * 10_000 + i);
+                    d.put_new((t, i), t * 10_000 + i);
                     assert_eq!(d.get(&(t, i)), Some(t * 10_000 + i));
                 }
             }));

@@ -59,7 +59,7 @@ pub struct BucketStats {
     pub entries: usize,
     /// Lifetime `get`/`get_wait` calls routed here.
     pub gets: u64,
-    /// Lifetime `put` calls routed here.
+    /// Lifetime `put_new` calls routed here (inserted or not).
     pub puts: u64,
     /// Times a reader had to block waiting for a key in this bucket.
     pub waits: u64,

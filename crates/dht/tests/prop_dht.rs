@@ -31,8 +31,9 @@ proptest! {
         for op in ops {
             match op {
                 Op::Put(k, v) => {
-                    dht.put(k, v);
-                    model.insert(k, v);
+                    let absent = !model.contains_key(&k);
+                    prop_assert_eq!(dht.put_new(k, v), absent, "a stored value is never replaced");
+                    model.entry(k).or_insert(v);
                 }
                 Op::Get(k) => {
                     prop_assert_eq!(dht.get(&k), model.get(&k).copied());
@@ -65,7 +66,7 @@ proptest! {
     fn stats_counters_are_exact(puts in 1u64..100, gets in 1u64..100) {
         let dht: Dht<u64, u64> = Dht::new(3);
         for k in 0..puts {
-            dht.put(k, k);
+            dht.put_new(k, k);
         }
         for k in 0..gets {
             let _ = dht.get(&(k % puts));

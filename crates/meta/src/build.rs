@@ -296,7 +296,7 @@ mod tests {
 
     fn commit(store: &MetaStore, nodes: Vec<(NodeKey, TreeNode)>) {
         for (k, n) in nodes {
-            store.put(k, n);
+            store.put_new(k, n);
         }
     }
 
@@ -555,7 +555,7 @@ mod tests {
         let reader = TreeReader::new(&store, &lineage);
         let root = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
         let leaf = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 4 };
-        store.put(NodeKey { blob: BlobId(1), version: Version(1), pos: root.pos }, leaf);
+        store.put_new(NodeKey { blob: BlobId(1), version: Version(1), pos: root.pos }, leaf);
         let ctx = UpdateContext {
             vw: Version(2),
             range: PageRange::new(1, 1),

@@ -199,30 +199,25 @@ pub fn read_meta_multi(
     Ok(out)
 }
 
-/// Whole-tree enumeration for the mark phase of garbage collection and
-/// the orphan scrubber: visit every node reachable from `root`
-/// (non-blocking fetches — the caller guarantees the tree is complete,
-/// which holds for every published or committed-abort version) and
-/// report each leaf's page to `on_leaf`.
+/// Whole-tree enumeration for the mark phase of garbage collection:
+/// visit every node reachable from `root` (non-blocking fetches — the
+/// caller guarantees the tree is complete, which holds for every
+/// published or committed-abort version) and report each leaf's page to
+/// `on_leaf`.
 ///
 /// `visited` carries the node keys already walked: subtrees shared with
 /// previously enumerated roots are skipped, so marking all retained
 /// roots of a lineage costs each physical node exactly once — the same
-/// sharing that makes versioning cheap makes marking cheap. The set
-/// doubles as GC's reachability answer.
+/// sharing that makes versioning cheap makes marking cheap. The set is
+/// GC's reachability answer.
 ///
 /// A missing node surfaces as an error ([`BlobError::MetadataMissing`])
 /// rather than being skipped: under-marking would let a sweep delete
-/// live pages, so the caller must abort its pass instead. Every key this
-/// call adds to `visited` is also pushed onto `undo`; after a failed
-/// walk, removing them restores `visited` exactly — a key left behind
-/// before its subtree was enumerated would make a retry skip that
-/// subtree.
+/// live nodes, so the caller must abort its pass instead.
 pub fn collect_tree_pages(
     reader: &TreeReader<'_>,
     root: RootRef,
     visited: &mut HashSet<NodeKey>,
-    undo: &mut Vec<NodeKey>,
     on_leaf: &mut dyn FnMut(PageId, ProviderId),
 ) -> Result<()> {
     let mut stack = vec![(root.version, root.pos)];
@@ -231,7 +226,6 @@ pub fn collect_tree_pages(
         if !visited.insert(key) {
             continue; // shared subtree already enumerated
         }
-        undo.push(key);
         match reader.fetch(version, pos, false)? {
             TreeNode::Leaf { pid, provider, .. } => on_leaf(pid, provider),
             TreeNode::Inner { left, right } => {
@@ -269,12 +263,12 @@ mod tests {
             pos: NodePos::new(o, s),
         };
         for i in 0..4 {
-            store.put(k(1, i, 1), leaf(i));
+            store.put_new(k(1, i, 1), leaf(i));
         }
         let inner = |l, r| TreeNode::Inner { left: Some(Version(l)), right: Some(Version(r)) };
-        store.put(k(1, 0, 2), inner(1, 1));
-        store.put(k(1, 2, 2), inner(1, 1));
-        store.put(k(1, 0, 4), inner(1, 1));
+        store.put_new(k(1, 0, 2), inner(1, 1));
+        store.put_new(k(1, 2, 2), inner(1, 1));
+        store.put_new(k(1, 0, 4), inner(1, 1));
         (store, lineage)
     }
 
@@ -344,12 +338,18 @@ mod tests {
             version: Version(v),
             pos: NodePos::new(o, s),
         };
-        store.put(
+        store.put_new(
             k(2, 0, 1),
             TreeNode::Leaf { pid: PageId(200), provider: ProviderId(0), valid_len: 4 },
         );
-        store.put(k(2, 0, 2), TreeNode::Inner { left: Some(Version(2)), right: Some(Version(1)) });
-        store.put(k(2, 0, 4), TreeNode::Inner { left: Some(Version(2)), right: Some(Version(1)) });
+        store.put_new(
+            k(2, 0, 2),
+            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(1)) },
+        );
+        store.put_new(
+            k(2, 0, 4),
+            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(1)) },
+        );
         let reader = TreeReader::new(&store, &lineage);
 
         let mut visited = HashSet::new();
@@ -357,15 +357,13 @@ mod tests {
         let mut on_leaf = |pid: PageId, _prov: ProviderId| pids.push(pid.raw());
         let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
         let root2 = RootRef { version: Version(2), pos: NodePos::new(0, 4) };
-        let mut undo = Vec::new();
-        collect_tree_pages(&reader, root1, &mut visited, &mut undo, &mut on_leaf).unwrap();
-        collect_tree_pages(&reader, root2, &mut visited, &mut undo, &mut on_leaf).unwrap();
+        collect_tree_pages(&reader, root1, &mut visited, &mut on_leaf).unwrap();
+        collect_tree_pages(&reader, root2, &mut visited, &mut on_leaf).unwrap();
         pids.sort_unstable();
         // v1's four leaves plus v2's one new leaf — the shared right
         // half is walked exactly once.
         assert_eq!(pids, vec![100, 101, 102, 103, 200]);
         assert_eq!(visited.len(), 7 + 3, "v1's 7 nodes + v2's 3 new ones");
-        assert_eq!(undo.len(), visited.len(), "every insertion is logged once");
     }
 
     #[test]
@@ -374,13 +372,9 @@ mod tests {
         let lineage = Lineage::root(BlobId(3));
         let reader = TreeReader::new(&store, &lineage);
         let root = RootRef { version: Version(1), pos: NodePos::new(0, 2) };
-        let (mut visited, mut undo) = (HashSet::new(), Vec::new());
         let err =
-            collect_tree_pages(&reader, root, &mut visited, &mut undo, &mut |_, _| {}).unwrap_err();
+            collect_tree_pages(&reader, root, &mut HashSet::new(), &mut |_, _| {}).unwrap_err();
         assert!(matches!(err, BlobError::MetadataMissing { .. }));
-        // The missing root was inserted before its fetch failed: the
-        // log holds it, so the caller can roll the walk back.
-        assert_eq!(undo, visited.iter().copied().collect::<Vec<_>>());
     }
 
     #[test]

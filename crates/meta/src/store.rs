@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blobseer_dht::{Dht, DhtError, DhtStats};
-use blobseer_types::{BlobError, Result};
+use blobseer_types::{BlobError, PageId, ProviderId, Result};
 use parking_lot::RwLock;
 
 use crate::node::{NodeKey, TreeNode};
@@ -66,18 +66,15 @@ impl MetaStore {
         self.wait_timeout
     }
 
-    /// Store a tree node (idempotent: nodes are immutable).
-    pub fn put(&self, key: NodeKey, node: TreeNode) {
-        self.dht.put(key, node);
-    }
-
     /// Store a tree node only if the key is absent; returns `true`
-    /// when this call inserted. Version-abort repair uses this to fill
-    /// in the nodes a dead writer never stored **without** replacing
-    /// the ones it did — nodes stay immutable once visible, so readers
-    /// that already wove content from a dead writer's node remain
-    /// consistent with the final tree. Parked `get_wait`ers wake only
-    /// on a real insert.
+    /// when this call inserted. This is the only way a node enters the
+    /// table, so a stored node is never replaced — what
+    /// [`MetaStore::for_each_leaf`] relies on. Version-abort repair
+    /// uses it to fill in the nodes a dead writer never stored
+    /// **without** replacing the ones it did: nodes stay immutable once
+    /// visible, so readers that already wove content from a dead
+    /// writer's node remain consistent with the final tree. Parked
+    /// `get_wait`ers wake only on a real insert.
     pub fn put_new(&self, key: NodeKey, node: TreeNode) -> bool {
         self.dht.put_new(key, node)
     }
@@ -112,7 +109,7 @@ impl MetaStore {
         blob: blobseer_types::BlobId,
         before: blobseer_types::Version,
         reachable: &std::collections::HashSet<NodeKey>,
-    ) -> (usize, Vec<(blobseer_types::PageId, blobseer_types::ProviderId)>) {
+    ) -> (usize, Vec<(PageId, ProviderId)>) {
         let mut orphaned_pages = Vec::new();
         let removed = self.dht.retain(|key, node| {
             let sweep = key.blob == blob && key.version < before && !reachable.contains(key);
@@ -124,6 +121,20 @@ impl MetaStore {
             !sweep
         });
         (removed, orphaned_pages)
+    }
+
+    /// Report every stored leaf's `(pid, provider)`: one pass over the
+    /// table under per-bucket read guards ([`Dht::for_each`]), no tree
+    /// walk. Nodes are write-once and garbage collection deletes exactly
+    /// the nodes no retained root reaches, so this is the set of pages
+    /// the metadata references — up to concurrent stores and sweeps
+    /// (see `docs/OPERATIONS.md`, "Marking the live set").
+    pub fn for_each_leaf(&self, mut f: impl FnMut(PageId, ProviderId)) {
+        self.dht.for_each(|_, node| {
+            if let TreeNode::Leaf { pid, provider, .. } = *node {
+                f(pid, provider);
+            }
+        });
     }
 
     /// `true` when the node is currently stored.
@@ -166,7 +177,7 @@ impl std::fmt::Debug for MetaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blobseer_types::{BlobId, NodePos, PageId, ProviderId, Version};
+    use blobseer_types::{BlobId, NodePos, Version};
 
     fn key(v: u64, off: u64, size: u64) -> NodeKey {
         NodeKey { blob: BlobId(1), version: Version(v), pos: NodePos::new(off, size) }
@@ -176,7 +187,7 @@ mod tests {
     fn put_get_roundtrip() {
         let store = MetaStore::new(4, Duration::from_millis(50));
         let n = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 10 };
-        store.put(key(1, 0, 1), n);
+        store.put_new(key(1, 0, 1), n);
         assert_eq!(store.get(&key(1, 0, 1)).unwrap(), n);
         assert!(store.contains(&key(1, 0, 1)));
         assert_eq!(store.node_count(), 1);
@@ -209,9 +220,9 @@ mod tests {
         let store = MetaStore::new(4, Duration::from_millis(50));
         let leaf =
             |pid: u128| TreeNode::Leaf { pid: PageId(pid), provider: ProviderId(1), valid_len: 4 };
-        store.put(key(1, 0, 1), leaf(10)); // v1 leaf, unreachable
-        store.put(key(2, 0, 1), leaf(20)); // v2 leaf, reachable
-        store.put(key(2, 1, 1), leaf(21)); // v2 leaf, unreachable
+        store.put_new(key(1, 0, 1), leaf(10)); // v1 leaf, unreachable
+        store.put_new(key(2, 0, 1), leaf(20)); // v2 leaf, reachable
+        store.put_new(key(2, 1, 1), leaf(21)); // v2 leaf, unreachable
         let reachable: std::collections::HashSet<NodeKey> = [key(2, 0, 1)].into_iter().collect();
         let (removed, pages) = store.sweep_retired(BlobId(1), Version(3), &reachable);
         assert_eq!(removed, 2);
@@ -223,6 +234,20 @@ mod tests {
     }
 
     #[test]
+    fn leaf_scan_reports_leaves_only() {
+        let store = MetaStore::new(4, Duration::from_millis(50));
+        let leaf =
+            |pid: u128| TreeNode::Leaf { pid: PageId(pid), provider: ProviderId(2), valid_len: 4 };
+        store.put_new(key(1, 0, 1), leaf(10));
+        store.put_new(key(1, 1, 1), leaf(11));
+        store.put_new(key(1, 0, 2), TreeNode::Inner { left: Some(Version(1)), right: None });
+        let mut seen = Vec::new();
+        store.for_each_leaf(|pid, provider| seen.push((pid.raw(), provider)));
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(10, ProviderId(2)), (11, ProviderId(2))]);
+    }
+
+    #[test]
     fn sliced_wait_runs_the_self_help_hook() {
         // The hook supplies the missing node itself — the engine's
         // self-help sweep in miniature.
@@ -231,7 +256,7 @@ mod tests {
         let n = TreeNode::Leaf { pid: PageId(5), provider: ProviderId(0), valid_len: 2 };
         let d2 = Arc::clone(&dht);
         store.set_self_help(Arc::new(move || {
-            d2.put(key(4, 0, 1), n);
+            d2.put_new(key(4, 0, 1), n);
         }));
         let t0 = std::time::Instant::now();
         assert_eq!(store.get_wait(&key(4, 0, 1)).unwrap(), n);
@@ -251,7 +276,7 @@ mod tests {
         let waiter = std::thread::spawn(move || s2.get_wait(&key(2, 0, 2)));
         std::thread::sleep(Duration::from_millis(20));
         let n = TreeNode::Inner { left: Some(Version(1)), right: None };
-        store.put(key(2, 0, 2), n);
+        store.put_new(key(2, 0, 2), n);
         assert_eq!(waiter.join().unwrap().unwrap(), n);
     }
 }

@@ -146,7 +146,7 @@ fn replay(store: &MetaStore, lineage: &Lineage, history: &mut History, steps: &[
 
         let ctx = UpdateContext { vw, range, new_root, overrides: vec![], ref_root: latest };
         for (key, node) in checked_build(store, &reader, &ctx) {
-            store.put(key, node);
+            store.put_new(key, node);
         }
         history.push((Some(RootRef { version: vw, pos: new_root }), pages));
     }

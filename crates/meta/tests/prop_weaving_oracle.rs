@@ -72,7 +72,7 @@ proptest! {
                 })
                 .collect();
             for (k, n) in build_meta(&reader, &ctx, &leaves).unwrap() {
-                store.put(k, n);
+                store.put_new(k, n);
             }
             applied.push(Applied { range, root });
         }

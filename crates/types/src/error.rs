@@ -64,20 +64,13 @@ pub enum BlobError {
     /// Garbage collection cannot proceed (live branch pins the history,
     /// or updates are in flight).
     GcConflict(String),
-    /// An orphan scrub aborted before sweeping anything: the mark phase
-    /// could not assemble a consistent live set (typically a concurrent
-    /// `retire_versions` swept tree nodes out from under the mark walk).
-    /// Nothing was deleted; rerun the scrub once the interfering
-    /// operation finished.
-    ScrubConflict(String),
     /// A provider drain aborted before retiring the provider: the
-    /// membership change could not assemble or migrate a consistent
-    /// live set (the provider is offline or already retired, no
-    /// survivor can absorb its pages, in-flight writers outlasted the
-    /// drain deadline, or a concurrent `retire_versions` kept moving
-    /// the cut out from under the mark walk). Nothing was
-    /// migrated-then-lost: every page either reached full replication
-    /// on the survivors before leaving the provider or is still on it.
+    /// membership change could not migrate a consistent live set (the
+    /// provider is offline or already retired, no survivor can absorb
+    /// its pages, or in-flight writers outlasted the drain deadline).
+    /// Nothing was migrated-then-lost: every page either reached full
+    /// replication on the survivors before leaving the provider or is
+    /// still on it.
     /// The provider returns to service; rerun the drain once the
     /// interfering condition clears. See `docs/FAILURES.md`.
     DrainConflict(String),
@@ -138,7 +131,6 @@ impl fmt::Display for BlobError {
             }
             BlobError::AbortConflict(why) => write!(f, "abort blocked: {why}"),
             BlobError::GcConflict(why) => write!(f, "garbage collection blocked: {why}"),
-            BlobError::ScrubConflict(why) => write!(f, "orphan scrub aborted: {why}"),
             BlobError::DrainConflict(why) => write!(f, "provider drain aborted: {why}"),
             BlobError::MetadataMissing { blob, version } => {
                 write!(f, "metadata node missing for {blob} {version}")

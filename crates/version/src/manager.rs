@@ -183,20 +183,23 @@ pub struct AbortTicket {
     pub prev_root: Option<RootRef>,
 }
 
-/// One blob's slice of the orphan scrubber's **mark cut**, captured
-/// atomically under that blob's lock by [`VersionManager::scrub_cut`]:
-/// everything the mark phase needs to enumerate the blob's live pages.
+/// One blob's slice of the **tree-walk live set**, captured atomically
+/// under that blob's lock by [`VersionManager::scrub_cut`]: everything a
+/// reachability mark needs to enumerate the blob's live pages through
+/// its trees. The engine's maintenance mark scans the node table
+/// instead; this cut is the input of the tree walk its tests compare
+/// that scan against.
 ///
 /// * [`BlobScrubCut::roots`] — trees the frontier has passed. These are
 ///   guaranteed complete (published versions by construction; aborted
 ///   versions only pass the frontier after their repair committed), so
-///   the mark walks them with non-blocking fetches.
+///   a mark walks them with non-blocking fetches.
 /// * [`BlobScrubCut::inflight`] — assigned-but-unpublished updates, in
 ///   *any* state (active, completed-waiting, aborting, aborted-but-
-///   blocked). Their trees may be arbitrarily incomplete; the scrubber
-///   probes each update's leaf positions directly and marks whatever
-///   landed, because a durable leaf's page is referenced forever
-///   (repair fills gaps, never overwrites).
+///   blocked). Their trees may be arbitrarily incomplete; a mark
+///   probes each update's leaf positions directly, because a durable
+///   leaf's page is referenced forever (repair fills gaps, never
+///   overwrites).
 #[derive(Clone, Debug)]
 pub struct BlobScrubCut {
     /// The blob this cut describes.
@@ -209,13 +212,6 @@ pub struct BlobScrubCut {
     /// In-flight updates as `(version, assigned page range)` pairs,
     /// ascending by version.
     pub inflight: Vec<(Version, PageRange)>,
-    /// The blob's retire generation at capture time
-    /// ([`VersionManager::retire_generation`]). A marker that hits
-    /// missing metadata compares this against the current generation:
-    /// changed means a concurrent `retire_versions` swept nodes from
-    /// under the walk — re-cut **this blob** and restart its mark;
-    /// unchanged means genuinely incomplete metadata, a hard conflict.
-    pub retire_gen: u64,
 }
 
 /// Counters exposed for the E6 micro-experiment (VM work is claimed to
@@ -897,10 +893,6 @@ impl VersionManager {
             return Ok(Vec::new());
         }
         inner.retired_before = keep_from;
-        // Advance the conflict token only when something actually
-        // retires: no-op retires cannot have swept anything, so they
-        // must not make a concurrent scrub restart its mark.
-        inner.retire_gen += 1;
         // Retiring up to a trailing aborted hole can *regress* the
         // readable frontier (down to v0 in the degenerate case) — the
         // hot triple must follow it, so racing readers get the typed
@@ -912,36 +904,16 @@ impl VersionManager {
         Ok(roots)
     }
 
-    /// The orphan scrubber's **metadata cut**: for every registered
-    /// blob, the retained roots to mark and the in-flight updates to
+    /// The tree-walk live set's **metadata cut**: for every registered
+    /// blob, the retained roots to walk and the in-flight updates to
     /// probe (see [`BlobScrubCut`]). Each blob's slice is captured
     /// atomically under its own lock; the cut is *not* atomic across
-    /// blobs, which is sound because anything assigned after a blob's
-    /// slice was taken stores its pages at or above the scrubber's
-    /// page-id epoch and is exempt from the sweep (the engine takes
-    /// the epoch **before** calling this).
+    /// blobs.
     pub fn scrub_cut(&self) -> Vec<BlobScrubCut> {
         let mut cuts: Vec<BlobScrubCut> =
             self.blobs.all().into_iter().map(|(id, state)| self.cut_of(id, &state)).collect();
         cuts.sort_by_key(|c| c.blob.raw());
         cuts
-    }
-
-    /// One blob's slice of the mark cut, captured under its lock —
-    /// identical to its entry in [`VersionManager::scrub_cut`]. This is
-    /// the per-blob *restart* path: a marker that detected a retire
-    /// race (see [`BlobScrubCut::retire_gen`]) re-cuts just the
-    /// affected blob and walks again, leaving every other blob's
-    /// already-completed mark untouched.
-    pub fn scrub_cut_for(&self, blob: BlobId) -> Result<BlobScrubCut> {
-        let state = self.blob_state(blob)?;
-        Ok(self.cut_of(blob, &state))
-    }
-
-    /// The blob's current retire generation (bumped by every retire
-    /// that actually reclaimed versions).
-    pub fn retire_generation(&self, blob: BlobId) -> Result<u64> {
-        Ok(self.blob_state(blob)?.inner.lock().retire_gen)
     }
 
     fn cut_of(&self, id: BlobId, state: &BlobState) -> BlobScrubCut {
@@ -954,13 +926,7 @@ impl VersionManager {
             .filter_map(|v| inner.root_of(Version(v), self.psize))
             .collect();
         let inflight = inner.inflight.iter().map(|(&v, inf)| (Version(v), inf.range)).collect();
-        BlobScrubCut {
-            blob: id,
-            lineage: inner.lineage.clone(),
-            roots,
-            inflight,
-            retire_gen: inner.retire_gen,
-        }
+        BlobScrubCut { blob: id, lineage: inner.lineage.clone(), roots, inflight }
     }
 
     /// The earliest readable version of `blob` (`v0` when nothing has
@@ -1668,40 +1634,6 @@ mod tests {
         let empty = cuts.iter().find(|c| c.blob == b2).unwrap();
         assert!(empty.roots.is_empty());
         assert!(empty.inflight.is_empty());
-    }
-
-    #[test]
-    fn retire_generation_advances_only_on_real_retires() {
-        let vm = vm();
-        let b = vm.create();
-        assert_eq!(vm.retire_generation(b).unwrap(), 0);
-        let a1 = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap();
-        vm.complete(b, a1.vw).unwrap();
-        let a2 = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap();
-        vm.complete(b, a2.vw).unwrap();
-        // A retire that advances the boundary bumps the token …
-        vm.begin_retire(b, Version(2)).unwrap();
-        assert_eq!(vm.retire_generation(b).unwrap(), 1);
-        // … and no-op retires (repeat, or below the boundary) do not:
-        // they swept nothing, so no concurrent mark needs restarting.
-        vm.begin_retire(b, Version(2)).unwrap();
-        vm.begin_retire(b, Version(1)).unwrap();
-        assert_eq!(vm.retire_generation(b).unwrap(), 1);
-        let cut = vm.scrub_cut_for(b).unwrap();
-        assert_eq!(cut.retire_gen, 1);
-        assert_eq!(cut.blob, b);
-        // The per-blob cut matches the blob's slice of the global cut.
-        let global = vm.scrub_cut();
-        let slice = global.iter().find(|c| c.blob == b).unwrap();
-        assert_eq!(
-            (slice.retire_gen, &slice.roots, &slice.inflight),
-            (cut.retire_gen, &cut.roots, &cut.inflight)
-        );
-        // Other blobs are unaffected; unknown blobs are typed errors.
-        let b2 = vm.create();
-        assert_eq!(vm.retire_generation(b2).unwrap(), 0);
-        assert!(vm.scrub_cut_for(BlobId(999)).is_err());
-        assert!(vm.retire_generation(BlobId(999)).is_err());
     }
 
     #[test]

@@ -76,13 +76,6 @@ pub(crate) struct BlobInner {
     /// Versions `1..retired_before` were reclaimed by garbage
     /// collection and are no longer readable.
     pub retired_before: Version,
-    /// Bumped every time a retire actually advances `retired_before`.
-    /// The scrubber's per-blob conflict token: a mark walk that hits
-    /// missing metadata re-reads this generation — changed means a
-    /// concurrent `retire_versions` swept nodes out from under the
-    /// walk, and the mark of *this blob alone* restarts from a fresh
-    /// cut instead of failing the whole pass.
-    pub retire_gen: u64,
     /// Branch points of direct children — they pin the shared history
     /// against garbage collection.
     pub child_branch_points: Vec<Version>,
@@ -97,7 +90,6 @@ impl BlobInner {
             inflight: BTreeMap::new(),
             aborted: BTreeSet::new(),
             retired_before: Version::ZERO,
-            retire_gen: 0,
             child_branch_points: Vec::new(),
         }
     }
@@ -115,9 +107,6 @@ impl BlobInner {
             // The child's shared history is exactly as retired as the
             // parent's was at fork time.
             retired_before: parent.retired_before,
-            // Its conflict token starts fresh: generations are per-blob
-            // restart tokens, not lineage history.
-            retire_gen: 0,
             child_branch_points: Vec::new(),
         }
     }

@@ -63,7 +63,7 @@ fn apply_assigned(
     let leaves: Vec<PageDescriptor> =
         assigned.range.iter().map(|p| pd(p, marker_base + p as u128)).collect();
     for (k, n) in build_meta(&reader, &ctx, &leaves).unwrap() {
-        meta.put(k, n);
+        meta.put_new(k, n);
     }
     vm.complete(blob, assigned.vw).unwrap();
 }

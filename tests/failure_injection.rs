@@ -32,7 +32,7 @@ fn pd(page_index: u64, pid: u128) -> PageDescriptor {
 
 fn commit(store: &MetaStore, nodes: Vec<(NodeKey, TreeNode)>) {
     for (k, n) in nodes {
-        store.put(k, n);
+        store.put_new(k, n);
     }
 }
 
@@ -147,7 +147,7 @@ fn late_metadata_release_unblocks_waiters() {
     });
     std::thread::sleep(Duration::from_millis(50));
     let leaf = TreeNode::Leaf { pid: PageId(9), provider: ProviderId(0), valid_len: 4 };
-    meta.put(key, leaf);
+    meta.put_new(key, leaf);
     let (node, waited) = waiter.join().unwrap();
     assert_eq!(node, leaf);
     assert!(waited >= Duration::from_millis(45));
