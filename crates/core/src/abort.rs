@@ -41,7 +41,7 @@
 //!   explicitly (cancellation);
 //! * [`sweep_expired`] — the lease sweeper — aborts writers whose
 //!   lease lapsed, presumed dead. It runs opportunistically on the
-//!   engine's pipeline pool after each completion stage
+//!   engine's thread pool after each completion stage
 //!   ([`maybe_sweep`]), inline as self-help when a stage is about to
 //!   block behind an expired lower version, and on demand via
 //!   [`crate::BlobSeer::sweep_expired_leases`].
@@ -311,7 +311,7 @@ pub(crate) fn sweep_expired(engine: &Arc<Engine>, below: Option<(BlobId, Version
     report
 }
 
-/// Queue a background sweep on the pipeline pool if any lease looks
+/// Queue a background sweep on the engine's pool if any lease looks
 /// expired and no sweep is already queued. Called from completion
 /// stages, so a deployment with pipelined traffic detects dead writers
 /// without any dedicated timer thread.
@@ -324,7 +324,7 @@ pub(crate) fn maybe_sweep(engine: &Arc<Engine>) {
         return;
     }
     let eng = Arc::clone(engine);
-    engine.pipeline.execute(move || {
+    engine.pool.execute(move || {
         eng.sweep_queued.store(false, Ordering::SeqCst);
         let _ = sweep_expired(&eng, None);
     });

@@ -41,14 +41,14 @@ impl Blob {
     /// for QoS admission and scheduling. With QoS off
     /// ([`crate::Builder::qos`] never called) the tag is inert. Prefer
     /// one tenant per blob for pipelined traffic — see `crate::qos` on
-    /// why cross-tenant pipelining to one blob wastes pipeline workers.
+    /// why cross-tenant pipelining to one blob wastes pool workers.
     ///
     /// # Examples
     ///
     /// ```
     /// # use blobseer::TenantId;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create().for_tenant(TenantId(7));
     /// assert_eq!(blob.tenant(), TenantId(7));
     /// blob.append(b"accounted to tenant#7")?;
@@ -70,7 +70,7 @@ impl Blob {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// // Ids round-trip through the flat facade.
     /// let same = store.blob(blob.id());
@@ -93,7 +93,7 @@ impl Blob {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v1 = blob.append(b"hello, world")?;
     /// let v2 = blob.write(b"HELLO", 0)?;
@@ -115,7 +115,7 @@ impl Blob {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// blob.append_bytes(Bytes::from(vec![0u8; 8192]))?;
     /// // Fully-covered pages of the overwrite are stored as O(1)
@@ -138,7 +138,7 @@ impl Blob {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v1 = blob.append(b"log line 1\n")?;
     /// let v2 = blob.append(b"log line 2\n")?;
@@ -158,7 +158,7 @@ impl Blob {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let payload = Bytes::from(vec![42u8; 2 * 4096]);
     /// let v = blob.append_bytes(payload.clone())?; // clone is refcounted, O(1)
@@ -173,7 +173,7 @@ impl Blob {
     /// Non-blocking `WRITE`: returns as soon as the version is assigned
     /// and the fully-covered pages are stored; boundary completion,
     /// metadata weaving and publication hand-off continue on the
-    /// engine's pipeline pool. Call order fixes version order, so a
+    /// engine's thread pool. Call order fixes version order, so a
     /// client can keep several updates in flight and still get
     /// sequential semantics.
     ///
@@ -182,7 +182,7 @@ impl Blob {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// blob.append(&vec![0u8; 8192])?;
     /// let p = blob.write_pipelined(Bytes::from(vec![1u8; 4096]), 0)?;
@@ -202,7 +202,7 @@ impl Blob {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(2).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// // Two appends in flight from one thread; order is guaranteed.
     /// let p1 = blob.append_pipelined(Bytes::from(vec![1u8; 4096]))?;
@@ -223,7 +223,7 @@ impl Blob {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"data")?;
     /// blob.sync(v)?; // returns once v is published
@@ -243,7 +243,7 @@ impl Blob {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"pin me")?;
     /// blob.sync(v)?;
@@ -265,7 +265,7 @@ impl Blob {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"newest")?;
     /// blob.sync(v)?;
@@ -285,7 +285,7 @@ impl Blob {
     /// ```
     /// # use blobseer::Version;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// assert_eq!(blob.recent_version()?, Version(0), "every blob starts at v0");
     /// let v = blob.append(b"x")?;
@@ -304,7 +304,7 @@ impl Blob {
     /// ```
     /// # use blobseer::Version;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// assert_eq!(blob.size(Version(0))?, 0);
     /// let v = blob.append(&[0u8; 100])?;
@@ -324,7 +324,7 @@ impl Blob {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"shared")?;
     /// blob.sync(v)?;
@@ -348,7 +348,7 @@ impl Blob {
     /// ```
     /// # use blobseer::BlobError;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v1 = blob.append(&[1u8; 4096])?;
     /// let v2 = blob.write(&[2u8; 4096], 0)?;
@@ -380,7 +380,7 @@ impl Blob {
     /// ```
     /// # use blobseer::{BlobError, Bytes, CrashPoint};
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// // A writer dies mid-update, wedging the version order...
     /// let dead = blob.crash_append(Bytes::from(vec![1u8; 4096]), CrashPoint::AfterPrepare)?;
@@ -405,7 +405,7 @@ impl Blob {
     /// ```
     /// # use blobseer::{Bytes, CrashPoint};
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1)
+    /// #     .metadata_providers(2).io_threads(1)
     /// #     .lease_ttl_ticks(10).build()?;
     /// let blob = store.create();
     /// blob.append(&[9u8; 8192])?;
@@ -427,7 +427,7 @@ impl Blob {
     /// ```
     /// # use blobseer::{BlobError, Bytes, CrashPoint};
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1)
+    /// #     .metadata_providers(2).io_threads(1)
     /// #     .lease_ttl_ticks(10).build()?;
     /// let blob = store.create();
     /// let dead = blob.crash_append(Bytes::from(vec![1u8; 4096]), CrashPoint::AfterPrepare)?;

@@ -96,14 +96,6 @@ impl Builder {
         self
     }
 
-    /// Worker threads completing pipelined (non-blocking) updates —
-    /// the practical bound on in-flight `write_pipelined` /
-    /// `append_pipelined` completions making progress at once.
-    pub fn pipeline_threads(mut self, n: usize) -> Self {
-        self.config.pipeline_threads = n;
-        self
-    }
-
     /// Writer-lease TTL in version-manager logical-clock ticks (see
     /// [`StoreConfig::lease_ttl_ticks`]): how long an in-flight update
     /// may go without a lease renewal before the sweeper presumes its
@@ -135,7 +127,6 @@ impl Builder {
     ///     .data_providers(2)
     ///     .metadata_providers(2)
     ///     .io_threads(1)
-    ///     .pipeline_threads(1)
     ///     .lease_ttl_ticks(10_000)
     ///     .lease_tick_interval_ms(1) // wedged writers recover in ~10 s of wall time
     ///     .build()?;
@@ -166,7 +157,6 @@ impl Builder {
     /// let store = blobseer::BlobSeer::builder()
     ///     .metadata_providers(2)
     ///     .io_threads(1)
-    ///     .pipeline_threads(1)
     ///     .replication(2)
     ///     .page_stores(plans.iter().map(|p| Arc::clone(p) as Arc<dyn PageStore>).collect())
     ///     .build()?;
@@ -196,7 +186,6 @@ impl Builder {
     ///     .data_providers(2)
     ///     .metadata_providers(2)
     ///     .io_threads(1)
-    ///     .pipeline_threads(1)
     ///     .qos(QosConfig::default().with_tenant(
     ///         7,
     ///         TenantQuota { ops_per_sec: 2, ..TenantQuota::unlimited() },
@@ -257,7 +246,6 @@ impl Builder {
             metrics,
             providers,
             pool: ThreadPool::new(config.client_io_threads, "blobseer-io"),
-            pipeline: ThreadPool::new_detached(config.pipeline_threads, "blobseer-pipe"),
             order_locks: Default::default(),
             sweep_gate: Default::default(),
             sweep_queued: Default::default(),
@@ -323,8 +311,8 @@ fn spawn_lease_ticker(engine: &Arc<Engine>) {
                 let _ = crate::abort::sweep_expired(&engine, None);
             }
             // The upgrade may have made this thread the engine's last
-            // owner; dropping it here is safe (the pipeline pool is
-            // detached for exactly this kind of reason).
+            // owner; dropping it here joins the I/O pool from outside
+            // it, like any client thread would.
         }
     });
     // Spawn failure (resource exhaustion) degrades to the documented
@@ -359,7 +347,6 @@ mod tests {
             .data_providers(2)
             .metadata_providers(2)
             .io_threads(1)
-            .pipeline_threads(1)
             .lease_ttl_ticks(5)
             .lease_tick_interval_ms(1)
             .build()

@@ -26,19 +26,20 @@ pub(crate) struct Engine {
     /// `crate::metrics` and `docs/OBSERVABILITY.md`.
     pub metrics: crate::metrics::EngineMetrics,
     pub providers: ProviderManager,
+    /// The store's one thread pool: fork-join helpers, pipelined
+    /// completion stages (both arms of `crate::qos::dispatch`) and the
+    /// background lease sweep (`crate::abort::maybe_sweep`) all run
+    /// here. Nesting is safe because the caller joins its own fork-join
+    /// (it never needs a free worker); releasing the last `Arc<Engine>`
+    /// on a worker is safe because the pool's `Drop` skips the
+    /// self-join.
     pub pool: ThreadPool,
-    /// Completion stages of pipelined updates run here, *not* on
-    /// [`Engine::pool`]: a stage fans sub-work out to `pool` and waits,
-    /// which must never nest on the pool it runs on. Detached, because a
-    /// stage holds an `Arc<Engine>` and may be the one dropping the
-    /// engine — from one of this pool's own workers.
-    pub pipeline: ThreadPool,
     /// Per-blob submission locks for pipelined updates: held across
     /// version assignment *and* the enqueue of the completion stage, so
-    /// the FIFO pipeline queue receives a blob's stages in version
-    /// order. Without this, a submitter preempted between `assign` and
+    /// the FIFO pool queue receives a blob's stages in version order.
+    /// Without this, a submitter preempted between `assign` and
     /// `execute` could let higher versions enqueue first and occupy
-    /// every pipeline worker with stages that block (bounded by the
+    /// every pool worker with stages that block (bounded by the
     /// metadata timeout) on the not-yet-queued lower version. One
     /// `Arc<Mutex>` per blob that ever pipelined; never reclaimed
     /// (bytes per blob, same order as the VM's own per-blob state).
@@ -47,7 +48,7 @@ pub(crate) struct Engine {
     /// concurrent sweeps would race each other's repairs for the same
     /// versions; a second sweeper waits its turn and then re-scans.
     pub sweep_gate: Mutex<()>,
-    /// `true` while a background sweep job sits in the pipeline queue —
+    /// `true` while a background sweep job sits in the pool's queue —
     /// keeps `maybe_sweep` from stacking redundant jobs.
     pub sweep_queued: AtomicBool,
     /// Birth watermarks of operations currently storing pages (updates
@@ -57,7 +58,7 @@ pub(crate) struct Engine {
     pub update_pins: Mutex<UpdatePins>,
     pub pidgen: PageIdGen,
     /// Multi-tenant QoS state (admission buckets + the deficit-weighted
-    /// pipeline queue); `None` unless configured via
+    /// queue of completion stages); `None` unless configured via
     /// `Builder::qos(...)`. See `crate::qos`.
     pub qos: Option<crate::qos::EngineQos>,
 }

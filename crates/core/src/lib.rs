@@ -60,7 +60,7 @@
 //!
 //! // Pipelined appends keep several updates in flight from one thread:
 //! // the version is assigned (and order fixed) before the call returns,
-//! // while completion runs on the engine's pipeline pool.
+//! // while completion runs on the engine's thread pool.
 //! let p1 = blob.append_pipelined(Bytes::from(vec![b'!'; 4096])).unwrap();
 //! let p2 = blob.append_pipelined(Bytes::from(vec![b'?'; 4096])).unwrap();
 //! assert!(p1.version() < p2.version());
@@ -323,7 +323,7 @@ impl BlobSeer {
     /// ```
     /// # use blobseer::{Bytes, CrashPoint};
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1)
+    /// #     .metadata_providers(2).io_threads(1)
     /// #     .lease_ttl_ticks(8).build()?;
     /// # let blob = store.create();
     /// let v1 = blob.append(&[7u8; 4096])?;
@@ -362,7 +362,7 @@ impl BlobSeer {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(3)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1)
+    /// #     .metadata_providers(2).io_threads(1)
     /// #     .replication(2).build()?;
     /// # let blob = store.create();
     /// let v = blob.append(&[7u8; 4096])?;
@@ -388,7 +388,7 @@ impl BlobSeer {
     /// Run a lease sweep *now*, synchronously: abort every in-flight
     /// update whose writer lease lapsed (and retry any abort stuck on
     /// a still-wedged lower version). The same sweep runs
-    /// opportunistically in the background — on the engine's pipeline
+    /// opportunistically in the background — on the engine's thread
     /// pool after completion stages — so deployments with pipelined
     /// traffic rarely need to call this; tests call it (after
     /// [`BlobSeer::advance_lease_clock`]) for deterministic recovery.
@@ -428,7 +428,7 @@ impl BlobSeer {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(64).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let id = store.add_provider();
     /// assert_eq!(id, blobseer::ProviderId(2));
     /// assert_eq!(store.membership().active, 3);
@@ -466,7 +466,7 @@ impl BlobSeer {
     /// ```
     /// # use blobseer::ProviderId;
     /// # let store = blobseer::BlobSeer::builder().page_size(64).data_providers(3)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).replication(2).build()?;
+    /// #     .metadata_providers(2).io_threads(1).replication(2).build()?;
     /// # let blob = store.create();
     /// blob.append(&[7u8; 256])?;
     /// let before = store.read(&blob, blob.recent_version()?, 0, 256)?;
@@ -497,7 +497,7 @@ impl BlobSeer {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(64).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// store.set_placement(blobseer::AllocationStrategy::LeastLoaded);
     /// # Ok::<(), blobseer::BlobError>(())
     /// ```
@@ -526,7 +526,7 @@ impl BlobSeer {
     /// ```
     /// # use blobseer::{QosConfig, TenantId, TenantQuota};
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1)
+    /// #     .metadata_providers(2).io_threads(1)
     /// #     .qos(QosConfig::default()).build()?;
     /// let quota = TenantQuota { bytes_per_sec: 1 << 20, ..TenantQuota::unlimited() };
     /// store.set_tenant_quota(TenantId(3), quota)?;
@@ -554,7 +554,7 @@ impl BlobSeer {
     /// ```
     /// # use blobseer::{QosConfig, TenantId};
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1)
+    /// #     .metadata_providers(2).io_threads(1)
     /// #     .qos(QosConfig::default()).build()?;
     /// let blob = store.create().for_tenant(TenantId(1));
     /// blob.append(b"counted")?;
@@ -591,7 +591,7 @@ impl BlobSeer {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// let v = blob.append(&[0u8; 8192])?;
     /// blob.snapshot(v)?.read(blobseer::ByteRange::new(0, 8192))?;
@@ -622,7 +622,7 @@ impl BlobSeer {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// blob.append(&[0u8; 4096])?;
     /// let text = store.metrics_text();

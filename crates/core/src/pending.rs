@@ -5,7 +5,7 @@
 //! the order-sensitive half — interior page pre-store and version
 //! registration — and gets a `PendingWrite` back immediately; boundary
 //! completion, metadata weaving and version-manager notification run on
-//! the engine's pipeline pool. A single client can therefore keep N
+//! the engine's thread pool. A single client can therefore keep N
 //! updates in flight (the paper's Figure 4/5 overlap scenario) without
 //! spawning threads, while the version manager's total order still
 //! reflects call order.
@@ -34,7 +34,7 @@ use crate::engine::Engine;
 use crate::write::{self, Prepared, Target};
 
 /// Completion cell shared between a [`PendingWrite`] and its queued
-/// pipeline stage.
+/// completion stage.
 struct Cell {
     done: Mutex<Option<Result<Version>>>,
     cv: Condvar,
@@ -42,7 +42,7 @@ struct Cell {
 
 /// An update whose version is assigned but whose completion (boundary
 /// merge, metadata weave, publication hand-off) is still running on the
-/// engine's pipeline pool.
+/// engine's thread pool.
 ///
 /// [`PendingWrite::version`] is available immediately — it is the
 /// version the snapshot *will* publish as. [`PendingWrite::wait`] joins
@@ -72,7 +72,7 @@ impl PendingWrite {
         // page store, before a version exists. Zero side effects.
         crate::qos::admit_nonblocking(engine, tenant, data.len() as u64)?;
         let cost = data.len() as u64;
-        // Serialize (assign, enqueue) per blob so the pipeline queue
+        // Serialize (assign, enqueue) per blob so the pool's queue
         // holds this blob's stages in version order — a stage may block
         // on a lower version's metadata, which must never sit *behind*
         // it in the queue (see `Engine::order_locks`). Concurrent
@@ -133,7 +133,7 @@ impl PendingWrite {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// let p = blob.append_pipelined(Bytes::from(vec![1u8; 4096]))?;
     /// // Known before completion: the order is already fixed.
@@ -152,7 +152,7 @@ impl PendingWrite {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// let p = blob.append_pipelined(Bytes::from(vec![1u8; 4096]))?;
     /// assert_eq!(p.blob_id(), blob.id());
@@ -171,7 +171,7 @@ impl PendingWrite {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// let p = blob.append_pipelined(Bytes::from(vec![1u8; 4096]))?;
     /// while !p.is_done() {
@@ -193,7 +193,7 @@ impl PendingWrite {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// let p = blob.append_pipelined(Bytes::from(vec![1u8; 4096]))?;
     /// let v = loop {
@@ -220,7 +220,7 @@ impl PendingWrite {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// # use blobseer::BlobError;
     /// let p = blob.append_pipelined(Bytes::from(vec![1u8; 4096]))?;
@@ -251,7 +251,7 @@ impl PendingWrite {
     /// ```
     /// # use blobseer::Bytes;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// let p = blob.append_pipelined(Bytes::from(vec![1u8; 4096]))?;
     /// let v = p.wait()?; // completion, not yet publication

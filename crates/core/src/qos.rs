@@ -1,5 +1,5 @@
 //! Engine-side multi-tenant QoS (PR 8): admission control on the
-//! update paths and the deficit-weighted pipeline drain.
+//! update paths and the deficit-weighted drain of completion stages.
 //!
 //! QoS is **opt-in** via [`crate::Builder::qos`]. When it is off,
 //! `Engine::qos` is `None` and every hook in this module is a no-op —
@@ -14,7 +14,7 @@
 //!   call [`admit_nonblocking`] — a refused submission fails
 //!   immediately, with nothing stored and no version assigned;
 //! * **completion stages** are queued through [`dispatch`]: instead of
-//!   the pipeline pool's FIFO, each stage enters its tenant's lane in a
+//!   the engine pool's FIFO, each stage enters its tenant's lane in a
 //!   [`FairQueue`] (cost = payload bytes, quantum = page size) and a
 //!   drain *ticket* goes to the pool — each ticket serves the next
 //!   deficit-weighted round-robin pick, which need not be the item its
@@ -34,7 +34,7 @@
 //! to the *same blob from different tenants* can let the DRR serve a
 //! higher version's stage first; that stage then blocks (bounded by
 //! the metadata wait + self-help sweep) until the lower version's
-//! stage runs. Safe, but it wastes a pipeline worker — tag each blob's
+//! stage runs. Safe, but it wastes a pool worker — tag each blob's
 //! pipelined traffic with a single tenant (see `docs/OPERATIONS.md`,
 //! "tenant quotas").
 //!
@@ -309,7 +309,7 @@ pub(crate) fn admit_nonblocking(
 }
 
 /// Queue a pipelined completion stage. QoS off: straight onto the
-/// pipeline pool (FIFO, the pre-PR 8 behaviour). QoS on: the job
+/// engine's pool (FIFO, as with no QoS at all). QoS on: the job
 /// enters its tenant's DRR lane and a drain ticket goes to the pool —
 /// one ticket per push, each ticket serving the next DRR pick (not
 /// necessarily the item its own push queued). Every push
@@ -317,13 +317,13 @@ pub(crate) fn admit_nonblocking(
 /// short.
 pub(crate) fn dispatch(engine: &Arc<Engine>, tenant: TenantId, cost: u64, job: Job) {
     let Some(qos) = &engine.qos else {
-        engine.pipeline.execute(job);
+        engine.pool.execute(job);
         return;
     };
     let weight = qos.registry.state(tenant.raw() as u64).weight();
     qos.queue.push(tenant.raw() as u64, weight, cost.max(1), job);
     let eng = Arc::clone(engine);
-    engine.pipeline.execute(move || {
+    engine.pool.execute(move || {
         if let Some(qos) = &eng.qos {
             if let Some(job) = qos.queue.pop() {
                 job();
@@ -341,8 +341,7 @@ mod tests {
             .page_size(1024)
             .data_providers(2)
             .metadata_providers(2)
-            .io_threads(1)
-            .pipeline_threads(2);
+            .io_threads(1);
         if let Some(q) = qos {
             b = b.qos(q);
         }

@@ -83,7 +83,7 @@ impl Snapshot {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"x")?;
     /// blob.sync(v)?;
@@ -101,7 +101,7 @@ impl Snapshot {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"x")?;
     /// blob.sync(v)?;
@@ -121,7 +121,7 @@ impl Snapshot {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(&[0u8; 100])?;
     /// blob.sync(v)?;
@@ -139,7 +139,7 @@ impl Snapshot {
     /// ```
     /// # use blobseer::Version;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// assert!(blob.snapshot(Version(0))?.is_empty());
     /// # Ok::<(), blobseer::BlobError>(())
@@ -204,7 +204,7 @@ impl Snapshot {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"hello, world")?;
     /// blob.sync(v)?;
@@ -227,7 +227,7 @@ impl Snapshot {
     ///
     /// ```
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(b"reuse me")?;
     /// blob.sync(v)?;
@@ -262,7 +262,7 @@ impl Snapshot {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(&vec![7u8; 2 * 4096])?;
     /// blob.sync(v)?;
@@ -309,7 +309,7 @@ impl Snapshot {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// let blob = store.create();
     /// let v = blob.append(&vec![1u8; 2 * 4096])?;
     /// blob.sync(v)?;
@@ -432,7 +432,7 @@ impl ScatterRead {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// # let v = blob.append(b"scatter")?;
     /// # blob.sync(v)?;
@@ -452,7 +452,7 @@ impl ScatterRead {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// # let v = blob.append(b"scatter")?;
     /// # blob.sync(v)?;
@@ -472,7 +472,7 @@ impl ScatterRead {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// # let v = blob.append(b"scatter")?;
     /// # blob.sync(v)?;
@@ -492,7 +492,7 @@ impl ScatterRead {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// # let v = blob.append(b"scatter")?;
     /// # blob.sync(v)?;
@@ -514,7 +514,7 @@ impl ScatterRead {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// # let v = blob.append(b"scatter")?;
     /// # blob.sync(v)?;
@@ -538,7 +538,7 @@ impl ScatterRead {
     /// ```
     /// # use blobseer::ByteRange;
     /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+    /// #     .metadata_providers(2).io_threads(1).build()?;
     /// # let blob = store.create();
     /// # let v = blob.append(b"scatter")?;
     /// # blob.sync(v)?;

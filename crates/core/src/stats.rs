@@ -35,9 +35,9 @@ pub struct StoreStats {
     pub physical_pages: usize,
     /// Total metadata tree nodes stored.
     pub metadata_nodes: usize,
-    /// Lifetime boxed helpers submitted to the client I/O pool — the
-    /// fork-join's dispatch-overhead gauge (a batch costs at most one
-    /// helper per worker, not one per page; the caller works too).
+    /// Lifetime jobs boxed onto the store's one thread pool: fork-join
+    /// helpers (at most one per worker per batch), pipelined completion
+    /// stages, QoS drain tickets and background lease sweeps.
     pub io_jobs_dispatched: u64,
 }
 
@@ -63,7 +63,7 @@ pub(crate) fn collect(engine: &Engine) -> StoreStats {
 ///
 /// ```
 /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-/// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+/// #     .metadata_providers(2).io_threads(1).build()?;
 /// # let blob = store.create();
 /// blob.append(&[1u8; 4096])?;
 /// let lat = store.stats_snapshot().append;
@@ -115,7 +115,7 @@ impl OpLatency {
 ///
 /// ```
 /// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-/// #     .metadata_providers(2).io_threads(1).pipeline_threads(1).build()?;
+/// #     .metadata_providers(2).io_threads(1).build()?;
 /// # let blob = store.create();
 /// blob.append(&[1u8; 4096])?;
 /// let w = store.stats_snapshot().append_window;

@@ -148,7 +148,7 @@ pub(crate) fn prepare(
 
 /// Steps 3–5 of the pipeline: complete boundary pages, build and store
 /// the metadata tree, and notify the version manager. Runs inline for
-/// blocking updates and on the engine's pipeline pool for
+/// blocking updates and on the engine's thread pool for
 /// `write_pipelined`/`append_pipelined`. May block on metadata of
 /// strictly lower in-flight versions (boundary merges), never higher —
 /// so completions cannot deadlock each other.

@@ -594,3 +594,79 @@ fn facade_wrappers_survive_concurrent_abort_retire_churn() {
     // The storm above must actually have exercised the seqlock path.
     assert!(s.stats().vm.lockfree_reads > 0, "churn readers never hit the hot path");
 }
+
+// ------------------------------------------------- one shared thread pool
+
+#[test]
+fn unaligned_pipelined_writes_complete_on_a_single_worker_pool() {
+    // Each stage runs on the store's only worker and fans its boundary
+    // merges and page stores out to that same pool: the caller joins
+    // its own fork-join, so the nested batch finishes without a free
+    // worker.
+    const PAGE: u64 = 64;
+    let s = BlobSeer::builder()
+        .page_size(PAGE)
+        .data_providers(3)
+        .metadata_providers(2)
+        .io_threads(1)
+        .build()
+        .unwrap();
+    let blob = s.create();
+    let mut model = patterned(16 * PAGE as usize);
+    blob.append(&model).unwrap();
+    let mut pending = Vec::new();
+    for i in 0..24u64 {
+        // An odd offset and an even length: unaligned at both ends.
+        let offset = ((i * 37) % (12 * PAGE)) | 1;
+        let data: Vec<u8> = (0..PAGE * 2 + i * 4 + 2).map(|k| (i as u8) ^ (k as u8)).collect();
+        model[offset as usize..offset as usize + data.len()].copy_from_slice(&data);
+        pending.push(blob.write_pipelined(Bytes::from(data), offset).unwrap());
+    }
+    let mut last = Version(0);
+    for p in pending {
+        last = p.wait().unwrap();
+    }
+    blob.sync(last).unwrap();
+    let snap = blob.snapshot(last).unwrap();
+    assert_eq!(snap.read(ByteRange::new(0, snap.len())).unwrap()[..], model[..]);
+}
+
+#[test]
+fn dropping_a_store_right_after_a_pending_write_returns_promptly() {
+    // The dropped handle's stage still runs, and it may hold the last
+    // `Arc` of the engine: the engine, and with it the pool, is then
+    // dropped on one of the pool's own workers. That must neither
+    // self-join (a panic that kills the worker) nor hang.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static WORKER_PANICS: AtomicUsize = AtomicUsize::new(0);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if std::thread::current().name().is_some_and(|n| n.starts_with("blobseer-io")) {
+            WORKER_PANICS.fetch_add(1, Ordering::SeqCst);
+        }
+        previous(info);
+    }));
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for round in 0..32u8 {
+            let s = BlobSeer::builder()
+                .page_size(64)
+                .data_providers(2)
+                .metadata_providers(2)
+                .io_threads(1 + usize::from(round % 2))
+                .build()
+                .unwrap();
+            let blob = s.create();
+            blob.append(&[round; 100]).unwrap();
+            drop(blob.write_pipelined(Bytes::from(vec![!round; 90]), 30).unwrap());
+            drop(blob);
+            drop(s);
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("dropping stores with queued stages hung");
+    // Only the last round's drop may still be running here.
+    assert_eq!(WORKER_PANICS.load(Ordering::SeqCst), 0, "a pool worker panicked");
+}

@@ -14,7 +14,6 @@ fn store(replication: usize) -> BlobSeer {
         .data_providers(4)
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(1)
         .replication(replication)
         .build()
         .unwrap()

@@ -22,7 +22,6 @@ fn store_with_handles(n: usize) -> (BlobSeer, Vec<Arc<FaultPlan>>) {
         .data_providers(n)
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(2)
         .replication(2)
         .page_stores(handles.iter().map(|h| h.clone() as Arc<dyn PageStore>).collect())
         .build()

@@ -15,7 +15,6 @@ fn store(lease_ttl: u64) -> BlobSeer {
         .data_providers(4)
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(2)
         .lease_ttl_ticks(lease_ttl)
         .build()
         .unwrap()

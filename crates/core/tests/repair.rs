@@ -22,7 +22,6 @@ fn faulty_store(providers: usize, replication: usize) -> (BlobSeer, Vec<Arc<Faul
         .page_size(PSIZE)
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(1)
         .replication(replication)
         .page_stores(plans.iter().map(|p| Arc::clone(p) as Arc<dyn PageStore>).collect())
         .build()
@@ -252,7 +251,6 @@ fn sliced_wait_self_help_recovers_a_blocked_writer() {
         .data_providers(2)
         .metadata_providers(2)
         .io_threads(1)
-        .pipeline_threads(1)
         .lease_ttl_ticks(5)
         .metadata_wait(Duration::from_secs(30))
         .build()

@@ -14,7 +14,6 @@ fn store(lease_ttl: u64) -> BlobSeer {
         .data_providers(4)
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(2)
         .lease_ttl_ticks(lease_ttl)
         .build()
         .unwrap()
@@ -186,7 +185,6 @@ fn scrub_reclaims_every_replica_of_an_orphan() {
         .data_providers(4)
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(1)
         .replication(2)
         .lease_ttl_ticks(10)
         .build()

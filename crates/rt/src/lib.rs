@@ -39,9 +39,10 @@
 //! * every item runs even when another fails ([`try_parallel`]), and a
 //!   panic in any item, on a helper or on the caller, reaches the
 //!   caller (helpers catch it, so pool workers survive);
-//! * calling [`parallel_map`] from a job running on the same pool can
-//!   no longer deadlock (the caller needs no free worker to make
-//!   progress), though BlobSeer's fan-outs remain one level deep;
+//! * calling [`parallel_map`] from a job running on the same pool
+//!   cannot deadlock (the caller needs no free worker to make
+//!   progress) — BlobSeer relies on it: pipelined completion stages run
+//!   on the engine's one pool and fan their page I/O out to it;
 //! * [`ThreadPool::jobs_dispatched`] counts boxed helpers — at most one
 //!   per worker per batch, however many items the batch has.
 

@@ -10,32 +10,19 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Fixed-size worker pool with FIFO dispatch.
 ///
 /// Dropping the pool closes the queue and joins all workers; queued jobs
-/// run to completion first (graceful drain). Pools built with
-/// [`ThreadPool::new_detached`] skip the join: workers still drain the
-/// queue and exit, but `Drop` does not block on them — required when the
-/// pool may be dropped *from one of its own workers* (e.g. a background
-/// job holding the last `Arc` of the owner).
+/// run to completion first (graceful drain). The pool may also be
+/// dropped *from one of its own workers* (a background job holding the
+/// last `Arc` of the owner): that worker's handle is detached instead of
+/// self-joined, and every other worker is still joined.
 pub struct ThreadPool {
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     dispatched: AtomicU64,
-    join_on_drop: bool,
 }
 
 impl ThreadPool {
     /// Spawn `threads` workers named `"{name}-{i}"`.
     pub fn new(threads: usize, name: &str) -> Self {
-        Self::build(threads, name, true)
-    }
-
-    /// Like [`ThreadPool::new`], but `Drop` detaches the workers
-    /// instead of joining them (they still drain queued jobs and exit
-    /// once the queue closes).
-    pub fn new_detached(threads: usize, name: &str) -> Self {
-        Self::build(threads, name, false)
-    }
-
-    fn build(threads: usize, name: &str, join_on_drop: bool) -> Self {
         assert!(threads > 0, "thread pool needs at least one worker");
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         let workers = (0..threads)
@@ -51,7 +38,7 @@ impl ThreadPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        ThreadPool { tx: Some(tx), workers, dispatched: AtomicU64::new(0), join_on_drop }
+        ThreadPool { tx: Some(tx), workers, dispatched: AtomicU64::new(0) }
     }
 
     /// Number of worker threads.
@@ -77,19 +64,14 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Closing the channel lets workers drain remaining jobs and exit.
         self.tx.take();
-        if !self.join_on_drop {
-            // Detached: workers exit on their own once the queue drains.
-            self.workers.clear();
-            return;
-        }
         let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            // A joining pool can still be dropped *on one of its own
-            // workers* (a queued job releasing the last `Arc` of the
-            // owner). Self-joining would abort with "Resource deadlock
-            // avoided" — detach that one handle instead; the worker is
-            // past `recv()` (the queue is closed) and exits right after
-            // this drop returns.
+            // The pool can be dropped *on one of its own workers* (a
+            // queued job releasing the last `Arc` of the owner).
+            // Self-joining would abort with "Resource deadlock avoided"
+            // — detach that one handle instead; the worker is past
+            // `recv()` (the queue is closed) and exits right after this
+            // drop returns.
             if w.thread().id() == me {
                 continue;
             }
@@ -175,29 +157,6 @@ mod tests {
         let t0 = std::time::Instant::now();
         while done.load(Ordering::SeqCst) == 0 {
             assert!(t0.elapsed() < std::time::Duration::from_secs(5), "worker wedged in drop");
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn detached_pool_still_drains_and_can_drop_from_worker() {
-        // The job holds (a clone of an Arc around) the pool's owner and
-        // may be the one releasing the last reference — dropping the
-        // pool from its own worker must not deadlock.
-        struct Owner {
-            pool: ThreadPool,
-        }
-        let owner = Arc::new(Owner { pool: ThreadPool::new_detached(1, "det") });
-        let done = Arc::new(AtomicUsize::new(0));
-        let (o2, d2) = (Arc::clone(&owner), Arc::clone(&done));
-        owner.pool.execute(move || {
-            d2.fetch_add(1, Ordering::SeqCst);
-            drop(o2); // possibly the last Arc → Owner::drop on this worker
-        });
-        drop(owner);
-        let t0 = std::time::Instant::now();
-        while done.load(Ordering::SeqCst) == 0 {
-            assert!(t0.elapsed() < std::time::Duration::from_secs(5), "job never ran");
             std::thread::yield_now();
         }
     }

@@ -31,14 +31,6 @@ pub struct StoreConfig {
     /// registry order, so replica locations are derivable without any
     /// extra metadata.
     pub replication: usize,
-    /// Worker threads completing pipelined (non-blocking) updates:
-    /// boundary merges, metadata weaving and version-manager
-    /// notification of `write_pipelined`/`append_pipelined` run here so
-    /// the caller's thread returns right after version assignment. Also
-    /// the practical bound on how many unaligned pipelined updates can
-    /// make progress at once (a stage may block on a lower in-flight
-    /// version's metadata).
-    pub pipeline_threads: usize,
     /// Writer-lease TTL in version-manager **logical-clock ticks**. An
     /// update holds a lease on its assigned version from `assign` until
     /// `complete`; pipeline stages renew it as they progress. The clock
@@ -89,9 +81,6 @@ impl StoreConfig {
                 self.replication, self.data_providers
             ));
         }
-        if self.pipeline_threads == 0 {
-            return Err("pipeline_threads must be at least 1".into());
-        }
         if self.lease_ttl_ticks == 0 {
             return Err("lease_ttl_ticks must be at least 1".into());
         }
@@ -108,7 +97,6 @@ impl Default for StoreConfig {
             metadata_wait_ms: 10_000,
             client_io_threads: 8,
             replication: 1,
-            pipeline_threads: 4,
             lease_ttl_ticks: 1 << 20,
             lease_tick_interval_ms: 0,
         }
@@ -186,8 +174,8 @@ pub struct TenantQuotaEntry {
 /// QoS is **opt-in**: a store built without it has no admission hook
 /// at all (the zero-copy hot path is untouched). With it, every
 /// update acquires tokens from its tenant's buckets before doing any
-/// work, and the pipeline pool drains per-tenant completion queues by
-/// deficit-weighted round-robin instead of FIFO. Quotas are
+/// work, and pipelined completion stages drain from per-tenant queues
+/// by deficit-weighted round-robin instead of FIFO. Quotas are
 /// runtime-adjustable afterwards via `BlobSeer::set_tenant_quota`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QosConfig {
@@ -318,12 +306,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = StoreConfig { replication: 3, data_providers: 16, ..Default::default() };
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_zero_pipeline_threads() {
-        let cfg = StoreConfig { pipeline_threads: 0, ..Default::default() };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

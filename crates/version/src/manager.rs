@@ -381,14 +381,19 @@ impl VersionManager {
         if at > parent.published {
             return Err(BlobError::VersionNotPublished { blob, version: at });
         }
-        if parent.is_retired(at) {
+        // The pin goes on the blob owning `at`, whose tree the branch
+        // shares; its lock is held from the retire check to the pin.
+        let owner_id = parent.lineage.owner_of(at);
+        let owner_state = (owner_id != blob).then(|| self.blob_state(owner_id)).transpose()?;
+        let mut owner = owner_state.as_ref().map(|s| s.inner.lock());
+        if parent.is_retired(at) || owner.as_ref().is_some_and(|o| o.is_retired(at)) {
             return Err(BlobError::VersionRetired { blob, version: at });
         }
         let child_id = BlobId(self.next_blob.fetch_add(1, Ordering::Relaxed));
         let lineage = Lineage::branch(&parent.lineage, at, child_id);
         let child = BlobInner::branched(&parent, at, lineage);
-        parent.child_branch_points.push(at);
-        drop(parent);
+        owner.as_deref_mut().unwrap_or(&mut parent).child_branch_points.push(at);
+        drop((owner, parent));
         self.blobs.insert(child_id, Arc::new(BlobState::new(child, self.psize)));
         self.branches.fetch_add(1, Ordering::Relaxed);
         Ok(child_id)
@@ -760,7 +765,7 @@ impl VersionManager {
         if v > inner.published {
             return Err(BlobError::VersionNotPublished { blob, version: v });
         }
-        if inner.is_retired(v) {
+        if self.is_retired(&inner, v) {
             return Err(BlobError::VersionRetired { blob, version: v });
         }
         Ok(inner.size_of(v))
@@ -801,7 +806,7 @@ impl VersionManager {
         if v > inner.published {
             return Err(BlobError::VersionNotPublished { blob, version: v });
         }
-        if inner.is_retired(v) {
+        if self.is_retired(&inner, v) {
             return Err(BlobError::VersionRetired { blob, version: v });
         }
         Ok(ReadView {
@@ -809,6 +814,29 @@ impl VersionManager {
             root: inner.root_of(v, self.psize),
             lineage: inner.lineage.clone(),
         })
+    }
+
+    /// `true` when `v` of the locked `inner` was garbage-collected: by
+    /// the blob itself, or by the ancestor owning an inherited `v`.
+    /// Blob locks nest descendant → ancestor only. The seqlock hot path
+    /// skips this: a branch's frontier is at or above its pinned fork
+    /// point.
+    fn is_retired(&self, inner: &BlobInner, v: Version) -> bool {
+        if inner.is_retired(v) {
+            return true;
+        }
+        let owner = inner.lineage.owner_of(v);
+        owner != inner.lineage.blob()
+            && self.blobs.get(owner).is_some_and(|s| s.inner.lock().is_retired(v))
+    }
+
+    /// Roots of every retained, non-empty snapshot of the locked `inner`.
+    fn retained_roots(&self, inner: &BlobInner) -> Vec<RootRef> {
+        (0..=inner.published.raw())
+            .map(Version)
+            .filter(|&v| !self.is_retired(inner, v))
+            .filter_map(|v| inner.root_of(v, self.psize))
+            .collect()
     }
 
     /// A [`ReadView`] reconstructed from a consistently-read hot
@@ -898,10 +926,7 @@ impl VersionManager {
         // hot triple must follow it, so racing readers get the typed
         // retired/readable split, never a stale root.
         self.republish(blob, &state, &inner);
-        let roots = (keep_from.raw()..=inner.published.raw())
-            .filter_map(|v| inner.root_of(Version(v), self.psize))
-            .collect();
-        Ok(roots)
+        Ok(self.retained_roots(&inner))
     }
 
     /// The tree-walk live set's **metadata cut**: for every registered
@@ -918,13 +943,9 @@ impl VersionManager {
 
     fn cut_of(&self, id: BlobId, state: &BlobState) -> BlobScrubCut {
         let inner = state.inner.lock();
-        // Versions below `retired_before` were reclaimed; v0 is
-        // empty. Aborted versions the frontier passed keep
-        // their (complete) repair trees and are marked too.
-        let first = inner.retired_before.raw().max(1);
-        let roots = (first..=inner.published.raw())
-            .filter_map(|v| inner.root_of(Version(v), self.psize))
-            .collect();
+        // Aborted versions the frontier passed keep their (complete)
+        // repair trees and are marked too.
+        let roots = self.retained_roots(&inner);
         let inflight = inner.inflight.iter().map(|(&v, inf)| (Version(v), inf.range)).collect();
         BlobScrubCut { blob: id, lineage: inner.lineage.clone(), roots, inflight }
     }
@@ -1337,6 +1358,43 @@ mod tests {
         assert!(matches!(vm.begin_retire(b, Version(4)), Err(BlobError::GcConflict(_))));
         // Retiring up to (and including protection of) the pin is fine.
         assert_eq!(vm.begin_retire(b, Version(2)).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn pins_and_retirement_follow_the_lineage_to_the_owner() {
+        let vm = vm();
+        let four_versions = || {
+            let b = vm.create();
+            for _ in 0..4 {
+                let a = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap();
+                vm.complete(b, a.vw).unwrap();
+            }
+            b
+        };
+        // A grandchild forked at a version its parent inherited pins the
+        // owner of that version.
+        let b = four_versions();
+        let child = vm.branch(b, Version(4)).unwrap();
+        vm.branch(child, Version(1)).unwrap();
+        assert!(matches!(vm.begin_retire(b, Version(2)), Err(BlobError::GcConflict(_))));
+
+        // Retiring the owner retires what its branch inherited, on every
+        // slow path; the pinned fork point stays readable.
+        let b = four_versions();
+        let child = vm.branch(b, Version(4)).unwrap();
+        assert_eq!(vm.begin_retire(b, Version(3)).unwrap().len(), 2);
+        for v in [Version(1), Version(2)] {
+            let retired = |r: Result<()>| matches!(r, Err(BlobError::VersionRetired { .. }));
+            assert!(retired(vm.get_size(child, v).map(drop)), "{v:?}");
+            assert!(retired(vm.snapshot_view(child, v).map(drop)), "{v:?}");
+            assert!(retired(vm.branch(child, v).map(drop)), "{v:?}");
+        }
+        assert_eq!(vm.get_size(child, Version(3)).unwrap(), 24);
+        assert_eq!(vm.snapshot_view(child, Version(4)).unwrap().size, 32);
+        // The child's own retire marks no root its owner already swept.
+        assert_eq!(vm.begin_retire(child, Version(2)).unwrap().len(), 2);
+        let cut = vm.scrub_cut().into_iter().find(|c| c.blob == child).unwrap();
+        assert_eq!(cut.roots.len(), 2);
     }
 
     #[test]

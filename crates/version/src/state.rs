@@ -76,8 +76,8 @@ pub(crate) struct BlobInner {
     /// Versions `1..retired_before` were reclaimed by garbage
     /// collection and are no longer readable.
     pub retired_before: Version,
-    /// Branch points of direct children — they pin the shared history
-    /// against garbage collection.
+    /// Fork points of every branch (of any depth) at a version this blob
+    /// owns — they pin the shared history against garbage collection.
     pub child_branch_points: Vec<Version>,
 }
 

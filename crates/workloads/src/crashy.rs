@@ -178,7 +178,6 @@ mod tests {
             .data_providers(4)
             .metadata_providers(2)
             .io_threads(2)
-            .pipeline_threads(2)
             .lease_ttl_ticks(64)
             .build()
             .unwrap()

@@ -232,8 +232,7 @@ mod tests {
             .page_size(1024)
             .data_providers(4)
             .metadata_providers(2)
-            .io_threads(2)
-            .pipeline_threads(2);
+            .io_threads(2);
         if let Some(q) = qos {
             b = b.qos(q);
         }

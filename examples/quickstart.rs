@@ -51,7 +51,7 @@ fn main() {
     );
 
     // Pipelined appends: versions are assigned in call order while the
-    // metadata work overlaps on the engine's pipeline pool.
+    // metadata work overlaps on the engine's thread pool.
     let pending: Vec<_> = (0..4u8)
         .map(|i| blob.append_pipelined(Bytes::from(vec![b'p' + i; 4096])).unwrap())
         .collect();

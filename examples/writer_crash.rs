@@ -13,7 +13,6 @@ fn main() {
         .page_size(64 * 1024)
         .data_providers(8)
         .metadata_providers(4)
-        .pipeline_threads(4)
         .lease_ttl_ticks(256)
         .build()
         .expect("valid config");

@@ -80,7 +80,6 @@ fn elastic_store(stores: &[Arc<MemoryPageStore>]) -> BlobSeer {
         .data_providers(stores.len())
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(2)
         .lease_ttl_ticks(64)
         .replication(2)
         .page_stores(stores.iter().map(|s| s.clone() as Arc<dyn PageStore>).collect())
@@ -94,7 +93,6 @@ fn oracle_store() -> BlobSeer {
         .data_providers(3)
         .metadata_providers(2)
         .io_threads(2)
-        .pipeline_threads(2)
         .lease_ttl_ticks(64)
         .replication(2)
         .build()

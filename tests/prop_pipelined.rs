@@ -36,7 +36,6 @@ fn build() -> Blob {
         .data_providers(5)
         .metadata_providers(3)
         .io_threads(2)
-        .pipeline_threads(DEPTH)
         .build()
         .unwrap()
         .create()

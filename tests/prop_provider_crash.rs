@@ -56,7 +56,6 @@ fn build() -> (BlobSeer, Vec<Arc<FaultPlan>>) {
         .page_size(PSIZE)
         .metadata_providers(3)
         .io_threads(2)
-        .pipeline_threads(1)
         .replication(2)
         .page_stores(plans.iter().map(|p| Arc::clone(p) as Arc<dyn PageStore>).collect())
         .build()

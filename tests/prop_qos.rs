@@ -20,12 +20,8 @@ use blobseer_workloads::MultiTenantIngest;
 use proptest::prelude::*;
 
 fn build(qos: Option<QosConfig>) -> BlobSeer {
-    let mut b = BlobSeer::builder()
-        .page_size(512)
-        .data_providers(4)
-        .metadata_providers(2)
-        .io_threads(2)
-        .pipeline_threads(2);
+    let mut b =
+        BlobSeer::builder().page_size(512).data_providers(4).metadata_providers(2).io_threads(2);
     if let Some(q) = qos {
         b = b.qos(q);
     }

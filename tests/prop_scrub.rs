@@ -81,7 +81,6 @@ proptest! {
             .data_providers(3)
             .metadata_providers(2)
             .io_threads(2)
-            .pipeline_threads(2)
             .lease_ttl_ticks(64)
             .build()
             .unwrap();

@@ -75,7 +75,6 @@ fn build() -> (BlobSeer, Blob) {
         .data_providers(5)
         .metadata_providers(3)
         .io_threads(2)
-        .pipeline_threads(4)
         .build()
         .unwrap();
     let blob = store.create();

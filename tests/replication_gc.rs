@@ -2,7 +2,9 @@
 //! protocol: page replication with provider-failure tolerance (the
 //! paper's §3.2/§6 future work) and version garbage collection.
 
-use blobseer::{BlobError, BlobSeer, ProviderId, Version};
+use std::time::Duration;
+
+use blobseer::{Blob, BlobError, BlobSeer, ByteRange, ProviderId, Version};
 
 const PSIZE: u64 = 256;
 
@@ -224,4 +226,117 @@ fn retired_version_stays_unreadable_after_its_tree_was_read() {
     assert!(s.read(b, v1, 0, PSIZE * 4).is_ok());
     s.retire_versions(b, Version(2)).unwrap();
     assert!(matches!(s.read(b, v1, 0, 1), Err(BlobError::VersionRetired { .. })));
+}
+
+/// The branch-and-retire store: 16 B pages, 3 providers, replication 2,
+/// and a 50 ms metadata wait so a read of a swept tree times out fast
+/// instead of hanging.
+fn branch_gc_store() -> BlobSeer {
+    BlobSeer::builder()
+        .page_size(16)
+        .data_providers(3)
+        .metadata_providers(2)
+        .replication(2)
+        .metadata_wait(Duration::from_millis(50))
+        .build()
+        .unwrap()
+}
+
+/// A parent of 64 B (four 16 B pages, v1) whose page 0 is overwritten
+/// three times (v2–v4). Returns the parent and its v4.
+fn overwritten_parent(s: &BlobSeer) -> (Blob, Version) {
+    let parent = s.create();
+    parent.append(&[1; 64]).unwrap();
+    for fill in 2..5u8 {
+        parent.write(&[fill; 16], 0).unwrap();
+    }
+    let v4 = parent.recent_version().unwrap();
+    assert_eq!(v4, Version(4));
+    (parent, v4)
+}
+
+/// What `overwritten_parent`'s snapshot `v` holds.
+fn parent_bytes(v: Version) -> Vec<u8> {
+    let mut bytes = vec![1u8; 64];
+    bytes[..16].fill(v.raw() as u8);
+    bytes
+}
+
+fn read_all(blob: &Blob, v: Version) -> Result<Vec<u8>, BlobError> {
+    let snap = blob.snapshot(v)?;
+    Ok(snap.read(ByteRange::new(0, snap.len()))?.to_vec())
+}
+
+fn assert_retired(blob: &Blob, v: Version) {
+    let got = read_all(blob, v);
+    assert!(matches!(got, Err(BlobError::VersionRetired { .. })), "{v:?}: {got:?}");
+}
+
+/// Scrub, repair and a drain of provider 0 all succeed, and a second
+/// scrub and repair find nothing left to do.
+fn maintenance_settles(s: &BlobSeer) {
+    s.scrub_orphans().unwrap();
+    s.repair_replicas().unwrap();
+    s.drain_provider(ProviderId(0)).unwrap();
+    assert_eq!(s.scrub_orphans().unwrap().pages_reclaimed, 0);
+    assert_eq!(s.repair_replicas().unwrap().copies_repaired, 0);
+}
+
+#[test]
+fn retiring_a_parent_retires_its_branch_inherited_history() {
+    let s = branch_gc_store();
+    let (parent, v4) = overwritten_parent(&s);
+    let branch = parent.branch(v4).unwrap();
+    // The branch pins v4, so retiring v1 and v2 is allowed; their
+    // page-0 overwrites and the nodes above them go.
+    let report = parent.retire_versions(Version(3)).unwrap();
+    assert_eq!((report.nodes_removed, report.pages_removed), (6, 2));
+
+    // The branch inherited v1 and v2 from the parent: they are retired
+    // there too, typed, and never a metadata timeout.
+    for v in [Version(1), Version(2)] {
+        assert_retired(&parent, v);
+        assert_retired(&branch, v);
+    }
+    for v in [Version(3), v4] {
+        assert_eq!(read_all(&parent, v).unwrap(), parent_bytes(v));
+        assert_eq!(read_all(&branch, v).unwrap(), parent_bytes(v));
+    }
+
+    maintenance_settles(&s);
+    assert_retired(&branch, Version(1));
+    assert_eq!(read_all(&branch, v4).unwrap(), parent_bytes(v4));
+    let v5 = branch.write(&[9; 8], 4).unwrap();
+    let mut expect = parent_bytes(v4);
+    expect[4..12].fill(9);
+    assert_eq!(read_all(&branch, v5).unwrap(), expect);
+}
+
+#[test]
+fn a_grandchild_pins_the_ancestor_that_owns_its_fork_point() {
+    let s = branch_gc_store();
+    let (parent, v4) = overwritten_parent(&s);
+    let child = parent.branch(v4).unwrap();
+    // v1 is the parent's, inherited by the child: the grandchild's
+    // base is the parent's v1 tree.
+    let grandchild = child.branch(Version(1)).unwrap();
+    let err = parent.retire_versions(Version(3)).unwrap_err();
+    assert!(matches!(err, BlobError::GcConflict(_)), "{err:?}");
+    // The pin is the grandchild's fork point, so retiring below it
+    // still works.
+    parent.retire_versions(Version(1)).unwrap();
+
+    assert_eq!(read_all(&grandchild, Version(1)).unwrap(), parent_bytes(Version(1)));
+    let v2 = grandchild.write(&[9; 8], 4).unwrap();
+    let mut expect = parent_bytes(Version(1));
+    expect[4..12].fill(9);
+    assert_eq!(read_all(&grandchild, v2).unwrap(), expect);
+    for v in 1..=4 {
+        assert_eq!(read_all(&parent, Version(v)).unwrap(), parent_bytes(Version(v)));
+    }
+
+    maintenance_settles(&s);
+    assert_eq!(read_all(&grandchild, Version(1)).unwrap(), parent_bytes(Version(1)));
+    assert_eq!(read_all(&grandchild, v2).unwrap(), expect);
+    assert_eq!(read_all(&child, v4).unwrap(), parent_bytes(v4));
 }
