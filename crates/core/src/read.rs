@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use blobseer_meta::Lineage;
-use blobseer_meta::{read_meta, read_meta_multi, RootRef, TreeReader};
+use blobseer_meta::{read_meta, read_meta_multi, read_meta_page, RootRef, TreeReader};
 use blobseer_metrics::Timer;
 use blobseer_rt::try_parallel;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageSlice, Result, Version};
@@ -71,6 +71,9 @@ pub(crate) fn read_at_root(
     Ok(buf)
 }
 
+/// [`read_at_root`] into a caller buffer. A request inside one page
+/// allocates nothing: one descent loop ([`read_meta_page`]) and one
+/// fetch on the calling thread.
 pub(crate) fn read_at_root_into(
     engine: &Arc<Engine>,
     lineage: &Lineage,
@@ -78,6 +81,16 @@ pub(crate) fn read_at_root_into(
     request: ByteRange,
     buf: &mut [u8],
 ) -> Result<()> {
+    let psize = engine.psize();
+    let pages = request.pages(psize);
+    if pages.count == 1 {
+        let reader = TreeReader::new(&engine.meta, lineage);
+        let descriptor = read_meta_page(&reader, root, pages.first)?;
+        let within = ByteRange::new(request.offset - pages.first * psize, request.size);
+        let data = fetch_with_fallback(engine, &descriptor, within)?;
+        buf[..data.len()].copy_from_slice(&data);
+        return Ok(());
+    }
     let slices = plan_slices(engine, lineage, root, request)?;
     fetch_slices_into(engine, slices, buf)
 }

@@ -244,8 +244,7 @@ impl Snapshot {
         if request.is_empty() {
             return Ok(());
         }
-        read::plan_slices(&self.engine, &self.lineage, self.root()?, request)
-            .and_then(|slices| read::fetch_slices_into(&self.engine, slices, buf))
+        read::read_at_root_into(&self.engine, &self.lineage, self.root()?, request, buf)
             .map_err(|e| self.refine_error(e))?;
         self.engine.metrics.read_ops.increment();
         op_timer.stop(&self.engine.metrics.read_latency);

@@ -1,72 +1,77 @@
-//! Deterministic hashing and the static key-to-node distribution.
+//! The one hash: a key's four words to its bucket, home cell and tag.
 //!
 //! The paper's metadata provider is "a custom DHT based on [a] simple
 //! static distribution scheme" (§5). We distribute keys over `n` buckets
-//! (one bucket = one metadata provider) with a fixed, seed-free FNV-1a
-//! hash so that placement is **deterministic across runs and processes**
-//! — the simulator (`blobseer-sim`) recomputes the same placement to
-//! model per-provider contention, so determinism here is load-bearing.
+//! (one bucket = one metadata provider) with a fixed, seed-free hash so
+//! that placement is **deterministic across runs and processes** — the
+//! simulator (`blobseer-sim`) recomputes the same placement to model
+//! per-provider contention, so determinism here is load-bearing.
+//!
+//! The key is hashed **once** per operation, a word at a time: two
+//! folded 64×64→128-bit multiplies of seeded word pairs, and a third
+//! that mixes the two halves. Multiply-shift of the hash by `n` picks
+//! the bucket (the product's high word); the low word — the bits the
+//! bucket did not use — picks the home cell inside the bucket (its top
+//! bits) and the 16-bit tag a cell's state word carries (bits 16..32).
 
-use std::hash::{Hash, Hasher};
+use crate::codec::CellKey;
 
-/// FNV-1a, 64-bit. Deterministic, allocation-free, good enough
-/// distribution for tree-node keys.
-#[derive(Clone, Debug)]
-pub struct Fnv1a(u64);
+const SEEDS: [u64; 6] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+    0x4528_21e6_38d0_1377,
+    0xbe54_66cf_34e9_0c6c,
+];
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bits of the tag a live cell's state word carries.
+pub(crate) const TAG_BITS: u32 = 16;
 
-impl Fnv1a {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Hasher for Fnv1a {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-}
-
-/// Deterministic 64-bit hash of any `Hash` value.
+/// Multiply two words into 128 bits and fold the halves together.
 #[inline]
-pub fn fnv_hash<K: Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = Fnv1a::new();
-    key.hash(&mut h);
-    h.finish()
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// Deterministic 64-bit hash of a key's words.
+#[inline]
+pub(crate) fn hash_words(w: &[u64; 4]) -> u64 {
+    let lo = fold_mul(w[0] ^ SEEDS[0], w[1] ^ SEEDS[1]);
+    let hi = fold_mul(w[2] ^ SEEDS[2], w[3] ^ SEEDS[3]);
+    fold_mul(lo ^ SEEDS[4], hi ^ SEEDS[5])
+}
+
+/// `(bucket, fraction)` of a key's words among `n` buckets: the high
+/// and low words of `hash · n`. The fraction drives the probe inside
+/// the bucket ([`home`], [`tag`]).
+#[inline]
+pub(crate) fn place(w: &[u64; 4], n: usize) -> (usize, u64) {
+    let p = u128::from(hash_words(w)) * n as u128;
+    ((p >> 64) as usize, p as u64)
+}
+
+/// Home cell of a fraction in a table of `2^bits` cells.
+#[inline]
+pub(crate) fn home(fraction: u64, bits: u32) -> usize {
+    (fraction >> (64 - bits)) as usize
+}
+
+/// The tag of a fraction: bits the bucket and (at any practical
+/// capacity) the home cell did not use.
+#[inline]
+pub(crate) fn tag(fraction: u64) -> u64 {
+    (fraction >> 16) & ((1 << TAG_BITS) - 1)
 }
 
 /// Static distribution: the bucket (metadata provider) responsible for
-/// `key` in a deployment of `n` buckets.
-///
-/// A Fibonacci multiplicative mix is applied on top of FNV so that keys
-/// differing only in low bits (consecutive tree positions) still spread
-/// evenly when `n` is far from a power of two.
+/// `key` in a deployment of `n` buckets — the same function
+/// [`crate::Dht::bucket_of`] applies.
 #[inline]
-pub fn static_bucket<K: Hash + ?Sized>(key: &K, n: usize) -> usize {
+pub fn static_bucket<K: CellKey + ?Sized>(key: &K, n: usize) -> usize {
     assert!(n > 0, "bucket count must be positive");
-    let mixed = fnv_hash(key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    // Multiply-shift maps uniformly onto 0..n without modulo bias.
-    ((u128::from(mixed) * n as u128) >> 64) as usize
+    place(&key.encode(), n).0
 }
 
 #[cfg(test)]
@@ -75,23 +80,11 @@ mod tests {
 
     #[test]
     fn hash_is_deterministic() {
-        assert_eq!(fnv_hash(&(1u64, 2u64)), fnv_hash(&(1u64, 2u64)));
-        assert_ne!(fnv_hash(&1u64), fnv_hash(&2u64));
-    }
-
-    #[test]
-    fn empty_input_hashes_to_offset_basis() {
-        let mut h = Fnv1a::new();
-        h.write(&[]);
-        assert_eq!(h.finish(), FNV_OFFSET);
-    }
-
-    #[test]
-    fn known_fnv_vector() {
-        // FNV-1a("a") = 0xaf63dc4c8601ec8c
-        let mut h = Fnv1a::new();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash_words(&[1, 2, 0, 0]), hash_words(&[1, 2, 0, 0]));
+        assert_ne!(hash_words(&[1, 0, 0, 0]), hash_words(&[2, 0, 0, 0]));
+        // Every word counts, in its own position.
+        assert_ne!(hash_words(&[1, 2, 3, 4]), hash_words(&[1, 2, 4, 3]));
+        assert_ne!(hash_words(&[1, 2, 3, 4]), hash_words(&[2, 1, 3, 4]));
     }
 
     #[test]
@@ -120,6 +113,21 @@ mod tests {
                 "bucket {b} has {c} keys, mean {mean}"
             );
         }
+    }
+
+    #[test]
+    fn home_cells_spread_within_a_bucket() {
+        // Consecutive tree positions of one bucket must not pile onto a
+        // few home cells: 4,096 keys over 4,096 cells leave roughly
+        // 1/e of the cells unused, never most of them.
+        let bits = 12;
+        let mut used = vec![false; 1 << bits];
+        for k in 0u64..1 << bits {
+            let (_, fraction) = place(&[1, k, k, 1], 16);
+            used[home(fraction, bits)] = true;
+        }
+        let empty = used.iter().filter(|&&u| !u).count() as f64 / used.len() as f64;
+        assert!(empty < 0.45, "{empty} of home cells unused");
     }
 
     #[test]

@@ -21,43 +21,74 @@
 //!
 //! ## Locking
 //!
-//! Each bucket is read-optimized: the map lives under a
-//! [`parking_lot::RwLock`], so the common path — `get` on a published
-//! (hence present) node — takes a shared read guard and runs fully in
-//! parallel with other readers. This matters because metadata reads are
-//! massively read-dominated and hot (every reader of a snapshot starts
-//! at the same root node); a whole-table [`Dht::for_each`] visit takes
-//! the same shared guard, one bucket at a time. Writes
-//! (`put_new`/`remove`/`retain`) take the write guard.
+//! A stored value is never replaced (`put_new` is the only store), and
+//! the table is built for that: each bucket is an open-addressed array
+//! of **write-once cells**, one cache line each — a state word, four
+//! key words and three value words, all `AtomicU64` (keys and values
+//! enter through [`CellKey`] / [`CellValue`]). A key is hashed once,
+//! word by word; the hash picks the bucket, the home cell and a tag.
 //!
-//! Blocking `get_wait`ers park on **per-key wait queues** under a
-//! separate wait mutex, and an atomic per-bucket waiter count gates the
-//! wakeup path: an uncontended `put_new` (no parked readers — by far the
-//! usual case) never touches the wait mutex or any condvar at all, and
-//! a contended `put_new` notifies only the condvar of *its own key* — a
-//! store cannot spuriously wake waiters parked on other keys of the
-//! same bucket. The waiter registers its count *before* re-checking
-//! the map under the wait mutex, and the re-check read-lock acquisition
-//! synchronizes with the store's write-lock release, so a store that
-//! the waiter missed is guaranteed to observe a non-zero waiter count
-//! and deliver the wakeup (no lost notifications). Per-bucket stats are
-//! relaxed atomics on their own cacheline so counter traffic does not
-//! dirty the lock's line.
+//! - **A `get` takes no lock.** It reads each candidate cell as a
+//!   one-cell seqlock with the fence pairing of `blobseer_version`'s
+//!   `SeqLock`: load the state (Acquire), compare the key, copy the
+//!   value, fence (Acquire), reload the state. Equal live states make
+//!   the hit valid; as a key's value never changes, it is also current.
+//!   The only read-modify-write on the path is the bucket's stats
+//!   counter, so readers of the same hot node (every reader of a
+//!   snapshot fetches the same root) never serialize.
+//! - **A live cell is never rewritten.** `remove` and `retain` turn it
+//!   into a tombstone, which is never reused in place. Writers
+//!   (`put_new`, `remove`, `retain`, rebuilds) serialize on the
+//!   bucket's mutex.
+//! - **The rebuild sequence.** When live entries plus tombstones pass ¾
+//!   of a bucket's capacity, the inserting writer makes the bucket's
+//!   rebuild sequence odd, appends a segment (if live entries fill
+//!   more than half the capacity) or compacts at the same size,
+//!   re-places every live entry, and makes the sequence even again.
+//!   Segments are append-only and never freed, so no reader ever
+//!   probes freed memory. A hit during a rebuild is still valid; a
+//!   **miss** counts only if the sequence was even and unchanged across
+//!   the probe, and otherwise the reader probes again under the bucket
+//!   mutex. Readers never spin.
+//! - **Waits.** Blocking `get_wait`ers park on **per-key wait queues**
+//!   under a separate wait mutex, and a per-bucket waiter count gates
+//!   the wakeup path: an uncontended `put_new` (no parked readers — by
+//!   far the usual case) never touches the wait mutex or any condvar,
+//!   and a contended one notifies only the condvar of *its own key*. A
+//!   lost wakeup is ruled out by a pair of SeqCst fences: the insert
+//!   publishes the cell, fences, then loads the waiter count; the
+//!   waiter bumps the count, fences, then re-probes. Whichever fence
+//!   comes second in the single total order sees the other side's
+//!   store — the waiter finds the key, or the insert finds the waiter
+//!   (and notifies under the wait mutex, which the waiter holds until
+//!   it parks).
+//! - **`for_each` holds the bucket mutex** while it visits that bucket,
+//!   so it sees every entry present for the whole visit and a writer
+//!   to the bucket waits only while that bucket is being visited.
+//!   `len` and `stats().entries` read a per-bucket live counter.
+//!
+//! Per-bucket stats are relaxed atomics on their own cacheline so
+//! counter traffic does not dirty the lines readers probe.
 
+mod codec;
 mod hash;
 mod stats;
+mod table;
 
-pub use hash::{fnv_hash, static_bucket, Fnv1a};
+pub use codec::{CellKey, CellValue};
+pub use hash::static_bucket;
 pub use stats::{BucketStats, DhtStats};
 
 use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blobseer_metrics::{Timer, WindowedHistogram};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
+
+use table::{Entry, Table};
 
 /// Errors from blocking DHT operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,38 +115,27 @@ struct KeyQueue {
     parked: usize,
 }
 
-struct Bucket<K, V> {
-    /// The store proper. Readers share; only `put_new`/`remove`/`retain`
-    /// take the write guard.
-    map: RwLock<HashMap<K, V>>,
-    /// Slow-path parking lot for `get_wait`: per-key wait queues, held
-    /// only around condvar waits and (when `waiters > 0`) the lookup of
-    /// which key — if any — to notify. Never held while a writer holds
-    /// the map's write guard.
-    wait_queues: Mutex<HashMap<K, KeyQueue>>,
-    /// Number of `get_wait`ers registered on this bucket. `put_new` skips
-    /// the wait mutex entirely while this is zero.
+struct Bucket {
+    /// The store proper: write-once cells.
+    table: Table,
+    /// Slow-path parking lot for `get_wait`: per-key wait queues (by
+    /// key words), held only around condvar waits and (when
+    /// `waiters > 0`) the lookup of which key — if any — to notify.
+    /// Never taken while holding the table's writer lock.
+    wait_queues: Mutex<HashMap<[u64; 4], KeyQueue>>,
+    /// Number of `get_wait`ers registered on this bucket; changed only
+    /// under the wait mutex. `put_new` skips the wait mutex entirely
+    /// while this is zero.
     waiters: AtomicUsize,
     stats: stats::BucketCounters,
 }
 
-impl<K, V> Bucket<K, V> {
-    fn new() -> Self {
-        Bucket {
-            map: RwLock::new(HashMap::new()),
-            wait_queues: Mutex::new(HashMap::new()),
-            waiters: AtomicUsize::new(0),
-            stats: stats::BucketCounters::new(),
-        }
-    }
-}
-
 /// A sharded, in-process key/value store with static key distribution.
 ///
-/// One bucket models one metadata provider node. All operations are
+/// One bucket models one metadata provider. All operations are
 /// thread-safe; `put_new` wakes the `get_wait`ers parked on its key.
 pub struct Dht<K, V> {
-    buckets: Vec<Bucket<K, V>>,
+    buckets: Box<[Bucket]>,
     /// Block-time distribution of `get_wait` calls that actually
     /// parked. Always recorded (never gated on a config flag): a
     /// blocking metadata wait is milliseconds-scale, so the one timer
@@ -123,19 +143,29 @@ pub struct Dht<K, V> {
     /// single best indicator of writer-pipeline stalls
     /// (`docs/OBSERVABILITY.md`).
     wait_latency: Arc<WindowedHistogram>,
+    /// Keys and values are stored as words, never as `K`/`V`.
+    types: PhantomData<fn() -> (K, V)>,
 }
 
 impl<K, V> Dht<K, V>
 where
-    K: Hash + Eq + Clone,
-    V: Clone,
+    K: CellKey,
+    V: CellValue,
 {
     /// Create a DHT spread over `buckets` metadata providers.
     pub fn new(buckets: usize) -> Self {
         assert!(buckets > 0, "DHT needs at least one bucket");
         Dht {
-            buckets: (0..buckets).map(|_| Bucket::new()).collect(),
+            buckets: (0..buckets)
+                .map(|_| Bucket {
+                    table: Table::new(buckets),
+                    wait_queues: Mutex::new(HashMap::new()),
+                    waiters: AtomicUsize::new(0),
+                    stats: stats::BucketCounters::new(),
+                })
+                .collect(),
             wait_latency: Arc::new(WindowedHistogram::new()),
+            types: PhantomData,
         }
     }
 
@@ -157,6 +187,14 @@ where
         static_bucket(key, self.buckets.len())
     }
 
+    /// The key's words, its bucket and its fraction (the one hash).
+    #[inline]
+    fn locate(&self, key: &K) -> ([u64; 4], &Bucket, u64) {
+        let words = key.encode();
+        let (bucket, fraction) = hash::place(&words, self.buckets.len());
+        (words, &self.buckets[bucket], fraction)
+    }
+
     /// Store a value only if the key is absent; returns `true` when
     /// this call inserted. The only store: a stored value is never
     /// replaced, only removed. That is the write-fencing primitive
@@ -168,37 +206,33 @@ where
     /// key*, touching no lock at all while nobody is parked on the
     /// bucket, and no condvar unless someone is parked on this key.
     pub fn put_new(&self, key: K, value: V) -> bool {
-        let b = &self.buckets[self.bucket_of(&key)];
+        let (words, b, fraction) = self.locate(&key);
         b.stats.record_put();
-        let inserted = {
-            let mut map = b.map.write();
-            match map.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(_) => false,
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(value);
-                    true
+        let (kind, value) = value.encode();
+        let inserted = b.table.insert(&Entry { key: words, kind, value }, fraction);
+        if inserted {
+            // Pairs with the waiter's fence after its count bump: we
+            // see its registration, or its re-probe sees our cell.
+            fence(Ordering::SeqCst);
+            if b.waiters.load(Ordering::Relaxed) > 0 {
+                // Taking the wait lock serializes with a waiter that is
+                // between its re-probe and its park, so this notify
+                // cannot fall into that window and be lost. Only this
+                // key's queue is woken; waiters on other keys sleep on.
+                if let Some(q) = b.wait_queues.lock().get(&words) {
+                    q.cv.notify_all();
                 }
-            }
-        };
-        if inserted && b.waiters.load(Ordering::SeqCst) > 0 {
-            // Taking the wait lock serializes with a waiter that is
-            // between its map re-check and its park, so this notify
-            // cannot fall into that window and be lost. Only this
-            // key's queue is woken; waiters on other keys sleep on.
-            if let Some(q) = b.wait_queues.lock().get(&key) {
-                q.cv.notify_all();
             }
         }
         inserted
     }
 
-    /// Fetch a value if present. Takes only a shared read guard:
-    /// concurrent `get`s of published metadata never serialize on the
-    /// bucket.
+    /// Fetch a value if present. Lock-free: concurrent `get`s of
+    /// published metadata never serialize on the bucket.
     pub fn get(&self, key: &K) -> Option<V> {
-        let b = &self.buckets[self.bucket_of(key)];
+        let (words, b, fraction) = self.locate(key);
         b.stats.record_get();
-        b.map.read().get(key).cloned()
+        b.table.get(&words, fraction).map(|(kind, value)| V::decode(kind, value))
     }
 
     /// Fetch a value, blocking until it appears or `timeout` elapses.
@@ -221,7 +255,7 @@ where
     /// may do arbitrary work, including `put_new` on this very
     /// DHT. Our registration stays parked across the gap (the key's
     /// queue entry cannot be dropped), and a notify landing in the gap
-    /// is not lost: the loop re-checks the map after re-locking.
+    /// is not lost: the loop re-checks the table after re-locking.
     ///
     /// One `record_wait` and one block-time sample per call that
     /// parked, spanning first park to exit — hook time included,
@@ -235,30 +269,33 @@ where
         slice: Duration,
         mut between: impl FnMut(),
     ) -> Result<V, DhtError> {
-        let b = &self.buckets[self.bucket_of(key)];
+        let (words, b, fraction) = self.locate(key);
         b.stats.record_get();
+        let find = || b.table.get(&words, fraction).map(|(kind, value)| V::decode(kind, value));
         // Fast path: present already — identical cost to `get`.
-        if let Some(v) = b.map.read().get(key) {
-            return Ok(v.clone());
+        if let Some(v) = find() {
+            return Ok(v);
         }
         let slice = if slice.is_zero() { timeout } else { slice };
         let deadline = Instant::now() + timeout;
         let mut queues = b.wait_queues.lock();
-        // Register on this key's queue *before* the re-check below, so
-        // a racing `put` either becomes visible to the re-check or sees
-        // our waiter count and notifies our queue.
-        b.waiters.fetch_add(1, Ordering::SeqCst);
         let cv = {
             let q = queues
-                .entry(key.clone())
+                .entry(words)
                 .or_insert_with(|| KeyQueue { cv: Arc::new(Condvar::new()), parked: 0 });
             q.parked += 1;
             Arc::clone(&q.cv)
         };
+        // Count ourselves in *before* the re-probe below: the count
+        // changes only under the wait mutex, and the fence pairs with
+        // `put_new`'s, so a racing insert either becomes visible to the
+        // re-probe or sees our count and notifies our queue.
+        b.waiters.store(b.waiters.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
         let mut block_timer: Option<Timer> = None;
         let result = loop {
-            if let Some(v) = b.map.read().get(key) {
-                break Ok(v.clone());
+            if let Some(v) = find() {
+                break Ok(v);
             }
             if block_timer.is_none() {
                 // Exactly one recorded wait per blocking call, however
@@ -274,8 +311,8 @@ where
             if cv.wait_until(&mut queues, slice_deadline).timed_out() {
                 // Slice expired. The key may have landed between the
                 // timeout and our relock — prefer it over self-help.
-                if let Some(v) = b.map.read().get(key) {
-                    break Ok(v.clone());
+                if let Some(v) = find() {
+                    break Ok(v);
                 }
                 if Instant::now() >= deadline {
                     break Err(DhtError::WaitTimeout);
@@ -286,13 +323,14 @@ where
             }
         };
         // Deregister; drop the key's queue once the last waiter leaves.
-        if let Some(q) = queues.get_mut(key) {
+        if let Some(q) = queues.get_mut(&words) {
             q.parked -= 1;
             if q.parked == 0 {
-                queues.remove(key);
+                queues.remove(&words);
             }
         }
-        b.waiters.fetch_sub(1, Ordering::SeqCst);
+        b.waiters.store(b.waiters.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+        drop(queues);
         if let Some(timer) = block_timer {
             timer.stop(&self.wait_latency);
         }
@@ -301,63 +339,63 @@ where
 
     /// `true` when the key is currently stored.
     pub fn contains(&self, key: &K) -> bool {
-        let b = &self.buckets[self.bucket_of(key)];
-        b.map.read().contains_key(key)
+        let (words, b, fraction) = self.locate(key);
+        b.table.get(&words, fraction).is_some()
     }
 
     /// Remove a key, returning the previous value if any. (Not used by
     /// the core protocol — metadata is immutable — but exposed for
     /// garbage-collection extensions and failure-injection tests.)
     pub fn remove(&self, key: &K) -> Option<V> {
-        let b = &self.buckets[self.bucket_of(key)];
-        b.map.write().remove(key)
+        let (words, b, fraction) = self.locate(key);
+        b.table.remove(&words, fraction).map(|(kind, value)| V::decode(kind, value))
     }
 
     /// Visit every stored entry, one bucket at a time under that
-    /// bucket's **read** guard: readers and `get_wait`ers proceed in
+    /// bucket's **mutex**: readers and `get_wait`ers proceed in
     /// parallel, and a writer to a bucket waits only while that bucket
     /// is being visited. The view is per-bucket consistent, not global —
     /// an entry stored into a bucket the visit already passed is not
-    /// seen. Keep `f` cheap and non-reentrant (it runs under the guard).
+    /// seen. Keep `f` cheap and non-reentrant (it runs under the mutex).
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        for b in &self.buckets {
-            for (k, v) in b.map.read().iter() {
-                f(k, v);
-            }
+        for b in self.buckets.iter() {
+            b.table.for_each(|e| f(&K::decode(e.key), &V::decode(e.kind, e.value)));
         }
     }
 
     /// Keep only the entries for which `keep` returns `true`; returns
-    /// the number removed. The predicate may be called under a bucket
-    /// lock — keep it cheap and non-reentrant. This is the sweep
-    /// primitive of version garbage collection.
+    /// the number removed. The predicate runs under a bucket mutex —
+    /// keep it cheap and non-reentrant. This is the sweep primitive of
+    /// version garbage collection.
     pub fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
-        let mut removed = 0;
-        for b in &self.buckets {
-            let mut map = b.map.write();
-            let before = map.len();
-            map.retain(|k, v| keep(k, v));
-            removed += before - map.len();
-        }
-        removed
+        self.buckets
+            .iter()
+            .map(|b| b.table.retain(|e| keep(&K::decode(e.key), &V::decode(e.kind, e.value))))
+            .sum()
     }
 
     /// Total number of stored entries (O(buckets)).
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.map.read().len()).sum()
+        self.buckets.iter().map(|b| b.table.len()).sum()
     }
 
     /// `true` when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|b| b.map.read().is_empty())
+        self.buckets.iter().all(|b| b.table.len() == 0)
     }
 
-    /// Snapshot of per-bucket access statistics.
+    /// Snapshot of per-bucket access statistics, plus the cells the
+    /// buckets hold and how often they were rebuilt.
     pub fn stats(&self) -> DhtStats {
-        DhtStats::collect(self.buckets.iter().map(|b| {
-            let entries = b.map.read().len();
-            b.stats.snapshot(entries)
-        }))
+        let mut stats =
+            DhtStats::collect(self.buckets.iter().map(|b| b.stats.snapshot(b.table.len())));
+        for b in self.buckets.iter() {
+            let (growths, compactions) = b.table.rebuilds();
+            stats.capacity += b.table.capacity();
+            stats.growths += growths;
+            stats.compactions += compactions;
+        }
+        stats
     }
 }
 
@@ -374,11 +412,11 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
-        let dht: Dht<u64, String> = Dht::new(8);
-        dht.put_new(1, "one".into());
-        dht.put_new(2, "two".into());
-        assert_eq!(dht.get(&1).as_deref(), Some("one"));
-        assert_eq!(dht.get(&2).as_deref(), Some("two"));
+        let dht: Dht<u64, u64> = Dht::new(8);
+        dht.put_new(1, 100);
+        dht.put_new(2, 200);
+        assert_eq!(dht.get(&1), Some(100));
+        assert_eq!(dht.get(&2), Some(200));
         assert_eq!(dht.get(&3), None);
         assert_eq!(dht.len(), 2);
         assert!(!dht.is_empty());

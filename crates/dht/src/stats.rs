@@ -78,6 +78,12 @@ pub struct DhtStats {
     pub total_puts: u64,
     /// Sum of blocking waits over all buckets.
     pub total_waits: u64,
+    /// Cells allocated over all buckets (64 bytes each).
+    pub capacity: usize,
+    /// Rebuilds that grew a bucket by appending a segment.
+    pub growths: u64,
+    /// Rebuilds that compacted a bucket's tombstones at the same size.
+    pub compactions: u64,
 }
 
 impl DhtStats {
@@ -89,6 +95,7 @@ impl DhtStats {
             total_puts: buckets.iter().map(|b| b.puts).sum(),
             total_waits: buckets.iter().map(|b| b.waits).sum(),
             buckets,
+            ..DhtStats::default()
         }
     }
 

@@ -12,20 +12,23 @@ enum Op {
     Remove(u64),
 }
 
+/// Scripts long enough, over keys enough, that a bucket grows through
+/// several segments and compacts its tombstones mid-script (most often
+/// with the few-bucket half of the bucket-count draw below).
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0u64..200, any::<u64>()).prop_map(|(k, v)| Op::Put(k, v)),
-            (0u64..200).prop_map(Op::Get),
-            (0u64..200).prop_map(Op::Remove),
+            (0u64..512, any::<u64>()).prop_map(|(k, v)| Op::Put(k, v)),
+            (0u64..512).prop_map(Op::Get),
+            (0u64..512).prop_map(Op::Remove),
         ],
-        1..200,
+        1..4000,
     )
 }
 
 proptest! {
     #[test]
-    fn conforms_to_hashmap_model(ops in ops(), buckets in 1usize..40) {
+    fn conforms_to_hashmap_model(ops in ops(), buckets in prop_oneof![1usize..6, 6usize..40]) {
         let dht: Dht<u64, u64> = Dht::new(buckets);
         let mut model: HashMap<u64, u64> = HashMap::new();
         for op in ops {

@@ -36,5 +36,5 @@ pub use build::{build_meta, UpdateContext};
 pub use lineage::Lineage;
 pub use node::{NodeKey, RootRef, TreeNode};
 pub use plan::{read_plan, update_plan, ReadPlan, UpdatePlan};
-pub use read::{collect_tree_pages, read_meta, read_meta_multi, TreeReader};
+pub use read::{collect_tree_pages, read_meta, read_meta_multi, read_meta_page, TreeReader};
 pub use store::{MetaStore, SelfHelpHook};

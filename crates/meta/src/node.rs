@@ -1,5 +1,6 @@
 //! Tree-node model and DHT keys.
 
+use blobseer_dht::{CellKey, CellValue};
 use blobseer_types::{BlobId, NodePos, PageId, ProviderId, Version};
 
 /// DHT key of a tree node: "each tree node is identified uniquely by its
@@ -68,6 +69,58 @@ impl TreeNode {
     }
 }
 
+/// A node key is its four words: blob, version, offset, size.
+impl CellKey for NodeKey {
+    fn encode(&self) -> [u64; 4] {
+        [self.blob.0, self.version.0, self.pos.offset, self.pos.size]
+    }
+
+    fn decode(w: [u64; 4]) -> Self {
+        NodeKey {
+            blob: BlobId(w[0]),
+            version: Version(w[1]),
+            pos: NodePos { offset: w[2], size: w[3] },
+        }
+    }
+}
+
+/// The kind bit is set for leaves. An inner node is its two child
+/// versions plus a word of presence bits (bit 0 left, bit 1 right); a
+/// leaf is its page id as two words plus `provider << 32 | valid_len`.
+impl CellValue for TreeNode {
+    fn encode(&self) -> (bool, [u64; 3]) {
+        match *self {
+            TreeNode::Inner { left, right } => {
+                let present = u64::from(left.is_some()) | u64::from(right.is_some()) << 1;
+                (false, [left.map_or(0, |v| v.0), right.map_or(0, |v| v.0), present])
+            }
+            TreeNode::Leaf { pid, provider, valid_len } => (
+                true,
+                [
+                    pid.0 as u64,
+                    (pid.0 >> 64) as u64,
+                    u64::from(provider.0) << 32 | u64::from(valid_len),
+                ],
+            ),
+        }
+    }
+
+    fn decode(leaf: bool, w: [u64; 3]) -> Self {
+        if leaf {
+            TreeNode::Leaf {
+                pid: PageId(u128::from(w[0]) | u128::from(w[1]) << 64),
+                provider: ProviderId((w[2] >> 32) as u32),
+                valid_len: w[2] as u32,
+            }
+        } else {
+            TreeNode::Inner {
+                left: (w[2] & 1 != 0).then_some(Version(w[0])),
+                right: (w[2] & 2 != 0).then_some(Version(w[1])),
+            }
+        }
+    }
+}
+
 /// A snapshot's tree root: the version plus the dyadic position its root
 /// node covers. Handed to readers by the version manager (which tracks
 /// per-version sizes and therefore root spans).
@@ -102,6 +155,27 @@ mod tests {
     fn leaf_child_panics() {
         let l = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 64 };
         let _ = l.child(true);
+    }
+
+    #[test]
+    fn cell_codecs_round_trip() {
+        let key = NodeKey { blob: BlobId(3), version: Version(u64::MAX), pos: NodePos::new(8, 8) };
+        assert_eq!(NodeKey::decode(key.encode()), key);
+        let nodes = [
+            TreeNode::Inner { left: Some(Version(0)), right: None },
+            TreeNode::Inner { left: None, right: Some(Version(u64::MAX)) },
+            TreeNode::Inner { left: None, right: None },
+            TreeNode::Leaf {
+                pid: PageId(u128::MAX - 1),
+                provider: ProviderId(u32::MAX),
+                valid_len: 7,
+            },
+            TreeNode::Leaf { pid: PageId(0), provider: ProviderId(0), valid_len: u32::MAX },
+        ];
+        for node in nodes {
+            let (kind, words) = node.encode();
+            assert_eq!(TreeNode::decode(kind, words), node);
+        }
     }
 
     #[test]

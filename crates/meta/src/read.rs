@@ -93,6 +93,9 @@ pub fn read_meta(
     if pages.is_empty() {
         return Ok(Vec::new());
     }
+    if pages.count == 1 {
+        return read_meta_page(reader, root, pages.first).map(|pd| vec![pd]);
+    }
     let mut out = Vec::with_capacity(pages.count as usize);
     let mut stack: Vec<(Version, NodePos)> = vec![(root.version, root.pos)];
     while let Some((version, pos)) = stack.pop() {
@@ -129,6 +132,41 @@ pub fn read_meta(
         )));
     }
     Ok(out)
+}
+
+/// `READ_META` for a request inside one page: the descriptor of `page`
+/// in the snapshot rooted at `root`, by one root-to-leaf descent in a
+/// loop — no stack, no sort, no allocation. [`read_meta`] takes this
+/// path for one-page requests; the caller's validation contract is the
+/// same.
+pub fn read_meta_page(reader: &TreeReader<'_>, root: RootRef, page: u64) -> Result<PageDescriptor> {
+    if !root.pos.contains_page(page) {
+        return Err(BlobError::Internal(format!("tree {root:?} does not cover page {page}")));
+    }
+    let (mut version, mut pos) = (root.version, root.pos);
+    loop {
+        match reader.fetch(version, pos, true)? {
+            TreeNode::Leaf { pid, provider, valid_len } if pos.is_leaf() => {
+                return Ok(PageDescriptor { pid, page_index: pos.offset, provider, valid_len });
+            }
+            TreeNode::Inner { left, right } if !pos.is_leaf() => {
+                let child = pos.child_toward(page);
+                match if child.is_left_child() { left } else { right } {
+                    Some(v) => (version, pos) = (v, child),
+                    None => {
+                        return Err(BlobError::Internal(format!(
+                            "tree {root:?}: missing child {child:?} above page {page}"
+                        )))
+                    }
+                }
+            }
+            node => {
+                return Err(BlobError::Internal(format!(
+                    "tree {root:?}: {node:?} stored at {pos:?}"
+                )))
+            }
+        }
+    }
 }
 
 /// Vectored `READ_META`: the page descriptors covering *any* of
@@ -295,6 +333,29 @@ mod tests {
         assert_eq!(pds.len(), 2);
         assert_eq!(pds[0].page_index, 1);
         assert_eq!(pds[1].page_index, 2);
+    }
+
+    #[test]
+    fn one_page_reads_descend_to_their_leaf() {
+        let (store, lineage) = fig1a_store();
+        let reader = TreeReader::new(&store, &lineage);
+        let root = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
+        for page in 0..4 {
+            let pd = read_meta_page(&reader, root, page).unwrap();
+            assert_eq!((pd.page_index, pd.pid), (page, PageId(100 + page as u128)));
+            // Any sub-range of the page takes the same descent.
+            let one = read_meta(&reader, root, ByteRange::new(page * 4 + 1, 2), 4).unwrap();
+            assert_eq!(one, vec![pd]);
+        }
+        assert!(matches!(read_meta_page(&reader, root, 4), Err(BlobError::Internal(_))));
+        // A missing child inside the tree is corrupt metadata.
+        let partial = RootRef { version: Version(2), pos: NodePos::new(0, 2) };
+        store.put_new(
+            NodeKey { blob: BlobId(1), version: Version(2), pos: NodePos::new(0, 2) },
+            TreeNode::Inner { left: Some(Version(1)), right: None },
+        );
+        assert!(read_meta_page(&reader, partial, 0).is_ok());
+        assert!(matches!(read_meta_page(&reader, partial, 1), Err(BlobError::Internal(_))));
     }
 
     #[test]

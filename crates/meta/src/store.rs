@@ -21,10 +21,11 @@ const WAIT_SLICE: Duration = Duration::from_millis(250);
 /// The metadata provider: tree nodes distributed over DHT buckets.
 ///
 /// `get` is non-blocking and suits reads of *published* versions (whose
-/// trees are complete by definition); since the DHT's read path takes
-/// only a shared bucket guard, concurrent readers of the same hot node
-/// (every reader of a snapshot fetches the same root) do not serialize
-/// on the metadata provider. `get_wait` blocks until the node appears —
+/// trees are complete by definition); since the DHT's read path is
+/// lock-free (a validated read of a write-once cell), concurrent
+/// readers of the same hot node (every reader of a snapshot fetches
+/// the same root) do not serialize on the metadata provider.
+/// `get_wait` blocks until the node appears —
 /// the mechanism by which an operation depending on a lower,
 /// still-in-flight version waits for its writer (paper §4.2). The wait
 /// is bounded by the configured timeout so a crashed writer surfaces as
@@ -124,7 +125,7 @@ impl MetaStore {
     }
 
     /// Report every stored leaf's `(pid, provider)`: one pass over the
-    /// table under per-bucket read guards ([`Dht::for_each`]), no tree
+    /// table, each bucket under its mutex ([`Dht::for_each`]), no tree
     /// walk. Nodes are write-once and garbage collection deletes exactly
     /// the nodes no retained root reaches, so this is the set of pages
     /// the metadata references — up to concurrent stores and sweeps

@@ -14,12 +14,12 @@ use std::sync::{Arc, Mutex};
 
 use blobseer_meta::plan::{border_positions, update_plan, UpdatePlan};
 use blobseer_simnet::{
-    millis, to_secs, Activity, Engine, Nanos, Network, NodeId, Process, Stage, Step, TransferSpec,
+    to_secs, Activity, Engine, Nanos, Network, NodeId, Process, Stage, Step, TransferSpec,
 };
 use blobseer_types::{NodePos, PageRange};
 
 use crate::cluster::Cluster;
-use crate::params::SimParams;
+use crate::params::{SimParams, BUILD_PER_LEVEL, BUILD_PER_NODE};
 
 /// One measured append: the paper plots `mbps` against `pages_after`.
 #[derive(Clone, Copy, Debug)]
@@ -249,14 +249,9 @@ impl AppendClient {
     }
 
     /// Client-side CPU cost of computing the new tree: per created node
-    /// plus per level (border bookkeeping, level assembly). The
-    /// per-level term is what makes a new tree level — gained exactly
-    /// when the page count crosses a power of two — visible in the
-    /// bandwidth curve.
+    /// plus per level ([`BUILD_PER_NODE`], [`BUILD_PER_LEVEL`]).
     fn build_compute(&self, plan: &UpdatePlan) -> Nanos {
-        let per_node = millis(0.01);
-        let per_level = millis(0.15);
-        plan.node_count() * per_node + u64::from(plan.depth()) * per_level
+        plan.node_count() * BUILD_PER_NODE + u64::from(plan.depth()) * BUILD_PER_LEVEL
     }
 }
 

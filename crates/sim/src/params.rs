@@ -2,6 +2,16 @@
 
 use blobseer_simnet::{millis, Nanos};
 
+/// Client CPU per tree node an update creates (building the new tree
+/// in memory): 0.01 ms.
+pub const BUILD_PER_NODE: Nanos = 10_000;
+
+/// Client CPU per level of the updated tree (border bookkeeping, level
+/// assembly): 0.15 ms. A new level is gained exactly when the page count
+/// crosses a power of two, which makes the step visible in the append
+/// bandwidth curve.
+pub const BUILD_PER_LEVEL: Nanos = 150_000;
+
 /// Cost model of the simulated deployment.
 ///
 /// Wire-level constants are taken from the paper (§5): 1 Gbit/s links
@@ -94,5 +104,7 @@ mod tests {
         let p = SimParams::default();
         assert_eq!(p.bandwidth_bps, 117.5e6);
         assert_eq!(p.latency, 100_000);
+        assert_eq!(BUILD_PER_NODE, millis(0.01));
+        assert_eq!(BUILD_PER_LEVEL, millis(0.15));
     }
 }
