@@ -347,7 +347,8 @@ impl BlobSeer {
     /// Restore every live page to **full replication**: mark live
     /// pages against metadata (the scrubber's machinery and epoch-cut
     /// safety argument), scan every provider's physical copy set, and
-    /// diff each page against its expected replica chain — re-copying
+    /// diff each page against its expected replica chain — slices of
+    /// pages in parallel on the store's I/O pool — re-copying
     /// missing or checksum-failed chain copies from any copy that
     /// verifies (chain first, then the write-path failover fallbacks),
     /// and trimming redundant failover strays once a chain fully

@@ -12,14 +12,19 @@
 //! concurrent `retire_versions`, is argued once in `docs/OPERATIONS.md`
 //! ("Marking the live set"). [`fill_chain`] is the only place a page
 //! copy is re-placed: repair fills the expected chain, drain the chain
-//! as it will read once the victim retires. What each caller does with
-//! the answer — reclaim, fill or evacuate — is its own module's policy.
+//! as it will read once the victim retires. Both derive a [`Route`] —
+//! the chain and its other sources as provider handles — once per
+//! distinct primary, not per page, and share it across that primary's
+//! pages; repair runs the fills in parallel slices on the store's pool,
+//! drain one by one. What each caller does with the answer — reclaim,
+//! fill or evacuate — is its own module's policy.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use blobseer_metrics::{Timer, WindowedHistogram};
-use blobseer_provider::SealedPage;
-use blobseer_types::{PageId, ProviderId};
+use blobseer_provider::{DataProvider, SealedPage};
+use blobseer_types::{PageId, ProviderId, Result};
 
 use crate::engine::Engine;
 
@@ -60,38 +65,66 @@ pub(crate) struct Fill {
     pub failed: u64,
 }
 
-/// Bring every `targets` slot of `pid` to a verifying copy. Each
-/// target that `listed` admits is fetched and verified whole; the
-/// others, and those that fail, are filled from the first verified
-/// copy — targets first, then the `sources` that are not targets —
-/// re-placing the fetched [`SealedPage`] with the client's sums, never
-/// re-hashed. Replacing a checksum-failed copy is the one legitimate
-/// overwrite. A provider `listed` rejects is never fetched from. `None`
-/// when no copy verifies anywhere: nothing was written.
+/// The providers one primary's pages are filled over, resolved once
+/// per pass (or drain round) and shared by every page that names that
+/// primary: deriving a chain is a registry read lock, a linear search
+/// and two `Vec`s, and resolving a handle another lock and search.
+pub(crate) struct Route {
+    /// Where the copies belong, in chain order.
+    pub targets: Vec<Arc<DataProvider>>,
+    /// Where else a verified copy may be read from, in order; never a
+    /// target.
+    pub sources: Vec<Arc<DataProvider>>,
+}
+
+impl Route {
+    /// Resolve `targets` and the `sources` that are not targets.
+    pub(crate) fn resolve(
+        engine: &Engine,
+        targets: &[ProviderId],
+        sources: &[ProviderId],
+    ) -> Result<Route> {
+        let resolve = |&id: &ProviderId| engine.providers.provider(id);
+        Ok(Route {
+            targets: targets.iter().map(resolve).collect::<Result<_>>()?,
+            sources: sources
+                .iter()
+                .filter(|id| !targets.contains(id))
+                .map(resolve)
+                .collect::<Result<_>>()?,
+        })
+    }
+}
+
+/// Bring every target slot of `pid` to a verifying copy. Each target
+/// that `listed` admits is fetched and verified whole; the others, and
+/// those that fail, are filled from the first verified copy — targets
+/// first, then the route's sources — re-placing the fetched
+/// [`SealedPage`] with the client's sums, never re-hashed. Replacing a
+/// checksum-failed copy is the one legitimate overwrite. A provider
+/// `listed` rejects is never fetched from. `None` when no copy
+/// verifies anywhere: nothing was written.
 pub(crate) fn fill_chain(
-    engine: &Engine,
     pid: PageId,
-    targets: &[ProviderId],
-    sources: &[ProviderId],
+    route: &Route,
     listed: &dyn Fn(ProviderId) -> bool,
 ) -> Option<Fill> {
-    let fetch = |id| listed(id).then(|| engine.providers.provider(id)?.fetch_page(pid));
+    let fetch = |p: &DataProvider| listed(p.id()).then(|| p.fetch_page(pid));
     let mut fill = Fill::default();
     let mut degraded = Vec::new();
     let mut source: Option<SealedPage> = None;
-    for &id in targets {
-        match fetch(id) {
+    for target in &route.targets {
+        match fetch(target) {
             Some(Ok(page)) => {
                 fill.verified += 1;
                 source.get_or_insert(page);
             }
-            _ => degraded.push(id),
+            _ => degraded.push(target),
         }
     }
-    let mut extra = sources.iter().filter(|id| !targets.contains(id));
-    let page = source.or_else(|| extra.find_map(|&id| fetch(id)?.ok()))?;
-    for id in degraded {
-        match engine.providers.provider(id).and_then(|p| p.store_repaired_page(pid, page.clone())) {
+    let page = source.or_else(|| route.sources.iter().find_map(|p| fetch(p)?.ok()))?;
+    for target in degraded {
+        match target.store_repaired_page(pid, page.clone()) {
             Ok(()) => {
                 fill.filled += 1;
                 fill.bytes += page.len() as u64;

@@ -7,11 +7,13 @@
 //!   chains that now wrap onto it are reconciled by the next repair.
 //! * [`drain_provider`] *evacuates* a provider: the victim turns
 //!   read-only (stores refuse with the crash error, so write-path
-//!   failover re-places in-flight copies), then rounds of mark and
-//!   migrate run until a scan proves it empty, and only then is it
+//!   failover re-places in-flight copies), then rounds of scan, mark
+//!   and migrate run until a scan proves it empty, and only then is it
 //!   retired — a tombstone that keeps anchoring registry positions.
-//!   Each round migrates the judged-live pages below the epoch
-//!   ([`fill_chain`] over the post-retirement chain, then delete the
+//!   Each round scans the victim first and marks only if the scan found
+//!   pages, so the last round pays no mark. It migrates the judged-live
+//!   pages below the epoch ([`fill_chain`] over the post-retirement
+//!   chain, derived once per primary per round, then delete the
 //!   victim's copy), reclaims the judged-dead ones in place and defers
 //!   the unjudged rest until their writers' pins drop. Writers that
 //!   never quiesce within the engine's wait budget fail **typed**
@@ -19,6 +21,8 @@
 //!   service. The safety argument is `docs/OPERATIONS.md`, "Marking the
 //!   live set".
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,7 +31,7 @@ use blobseer_provider::DataProvider;
 use blobseer_types::{BlobError, ProviderId, Result};
 
 use crate::engine::Engine;
-use crate::maintenance::{fill_chain, LiveSet};
+use crate::maintenance::{fill_chain, LiveSet, Route};
 
 /// What a completed [`crate::BlobSeer::drain_provider`] did. All
 /// counters are for this drain only; the lifetime aggregates live in
@@ -115,22 +119,27 @@ pub(crate) fn drain_provider(engine: &Arc<Engine>, id: ProviderId) -> Result<Dra
     drained
 }
 
-/// Mark/migrate rounds until a scan proves the victim empty.
+/// Scan/mark/migrate rounds until a scan proves the victim empty.
 fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<DrainReport> {
     let id = victim.id();
     let mut report = DrainReport::new(id);
     let deadline = Instant::now() + engine.wait_timeout();
     loop {
         report.rounds += 1;
-        let live = LiveSet::mark(engine, &engine.metrics.drain_mark_latency);
-
-        let copy_timer = Timer::start();
+        // Scan before marking, so the round that finds the victim empty
+        // pays no mark. The judgment below does not depend on when the
+        // scan ran: a page below the mark's epoch that no leaf names is
+        // dead whenever it was listed.
         let held = victim
             .scan_pages()
             .map_err(|e| BlobError::DrainConflict(format!("victim went offline mid-drain: {e}")))?;
         if held.is_empty() {
             return Ok(report);
         }
+        let live = LiveSet::mark(engine, &engine.metrics.drain_mark_latency);
+
+        let copy_timer = Timer::start();
+        let mut routes: HashMap<ProviderId, Route> = HashMap::new();
         let mut deferred = 0usize;
         for (pid, _) in held {
             if pid >= live.epoch {
@@ -150,12 +159,11 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
             // Live: fill the chain as it will read once the victim
             // retires (sourcing from the victim only when no target
             // verifies), then — and only then — delete the victim's copy.
-            let targets =
-                engine.providers.chain_after_retire(primary, engine.config.replication, id)?;
-            let mut sources = engine.providers.fallbacks_of(primary, 1)?;
-            sources.retain(|&s| s != id);
-            sources.insert(0, id);
-            let fill = fill_chain(engine, pid, &targets, &sources, &|_| true)
+            let route = match routes.entry(primary) {
+                Entry::Occupied(route) => route.into_mut(),
+                Entry::Vacant(slot) => slot.insert(drain_route(engine, primary, id)?),
+            };
+            let fill = fill_chain(pid, route, &|_| true)
                 .filter(|fill| fill.verified + fill.filled > 0)
                 .ok_or_else(|| {
                     BlobError::DrainConflict(format!(
@@ -186,4 +194,16 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
+}
+
+/// The migration route of `primary`'s pages off `victim`: the chain as
+/// it will read once the victim retires, sourced from the victim first,
+/// then the failover fallbacks.
+fn drain_route(engine: &Engine, primary: ProviderId, victim: ProviderId) -> Result<Route> {
+    let targets =
+        engine.providers.chain_after_retire(primary, engine.config.replication, victim)?;
+    let mut sources = engine.providers.fallbacks_of(primary, 1)?;
+    sources.retain(|&s| s != victim);
+    sources.insert(0, victim);
+    Route::resolve(engine, &targets, &sources)
 }

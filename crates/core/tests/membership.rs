@@ -315,6 +315,35 @@ fn drain_refuses_last_survivor_and_double_drain() {
     assert_eq!(read_all(&blob, v).len(), 100);
 }
 
+/// A drain scans its victim before it marks, so the round whose scan
+/// proves the victim empty pays no mark: a quiescent drain records one
+/// mark per round that found pages, `rounds − 1` in all — none for a
+/// victim that held nothing.
+#[test]
+fn the_round_that_finds_the_victim_empty_does_not_mark() {
+    let (store, _handles) = store_with_handles(3);
+    let marks = |store: &BlobSeer| {
+        let text = store.metrics_text();
+        let line = text
+            .lines()
+            .find_map(|line| line.strip_prefix("blobseer_drain_mark_latency_seconds_count "))
+            .expect("the drain mark count is exported");
+        line.parse::<usize>().unwrap()
+    };
+
+    let empty = store.drain_provider(ProviderId(1)).unwrap();
+    assert_eq!(empty.rounds, 1);
+    assert_eq!(marks(&store), 0, "an empty victim needs no mark");
+
+    let blob = store.create();
+    let v = blob.append_bytes(fill(600, 3)).unwrap();
+    blob.sync(v).unwrap();
+    let report = store.drain_provider(ProviderId(0)).unwrap();
+    assert!(report.pages_evacuated > 0);
+    assert!(report.rounds >= 2);
+    assert_eq!(marks(&store), report.rounds - 1);
+}
+
 /// A join after drains reuses no retired id, and placement hot-swap
 /// applies to the next allocation without a rebuild.
 #[test]

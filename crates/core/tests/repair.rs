@@ -3,11 +3,13 @@
 //! repairer, and the sliced-wait self-help hook. Deterministic
 //! companions to the randomized `tests/prop_provider_crash.rs`.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use blobseer::{
-    Blob, BlobError, BlobSeer, ByteRange, Bytes, CrashPoint, FaultPlan, MemoryPageStore, PageStore,
+    Blob, BlobError, BlobSeer, ByteRange, Bytes, CrashPoint, FaultPlan, MemoryPageStore, PageId,
+    PageStore, ProviderId,
 };
 
 const PSIZE: u64 = 64;
@@ -215,6 +217,143 @@ fn page_corrupt_surfaces_only_when_every_copy_rots() {
     let report = store.repair_replicas().unwrap();
     assert_eq!(report.pages_unrepairable, 1);
     assert_eq!(report.copies_repaired, 0);
+}
+
+/// 0 by default, a mix of `PROPTEST_SEED` when it is set: moves the
+/// outage, its victim and which copies rot, so each seed of CI's stress
+/// job damages other pages.
+fn seed_offset() -> u64 {
+    std::env::var("PROPTEST_SEED")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .map_or(0, |seed| seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33)
+}
+
+/// Which providers hold a copy of each page, by page id.
+fn holders(plans: &[Arc<FaultPlan>]) -> BTreeMap<PageId, Vec<usize>> {
+    let mut held = BTreeMap::<PageId, Vec<usize>>::new();
+    for (i, plan) in plans.iter().enumerate() {
+        for (pid, _) in plan.scan().unwrap() {
+            held.entry(pid).or_default().push(i);
+        }
+    }
+    held
+}
+
+/// Enough pages for the copy phase to run in several fork-join slices
+/// (it cuts 64 live pages per slice), with three kinds of damage spread
+/// over the whole page range, and so over the slices: failovers and
+/// their strays from an outage during the ingest, single rotted chain
+/// copies (some on failed-over pages, whose stray is then the only
+/// verified copy left besides the chain's), and one page whose every
+/// copy rots. The counts are exact: one refill per failover and per
+/// rotted copy, one trim per failover, one unrepairable page.
+#[test]
+fn repair_across_many_slices_counts_every_kind_of_damage_exactly() {
+    const PAGES: u64 = 320;
+    const PER_APPEND: u64 = 8;
+    let off = seed_offset();
+    let (store, plans) = faulty_store(4, 2);
+    let blob = store.create();
+    let data: Vec<u8> =
+        (0..PAGES * PSIZE).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+
+    // One provider is down for 15 of the 40 appends. Placement skips it,
+    // so a page's copies land on its chain {p, p + 1} except where the
+    // chain's second slot is the dead provider: that copy fails over to
+    // the next live provider and becomes a stray.
+    let dead = (off % 4) as usize;
+    let outage = 5 + off % 10..20 + off % 10;
+    for (i, chunk) in data.chunks((PER_APPEND * PSIZE) as usize).enumerate() {
+        let down = outage.contains(&(i as u64));
+        if down {
+            store.fail_provider(ProviderId(dead as u32)).unwrap();
+        }
+        let v = blob.append(chunk).unwrap();
+        blob.sync(v).unwrap();
+        if down {
+            store.recover_provider(ProviderId(dead as u32)).unwrap();
+        }
+    }
+    let failovers = store.stats_snapshot().failovers_total;
+    assert!(failovers > 0, "the outage must force failovers");
+
+    // Rot chain copies: every 5th failed-over page loses its one chain
+    // copy, every 7th other page one of its two, and one other page
+    // both of its copies.
+    let before_provider = (dead + 3) % 4;
+    let (mut rotted, mut stray_only, mut doomed) = (0u64, 0u64, None);
+    let (mut failed_over, mut whole) = (0u64, 0u64);
+    for (pid, held) in holders(&plans) {
+        assert_eq!(held.len(), 2, "{pid:?} must have two copies before the damage");
+        let chain_pair = (held[0] + 1) % 4 == held[1] || (held[1] + 1) % 4 == held[0];
+        let rot = |i: usize| assert!(plans[i].corrupt_stored_page(pid).unwrap());
+        if !chain_pair {
+            // Held on the provider before the dead one and its fallback.
+            assert!(held.contains(&before_provider));
+            if (failed_over + off).is_multiple_of(5) {
+                rot(before_provider);
+                rotted += 1;
+                stray_only += 1;
+            }
+            failed_over += 1;
+            continue;
+        }
+        match (whole + off) % 7 {
+            0 => {
+                rot(held[((whole + off) / 7 % 2) as usize]);
+                rotted += 1;
+            }
+            3 if doomed.is_none() => {
+                rot(held[0]);
+                rot(held[1]);
+                doomed = Some(pid);
+            }
+            _ => {}
+        }
+        whole += 1;
+    }
+    assert_eq!(failed_over, failovers, "one stray per failover");
+    assert!(stray_only > 0 && rotted > stray_only && doomed.is_some());
+
+    let report = store.repair_replicas().unwrap();
+    assert_eq!(report.pages_examined, PAGES as usize);
+    assert!(report.pages_examined >= 4 * 64, "at least four slices");
+    assert_eq!(report.providers_skipped, 0);
+    assert_eq!(report.copies_repaired, failovers + rotted);
+    assert_eq!(report.strays_trimmed, failovers);
+    assert_eq!(report.pages_unrepairable, 1);
+    assert_eq!(report.copies_failed, 0);
+
+    // Converged: a second pass fixes and trims nothing, and still
+    // reports the lost page.
+    let second = store.repair_replicas().unwrap();
+    assert_eq!(second.copies_repaired, 0);
+    assert_eq!(second.strays_trimmed, 0);
+    assert_eq!(second.copies_failed, 0);
+    assert_eq!(second.pages_unrepairable, 1);
+    assert_eq!(second.copies_verified, 2 * (PAGES - 1));
+
+    // Every page but the lost one reads back byte-exact with any one
+    // provider offline; the lost one fails typed.
+    let snap = blob.latest().unwrap();
+    let mut lost = 0;
+    for page in 0..PAGES {
+        let range = ByteRange::new(page * PSIZE, PSIZE);
+        let expected = &data[(page * PSIZE) as usize..((page + 1) * PSIZE) as usize];
+        match snap.read(range) {
+            Err(BlobError::PageCorrupt { .. }) => lost += 1,
+            other => {
+                assert_eq!(&other.unwrap()[..], expected, "page {page}");
+                for plan in &plans {
+                    plan.set_offline(true);
+                    assert_eq!(&snap.read(range).unwrap()[..], expected, "page {page}");
+                    plan.set_offline(false);
+                }
+            }
+        }
+    }
+    assert_eq!(lost, 1);
 }
 
 #[test]
