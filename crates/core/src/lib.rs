@@ -585,7 +585,8 @@ impl BlobSeer {
     /// phases — as nearest-rank percentiles over the store's lifetime.
     /// Percentiles are histogram bucket edges, within 1/128 above the
     /// true sample; recording is always on and costs two clock reads
-    /// and one relaxed atomic increment per operation. See
+    /// and four relaxed atomic increments per timed span, all on the
+    /// recording thread's own stripe. See
     /// `docs/OBSERVABILITY.md` for how to read the tails.
     ///
     /// # Examples

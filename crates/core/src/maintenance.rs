@@ -67,8 +67,8 @@ pub(crate) struct Fill {
 
 /// The providers one primary's pages are filled over, resolved once
 /// per pass (or drain round) and shared by every page that names that
-/// primary: deriving a chain is a registry read lock, a linear search
-/// and two `Vec`s, and resolving a handle another lock and search.
+/// primary: deriving a chain is a walk of the registry and two `Vec`s,
+/// and resolving a handle a reference count the parallel jobs need.
 pub(crate) struct Route {
     /// Where the copies belong, in chain order.
     pub targets: Vec<Arc<DataProvider>>,
@@ -84,7 +84,7 @@ impl Route {
         targets: &[ProviderId],
         sources: &[ProviderId],
     ) -> Result<Route> {
-        let resolve = |&id: &ProviderId| engine.providers.provider(id);
+        let resolve = |&id: &ProviderId| engine.providers.provider(id).cloned();
         Ok(Route {
             targets: targets.iter().map(resolve).collect::<Result<_>>()?,
             sources: sources

@@ -107,7 +107,7 @@ pub(crate) fn drain_provider(engine: &Arc<Engine>, id: ProviderId) -> Result<Dra
     // Read-only from here: every new store to the victim fails over to
     // a survivor, so the victim's page set only shrinks.
     victim.begin_drain();
-    let drained = drain_rounds(engine, &victim);
+    let drained = drain_rounds(engine, victim);
     if drained.is_ok() {
         victim.retire();
     } else {

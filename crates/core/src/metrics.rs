@@ -3,11 +3,15 @@
 //!
 //! One `EngineMetrics` per [`Engine`](crate::engine::Engine) — not
 //! process-global — so a test spinning up many stores gets independent
-//! registries. Operation *counters* always count (one relaxed
-//! `fetch_add`) and latency *timers* always time: call sites start a
-//! [`Timer`](blobseer_metrics::Timer) and stop it into the histogram
-//! on success. The DHT's own block-time histogram is created by the
-//! DHT and merely registered here for exposition.
+//! registries. Operation *counters* always count and latency *timers*
+//! always time: call sites start a [`Timer`](blobseer_metrics::Timer)
+//! (one clock read) and stop it into the histogram on success (one
+//! more). Both kinds are striped by thread, so a counter bump is one
+//! relaxed `fetch_add` and a record four, all on cache lines only the
+//! recording thread writes: two readers serving `read_into` side by
+//! side never move a metric line between their cores. The DHT's own
+//! block-time histogram is created by the DHT and merely registered
+//! here for exposition.
 //!
 //! Metric names and semantics are documented in `docs/OBSERVABILITY.md`.
 
@@ -48,7 +52,8 @@ pub(crate) struct EngineMetrics {
     /// out of the [`Registry`] — labeled series (`{provider="N"}`)
     /// need one shared `# TYPE` header, so exposition goes through
     /// [`EngineMetrics::render_provider_latency`] instead. Buckets
-    /// allocate lazily, so idle providers cost a pointer each.
+    /// allocate on first record, so idle providers cost a few words
+    /// each.
     pub provider_store_latency: Vec<Arc<WindowedHistogram>>,
     /// Per-provider page-fetch latency (successful fetches only),
     /// indexed by provider id; same exposition path as stores.

@@ -34,8 +34,9 @@
 //!   value, fence (Acquire), reload the state. Equal live states make
 //!   the hit valid; as a key's value never changes, it is also current.
 //!   The only read-modify-write on the path is the bucket's stats
-//!   counter, so readers of the same hot node (every reader of a
-//!   snapshot fetches the same root) never serialize.
+//!   counter, striped by thread, so readers of the same hot node (every
+//!   reader of a snapshot fetches the same root) never serialize and
+//!   never write a cache line another reader writes.
 //! - **A live cell is never rewritten.** `remove` and `retain` turn it
 //!   into a tombstone, which is never reused in place. Writers
 //!   (`put_new`, `remove`, `retain`, rebuilds) serialize on the
@@ -67,8 +68,10 @@
 //!   to the bucket waits only while that bucket is being visited.
 //!   `len` and `stats().entries` read a per-bucket live counter.
 //!
-//! Per-bucket stats are relaxed atomics on their own cacheline so
-//! counter traffic does not dirty the lines readers probe.
+//! Per-bucket stats are [`blobseer_metrics::Counter`]s: one relaxed
+//! `fetch_add` on a cache line of the calling thread's own stripe, so
+//! counter traffic neither dirties the lines readers probe nor moves a
+//! line between two readers.
 
 mod codec;
 mod hash;

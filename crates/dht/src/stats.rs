@@ -4,50 +4,47 @@
 //! reader concurrency; part of that cost is contention on metadata
 //! providers that hold "hot" tree nodes (every reader traverses the same
 //! root). These counters let tests and benches observe that skew on the
-//! real engine.
+//! real engine — without adding contention of their own: each is a
+//! [`Counter`] striped by thread, so a `get` bumps a cache line only its
+//! own thread writes, never the line of a reader on another core.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use blobseer_metrics::Counter;
 
-/// Relaxed per-bucket counters, aligned to their own cacheline so the
-/// constant counter traffic from hot `get`s never dirties the line
-/// holding the bucket's lock state (and vice versa).
-#[repr(align(64))]
+/// Per-bucket counters. A [`Counter`]'s stripes sit on cache lines of
+/// their own, so the constant counter traffic from hot `get`s never
+/// dirties the line holding the bucket's lock state (and vice versa).
 pub(crate) struct BucketCounters {
-    gets: AtomicU64,
-    puts: AtomicU64,
-    waits: AtomicU64,
+    gets: Counter,
+    puts: Counter,
+    waits: Counter,
 }
 
 impl BucketCounters {
     pub(crate) fn new() -> Self {
-        BucketCounters {
-            gets: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-        }
+        BucketCounters { gets: Counter::new(), puts: Counter::new(), waits: Counter::new() }
     }
 
     #[inline]
     pub(crate) fn record_get(&self) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.gets.increment();
     }
 
     #[inline]
     pub(crate) fn record_put(&self) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.puts.increment();
     }
 
     #[inline]
     pub(crate) fn record_wait(&self) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
+        self.waits.increment();
     }
 
     pub(crate) fn snapshot(&self, entries: usize) -> BucketStats {
         BucketStats {
             entries,
-            gets: self.gets.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
+            gets: self.gets.value(),
+            puts: self.puts.value(),
+            waits: self.waits.value(),
         }
     }
 }

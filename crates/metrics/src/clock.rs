@@ -5,17 +5,21 @@
 //! (to measure a duration). The split here mirrors clocksource's
 //! `AtomicInstant` recipe:
 //!
-//! * durations are measured with a precise `Instant` pair
-//!   ([`Timer::start`] / [`Timer::stop`]) — the two real clock reads an
-//!   operation was going to pay anyway;
+//! * durations are measured with one precise clock read per edge:
+//!   [`Timer::start`] stores nanoseconds since the process epoch and
+//!   [`Timer::stop`] reads the clock once more, using that one reading
+//!   both for the duration and as the sample's timestamp;
 //! * the coarse clock is a process-wide atomic holding "nanoseconds
-//!   since process epoch", refreshed as a **side effect** of every
-//!   `Timer::stop` (which just read the real clock) and readable with
-//!   one relaxed load ([`coarse_now`]) everywhere else.
+//!   since process epoch", readable with one relaxed load
+//!   ([`coarse_now`]). `Timer::stop` publishes its reading there only
+//!   when it is at least a granule (1 ms) ahead of the cached one;
+//!   otherwise its publish is a single load. So the shared line is
+//!   written about once per millisecond, not once per operation, and
+//!   the coarse clock lags the real one by up to a granule.
 //!
 //! Consumers that only need bucketing granularity — sliding-window
-//! rotation, the lease ticker's wall-clock→tick mapping — read the
-//! coarse clock; nothing in a hot path ever takes a lock for time.
+//! rotation, whose slices are a second long — read the coarse clock;
+//! nothing in a hot path ever takes a lock for time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -31,6 +35,10 @@ fn epoch() -> Instant {
 /// The cached coarse reading (ns since [`epoch`]).
 static COARSE: AtomicU64 = AtomicU64::new(0);
 
+/// How far a [`Timer::stop`] reading must be ahead of the cached coarse
+/// reading before it is published: 1 ms.
+const GRANULE_NS: u64 = 1_000_000;
+
 /// Precise nanoseconds since the process epoch (a real clock read).
 ///
 /// # Examples
@@ -45,10 +53,11 @@ pub fn precise_now() -> u64 {
 }
 
 /// The cached coarse reading: one relaxed atomic load, no clock read.
-/// Advances only when something calls [`refresh`] (every
-/// [`Timer::stop`] does), so it can lag the real clock by however long
-/// the process went without measuring anything — by design: its
-/// consumers need bucketing granularity, not precision.
+/// Advances when something calls [`refresh`], or when a
+/// [`Timer::stop`] finds it a granule (1 ms) or more behind, so it lags
+/// the real clock by up to a granule, or by however long the process
+/// went without measuring anything — by design: its consumers need
+/// bucketing granularity, not precision.
 ///
 /// # Examples
 ///
@@ -78,7 +87,7 @@ pub fn refresh() -> u64 {
 }
 
 /// A precise duration measurement that feeds a [`WindowedHistogram`]
-/// and refreshes the coarse clock for free on the way out.
+/// and keeps the coarse clock within a granule on the way out.
 ///
 /// [`WindowedHistogram`]: crate::WindowedHistogram
 ///
@@ -96,28 +105,32 @@ pub fn refresh() -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct Timer {
-    start: Instant,
+    start_ns: u64,
 }
 
 impl Timer {
     /// Start timing (a precise clock read).
     pub fn start() -> Timer {
-        Timer { start: Instant::now() }
+        Timer { start_ns: precise_now() }
     }
 
-    /// Stop timing: record the elapsed nanoseconds into `hist` (stamped
-    /// with a freshly refreshed coarse reading, so the sample lands in
-    /// the current window slice) and return them.
+    /// Stop timing: read the clock once, record the elapsed nanoseconds
+    /// into `hist` stamped with that reading (so the sample lands in
+    /// the current window slice), and return them. The reading becomes
+    /// the coarse clock only if it is a granule (1 ms) ahead of it.
     pub fn stop(self, hist: &crate::WindowedHistogram) -> u64 {
-        let elapsed = self.start.elapsed().as_nanos() as u64;
-        let now = refresh();
+        let now = precise_now();
+        if now >= COARSE.load(Ordering::Relaxed).saturating_add(GRANULE_NS) {
+            COARSE.fetch_max(now, Ordering::Relaxed);
+        }
+        let elapsed = now.saturating_sub(self.start_ns);
         hist.record_at(now, elapsed);
         elapsed
     }
 
     /// Elapsed nanoseconds so far, without consuming the timer.
     pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
+        precise_now().saturating_sub(self.start_ns)
     }
 }
 
@@ -150,5 +163,19 @@ mod tests {
         let ns = t.stop(&hist);
         assert!(ns >= 2_000_000, "slept 2ms but measured {ns}ns");
         assert_eq!(hist.snapshot().count(), 1);
+    }
+
+    #[test]
+    fn timer_stop_keeps_the_coarse_clock_within_a_granule() {
+        let hist = crate::WindowedHistogram::new();
+        let t = Timer::start();
+        let before_stop = precise_now();
+        t.stop(&hist);
+        // The stop's reading is at or after `before_stop`, and after
+        // the stop the cached reading is within a granule of it.
+        assert!(coarse_now() + GRANULE_NS > before_stop);
+        let cached = coarse_now();
+        Timer::start().stop(&hist);
+        assert!(coarse_now() >= cached, "the coarse clock never steps back");
     }
 }

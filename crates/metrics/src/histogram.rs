@@ -11,8 +11,21 @@
 //! A bucket's width is therefore never more than `2^-p` of the values
 //! it holds, so any percentile read off the bucket edges carries a
 //! bounded **relative error ≤ 2^-p** (default `p = 7`: ≤ 1/128 ≈
-//! 0.8%). Recording is one index computation plus one relaxed
-//! `fetch_add` — no locks, no floating point.
+//! 0.8%). Recording is one index computation plus two relaxed
+//! `fetch_add`s (the bucket and the sum) — no locks, no floating point.
+//!
+//! **Striped by thread.** Every bucket and the sum exist once per
+//! [stripe](crate::STRIPES), each stripe's cells on cache lines of their
+//! own, and a record writes only its thread's stripe. Snapshots add the
+//! stripes up, so counts and sums are exact once writers quiesce.
+//!
+//! **Buckets follow the recorded range.** The buckets come in groups:
+//! the exact region, then one group of `2^p` per power of two. Each
+//! group — all stripes' cells of it, in one allocation — is allocated
+//! by the first record that lands in it, so a latency histogram whose
+//! samples span a few powers of two holds a few groups, not the whole
+//! `u64` range, and a later thread recording the same range allocates
+//! nothing.
 //!
 //! [`WindowedHistogram`] layers a sliding window on top: an all-time
 //! histogram plus a ring of interval slices rotated by the coarse
@@ -25,6 +38,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::clock;
+use crate::stripe::{self, Padded, STRIPES};
 
 /// Default grouping power: 128 sub-buckets per power of two, bounding
 /// relative error at 1/128 (≈ 0.8%).
@@ -35,16 +49,48 @@ fn bucket_count(p: u32) -> usize {
     (1usize << (p + 1)) + (63 - p as usize) * (1usize << p)
 }
 
-/// The bucket index of `value` under grouping power `p`.
+/// Bucket groups for grouping power `p`: the exact region, then one per
+/// power of two above it.
+fn group_count(p: u32) -> usize {
+    1 + (63 - p as usize)
+}
+
+/// Buckets in group `g`.
+fn group_len(p: u32, g: usize) -> usize {
+    if g == 0 {
+        1usize << (p + 1)
+    } else {
+        1usize << p
+    }
+}
+
+/// The flat index of group `g`'s first bucket.
+fn group_start(p: u32, g: usize) -> usize {
+    if g == 0 {
+        0
+    } else {
+        (1usize << (p + 1)) + ((g - 1) << p)
+    }
+}
+
+/// The group of `value` under grouping power `p`, and its bucket within
+/// that group.
 #[inline]
-fn index_of(p: u32, value: u64) -> usize {
+fn locate(p: u32, value: u64) -> (usize, usize) {
     let h = 63 - (value | 1).leading_zeros();
     if h <= p {
-        value as usize
+        (0, value as usize)
     } else {
         let g = h - p; // sub-bucket width within [2^h, 2^(h+1)) is 2^g
-        (1usize << (p + 1)) + ((g as usize - 1) << p) + ((value >> g) as usize - (1usize << p))
+        (g as usize, (value >> g) as usize - (1usize << p))
     }
+}
+
+/// The flat bucket index of `value` under grouping power `p`.
+#[cfg(test)]
+fn index_of(p: u32, value: u64) -> usize {
+    let (g, b) = locate(p, value);
+    group_start(p, g) + b
 }
 
 /// The largest value mapping to bucket `i` under grouping power `p`.
@@ -61,12 +107,115 @@ fn bucket_high(p: u32, i: usize) -> u64 {
     }
 }
 
+/// Buckets per cache-line pair.
+const LINE: usize = 16;
+
+/// 16 buckets of one stripe of one histogram, alone on their lines.
+type Line = Padded<[AtomicU64; LINE]>;
+
+/// Lines one stripe of one histogram needs for group `g`.
+fn lines_per_run(p: u32, g: usize) -> usize {
+    group_len(p, g).div_ceil(LINE)
+}
+
+/// The cells of `hists` histograms over one bucket layout, striped by
+/// thread: histogram `h`'s stripe `s` is run `h × STRIPES + s` of every
+/// group and of the sums. A group is allocated, for every histogram and
+/// stripe at once, by the first record landing in it, so recording a
+/// range that is already allocated never allocates, whichever thread or
+/// window slice records it.
+#[derive(Debug)]
+struct Cells {
+    grouping_power: u32,
+    hists: usize,
+    /// Indexed by group (see [`locate`]); empty until recorded into.
+    groups: Box<[OnceLock<Box<[Line]>>]>,
+    sums: Box<[Padded<AtomicU64>]>,
+}
+
+impl Cells {
+    fn new(grouping_power: u32, hists: usize) -> Cells {
+        assert!(
+            (1..=15).contains(&grouping_power),
+            "grouping power {grouping_power} outside 1..=15"
+        );
+        Cells {
+            grouping_power,
+            hists,
+            groups: (0..group_count(grouping_power)).map(|_| OnceLock::new()).collect(),
+            sums: (0..hists * STRIPES).map(|_| Padded(AtomicU64::new(0))).collect(),
+        }
+    }
+
+    /// Record `value` into histogram `h` on stripe `s`.
+    #[inline]
+    fn record(&self, h: usize, s: usize, value: u64) {
+        let p = self.grouping_power;
+        let (g, b) = locate(p, value);
+        let per = lines_per_run(p, g);
+        let lines = self.groups[g].get_or_init(|| {
+            let n = self.hists * STRIPES * per;
+            (0..n).map(|_| Padded([const { AtomicU64::new(0) }; LINE])).collect()
+        });
+        let run = h * STRIPES + s;
+        lines[run * per + b / LINE][b % LINE].fetch_add(1, Ordering::Relaxed);
+        self.sums[run].fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// The groups recorded into so far, with their indexes.
+    fn allocated(&self) -> impl Iterator<Item = (usize, &[Line])> {
+        self.groups.iter().enumerate().filter_map(|(g, group)| Some((g, &**group.get()?)))
+    }
+
+    /// Histogram `h`'s runs (one per stripe) of group `g`'s `lines`.
+    fn runs<'a>(&self, h: usize, g: usize, lines: &'a [Line]) -> impl Iterator<Item = &'a [Line]> {
+        let per = lines_per_run(self.grouping_power, g);
+        lines[h * STRIPES * per..][..STRIPES * per].chunks(per)
+    }
+
+    /// Zero histogram `h` on every stripe (used by window rotation);
+    /// allocated groups stay allocated. Not atomic as a whole:
+    /// concurrent records may land before or after individual bucket
+    /// clears — bounded slop at slice boundaries, by design.
+    fn reset(&self, h: usize) {
+        for sum in &self.sums[h * STRIPES..][..STRIPES] {
+            sum.store(0, Ordering::Relaxed);
+        }
+        for (g, lines) in self.allocated() {
+            for b in self.runs(h, g, lines).flatten().flat_map(|line| line.iter()) {
+                b.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Add histogram `h`'s counts, over every stripe, into `snap`.
+    fn merge_into(&self, h: usize, snap: &mut HistogramSnapshot) {
+        let p = self.grouping_power;
+        assert_eq!(p, snap.grouping_power, "grouping powers must match");
+        for sum in &self.sums[h * STRIPES..][..STRIPES] {
+            snap.sum = snap.sum.wrapping_add(sum.load(Ordering::Relaxed));
+        }
+        for (g, lines) in self.allocated() {
+            let dst = &mut snap.buckets[group_start(p, g)..][..group_len(p, g)];
+            for run in self.runs(h, g, lines) {
+                for (dst, src) in dst.iter_mut().zip(run.iter().flat_map(|line| line.iter())) {
+                    *dst += src.load(Ordering::Relaxed);
+                }
+            }
+        }
+    }
+}
+
 /// A lock-free histogram over the full `u64` value range.
 ///
 /// See the [crate docs](crate) for the bucket scheme and error bound.
-/// All recording is relaxed atomics; snapshots taken while writers are
-/// recording are approximate (a concurrent record may be split between
-/// `sum` and its bucket).
+/// All recording is relaxed atomics on the calling thread's
+/// [stripe](crate::STRIPES); snapshots add the stripes up, and taken
+/// while writers are recording they are approximate (a concurrent
+/// record may be split between `sum` and its bucket). Each bucket
+/// group (the exact region, then one per power of two) is allocated,
+/// for every stripe at once, by the first record landing in it, so
+/// memory follows the recorded range.
 ///
 /// # Examples
 ///
@@ -85,9 +234,7 @@ fn bucket_high(p: u32, i: usize) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct AtomicHistogram {
-    grouping_power: u32,
-    buckets: Box<[AtomicU64]>,
-    sum: AtomicU64,
+    cells: Cells,
 }
 
 impl AtomicHistogram {
@@ -100,50 +247,25 @@ impl AtomicHistogram {
     /// A histogram with `2^p` sub-buckets per power of two (relative
     /// error ≤ `2^-p`). Panics unless `1 ≤ p ≤ 15`.
     pub fn with_grouping_power(p: u32) -> AtomicHistogram {
-        assert!((1..=15).contains(&p), "grouping power {p} outside 1..=15");
-        let buckets = (0..bucket_count(p)).map(|_| AtomicU64::new(0)).collect();
-        AtomicHistogram { grouping_power: p, buckets, sum: AtomicU64::new(0) }
+        AtomicHistogram { cells: Cells::new(p, 1) }
     }
 
     /// The configured grouping power.
     pub fn grouping_power(&self) -> u32 {
-        self.grouping_power
+        self.cells.grouping_power
     }
 
     /// Record one observation of `value`.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[index_of(self.grouping_power, value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.cells.record(0, stripe::index(), value);
     }
 
-    /// Zero every bucket (used by window rotation). Not atomic as a
-    /// whole: concurrent records may land before or after individual
-    /// bucket clears — bounded slop at slice boundaries, by design.
-    fn reset(&self) {
-        self.sum.store(0, Ordering::Relaxed);
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// A point-in-time copy of the bucket counts.
+    /// A point-in-time copy of the bucket counts, every stripe added up.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            grouping_power: self.grouping_power,
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-        }
-    }
-
-    /// Accumulate this histogram's counts into `snap` (same grouping
-    /// power required).
-    fn merge_into(&self, snap: &mut HistogramSnapshot) {
-        assert_eq!(self.grouping_power, snap.grouping_power, "grouping powers must match");
-        snap.sum = snap.sum.wrapping_add(self.sum.load(Ordering::Relaxed));
-        for (dst, src) in snap.buckets.iter_mut().zip(self.buckets.iter()) {
-            *dst += src.load(Ordering::Relaxed);
-        }
+        let mut snap = HistogramSnapshot::empty(self.grouping_power());
+        self.cells.merge_into(0, &mut snap);
+        snap
     }
 }
 
@@ -259,16 +381,24 @@ impl HistogramSnapshot {
 /// [`WindowedHistogram::window_snapshot`] always covers roughly the
 /// last `slices × slice_duration` of traffic. Rotation is driven by
 /// the timestamps recorders pass in (normally the [coarse
-/// clock](crate::clock)) — there is no background thread.
+/// clock](crate::clock)) — there is no background thread. The
+/// all-time histogram and every slice are striped by thread like an
+/// [`AtomicHistogram`], so a record writes only its own thread's lines;
+/// the ring's rotation period is read on every record but written once
+/// per slice, by the one recorder that wins its CAS and clears the
+/// expired slices on every stripe.
 ///
 /// The window is approximate at slice boundaries: a recorder holding a
 /// stale timestamp may record into a slice that a concurrent rotation
 /// is clearing. The all-time histogram is never rotated and never
 /// loses a sample.
 ///
-/// Bucket storage is **lazily allocated** on first record: registering
-/// many windowed histograms costs nothing until a hot path actually
-/// records into one.
+/// Storage is **lazily allocated**: the ring on the first record, a
+/// bucket group — for the all-time histogram and every slice and
+/// stripe at once — on the first record that lands in it. Registering
+/// many windowed histograms costs a few words each until a hot path
+/// actually records into one, and a slice rotating into use, or a
+/// thread recording for the first time, allocates nothing.
 ///
 /// # Examples
 ///
@@ -292,10 +422,11 @@ pub struct WindowedHistogram {
     inner: OnceLock<Windows>,
 }
 
+/// Histogram 0 of `cells` is the all-time one; histogram `1 + i` is
+/// slice `i` of the ring.
 #[derive(Debug)]
 struct Windows {
-    live: AtomicHistogram,
-    slices: Vec<AtomicHistogram>,
+    cells: Cells,
     /// The slice period the ring has been rotated up to.
     period: AtomicU64,
 }
@@ -334,12 +465,14 @@ impl WindowedHistogram {
 
     fn windows(&self) -> &Windows {
         self.inner.get_or_init(|| Windows {
-            live: AtomicHistogram::with_grouping_power(self.grouping_power),
-            slices: (0..self.num_slices)
-                .map(|_| AtomicHistogram::with_grouping_power(self.grouping_power))
-                .collect(),
+            cells: Cells::new(self.grouping_power, 1 + self.num_slices),
             period: AtomicU64::new(0),
         })
+    }
+
+    /// The cells histogram holding slice period `period`.
+    fn slice_of(&self, period: u64) -> usize {
+        1 + (period % self.num_slices as u64) as usize
     }
 
     /// Advance the ring to `now`, clearing every slice whose period
@@ -352,7 +485,7 @@ impl WindowedHistogram {
         {
             let first = (cur + 1).max(period.saturating_sub(self.num_slices as u64 - 1));
             for q in first..=period {
-                w.slices[(q % self.num_slices as u64) as usize].reset();
+                w.cells.reset(self.slice_of(q));
             }
         }
     }
@@ -370,16 +503,18 @@ impl WindowedHistogram {
     pub fn record_at(&self, now_ns: u64, value: u64) {
         let w = self.windows();
         self.rotate(w, now_ns);
-        w.live.record(value);
-        w.slices[((now_ns / self.slice_ns) % self.num_slices as u64) as usize].record(value);
+        let s = stripe::index();
+        w.cells.record(0, s, value);
+        w.cells.record(self.slice_of(now_ns / self.slice_ns), s, value);
     }
 
     /// All-time snapshot: every sample ever recorded.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        match self.inner.get() {
-            Some(w) => w.live.snapshot(),
-            None => HistogramSnapshot::empty(self.grouping_power),
+        let mut snap = HistogramSnapshot::empty(self.grouping_power);
+        if let Some(w) = self.inner.get() {
+            w.cells.merge_into(0, &mut snap);
         }
+        snap
     }
 
     /// Sliding-window snapshot as of the coarse clock: roughly the
@@ -391,13 +526,11 @@ impl WindowedHistogram {
     /// [`WindowedHistogram::window_snapshot`] with an explicit
     /// timestamp (nanoseconds since the process epoch).
     pub fn window_snapshot_at(&self, now_ns: u64) -> HistogramSnapshot {
-        let Some(w) = self.inner.get() else {
-            return HistogramSnapshot::empty(self.grouping_power);
-        };
-        self.rotate(w, now_ns);
         let mut snap = HistogramSnapshot::empty(self.grouping_power);
-        for slice in &w.slices {
-            slice.merge_into(&mut snap);
+        let Some(w) = self.inner.get() else { return snap };
+        self.rotate(w, now_ns);
+        for slice in 1..=self.num_slices {
+            w.cells.merge_into(slice, &mut snap);
         }
         snap
     }
@@ -504,12 +637,76 @@ mod tests {
         assert_eq!(h.snapshot().count(), 2);
     }
 
+    /// The groups a histogram's cells allocated, by index.
+    fn groups(cells: &Cells) -> Vec<usize> {
+        cells.allocated().map(|(g, _)| g).collect()
+    }
+
     #[test]
     fn lazy_allocation_defers_buckets() {
         let h = WindowedHistogram::new();
         assert!(h.inner.get().is_none(), "no record yet: no buckets");
         assert_eq!(h.snapshot().count(), 0);
+        assert_eq!(h.window_snapshot_at(0).count(), 0);
+        assert!(h.inner.get().is_none(), "snapshots allocate nothing");
         h.record_at(0, 5);
-        assert!(h.inner.get().is_some());
+        // One group — the exact region value 5 falls in — for the
+        // all-time histogram and every slice; nothing else.
+        let w = h.inner.get().expect("a record allocates the ring");
+        assert_eq!(groups(&w.cells), vec![0]);
+        // A later slice and another power of two: one more group.
+        h.record_at(2_000_000_000, 5);
+        assert_eq!(groups(&w.cells), vec![0]);
+        h.record_at(2_000_000_000, 1 << 20);
+        assert_eq!(groups(&w.cells), vec![0, 20 - DEFAULT_GROUPING_POWER as usize]);
+        assert_eq!(h.snapshot().count(), 3);
+    }
+
+    #[test]
+    fn one_power_of_two_allocates_one_group_whatever_the_stripes() {
+        // Every value in [2^12, 2^13), from four threads at one
+        // timestamp: exactly one group is allocated, holding every
+        // histogram's and every stripe's cells, and each thread's
+        // records land in runs of its own stripe.
+        let h = WindowedHistogram::new();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let h = &h;
+                s.spawn(move || {
+                    for i in 0..1_000u64 {
+                        h.record_at(0, 4096 + (t * 1_000 + i) % 4096);
+                    }
+                });
+            }
+        });
+        let w = h.inner.get().unwrap();
+        let g = 12 - DEFAULT_GROUPING_POWER as usize;
+        assert_eq!(groups(&w.cells), vec![g]);
+        let (_, lines) = w.cells.allocated().next().unwrap();
+        let written = |h| {
+            w.cells
+                .runs(h, g, lines)
+                .filter(|run| {
+                    run.iter().flat_map(|l| l.iter()).any(|c| c.load(Ordering::Relaxed) > 0)
+                })
+                .count()
+        };
+        assert!((1..=4).contains(&written(0)), "{} stripes written by 4 threads", written(0));
+        assert_eq!(written(1), written(0), "the current slice sees the same stripes");
+        assert_eq!(written(2), 0);
+        assert_eq!(h.snapshot().count(), 4_000);
+        assert_eq!(h.window_snapshot_at(0).count(), 4_000);
+    }
+
+    #[test]
+    fn groups_tile_the_bucket_range() {
+        for p in 1..=15 {
+            let last = group_count(p) - 1;
+            assert_eq!(group_start(p, last) + group_len(p, last), bucket_count(p), "p = {p}");
+            assert_eq!(
+                AtomicHistogram::with_grouping_power(p).snapshot().buckets.len(),
+                bucket_count(p)
+            );
+        }
     }
 }

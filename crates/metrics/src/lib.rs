@@ -6,25 +6,36 @@
 //! rustcommon stack (metriken-style registered metrics, clocksource's
 //! coarse cached clock, base-2 sub-bucketed histograms):
 //!
-//! * [`Counter`] / [`Gauge`] — lock-free relaxed atomics, safe to bump
-//!   from any hot path;
+//! * [`Counter`] — an event counter striped by thread: a bump is one
+//!   relaxed `fetch_add` on a cache line only the calling thread
+//!   writes, and a read sums the stripes; [`Gauge`] — a plain relaxed
+//!   atomic level;
 //! * [`AtomicHistogram`] — a base-2-bucketed atomic histogram whose
 //!   relative error is bounded by the *grouping power* (default 7 →
-//!   ≤ 1/128 ≈ 0.8%), recording in O(1) with a single `fetch_add`;
+//!   ≤ 1/128 ≈ 0.8%), recording in O(1) with two `fetch_add`s (bucket
+//!   and sum) on the recording thread's stripe, its bucket groups
+//!   allocated on first record;
 //! * [`WindowedHistogram`] — an all-time histogram plus a ring of
-//!   interval slices, so snapshots can report both lifetime and
-//!   recent-window percentiles (p50/p90/p99/p999);
+//!   interval slices, striped the same way, so snapshots can report
+//!   both lifetime and recent-window percentiles (p50/p90/p99/p999);
 //! * [`clock`] — a coarse cached clock ([`clock::coarse_now`]): one
 //!   relaxed atomic load where `Instant::now()` would be a syscall-ish
-//!   vDSO call, refreshed for free by every [`Timer`] stop;
+//!   vDSO call, kept within a 1 ms granule by every [`Timer`] stop;
 //! * [`Registry`] — named metric registration and a Prometheus-style
 //!   text exposition ([`Registry::render`]).
+//!
+//! **No record writes a line another thread writes.** Up to
+//! [`STRIPES`] live threads each own a stripe (see the `stripe`
+//! module), and the coarse clock's shared line is written about once a
+//! millisecond. That is what keeps per-operation metrics cheap when
+//! many threads serve operations at once.
 //!
 //! Everything is safe under full concurrency; recording never takes a
 //! lock. Snapshots taken while writers are recording are approximate in
 //! the usual relaxed-atomics sense (a snapshot may split a concurrent
 //! record between `_sum` and its bucket) — fine for observability,
-//! documented so nobody builds an invariant on it.
+//! documented so nobody builds an invariant on it. Once writers
+//! quiesce, every count and sum is exact.
 //!
 //! # Examples
 //!
@@ -49,6 +60,7 @@ pub mod clock;
 mod histogram;
 mod metric;
 mod registry;
+mod stripe;
 
 pub use clock::Timer;
 pub use histogram::{
@@ -58,3 +70,4 @@ pub use metric::{Counter, Gauge};
 pub use registry::{
     write_counter, write_gauge, write_summary_seconds, write_summary_seconds_labeled, Registry,
 };
+pub use stripe::STRIPES;

@@ -1,9 +1,17 @@
 //! The provider manager and its page-to-provider allocation strategies.
+//!
+//! The registry is an append-only table indexed by provider id (id
+//! equals position; providers are never removed, retirement is a
+//! flag). A lookup takes no lock and hands out a borrowed handle, so a
+//! read's provider resolution touches no refcount and writes no shared
+//! line; chain and placement walks read the published prefix, and only
+//! joins serialize, on a mutex.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use blobseer_types::{BlobError, ProviderId, Result};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::placement::{
     LeastLoadedPolicy, PlacementCandidate, PlacementPolicy, PowerOfTwoPolicy, RandomPolicy,
@@ -65,8 +73,82 @@ pub struct MembershipCounts {
     pub retired: usize,
 }
 
+/// Slots in the registry's first segment; segment `s` holds
+/// `FIRST << s`.
+const FIRST: usize = 16;
+
+/// Registry segments: room for about 2^32 providers.
+const SEGMENTS: usize = 28;
+
+/// The segment holding registry position `i`, and the slot within it.
+fn segment_of(i: usize) -> (usize, usize) {
+    let s = (i / FIRST + 1).ilog2() as usize;
+    (s, i - FIRST * ((1 << s) - 1))
+}
+
+/// One registry segment: slots filled once, in position order.
+type Segment = Box<[OnceLock<Arc<DataProvider>>]>;
+
+/// The registry: an append-only table of providers, position = id.
+/// Segments double in size and are never moved or freed, and a filled
+/// slot never changes, so a reader needs no lock: it loads the
+/// published length (Acquire, pairing with the appender's Release
+/// store, which follows the slot's fill) and indexes. Appends serialize
+/// on `append`.
+struct Members {
+    segments: [OnceLock<Segment>; SEGMENTS],
+    len: AtomicUsize,
+    append: Mutex<()>,
+}
+
+impl Members {
+    fn new() -> Members {
+        Members {
+            segments: [const { OnceLock::new() }; SEGMENTS],
+            len: AtomicUsize::new(0),
+            append: Mutex::new(()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// A filled slot at a position below a loaded length.
+    fn at(&self, i: usize) -> &Arc<DataProvider> {
+        let (s, slot) = segment_of(i);
+        self.segments[s]
+            .get()
+            .and_then(|seg| seg[slot].get())
+            .expect("a published position is filled before the length covers it")
+    }
+
+    fn get(&self, i: usize) -> Option<&Arc<DataProvider>> {
+        (i < self.len()).then(|| self.at(i))
+    }
+
+    /// The published prefix, in registry order.
+    fn iter(&self) -> impl Iterator<Item = &Arc<DataProvider>> {
+        (0..self.len()).map(|i| self.at(i))
+    }
+
+    /// Append the provider `make` builds for the next id.
+    fn push(&self, make: impl FnOnce(ProviderId) -> Arc<DataProvider>) -> ProviderId {
+        let _append = self.append.lock();
+        let i = self.len.load(Ordering::Relaxed);
+        let id = ProviderId(u32::try_from(i).expect("provider ids fit in u32"));
+        let (s, slot) = segment_of(i);
+        assert!(s < SEGMENTS, "provider registry full");
+        let seg =
+            self.segments[s].get_or_init(|| (0..FIRST << s).map(|_| OnceLock::new()).collect());
+        assert!(seg[slot].set(make(id)).is_ok(), "position {i} appended twice");
+        self.len.store(i + 1, Ordering::Release);
+        id
+    }
+}
+
 /// The provider manager: registry of data providers plus the placement
-/// policy. Providers may join dynamically ([`ProviderManager::register`])
+/// policy. Providers may join dynamically ([`ProviderManager::add_provider`])
 /// and leave via drain-then-retire, mirroring the paper's "new data
 /// providers may dynamically join and leave the system".
 ///
@@ -76,9 +158,11 @@ pub struct MembershipCounts {
 /// copies. Instead, retirement flags the provider and every walk skips
 /// it; the position — and with it the determinism of
 /// [`Self::replicas_of`]/[`Self::fallbacks_of`] — survives arbitrarily
-/// many membership changes.
+/// many membership changes. Because nothing is ever removed, a
+/// provider's id is its position, and [`Self::provider`] is an index
+/// into an append-only table: no lock, no refcount.
 pub struct ProviderManager {
-    providers: RwLock<Vec<Arc<DataProvider>>>,
+    providers: Members,
     policy: RwLock<Arc<dyn PlacementPolicy>>,
 }
 
@@ -93,13 +177,17 @@ impl ProviderManager {
         Self::new(providers, strategy)
     }
 
-    /// Manager over pre-built providers.
+    /// Manager over pre-built providers. Panics unless
+    /// `providers[i].id()` is `ProviderId(i)` for every `i`: ids are
+    /// registry positions.
     pub fn new(providers: Vec<Arc<DataProvider>>, strategy: AllocationStrategy) -> Self {
         assert!(!providers.is_empty(), "at least one data provider required");
-        ProviderManager {
-            providers: RwLock::new(providers),
-            policy: RwLock::new(strategy.policy()),
+        let members = Members::new();
+        for (i, provider) in providers.into_iter().enumerate() {
+            assert_eq!(provider.id(), ProviderId(i as u32), "providers[{i}] has the wrong id");
+            members.push(|_| provider);
         }
+        ProviderManager { providers: members, policy: RwLock::new(strategy.policy()) }
     }
 
     /// The active placement policy's name.
@@ -121,15 +209,15 @@ impl ProviderManager {
 
     /// Number of registered providers (tombstones included).
     pub fn provider_count(&self) -> usize {
-        self.providers.read().len()
+        self.providers.len()
     }
 
     /// Census of the membership states; the source of the
     /// `blobseer_providers_*` gauges.
     pub fn membership(&self) -> MembershipCounts {
-        let providers = self.providers.read();
-        let mut counts = MembershipCounts { registered: providers.len(), ..Default::default() };
-        for p in providers.iter() {
+        let mut counts = MembershipCounts::default();
+        for p in self.providers.iter() {
+            counts.registered += 1;
             if p.is_retired() {
                 counts.retired += 1;
             } else if p.is_draining() {
@@ -141,22 +229,14 @@ impl ProviderManager {
         counts
     }
 
-    /// Register a provider that joined the deployment. It lands at the
-    /// end of the registry, so every existing replica chain is
+    /// Register a brand-new provider over `store`, at the end of the
+    /// registry with the next id, so every existing replica chain is
     /// unchanged except where it wraps past the former last position —
-    /// exactly the chains the repairer already reconciles.
-    pub fn register(&self, provider: Arc<DataProvider>) {
-        self.providers.write().push(provider);
-    }
-
-    /// Register a brand-new provider over `store`, assigning the next
-    /// unused id. Returns the new member's id; it is immediately
-    /// eligible for placement and failover.
+    /// exactly the chains the repairer already reconciles. Returns the
+    /// new member's id; it is immediately eligible for placement and
+    /// failover.
     pub fn add_provider(&self, store: Arc<dyn PageStore>) -> ProviderId {
-        let mut providers = self.providers.write();
-        let id = ProviderId(providers.iter().map(|p| p.id().raw() + 1).max().unwrap_or(0));
-        providers.push(Arc::new(DataProvider::new(id, store)));
-        id
+        self.providers.push(|id| Arc::new(DataProvider::new(id, store)))
     }
 
     /// Every registered provider still in service (retired tombstones
@@ -164,19 +244,15 @@ impl ProviderManager {
     /// scrubber and repairer (which must visit *all* serving providers,
     /// available or not, and report the offline ones as skipped).
     pub fn all_providers(&self) -> Vec<Arc<DataProvider>> {
-        self.providers.read().iter().filter(|p| !p.is_retired()).cloned().collect()
+        self.providers.iter().filter(|p| !p.is_retired()).cloned().collect()
     }
 
-    /// Look up a provider by id. Resolves retired tombstones too —
-    /// readers probe a retired primary (and take the miss) rather than
-    /// failing the chain walk.
-    pub fn provider(&self, id: ProviderId) -> Result<Arc<DataProvider>> {
-        self.providers
-            .read()
-            .iter()
-            .find(|p| p.id() == id)
-            .cloned()
-            .ok_or(BlobError::ProviderNotFound(id))
+    /// Look up a provider by id: an index into the append-only
+    /// registry, taking no lock and no reference count. Resolves
+    /// retired tombstones too — readers probe a retired primary (and
+    /// take the miss) rather than failing the chain walk.
+    pub fn provider(&self, id: ProviderId) -> Result<&Arc<DataProvider>> {
+        self.providers.get(id.raw() as usize).ok_or(BlobError::ProviderNotFound(id))
     }
 
     /// Choose `n` providers to receive `n` new pages (paper Algorithm 2
@@ -185,13 +261,12 @@ impl ProviderManager {
     /// retired providers are skipped; errors when no provider is
     /// eligible.
     pub fn allocate(&self, n: usize) -> Result<Vec<ProviderId>> {
-        let candidates: Vec<PlacementCandidate> = {
-            let all = self.providers.read();
-            all.iter()
-                .filter(|p| p.is_available() && !p.is_draining() && !p.is_retired())
-                .map(|p| PlacementCandidate { id: p.id(), stored_bytes: p.stored_bytes() })
-                .collect()
-        };
+        let candidates: Vec<PlacementCandidate> = self
+            .providers
+            .iter()
+            .filter(|p| p.is_available() && !p.is_draining() && !p.is_retired())
+            .map(|p| PlacementCandidate { id: p.id(), stored_bytes: p.stored_bytes() })
+            .collect();
         if candidates.is_empty() {
             return Err(BlobError::NoAvailableProvider);
         }
@@ -217,16 +292,15 @@ impl ProviderManager {
         primary: ProviderId,
         exclude: Option<ProviderId>,
     ) -> Result<(bool, Vec<ProviderId>)> {
-        let providers = self.providers.read();
-        let idx = providers
-            .iter()
-            .position(|p| p.id() == primary)
-            .ok_or(BlobError::ProviderNotFound(primary))?;
+        let n = self.providers.len();
+        let idx = primary.raw() as usize;
+        if idx >= n {
+            return Err(BlobError::ProviderNotFound(primary));
+        }
         let serving = |p: &Arc<DataProvider>| !p.is_retired() && Some(p.id()) != exclude;
-        let primary_serving = serving(&providers[idx]);
-        let n = providers.len();
+        let primary_serving = serving(self.providers.at(idx));
         let succ = (1..n)
-            .map(|i| &providers[(idx + i) % n])
+            .map(|i| self.providers.at((idx + i) % n))
             .filter(|p| serving(p))
             .map(|p| p.id())
             .collect();
@@ -309,25 +383,25 @@ impl ProviderManager {
 
     /// Stats snapshot for every serving provider.
     pub fn stats(&self) -> Vec<ProviderStats> {
-        self.providers.read().iter().filter(|p| !p.is_retired()).map(|p| p.stats()).collect()
+        self.providers.iter().filter(|p| !p.is_retired()).map(|p| p.stats()).collect()
     }
 
     /// Total payload bytes stored across all providers — the physical
     /// footprint used by the storage-efficiency experiment (E3).
     pub fn total_stored_bytes(&self) -> u64 {
-        self.providers.read().iter().map(|p| p.stored_bytes()).sum()
+        self.providers.iter().map(|p| p.stored_bytes()).sum()
     }
 
     /// Lifetime payload bytes re-hashed by verifying fetches, summed
     /// over every provider ever registered (retired tombstones keep
     /// their counts, so the total never steps backwards).
     pub fn total_bytes_verified(&self) -> u64 {
-        self.providers.read().iter().map(|p| p.bytes_verified()).sum()
+        self.providers.iter().map(|p| p.bytes_verified()).sum()
     }
 
     /// Total pages stored across all providers.
     pub fn total_pages(&self) -> usize {
-        self.providers.read().iter().map(|p| p.page_count()).sum()
+        self.providers.iter().map(|p| p.page_count()).sum()
     }
 }
 
@@ -433,9 +507,34 @@ mod tests {
     fn register_grows_deployment() {
         let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::RoundRobin);
         assert_eq!(mgr.provider_count(), 2);
-        mgr.register(Arc::new(DataProvider::new(ProviderId(2), Arc::new(MemoryPageStore::new()))));
+        assert_eq!(mgr.add_provider(Arc::new(MemoryPageStore::new())), ProviderId(2));
         assert_eq!(mgr.provider_count(), 3);
         assert!(mgr.provider(ProviderId(2)).is_ok());
+    }
+
+    #[test]
+    fn registry_grows_past_its_first_segments() {
+        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
+        for i in 3..200u32 {
+            assert_eq!(mgr.add_provider(Arc::new(MemoryPageStore::new())), ProviderId(i));
+        }
+        for i in 0..200u32 {
+            assert_eq!(mgr.provider(ProviderId(i)).unwrap().id(), ProviderId(i));
+        }
+        assert!(mgr.provider(ProviderId(200)).is_err());
+        assert_eq!(
+            mgr.replicas_of(ProviderId(199), 3).unwrap(),
+            vec![ProviderId(0), ProviderId(1)]
+        );
+        assert_eq!(mgr.membership().registered, 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "providers[1] has the wrong id")]
+    fn ids_must_be_registry_positions() {
+        let provider =
+            |i| Arc::new(DataProvider::new(ProviderId(i), Arc::new(MemoryPageStore::new())));
+        ProviderManager::new(vec![provider(0), provider(2)], AllocationStrategy::RoundRobin);
     }
 
     #[test]

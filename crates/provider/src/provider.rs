@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use blobseer_metrics::Counter;
 use blobseer_types::{BlobError, PageId, ProviderId, Result};
 use bytes::Bytes;
 
@@ -15,7 +16,11 @@ use crate::store::PageStore;
 /// paper notes that "data access serialization is only necessary when
 /// the same provider is contacted at the same time by different
 /// clients" (§4.3), so skew here is the real engine's analogue of the
-/// contention the simulator models with queues.
+/// contention the simulator models with queues. The per-request
+/// counters (`reads`, `writes` and their byte totals, `bytes_verified`)
+/// are [`Counter`]s striped by thread, so two clients fetching from one
+/// provider never write the same counter line; the maintenance counters
+/// move once per pass and stay plain atomics.
 ///
 /// **Integrity.** A provider stores [`SealedPage`]s: the payload plus
 /// the block sums its client took. It **trusts them on store** — the
@@ -34,15 +39,15 @@ pub struct DataProvider {
     available: AtomicBool,
     draining: AtomicBool,
     retired: AtomicBool,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
+    reads: Counter,
+    writes: Counter,
+    bytes_read: Counter,
+    bytes_written: Counter,
     scrub_passes: AtomicU64,
     pages_scrubbed: AtomicU64,
     bytes_scrubbed: AtomicU64,
     corrupt_detected: AtomicU64,
-    bytes_verified: AtomicU64,
+    bytes_verified: Counter,
     pages_repaired: AtomicU64,
     bytes_repaired: AtomicU64,
 }
@@ -56,15 +61,15 @@ impl DataProvider {
             available: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             retired: AtomicBool::new(false),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
+            reads: Counter::new(),
+            writes: Counter::new(),
+            bytes_read: Counter::new(),
+            bytes_written: Counter::new(),
             scrub_passes: AtomicU64::new(0),
             pages_scrubbed: AtomicU64::new(0),
             bytes_scrubbed: AtomicU64::new(0),
             corrupt_detected: AtomicU64::new(0),
-            bytes_verified: AtomicU64::new(0),
+            bytes_verified: Counter::new(),
             pages_repaired: AtomicU64::new(0),
             bytes_repaired: AtomicU64::new(0),
         }
@@ -146,8 +151,8 @@ impl DataProvider {
         if self.is_draining() || self.is_retired() {
             return Err(BlobError::ProviderUnavailable(self.id));
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(page.len() as u64, Ordering::Relaxed);
+        self.writes.increment();
+        self.bytes_written.add(page.len() as u64);
         self.store.store(pid, page)
     }
 
@@ -170,7 +175,7 @@ impl DataProvider {
     /// `offset .. offset + len` (`None` = all of them).
     fn fetch_verified(&self, pid: PageId, range: Option<(u64, u64)>) -> Result<SealedPage> {
         self.check_available()?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.increment();
         let page =
             self.store.fetch(pid).map_err(|_| BlobError::PageMissing { pid, provider: self.id })?;
         let verified = match range {
@@ -195,7 +200,7 @@ impl DataProvider {
             self.corrupt_detected.fetch_add(1, Ordering::Relaxed);
             return Err(BlobError::PageCorrupt { pid, provider: self.id });
         };
-        self.bytes_verified.fetch_add(hashed, Ordering::Relaxed);
+        self.bytes_verified.add(hashed);
         Ok(page)
     }
 
@@ -204,7 +209,7 @@ impl DataProvider {
     /// re-place it as it is.
     pub fn fetch_page(&self, pid: PageId) -> Result<SealedPage> {
         let page = self.fetch_verified(pid, None)?;
-        self.bytes_read.fetch_add(page.len() as u64, Ordering::Relaxed);
+        self.bytes_read.add(page.len() as u64);
         Ok(page)
     }
 
@@ -217,7 +222,7 @@ impl DataProvider {
     pub fn fetch_page_range(&self, pid: PageId, offset: u64, len: u64) -> Result<Bytes> {
         let page = self.fetch_verified(pid, Some((offset, len)))?;
         let out = page.data().slice(offset as usize..(offset + len) as usize);
-        self.bytes_read.fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.bytes_read.add(out.len() as u64);
         Ok(out)
     }
 
@@ -308,7 +313,7 @@ impl DataProvider {
     /// Lifetime payload bytes re-hashed by fetches that verified (see
     /// [`ProviderStats::bytes_verified`]).
     pub fn bytes_verified(&self) -> u64 {
-        self.bytes_verified.load(Ordering::Relaxed)
+        self.bytes_verified.value()
     }
 
     /// Snapshot of access counters.
@@ -317,10 +322,10 @@ impl DataProvider {
             id: self.id,
             pages: self.store.page_count(),
             stored_bytes: self.store.stored_bytes(),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            reads: self.reads.value(),
+            writes: self.writes.value(),
+            bytes_read: self.bytes_read.value(),
+            bytes_written: self.bytes_written.value(),
             scrub_passes: self.scrub_passes.load(Ordering::Relaxed),
             pages_scrubbed: self.pages_scrubbed.load(Ordering::Relaxed),
             bytes_scrubbed: self.bytes_scrubbed.load(Ordering::Relaxed),
