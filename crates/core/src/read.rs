@@ -6,15 +6,19 @@
 //!
 //! The module is *handle-first*: [`crate::Snapshot`] performs step 1
 //! once at construction and then calls straight into the planning
-//! ([`plan_slices`], [`plan_slices_multi`]) and fetching
-//! ([`fetch_slices`], [`fetch_slices_into`]) halves below. The flat
-//! [`crate::BlobSeer::read`] facade re-resolves the view per call and
-//! delegates to the same halves.
+//! ([`plan_slices`]) and fetching ([`fetch_slices`]) halves below. There
+//! is one of each. A read, a scatter read and a vectored read all plan
+//! through [`plan_slices`], which makes the one `READ_META` descent
+//! ([`read_meta_multi`]) over all of their ranges at once. The single
+//! exception is a request inside one page: [`read_at_root_into`] takes
+//! [`read_meta_page`]'s loop and one fetch on the calling thread, with
+//! no slices. The flat [`crate::BlobSeer::read`] facade re-resolves the
+//! view per call and delegates to the same halves.
 
 use std::sync::Arc;
 
 use blobseer_meta::Lineage;
-use blobseer_meta::{read_meta, read_meta_multi, read_meta_page, RootRef, TreeReader};
+use blobseer_meta::{read_meta_multi, read_meta_page, RootRef, TreeReader};
 use blobseer_metrics::Timer;
 use blobseer_rt::try_parallel;
 use blobseer_types::{BlobError, BlobId, ByteRange, PageSlice, Result, Version};
@@ -91,54 +95,45 @@ pub(crate) fn read_at_root_into(
         buf[..data.len()].copy_from_slice(&data);
         return Ok(());
     }
-    let slices = plan_slices(engine, lineage, root, request)?;
-    fetch_slices_into(engine, slices, buf)
+    for (dst, data) in fetch_slices(engine, plan_slices(engine, lineage, root, &[request])?)? {
+        let dst = dst as usize;
+        buf[dst..dst + data.len()].copy_from_slice(&data);
+    }
+    Ok(())
 }
 
-/// `READ_META` + slicing: the page sub-ranges (with destination buffer
-/// offsets) that tile `request` exactly.
+/// `READ_META` + slicing for every range of `requests` in **one**
+/// segment-tree traversal ([`read_meta_multi`]): the page sub-ranges
+/// that tile each request exactly, request after request. Request `i`'s
+/// slices are the next `requests[i].pages(psize).count` entries, in page
+/// order, with buffer offsets relative to *its* request.
 pub(crate) fn plan_slices(
     engine: &Arc<Engine>,
     lineage: &Lineage,
     root: RootRef,
-    request: ByteRange,
+    requests: &[ByteRange],
 ) -> Result<Vec<PageSlice>> {
     let psize = engine.psize();
     let reader = TreeReader::new(&engine.meta, lineage);
-    let descriptors = read_meta(&reader, root, request, psize)?;
-    let slices: Vec<PageSlice> = descriptors
-        .into_iter()
-        .filter_map(|pd| PageSlice::for_request(pd, request, psize))
-        .collect();
-    debug_assert_eq!(
-        slices.iter().map(|s| s.within.size).sum::<u64>(),
-        request.size,
-        "slices must tile the request exactly"
-    );
-    Ok(slices)
-}
-
-/// Vectored planning: one segment-tree pass covering **all** of
-/// `requests`, then per-request slicing. Returns one slice list per
-/// request (each with buffer offsets relative to *its* request).
-pub(crate) fn plan_slices_multi(
-    engine: &Arc<Engine>,
-    lineage: &Lineage,
-    root: RootRef,
-    requests: &[ByteRange],
-) -> Result<Vec<Vec<PageSlice>>> {
-    let psize = engine.psize();
-    let reader = TreeReader::new(&engine.meta, lineage);
     let descriptors = read_meta_multi(&reader, root, requests, psize)?;
-    Ok(requests
-        .iter()
-        .map(|&request| {
-            descriptors
+    let mut slices =
+        Vec::with_capacity(requests.iter().map(|r| r.pages(psize).count as usize).sum());
+    for &request in requests {
+        let pages = request.pages(psize);
+        let first = descriptors.partition_point(|pd| pd.page_index < pages.first);
+        let tiled = slices.len();
+        slices.extend(
+            descriptors[first..first + pages.count as usize]
                 .iter()
-                .filter_map(|&pd| PageSlice::for_request(pd, request, psize))
-                .collect()
-        })
-        .collect())
+                .filter_map(|&pd| PageSlice::for_request(pd, request, psize)),
+        );
+        debug_assert_eq!(
+            slices[tiled..].iter().map(|s| s.within.size).sum::<u64>(),
+            request.size,
+            "slices must tile the request exactly"
+        );
+    }
+    Ok(slices)
 }
 
 /// Algorithm 1 line 5: "for all (pid, i, provider) ∈ PD in parallel".
@@ -157,31 +152,6 @@ pub(crate) fn fetch_slices(
         let data = fetch_with_fallback(&eng, &s.descriptor, s.within)?;
         Ok::<_, BlobError>((s.buffer_offset, data))
     })
-}
-
-/// [`fetch_slices`] without destination offsets: fetch every slice and
-/// return the payloads in input order ([`try_parallel`] preserves
-/// it). The vectored-read path dedups identical page windows across
-/// requests and indexes into this result to hand each request a
-/// refcounted clone of the single fetch.
-pub(crate) fn fetch_slices_data(
-    engine: &Arc<Engine>,
-    slices: Vec<PageSlice>,
-) -> Result<Vec<Bytes>> {
-    fetch_slices(engine, slices).map(|parts| parts.into_iter().map(|(_, data)| data).collect())
-}
-
-/// [`fetch_slices`], then gather into a contiguous caller buffer.
-pub(crate) fn fetch_slices_into(
-    engine: &Arc<Engine>,
-    slices: Vec<PageSlice>,
-    buf: &mut [u8],
-) -> Result<()> {
-    for (dst, data) in fetch_slices(engine, slices)? {
-        let dst = dst as usize;
-        buf[dst..dst + data.len()].copy_from_slice(&data);
-    }
-    Ok(())
 }
 
 /// Fetch a page sub-range from its primary provider, falling back along

@@ -214,7 +214,7 @@ impl Snapshot {
     /// ```
     pub fn read(&self, range: ByteRange) -> Result<Bytes> {
         let op_timer = Timer::start();
-        let scatter = self.scatter_inner(range)?;
+        let scatter = self.scatter(&[range])?.remove(0);
         self.engine.metrics.read_ops.increment();
         op_timer.stop(&self.engine.metrics.read_latency);
         Ok(scatter.into_bytes())
@@ -274,24 +274,10 @@ impl Snapshot {
     /// ```
     pub fn read_scatter(&self, range: ByteRange) -> Result<ScatterRead> {
         let op_timer = Timer::start();
-        let scatter = self.scatter_inner(range)?;
+        let scatter = self.scatter(&[range])?.remove(0);
         self.engine.metrics.read_scatter_ops.increment();
         op_timer.stop(&self.engine.metrics.read_scatter_latency);
         Ok(scatter)
-    }
-
-    /// Shared body of [`Snapshot::read`] and [`Snapshot::read_scatter`]
-    /// — factored out so each public entry point records its *own*
-    /// counter and latency histogram exactly once.
-    fn scatter_inner(&self, range: ByteRange) -> Result<ScatterRead> {
-        self.check(range)?;
-        if range.is_empty() {
-            return Ok(ScatterRead { range, segments: Vec::new() });
-        }
-        read::plan_slices(&self.engine, &self.lineage, self.root()?, range)
-            .and_then(|slices| Self::fetch_segments(&self.engine, range, slices))
-            .map(|segments| ScatterRead { range, segments })
-            .map_err(|e| self.refine_error(e))
     }
 
     /// Vectored read: fetch every range of `requests`, planning them
@@ -321,71 +307,54 @@ impl Snapshot {
     /// ```
     pub fn readv(&self, requests: &[ByteRange]) -> Result<Vec<ScatterRead>> {
         let op_timer = Timer::start();
+        let reads = self.scatter(requests)?;
+        self.engine.metrics.readv_ops.increment();
+        op_timer.stop(&self.engine.metrics.readv_latency);
+        Ok(reads)
+    }
+
+    /// Shared body of [`Snapshot::read`], [`Snapshot::read_scatter`] and
+    /// [`Snapshot::readv`]. It records no metric, so each public entry
+    /// point records its *own* counter and latency histogram exactly
+    /// once.
+    fn scatter(&self, requests: &[ByteRange]) -> Result<Vec<ScatterRead>> {
         for &r in requests {
             self.check(r)?;
         }
-        if requests.iter().all(|r| r.is_empty()) {
-            return Ok(requests
-                .iter()
-                .map(|&range| ScatterRead { range, segments: Vec::new() })
-                .collect());
-        }
-        let plans = read::plan_slices_multi(&self.engine, &self.lineage, self.root()?, requests)
-            .map_err(|e| self.refine_error(e))?;
-
-        // Dedup identical (page, window) fetches across requests.
-        let mut unique: Vec<PageSlice> = Vec::new();
-        let mut seen: HashMap<(PageId, u64, u64), usize> = HashMap::new();
-        let assignments: Vec<Vec<(u64, usize)>> = plans
+        let slices = if requests.iter().all(|r| r.is_empty()) {
+            Vec::new()
+        } else {
+            read::plan_slices(&self.engine, &self.lineage, self.root()?, requests)
+                .map_err(|e| self.refine_error(e))?
+        };
+        // Fetch each distinct (page, window) once.
+        let mut unique: Vec<PageSlice> = Vec::with_capacity(slices.len());
+        let mut seen: HashMap<(PageId, u64, u64), usize> = HashMap::with_capacity(slices.len());
+        let fetch_of: Vec<usize> = slices
             .iter()
-            .map(|slices| {
-                slices
-                    .iter()
-                    .map(|s| {
-                        let key = (s.descriptor.pid, s.within.offset, s.within.size);
-                        let idx = *seen.entry(key).or_insert_with(|| {
-                            unique.push(*s);
-                            unique.len() - 1
-                        });
-                        (s.buffer_offset, idx)
-                    })
-                    .collect()
+            .map(|s| {
+                let key = (s.descriptor.pid, s.within.offset, s.within.size);
+                *seen.entry(key).or_insert_with(|| {
+                    unique.push(*s);
+                    unique.len() - 1
+                })
             })
             .collect();
-        let fetched =
-            read::fetch_slices_data(&self.engine, unique).map_err(|e| self.refine_error(e))?;
-        self.engine.metrics.readv_ops.increment();
-        op_timer.stop(&self.engine.metrics.readv_latency);
-
+        let fetched = read::fetch_slices(&self.engine, unique).map_err(|e| self.refine_error(e))?;
+        let psize = self.engine.psize();
+        let mut parts = slices.iter().zip(fetch_of);
         Ok(requests
             .iter()
-            .zip(assignments)
-            .map(|(&range, parts)| {
-                let mut segments: Vec<ScatterSegment> = parts
-                    .into_iter()
-                    .map(|(buffer_offset, idx)| ScatterSegment {
-                        offset: range.offset + buffer_offset,
-                        data: fetched[idx].clone(),
+            .map(|&range| {
+                let segments = parts
+                    .by_ref()
+                    .take(range.pages(psize).count as usize)
+                    .map(|(s, i)| ScatterSegment {
+                        offset: range.offset + s.buffer_offset,
+                        data: fetched[i].1.clone(),
                     })
                     .collect();
-                segments.sort_by_key(|s| s.offset);
                 ScatterRead { range, segments }
-            })
-            .collect())
-    }
-
-    fn fetch_segments(
-        engine: &Arc<Engine>,
-        range: ByteRange,
-        slices: Vec<PageSlice>,
-    ) -> Result<Vec<ScatterSegment>> {
-        let mut parts = read::fetch_slices(engine, slices)?;
-        parts.sort_by_key(|&(buffer_offset, _)| buffer_offset);
-        Ok(parts
-            .into_iter()
-            .map(|(buffer_offset, data)| ScatterSegment {
-                offset: range.offset + buffer_offset,
-                data,
             })
             .collect())
     }

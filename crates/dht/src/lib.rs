@@ -346,9 +346,9 @@ where
         b.table.get(&words, fraction).is_some()
     }
 
-    /// Remove a key, returning the previous value if any. (Not used by
-    /// the core protocol — metadata is immutable — but exposed for
-    /// garbage-collection extensions and failure-injection tests.)
+    /// Remove a key, returning the previous value if any. Only tests
+    /// call it: metadata is write-once, and garbage collection sweeps
+    /// with [`Dht::retain`].
     pub fn remove(&self, key: &K) -> Option<V> {
         let (words, b, fraction) = self.locate(key);
         b.table.remove(&words, fraction).map(|(kind, value)| V::decode(kind, value))

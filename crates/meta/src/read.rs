@@ -76,69 +76,22 @@ impl<'a> TreeReader<'a> {
     }
 }
 
-/// `READ_META` (paper Algorithm 3): the page descriptors covering
-/// `request` in the snapshot rooted at `root`, sorted by page index.
-///
-/// The caller must have validated `request` against the snapshot size
-/// (the version manager's `GET_SIZE`); a `None` child encountered within
-/// the requested range therefore indicates corrupt metadata and is
-/// surfaced as [`BlobError::Internal`].
+/// `READ_META` (paper Algorithm 3) for one range: [`read_meta_multi`]
+/// of `request` alone.
 pub fn read_meta(
     reader: &TreeReader<'_>,
     root: RootRef,
     request: ByteRange,
     psize: u64,
 ) -> Result<Vec<PageDescriptor>> {
-    let pages = request.pages(psize);
-    if pages.is_empty() {
-        return Ok(Vec::new());
-    }
-    if pages.count == 1 {
-        return read_meta_page(reader, root, pages.first).map(|pd| vec![pd]);
-    }
-    let mut out = Vec::with_capacity(pages.count as usize);
-    let mut stack: Vec<(Version, NodePos)> = vec![(root.version, root.pos)];
-    while let Some((version, pos)) = stack.pop() {
-        let node = reader.fetch(version, pos, true)?;
-        match node {
-            TreeNode::Leaf { pid, provider, valid_len } => {
-                debug_assert!(pos.is_leaf());
-                out.push(PageDescriptor { pid, page_index: pos.offset, provider, valid_len });
-            }
-            TreeNode::Inner { left, right } => {
-                for (child, child_version) in [(pos.left(), left), (pos.right(), right)] {
-                    if !child.intersects(pages) {
-                        continue;
-                    }
-                    match child_version {
-                        Some(v) => stack.push((v, child)),
-                        None => {
-                            return Err(BlobError::Internal(format!(
-                                "tree {root:?}: missing child {child:?} inside request {request:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out.sort_by_key(|pd| pd.page_index);
-    // Exactly one leaf per requested page.
-    if out.len() as u64 != pages.count || out.first().map(|p| p.page_index) != Some(pages.first) {
-        return Err(BlobError::Internal(format!(
-            "read_meta assembled {} descriptors for {} pages",
-            out.len(),
-            pages.count
-        )));
-    }
-    Ok(out)
+    read_meta_multi(reader, root, std::slice::from_ref(&request), psize)
 }
 
 /// `READ_META` for a request inside one page: the descriptor of `page`
 /// in the snapshot rooted at `root`, by one root-to-leaf descent in a
-/// loop — no stack, no sort, no allocation. [`read_meta`] takes this
-/// path for one-page requests; the caller's validation contract is the
-/// same.
+/// loop — no stack, no allocation. [`read_meta_multi`] takes this path
+/// when the requests cover one page; the caller's validation contract
+/// is the same.
 pub fn read_meta_page(reader: &TreeReader<'_>, root: RootRef, page: u64) -> Result<PageDescriptor> {
     if !root.pos.contains_page(page) {
         return Err(BlobError::Internal(format!("tree {root:?} does not cover page {page}")));
@@ -169,46 +122,70 @@ pub fn read_meta_page(reader: &TreeReader<'_>, root: RootRef, page: u64) -> Resu
     }
 }
 
-/// Vectored `READ_META`: the page descriptors covering *any* of
-/// `requests` in the snapshot rooted at `root`, assembled in **one**
-/// tree traversal and sorted by page index.
+/// `READ_META` (paper Algorithm 3), vectored: the page descriptors
+/// covering *any* of `requests` in the snapshot rooted at `root`,
+/// assembled in **one** tree traversal and sorted by page index.
 ///
-/// Equivalent to the union of per-request [`read_meta`] calls, but each
-/// shared tree node (in particular the upper levels, which every range
-/// visits) is fetched exactly once — the planning half of a vectored
-/// read. Descriptors are deduplicated: a page touched by several
-/// requests appears once. Empty requests are ignored; the caller must
-/// have validated every range against the snapshot size.
+/// Each tree node on the way — in particular the upper levels, which
+/// every range visits — is fetched once, and a page touched by several
+/// requests appears once. Empty requests are ignored; a union of one
+/// page takes [`read_meta_page`]'s descent.
+///
+/// The caller must have validated every range against the snapshot
+/// size (the version manager's `GET_SIZE`); a `None` child encountered
+/// within a requested range therefore indicates corrupt metadata and is
+/// surfaced as [`BlobError::Internal`].
 pub fn read_meta_multi(
     reader: &TreeReader<'_>,
     root: RootRef,
     requests: &[ByteRange],
     psize: u64,
 ) -> Result<Vec<PageDescriptor>> {
-    let page_ranges: Vec<_> =
-        requests.iter().map(|r| r.pages(psize)).filter(|p| !p.is_empty()).collect();
-    if page_ranges.is_empty() {
-        return Ok(Vec::new());
+    let ranges = || requests.iter().map(|r| r.pages(psize)).filter(|p| !p.is_empty());
+    // The union's page count, swept run by run without a sorted copy:
+    // take the lowest page not yet counted, then extend its run while
+    // some range continues it.
+    let (mut union, mut counted) = (0u64, 0u64);
+    while let Some(start) =
+        ranges().filter(|r| r.end() > counted).map(|r| r.first.max(counted)).min()
+    {
+        counted = start;
+        while let Some(end) =
+            ranges().filter(|r| r.first <= counted && r.end() > counted).map(|r| r.end()).max()
+        {
+            counted = end;
+        }
+        union += counted - start;
     }
-    let wanted = |pos: NodePos| page_ranges.iter().any(|&r| pos.intersects(r));
-    let mut out = Vec::new();
-    let mut stack: Vec<(Version, NodePos)> = vec![(root.version, root.pos)];
+    match union {
+        0 => return Ok(Vec::new()),
+        1 => return read_meta_page(reader, root, counted - 1).map(|pd| vec![pd]),
+        _ => {}
+    }
+    let mut out = Vec::with_capacity(union as usize);
+    // One pending right sibling per level above the node being expanded,
+    // plus its two children: `level + 1` entries at most, never a regrow.
+    let mut stack = Vec::with_capacity(root.pos.level() as usize + 1);
+    stack.push((root.version, root.pos));
     while let Some((version, pos)) = stack.pop() {
-        let node = reader.fetch(version, pos, true)?;
-        match node {
+        match reader.fetch(version, pos, true)? {
             TreeNode::Leaf { pid, provider, valid_len } => {
+                debug_assert!(pos.is_leaf());
                 out.push(PageDescriptor { pid, page_index: pos.offset, provider, valid_len });
             }
             TreeNode::Inner { left, right } => {
-                for (child, child_version) in [(pos.left(), left), (pos.right(), right)] {
-                    if !wanted(child) {
+                // Right first, so the left subtree pops first and leaves
+                // arrive in page order.
+                for (child, child_version) in [(pos.right(), right), (pos.left(), left)] {
+                    let bytes = child.page_range().bytes(psize);
+                    if !requests.iter().any(|r| r.intersects(bytes)) {
                         continue;
                     }
                     match child_version {
                         Some(v) => stack.push((v, child)),
                         None => {
                             return Err(BlobError::Internal(format!(
-                                "tree {root:?}: missing child {child:?} inside a readv request"
+                                "tree {root:?}: missing child {child:?} inside {requests:?}"
                             )))
                         }
                     }
@@ -216,22 +193,12 @@ pub fn read_meta_multi(
             }
         }
     }
-    out.sort_by_key(|pd| pd.page_index);
-    // Positions are unique per traversal, so each leaf appears at most
-    // once already; the count must match the union of requested pages.
-    let mut union_pages = 0u64;
-    let mut covered_until = 0u64;
-    let mut sorted = page_ranges;
-    sorted.sort_by_key(|r| r.first);
-    for r in sorted {
-        let start = r.first.max(covered_until);
-        union_pages += r.end().saturating_sub(start);
-        covered_until = covered_until.max(r.end());
-    }
-    if out.len() as u64 != union_pages {
+    debug_assert!(out.windows(2).all(|w| w[0].page_index < w[1].page_index));
+    // Exactly one leaf per requested page.
+    if out.len() as u64 != union {
         return Err(BlobError::Internal(format!(
-            "read_meta_multi assembled {} descriptors for {union_pages} pages",
-            out.len(),
+            "read_meta assembled {} descriptors for {union} pages",
+            out.len()
         )));
     }
     Ok(out)

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use blobseer_meta::plan::{creates_position, update_plan};
 use blobseer_meta::{
-    build_meta, read_meta, Lineage, MetaStore, RootRef, TreeReader, UpdateContext,
+    build_meta, read_meta, read_meta_multi, Lineage, MetaStore, RootRef, TreeReader, UpdateContext,
 };
 use blobseer_types::{
     next_pow2, BlobId, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version,
@@ -28,6 +28,14 @@ fn updates() -> impl Strategy<Value = Vec<(u16, u64)>> {
     proptest::collection::vec((0u16..=1000, 1u64..7), 1..14)
 }
 
+/// A vectored read of the final snapshot: (start scale, bytes) pairs,
+/// start scaled into [0, size] and the length clipped to the end. Sets
+/// come unsorted and may overlap; zero lengths and one-page ranges are
+/// common.
+fn requests() -> impl Strategy<Value = Vec<(u16, u64)>> {
+    proptest::collection::vec((0u16..=1000, 0u64..4 * PSIZE), 0..6)
+}
+
 struct Applied {
     range: PageRange,
     root: NodePos,
@@ -37,7 +45,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     #[test]
-    fn node_versions_match_bruteforce_oracle(upds in updates()) {
+    fn node_versions_match_bruteforce_oracle(upds in updates(), reqs in requests()) {
         let store = MetaStore::new(4, Duration::from_millis(100));
         let lineage = Lineage::root(BlobId(1));
         let reader = TreeReader::new(&store, &lineage);
@@ -107,22 +115,47 @@ proptest! {
         }
 
         // And the flat view: every page of the final snapshot belongs
-        // to the latest update touching it (paper §3).
+        // to the latest update touching it (paper §3) ...
         let last = applied.last().unwrap();
         let newest = Version(applied.len() as u64);
         let root = RootRef { version: newest, pos: last.root };
+        let owner = |page: u64| {
+            (0..applied.len())
+                .rev()
+                .find(|&u| applied[u].range.contains_page(page))
+                .expect("every page written by someone") as u128
+                + 1
+        };
         let pds = read_meta(&reader, root, ByteRange::new(0, pages * PSIZE), PSIZE).unwrap();
         prop_assert_eq!(pds.len() as u64, pages);
         for d in pds {
-            let owner = (0..applied.len())
-                .rev()
-                .find(|&u| applied[u].range.contains_page(d.page_index))
-                .expect("every page written by someone");
-            prop_assert_eq!(
-                d.pid.raw() >> 32,
-                owner as u128 + 1,
-                "page {}", d.page_index
-            );
+            prop_assert_eq!(d.pid.raw() >> 32, owner(d.page_index), "page {}", d.page_index);
+        }
+
+        // ... also through one vectored descent: each page of the
+        // requests' union exactly once, sorted, from its latest writer.
+        let size = pages * PSIZE;
+        let ranges: Vec<ByteRange> = reqs
+            .iter()
+            .map(|&(scale, len)| {
+                let offset = size * u64::from(scale) / 1000;
+                ByteRange::new(offset, len.min(size - offset))
+            })
+            .collect();
+        let union: Vec<u64> = ranges
+            .iter()
+            .flat_map(|r| r.pages(PSIZE).iter())
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let pds = read_meta_multi(&reader, root, &ranges, PSIZE).unwrap();
+        prop_assert_eq!(
+            pds.iter().map(|d| d.page_index).collect::<Vec<_>>(),
+            union,
+            "requests {:?}", ranges
+        );
+        for d in pds {
+            prop_assert_eq!(d.pid.raw() >> 32, owner(d.page_index), "page {}", d.page_index);
         }
 
         // Structural sanity rides along: roots grow monotonically and

@@ -176,23 +176,9 @@ impl FaultPlan {
             self.injected_errors.fetch_add(1, Ordering::Relaxed);
             return Err(BlobError::Storage(format!("injected fault: store offline ({what})")));
         }
-        // Decrement-if-positive without underflow under concurrency.
-        let mut armed = one_shot.load(Ordering::SeqCst);
-        while armed > 0 {
-            match one_shot.compare_exchange_weak(
-                armed,
-                armed - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    self.injected_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(BlobError::Storage(format!(
-                        "injected fault: one-shot {what} error"
-                    )));
-                }
-                Err(now) => armed = now,
-            }
+        if take_one(one_shot) {
+            self.injected_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(BlobError::Storage(format!("injected fault: one-shot {what} error")));
         }
         let p = f64::from_bits(self.error_prob_bits.load(Ordering::SeqCst));
         if p > 0.0 && self.rng.lock().gen_bool(p) {
@@ -201,29 +187,18 @@ impl FaultPlan {
         }
         Ok(())
     }
+}
 
-    /// Consume one armed on-store corruption, if any.
-    fn take_corruption(&self) -> bool {
-        let mut armed = self.corrupt_next_stores.load(Ordering::SeqCst);
-        while armed > 0 {
-            match self.corrupt_next_stores.compare_exchange_weak(
-                armed,
-                armed - 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return true,
-                Err(now) => armed = now,
-            }
-        }
-        false
-    }
+/// Consume one armed one-shot: decrement-if-positive, never below zero,
+/// and exactly once per arming under any number of racing callers.
+fn take_one(armed: &AtomicU64) -> bool {
+    armed.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)).is_ok()
 }
 
 impl PageStore for FaultPlan {
     fn store(&self, pid: PageId, page: SealedPage) -> Result<()> {
         self.gate("store", &self.fail_next_stores)?;
-        let page = if self.take_corruption() {
+        let page = if take_one(&self.corrupt_next_stores) {
             self.injected_corruptions.fetch_add(1, Ordering::Relaxed);
             self.flip_one_bit(&page)
         } else {
@@ -316,6 +291,33 @@ mod tests {
         plan.fail_next_fetches(1);
         assert!(plan.fetch(PageId(1)).is_err());
         assert_eq!(&plan.fetch(PageId(1)).unwrap()[..], b"a");
+    }
+
+    #[test]
+    fn racing_callers_consume_each_one_shot_exactly_once() {
+        const ARMED: u64 = 24;
+        const THREADS: usize = 8;
+        const CALLS: usize = 16;
+        let (plan, _) = plan();
+        plan.fail_next_stores(ARMED);
+        let start = Arc::new(std::sync::Barrier::new(THREADS));
+        let racers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (plan, start) = (Arc::clone(&plan), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..CALLS)
+                        .filter(|&i| {
+                            plan.store(PageId((t * CALLS + i) as u128), sealed(b"r")).is_err()
+                        })
+                        .count() as u64
+                })
+            })
+            .collect();
+        let failed: u64 = racers.into_iter().map(|r| r.join().unwrap()).sum();
+        assert_eq!(failed, ARMED);
+        assert_eq!(plan.injected_errors(), ARMED);
+        plan.store(PageId(u128::MAX), sealed(b"r")).unwrap();
     }
 
     #[test]

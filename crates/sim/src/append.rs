@@ -13,13 +13,12 @@
 use std::sync::{Arc, Mutex};
 
 use blobseer_meta::plan::{border_positions, update_plan, UpdatePlan};
-use blobseer_simnet::{
-    to_secs, Activity, Engine, Nanos, Network, NodeId, Process, Stage, Step, TransferSpec,
-};
+use blobseer_simnet::{to_secs, Activity, Engine, Nanos, Network, NodeId, Process, Stage, Step};
 use blobseer_types::{NodePos, PageRange};
 
 use crate::cluster::Cluster;
 use crate::params::{SimParams, BUILD_PER_LEVEL, BUILD_PER_NODE};
+use crate::rpc::Rpc;
 
 /// One measured append: the paper plots `mbps` against `pages_after`.
 #[derive(Clone, Copy, Debug)]
@@ -162,90 +161,27 @@ struct AppendClient {
 
 impl AppendClient {
     fn rpc(&self, dst: NodeId, req_bytes: u64, resp_bytes: u64) -> Activity {
-        let p = &self.params;
-        Activity::new(vec![
-            Stage::Transfer(TransferSpec {
-                src: self.client,
-                dst,
-                bytes: req_bytes,
-                src_overhead: p.client_send_overhead,
-                dst_overhead: 0,
-            }),
-            Stage::Service { node: dst, duration: p.rpc_service },
-            Stage::Transfer(TransferSpec {
-                src: dst,
-                dst: self.client,
-                bytes: resp_bytes,
-                src_overhead: 0,
-                dst_overhead: p.client_recv_ctl_overhead,
-            }),
-        ])
+        let rpc = Rpc { req_bytes, resp_bytes, ..Rpc::ctl(&self.params) };
+        Activity::new(rpc.stages(&self.params, self.client, dst))
     }
 
     fn page_store(&self, page_index: u64) -> Activity {
         let p = &self.params;
-        let dst = self.cluster.data_provider_of(page_index);
-        Activity::new(vec![
-            Stage::Transfer(TransferSpec {
-                src: self.client,
-                dst,
-                bytes: self.page_size,
-                src_overhead: p.client_send_overhead,
-                dst_overhead: p.provider_store_overhead,
-            }),
-            Stage::Service { node: dst, duration: p.rpc_service },
-            Stage::Transfer(TransferSpec {
-                src: dst,
-                dst: self.client,
-                bytes: p.ctl_bytes,
-                src_overhead: 0,
-                dst_overhead: p.client_recv_ctl_overhead,
-            }),
-        ])
+        let rpc =
+            Rpc { req_bytes: self.page_size, server_in: p.provider_store_overhead, ..Rpc::ctl(p) };
+        Activity::new(rpc.stages(p, self.client, self.cluster.data_provider_of(page_index)))
     }
 
     fn node_store(&self, pos: NodePos) -> Activity {
         let p = &self.params;
-        let dst = self.cluster.meta_provider_of(pos);
-        Activity::new(vec![
-            Stage::Transfer(TransferSpec {
-                src: self.client,
-                dst,
-                bytes: p.node_bytes,
-                src_overhead: p.client_send_overhead,
-                dst_overhead: p.meta_store_overhead,
-            }),
-            Stage::Service { node: dst, duration: p.rpc_service },
-            Stage::Transfer(TransferSpec {
-                src: dst,
-                dst: self.client,
-                bytes: p.ctl_bytes,
-                src_overhead: 0,
-                dst_overhead: p.client_recv_ctl_overhead,
-            }),
-        ])
+        let rpc = Rpc { req_bytes: p.node_bytes, server_in: p.meta_store_overhead, ..Rpc::ctl(p) };
+        Activity::new(rpc.stages(p, self.client, self.cluster.meta_provider_of(pos)))
     }
 
     fn node_fetch(&self, pos: NodePos) -> Vec<Stage> {
         let p = &self.params;
-        let dst = self.cluster.meta_provider_of(pos);
-        vec![
-            Stage::Transfer(TransferSpec {
-                src: self.client,
-                dst,
-                bytes: p.ctl_bytes,
-                src_overhead: p.client_send_overhead,
-                dst_overhead: 0,
-            }),
-            Stage::Service { node: dst, duration: p.rpc_service },
-            Stage::Transfer(TransferSpec {
-                src: dst,
-                dst: self.client,
-                bytes: p.node_bytes,
-                src_overhead: p.meta_read_overhead,
-                dst_overhead: p.client_recv_ctl_overhead,
-            }),
-        ]
+        let rpc = Rpc { resp_bytes: p.node_bytes, server_out: p.meta_read_overhead, ..Rpc::ctl(p) };
+        rpc.stages(p, self.client, self.cluster.meta_provider_of(pos))
     }
 
     /// Client-side CPU cost of computing the new tree: per created node

@@ -34,6 +34,7 @@ mod append;
 mod cluster;
 mod params;
 mod read;
+mod rpc;
 
 pub use append::{append_experiment, pipelined_append_experiment, AppendPoint, PipelinedSummary};
 pub use cluster::Cluster;

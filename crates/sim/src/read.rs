@@ -15,13 +15,12 @@
 use std::sync::{Arc, Mutex};
 
 use blobseer_meta::plan::{read_plan, ReadPlan};
-use blobseer_simnet::{
-    to_secs, Activity, Engine, Nanos, Network, NodeId, Process, Stage, Step, TransferSpec,
-};
+use blobseer_simnet::{to_secs, Activity, Engine, Nanos, Network, NodeId, Process, Step};
 use blobseer_types::{NodePos, PageRange};
 
 use crate::cluster::Cluster;
 use crate::params::SimParams;
+use crate::rpc::Rpc;
 
 /// Aggregate result of one reader-concurrency point.
 #[derive(Clone, Copy, Debug)]
@@ -109,67 +108,24 @@ struct ReadClient {
 impl ReadClient {
     fn node_fetch(&self, pos: NodePos) -> Activity {
         let p = &self.params;
-        let dst = self.cluster.meta_provider_of(pos);
-        Activity::new(vec![
-            Stage::Transfer(TransferSpec {
-                src: self.client,
-                dst,
-                bytes: p.ctl_bytes,
-                src_overhead: p.client_send_overhead,
-                dst_overhead: 0,
-            }),
-            Stage::Service { node: dst, duration: p.rpc_service },
-            Stage::Transfer(TransferSpec {
-                src: dst,
-                dst: self.client,
-                bytes: p.node_bytes,
-                src_overhead: p.meta_read_overhead,
-                dst_overhead: p.client_recv_ctl_overhead,
-            }),
-        ])
+        let rpc = Rpc { resp_bytes: p.node_bytes, server_out: p.meta_read_overhead, ..Rpc::ctl(p) };
+        Activity::new(rpc.stages(p, self.client, self.cluster.meta_provider_of(pos)))
     }
 
     fn page_fetch(&self, page_index: u64) -> Activity {
         let p = &self.params;
-        let dst = self.cluster.data_provider_of(page_index);
-        Activity::new(vec![
-            Stage::Transfer(TransferSpec {
-                src: self.client,
-                dst,
-                bytes: p.ctl_bytes,
-                src_overhead: p.client_send_overhead,
-                dst_overhead: 0,
-            }),
-            Stage::Service { node: dst, duration: p.rpc_service },
-            Stage::Transfer(TransferSpec {
-                src: dst,
-                dst: self.client,
-                bytes: self.page_size,
-                src_overhead: p.provider_read_overhead,
-                dst_overhead: p.client_recv_page_overhead,
-            }),
-        ])
+        let rpc = Rpc {
+            resp_bytes: self.page_size,
+            server_out: p.provider_read_overhead,
+            client_in: p.client_recv_page_overhead,
+            ..Rpc::ctl(p)
+        };
+        Activity::new(rpc.stages(p, self.client, self.cluster.data_provider_of(page_index)))
     }
 
     fn vm_rpc(&self) -> Activity {
         let p = &self.params;
-        Activity::new(vec![
-            Stage::Transfer(TransferSpec {
-                src: self.client,
-                dst: self.cluster.vm,
-                bytes: p.ctl_bytes,
-                src_overhead: p.client_send_overhead,
-                dst_overhead: 0,
-            }),
-            Stage::Service { node: self.cluster.vm, duration: p.rpc_service },
-            Stage::Transfer(TransferSpec {
-                src: self.cluster.vm,
-                dst: self.client,
-                bytes: p.ctl_bytes,
-                src_overhead: 0,
-                dst_overhead: p.client_recv_ctl_overhead,
-            }),
-        ])
+        Activity::new(Rpc::ctl(p).stages(p, self.client, self.cluster.vm))
     }
 }
 

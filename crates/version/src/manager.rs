@@ -560,7 +560,7 @@ impl VersionManager {
         if self.now_ticks() < self.lease_watermark.load(Ordering::Relaxed) {
             return false;
         }
-        !self.scan_expired().is_empty()
+        !self.expired_leases().is_empty()
     }
 
     /// The single-blob form of [`VersionManager::has_expired_leases`],
@@ -580,14 +580,6 @@ impl VersionManager {
         Ok(!inner.expired_leases(now, Some(v)).is_empty())
     }
 
-    /// Every `(blob, version)` whose lease has lapsed as of the current
-    /// clock, plus any version stuck in a failed abort. Sorted, and
-    /// ascending per blob — aborts must run lowest-version-first so a
-    /// repair only ever waits on strictly lower versions.
-    pub fn expired_leases(&self) -> Vec<(BlobId, Version)> {
-        self.scan_expired()
-    }
-
     /// The single-blob list behind [`VersionManager::has_expired_below`]:
     /// expired (or abort-stuck) versions of `blob` strictly below `v`,
     /// ascending. Locks only this blob.
@@ -598,14 +590,19 @@ impl VersionManager {
         Ok(inner.expired_leases(now, Some(v)))
     }
 
-    /// Full scan behind the expiry checks. When nothing is due, raises
-    /// the watermark to the earliest live expiry — but never above
-    /// `now + ttl` (a lease granted mid-scan on an already-visited
+    /// Every `(blob, version)` whose lease has lapsed as of the current
+    /// clock, plus any version stuck in a failed abort. Sorted, and
+    /// ascending per blob — aborts must run lowest-version-first so a
+    /// repair only ever waits on strictly lower versions.
+    ///
+    /// A full scan, behind the expiry checks too. When nothing is due,
+    /// raises the watermark to the earliest live expiry — but never
+    /// above `now + ttl` (a lease granted mid-scan on an already-visited
     /// blob expires no earlier than that) and only if no concurrent
     /// `assign` lowered it meanwhile (the CAS); a lost race leaves the
     /// watermark stale-low, which costs a spurious scan, never a
     /// missed expiry.
-    fn scan_expired(&self) -> Vec<(BlobId, Version)> {
+    pub fn expired_leases(&self) -> Vec<(BlobId, Version)> {
         let wm_before = self.lease_watermark.load(Ordering::Relaxed);
         let now = self.now_ticks();
         let blobs = self.blobs.all();
