@@ -11,12 +11,14 @@
 //! 1. [`blobseer_version::VersionManager::begin_abort`] marks the
 //!    version aborted (racing readers and the zombie writer's own
 //!    `complete`/`renew_lease` now fail with the typed
-//!    `BlobError::VersionAborted`) and hands back an
-//!    [`blobseer_version::AbortTicket`];
-//! 2. [`repair`] completes the dead version's tree under its own keys:
-//!    the exact node skeleton the writer was expected to create, so
-//!    later versions weave correctly and later appends keep their
-//!    assigned offsets. Repair **fills gaps, never overwrites**
+//!    `BlobError::VersionAborted`) and hands back the dead writer's
+//!    [`blobseer_version::AssignedUpdate`], widened to whole pages;
+//! 2. [`repair`] re-runs that update with snapshot `vw − 1`'s bytes as
+//!    its data, through the write path's own page and tree steps
+//!    (`crate::write`): the exact node skeleton the writer was
+//!    expected to create, so later versions weave correctly and later
+//!    appends keep their assigned offsets. An abort *is* an update.
+//!    Repair **fills gaps, never overwrites**
 //!    (`put_new`): nodes the dead writer made durable before dying
 //!    stay authoritative — later versions may already have read them —
 //!    while every missing leaf is replaced by snapshot `vw − 1`'s
@@ -63,14 +65,13 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use blobseer_meta::{build_meta, TreeReader, UpdateContext};
-use blobseer_types::{BlobError, BlobId, ByteRange, PageDescriptor, Result, Version};
-use blobseer_version::AbortTicket;
+use blobseer_meta::{build_meta, TreeReader};
+use blobseer_types::{BlobError, BlobId, ByteRange, Result, Version};
+use blobseer_version::AssignedUpdate;
 use bytes::Bytes;
 
 use crate::engine::Engine;
-use crate::read::read_at_root;
-use crate::write::store_one_replicated;
+use crate::write::{read_old, store_boundary_pages, store_interior_pages};
 
 /// What a lease sweep did: versions it aborted, and versions it could
 /// not abort *yet* (their repair needs a still-wedged lower version;
@@ -153,17 +154,9 @@ pub(crate) fn self_help_on_wait(engine: &Arc<Engine>) {
     if IN_REPAIR.get() {
         return;
     }
-    match WAIT_CONTEXT.get() {
-        Some((blob, vw)) => {
-            if engine.vm.has_expired_below(blob, vw).unwrap_or(false) {
-                let _ = sweep_expired(engine, Some((blob, vw)));
-            }
-        }
-        None => {
-            if engine.vm.has_expired_leases() {
-                let _ = sweep_expired(engine, None);
-            }
-        }
+    let scope = WAIT_CONTEXT.get();
+    if !engine.vm.expired_leases(scope).is_empty() {
+        let _ = sweep_expired(engine, scope);
     }
 }
 
@@ -178,8 +171,8 @@ pub(crate) fn abort_version(engine: &Arc<Engine>, blob: BlobId, v: Version) -> R
     // the scrubber's epoch cut (like any writer) so a concurrent
     // `scrub_orphans` never reclaims repair pages mid-flight.
     let _pin = engine.pin_update();
-    let ticket = engine.vm.begin_abort(blob, v)?;
-    repair(engine, blob, ticket)?;
+    let update = engine.vm.begin_abort(blob, v)?;
+    repair(engine, blob, update)?;
     match engine.vm.commit_abort(blob, v) {
         // A concurrent aborter (the sweeper retries `Aborting` versions)
         // committed between our repair and our commit: the abort we
@@ -192,50 +185,27 @@ pub(crate) fn abort_version(engine: &Arc<Engine>, blob: BlobId, v: Version) -> R
     }
 }
 
-/// Build and store the dead version's no-op tree; see the module docs.
-/// Reads of snapshot `vw − 1` may wait on strictly lower in-flight
-/// versions (the same rule as boundary merges), so repairs processed in
-/// ascending version order cannot deadlock.
-fn repair(engine: &Arc<Engine>, blob: BlobId, t: AbortTicket) -> Result<()> {
-    let psize = engine.psize();
+/// Store the dead version's no-op update: snapshot `vw − 1`'s bytes
+/// over the assigned pages, zero-extended to the assigned size, stored
+/// by the write path's page steps (interior pages fork-joined as
+/// zero-copy slices, the partial tail page merged) and woven by its
+/// tree step; see the module docs. Reads of snapshot `vw − 1` may wait
+/// on strictly lower in-flight versions (the same rule as boundary
+/// merges), so repairs processed in ascending version order cannot
+/// deadlock.
+fn repair(engine: &Arc<Engine>, blob: BlobId, update: AssignedUpdate) -> Result<()> {
     let lineage = engine.vm.lineage(blob)?;
-
-    // Predecessor bytes overlapping the assigned page range, fetched in
-    // one read; everything past `prev_size` reads as zeros.
-    let start = t.range.first * psize;
-    let pages_end = (t.range.first + t.range.count) * psize;
-    let valid_end = pages_end.min(t.new_size);
-    let prev_overlap_end = valid_end.min(t.prev_size);
-    let old = if prev_overlap_end > start {
-        let root = t.prev_root.ok_or_else(|| {
-            BlobError::Internal("repair needs predecessor bytes but vw-1 is empty".into())
-        })?;
-        read_at_root(engine, &lineage, root, ByteRange::new(start, prev_overlap_end - start))?
+    let old_end = update.prev_size.min(update.offset + update.size);
+    let mut data = if old_end > update.offset {
+        let old = ByteRange::new(update.offset, old_end - update.offset);
+        read_old(engine, &lineage, &update, old)?
     } else {
         Vec::new()
     };
-
-    let providers = engine.providers.allocate(t.range.count as usize)?;
-    let mut leaves = Vec::with_capacity(t.range.count as usize);
-    for (slot, page) in t.range.iter().enumerate() {
-        let page_start = page * psize;
-        let page_valid_end = (page_start + psize).min(t.new_size);
-        let mut payload = vec![0u8; (page_valid_end - page_start) as usize];
-        if page_start < prev_overlap_end {
-            let upto = prev_overlap_end.min(page_valid_end);
-            let src = (page_start - start) as usize;
-            let len = (upto - page_start) as usize;
-            payload[..len].copy_from_slice(&old[src..src + len]);
-        }
-        let pid = engine.pidgen.next_id();
-        store_one_replicated(engine, pid, providers[slot], Bytes::from(payload))?;
-        leaves.push(PageDescriptor {
-            pid,
-            page_index: page,
-            provider: providers[slot],
-            valid_len: (page_valid_end - page_start) as u32,
-        });
-    }
+    data.resize(update.size as usize, 0);
+    let data = Bytes::from(data);
+    let mut leaves = store_interior_pages(engine, &data, update.offset)?;
+    leaves.extend(store_boundary_pages(engine, &lineage, &update, &data)?);
 
     // Same skeleton, same border resolution the dead writer was
     // handed. Insert-if-absent: any node the dead writer durably
@@ -245,14 +215,7 @@ fn repair(engine: &Arc<Engine>, blob: BlobId, t: AbortTicket) -> Result<()> {
     // zombie's late stores lose to already-placed repair nodes the
     // same way.
     let reader = TreeReader::new(&engine.meta, &lineage);
-    let ctx = UpdateContext {
-        vw: t.vw,
-        range: t.range,
-        new_root: t.new_root,
-        overrides: t.overrides,
-        ref_root: t.ref_root,
-    };
-    for (key, node) in build_meta(&reader, &ctx, &leaves)? {
+    for (key, node) in build_meta(&reader, &update.context(), &leaves)? {
         engine.meta.put_new(key, node);
     }
     Ok(())
@@ -283,8 +246,14 @@ fn repair(engine: &Arc<Engine>, blob: BlobId, t: AbortTicket) -> Result<()> {
 ///   commit lost to a concurrent aborter is detected and absorbed.
 pub(crate) fn sweep_expired(engine: &Arc<Engine>, below: Option<(BlobId, Version)>) -> SweepReport {
     let _guard = enter_repair();
+    // Global sweeps only: the gate, and a `lease_sweep` sample timed
+    // from gate acquisition (scan + repairs, not the wait for a
+    // concurrent sweeper) — the duration operators can act on when its
+    // tail grows; see docs/OBSERVABILITY.md.
+    let _gate = below.is_none().then(|| engine.sweep_gate.lock());
+    let sweep_timer = blobseer_metrics::Timer::start();
     let mut report = SweepReport::default();
-    let run = |blob: BlobId, v: Version, report: &mut SweepReport| {
+    for (blob, v) in engine.vm.expired_leases(below) {
         match abort_version(engine, blob, v) {
             Ok(()) => report.aborted.push((blob, v)),
             // Conflicts mean someone else resolved the version between
@@ -292,22 +261,10 @@ pub(crate) fn sweep_expired(engine: &Arc<Engine>, below: Option<(BlobId, Version
             Err(BlobError::AbortConflict(_)) => {}
             Err(_) => report.pending.push((blob, v)),
         }
-    };
-    if let Some((blob, limit)) = below {
-        for v in engine.vm.expired_leases_below(blob, limit).unwrap_or_default() {
-            run(blob, v, &mut report);
-        }
-        return report;
     }
-    let _gate = engine.sweep_gate.lock();
-    // Timed from gate acquisition (scan + repairs, not the wait for a
-    // concurrent sweeper): the duration operators can act on when the
-    // `lease_sweep` tail grows — see docs/OBSERVABILITY.md.
-    let sweep_timer = blobseer_metrics::Timer::start();
-    for (blob, v) in engine.vm.expired_leases() {
-        run(blob, v, &mut report);
+    if below.is_none() {
+        sweep_timer.stop(&engine.metrics.lease_sweep_latency);
     }
-    sweep_timer.stop(&engine.metrics.lease_sweep_latency);
     report
 }
 
@@ -317,7 +274,7 @@ pub(crate) fn sweep_expired(engine: &Arc<Engine>, below: Option<(BlobId, Version
 /// without any dedicated timer thread.
 pub(crate) fn maybe_sweep(engine: &Arc<Engine>) {
     use std::sync::atomic::Ordering;
-    if !engine.vm.has_expired_leases() {
+    if engine.vm.expired_leases(None).is_empty() {
         return;
     }
     if engine.sweep_queued.swap(true, Ordering::SeqCst) {

@@ -307,7 +307,7 @@ fn spawn_lease_ticker(engine: &Arc<Engine>) {
                 engine.vm.advance_clock(target - ticked);
                 ticked = target;
             }
-            if engine.vm.has_expired_leases() {
+            if !engine.vm.expired_leases(None).is_empty() {
                 let _ = crate::abort::sweep_expired(&engine, None);
             }
             // The upgrade may have made this thread the engine's last

@@ -250,7 +250,8 @@ impl BlobSeer {
     }
 
     /// [`BlobSeer::read`] into a caller-supplied buffer (the paper's
-    /// actual signature); reads exactly `buf.len()` bytes.
+    /// actual signature); reads exactly `buf.len()` bytes. Opens a
+    /// [`Snapshot`] per call and reads through it.
     pub fn read_into(
         &self,
         blob: impl BlobRef,
@@ -258,7 +259,7 @@ impl BlobSeer {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<()> {
-        read::read(&self.engine, blob.blob_id(), v, offset, buf)
+        self.snapshot(blob, v)?.read_into(offset, buf)
     }
 
     /// `GET_RECENT(id)`: a recently published version — guaranteed ≥

@@ -104,14 +104,9 @@ impl PendingWrite {
                 .unwrap_or_else(|_| {
                     Err(BlobError::Internal("pipelined completion stage panicked".into()))
                 });
-                let result = result.inspect_err(|e| {
-                    // A failed (or panicked) stage retires its version as a
-                    // no-op instead of wedging the blob; VersionAborted
-                    // means the sweeper or an explicit abort already did.
-                    if !matches!(e, BlobError::VersionAborted { .. }) {
-                        let _ = crate::abort::abort_version(&eng, blob, version);
-                    }
-                });
+                // A failed (or panicked) stage retires its version as a
+                // no-op instead of wedging the blob.
+                let result = write::settle(&eng, blob, version, result);
                 if result.is_ok() {
                     write::record_update(&eng, is_append, op_timer);
                 }

@@ -12,8 +12,8 @@
 //! ([`read_meta_multi`]) over all of their ranges at once. The single
 //! exception is a request inside one page: [`read_at_root_into`] takes
 //! [`read_meta_page`]'s loop and one fetch on the calling thread, with
-//! no slices. The flat [`crate::BlobSeer::read`] facade re-resolves the
-//! view per call and delegates to the same halves.
+//! no slices. The flat [`crate::BlobSeer::read`] facade opens a
+//! [`crate::Snapshot`] per call, so it is the same read.
 
 use std::sync::Arc;
 
@@ -21,43 +21,10 @@ use blobseer_meta::Lineage;
 use blobseer_meta::{read_meta_multi, read_meta_page, RootRef, TreeReader};
 use blobseer_metrics::Timer;
 use blobseer_rt::try_parallel;
-use blobseer_types::{BlobError, BlobId, ByteRange, PageSlice, Result, Version};
+use blobseer_types::{BlobError, ByteRange, PageSlice, Result};
 use bytes::Bytes;
 
 use crate::engine::Engine;
-
-/// Public READ: validates against the published snapshot, then delegates
-/// to [`read_at_root_into`]. Resolves size, root and lineage in a single
-/// version-manager round-trip.
-pub(crate) fn read(
-    engine: &Arc<Engine>,
-    blob: BlobId,
-    v: Version,
-    offset: u64,
-    buf: &mut [u8],
-) -> Result<()> {
-    let op_timer = Timer::start();
-    let size = buf.len() as u64;
-    let view = engine.vm.snapshot_view(blob, v)?;
-    if offset + size > view.size {
-        return Err(BlobError::ReadBeyondEnd {
-            blob,
-            version: v,
-            requested_end: offset + size,
-            snapshot_size: view.size,
-        });
-    }
-    if size == 0 {
-        return Ok(());
-    }
-    let root = view
-        .root
-        .ok_or_else(|| BlobError::Internal("non-empty snapshot without a tree root".into()))?;
-    read_at_root_into(engine, &view.lineage, root, ByteRange::new(offset, size), buf)?;
-    engine.metrics.read_ops.increment();
-    op_timer.stop(&engine.metrics.read_latency);
-    Ok(())
-}
 
 /// Read `request` from the snapshot rooted at `root`, blocking on
 /// in-flight metadata if needed. Used both by public READs (where the

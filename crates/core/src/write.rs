@@ -24,10 +24,14 @@
 //!    it to another thread — see `docs/ARCHITECTURE.md`).
 //! 5. **Notify the version manager** — which publishes `vw` once all
 //!    lower versions are published.
+//!
+//! An abort's repair (`crate::abort`) is this same update for a dead
+//! writer's version, with snapshot `vw − 1`'s bytes as its data: it
+//! runs steps 1, 3 and 4 through the functions below.
 
 use std::sync::Arc;
 
-use blobseer_meta::{build_meta, TreeReader, UpdateContext};
+use blobseer_meta::{build_meta, TreeReader};
 use blobseer_metrics::Timer;
 use blobseer_provider::SealedPage;
 use blobseer_rt::try_parallel;
@@ -134,13 +138,8 @@ pub(crate) fn prepare(
     // version assignment — retire the version instead of wedging the
     // blob (best effort; the lease sweeper retries otherwise).
     if matches!(target, Target::Append) {
-        leaves = match store_interior_pages(engine, &data, assigned.offset) {
-            Ok(leaves) => leaves,
-            Err(e) => {
-                let _ = crate::abort::abort_version(engine, blob, assigned.vw);
-                return Err(e);
-            }
-        };
+        let stored = store_interior_pages(engine, &data, assigned.offset);
+        leaves = settle(engine, blob, assigned.vw, stored)?;
     }
     prepare_timer.stop(&engine.metrics.write_prepare_latency);
     Ok(Prepared { assigned, data, leaves, pin })
@@ -170,41 +169,36 @@ pub(crate) fn finish_until(
     // stage — including the crash-injection early returns, where its
     // drop is precisely the simulated writer death.
     let Prepared { assigned, data, mut leaves, pin: _pin } = prepared;
+    let vw = assigned.vw;
     // Scope for the DHT self-help hook: if this stage blocks on
     // in-flight metadata mid-wait, the hook may sweep expired leases
     // strictly below our version — never at or above (that repair
     // would wait on the metadata we have yet to write).
-    let _wait_scope = crate::abort::wait_scope(blob, assigned.vw);
+    let _wait_scope = crate::abort::wait_scope(blob, vw);
 
     // Self-help sweep: if some lower version's writer died, this stage
     // is about to block on its metadata — abort the blocker first
     // (never a version ≥ our own: its repair would wait on *us*). The
     // check is one atomic load while every lease is fresh, and locks
     // only this blob otherwise.
-    if crash.is_none() && engine.vm.has_expired_below(blob, assigned.vw).unwrap_or(false) {
-        crate::abort::sweep_expired(engine, Some((blob, assigned.vw)));
+    let below = Some((blob, vw));
+    if crash.is_none() && !engine.vm.expired_leases(below).is_empty() {
+        crate::abort::sweep_expired(engine, below);
     }
-    engine.vm.renew_lease(blob, assigned.vw)?;
+    engine.vm.renew_lease(blob, vw)?;
 
     // 3: boundary pages (head/tail partially covered by the update).
     let lineage = engine.vm.lineage(blob)?;
     leaves.extend(store_boundary_pages(engine, &lineage, &assigned, &data)?);
     leaves.sort_by_key(|pd| pd.page_index);
     if crash == Some(CrashPoint::AfterBoundaryPages) {
-        return Ok(assigned.vw);
+        return Ok(vw);
     }
 
     // 4: build the new tree and store every node.
     let reader = TreeReader::new(&engine.meta, &lineage);
-    let ctx = UpdateContext {
-        vw: assigned.vw,
-        range: assigned.range,
-        new_root: assigned.new_root,
-        overrides: assigned.overrides,
-        ref_root: assigned.ref_root,
-    };
-    let nodes = build_meta(&reader, &ctx, &leaves)?;
-    engine.vm.renew_lease(blob, assigned.vw)?;
+    let nodes = build_meta(&reader, &assigned.context(), &leaves)?;
+    engine.vm.renew_lease(blob, vw)?;
     // build_meta emits leaves first; AfterPartialMetadata drops exactly
     // that prefix (see the enum docs).
     let store_from = match crash {
@@ -218,17 +212,36 @@ pub(crate) fn finish_until(
         engine.meta.put_new(key, node);
     }
     if matches!(crash, Some(CrashPoint::AfterPartialMetadata) | Some(CrashPoint::BeforeNotify)) {
-        return Ok(assigned.vw);
+        return Ok(vw);
     }
 
     // 5: hand publication over to the version manager.
-    engine.vm.complete(blob, assigned.vw)?;
-    Ok(assigned.vw)
+    engine.vm.complete(blob, vw)?;
+    Ok(vw)
+}
+
+/// Settle a failed step of update `vw` after its version assignment:
+/// retire the version as a no-op instead of leaving a hole that wedges
+/// every later writer — unless the failure *is* the version's
+/// abort (`VersionAborted`: the sweeper or an explicit abort already
+/// retired it). Best effort; the lease sweeper retries a failed abort.
+/// Passes `result` through.
+pub(crate) fn settle<T>(
+    engine: &Arc<Engine>,
+    blob: BlobId,
+    vw: Version,
+    result: Result<T>,
+) -> Result<T> {
+    if let Err(e) = &result {
+        if !matches!(e, BlobError::VersionAborted { .. }) {
+            let _ = crate::abort::abort_version(engine, blob, vw);
+        }
+    }
+    result
 }
 
 /// Run the full update pipeline; returns the assigned version. A
-/// failure after version assignment retires the version (no-op abort)
-/// instead of leaving a hole that wedges every later writer.
+/// failure after version assignment retires the version ([`settle`]).
 ///
 /// QoS admission (when configured) runs first, before any page store
 /// or version assignment — a throttled update has zero side effects.
@@ -246,13 +259,7 @@ pub(crate) fn update(
     let is_append = matches!(target, Target::Append);
     let prepared = prepare(engine, blob, data, target)?;
     let vw = prepared.assigned.vw;
-    let published = finish(engine, blob, prepared).inspect_err(|e| {
-        // VersionAborted means the sweeper (or an explicit abort)
-        // already retired us; anything else is ours to clean up.
-        if !matches!(e, BlobError::VersionAborted { .. }) {
-            let _ = crate::abort::abort_version(engine, blob, vw);
-        }
-    })?;
+    let published = settle(engine, blob, vw, finish(engine, blob, prepared))?;
     record_update(engine, is_append, op_timer);
     Ok(published)
 }
@@ -291,7 +298,7 @@ pub(crate) fn update_crashing(
 
 /// Store every page *fully covered* by the update, in parallel
 /// (Algorithm 2 lines 4-9). Returns their descriptors.
-fn store_interior_pages(
+pub(crate) fn store_interior_pages(
     engine: &Arc<Engine>,
     data: &Bytes,
     offset: u64,
@@ -320,7 +327,7 @@ fn store_interior_pages(
 
 /// Store the merged head/tail boundary pages of an unaligned update
 /// (DESIGN.md §3.3). No-op for page-aligned updates.
-fn store_boundary_pages(
+pub(crate) fn store_boundary_pages(
     engine: &Arc<Engine>,
     lineage: &blobseer_meta::Lineage,
     assigned: &AssignedUpdate,
@@ -410,7 +417,7 @@ fn store_boundary_pages(
 /// failover target. No byte is copied and no block is hashed per copy
 /// (with zero-copy carving the payload still aliases the caller's
 /// buffer).
-pub(crate) fn store_one_replicated(
+fn store_one_replicated(
     engine: &Arc<Engine>,
     pid: blobseer_types::PageId,
     primary: ProviderId,
@@ -496,7 +503,7 @@ fn store_with_retry(
 
 /// Read bytes of snapshot `vw − 1` (the update's predecessor), waiting
 /// on its in-flight metadata when necessary.
-fn read_old(
+pub(crate) fn read_old(
     engine: &Arc<Engine>,
     lineage: &blobseer_meta::Lineage,
     assigned: &AssignedUpdate,

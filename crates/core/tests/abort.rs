@@ -273,3 +273,37 @@ fn gc_and_abort_compose() {
     assert!(bytes[3 * page..4 * page].iter().all(|&b| b == 0), "hole still zeros");
     assert!(bytes[4 * page..].iter().all(|&b| b == 10));
 }
+
+#[test]
+fn repair_pages_keep_the_dead_writers_valid_lengths() {
+    // v1 ends mid-page; the dead writer's two-page append then covers
+    // pages 1..=3: a head merged onto v1's tail, one interior page
+    // (stored before it died) and a 2 KiB tail. The repair re-stores
+    // all three with vw − 1's bytes, each at the length the writer
+    // would have stored — the tail stays 2 KiB.
+    let s = store(10);
+    let blob = s.create();
+    let page = PSIZE as usize;
+    let v1 = blob.append(&vec![1u8; page + page / 2]).unwrap();
+    blob.sync(v1).unwrap();
+    blob.crash_append(filled(2 * page, 2), CrashPoint::AfterPrepare).unwrap();
+    s.advance_lease_clock(11);
+    assert_eq!(s.sweep_expired_leases().aborted.len(), 1);
+    let v3 = blob.append(&[3u8; 16]).unwrap();
+    blob.sync(v3).unwrap();
+
+    let snap = blob.snapshot(v3).unwrap();
+    assert_eq!(snap.len(), 3 * PSIZE + PSIZE / 2 + 16);
+    let bytes = snap.read(ByteRange::new(0, snap.len())).unwrap();
+    let hole = page + page / 2..3 * page + page / 2;
+    assert!(bytes[..hole.start].iter().all(|&b| b == 1));
+    assert!(bytes[hole.clone()].iter().all(|&b| b == 0), "the hole reads as zeros");
+    assert!(bytes[hole.end..].iter().all(|&b| b == 3));
+
+    // Only the dead writer's interior page is orphaned.
+    let report = s.scrub_orphans().unwrap();
+    assert_eq!((report.pages_reclaimed, report.bytes_reclaimed), (1, PSIZE));
+    // v1: 4096 + 2048; repair: 4096 + 4096 + 2048; v3's merged tail:
+    // 2048 + 16.
+    assert_eq!(s.stats().physical_bytes, 4096 + 2048 + 4096 + 4096 + 2048 + 2064);
+}

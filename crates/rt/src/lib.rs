@@ -47,10 +47,8 @@
 //!   per worker per batch, however many items the batch has.
 
 mod pool;
-mod wait;
 
 pub use pool::ThreadPool;
-pub use wait::WaitGroup;
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

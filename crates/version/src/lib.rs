@@ -33,10 +33,12 @@
 //! [`VersionManager::advance_clock`]). A writer that dies mid-update
 //! stops renewing; once its lease lapses it can be **aborted**
 //! ([`VersionManager::begin_abort`] / [`VersionManager::commit_abort`]):
-//! a no-op *repair tree* — built from the [`AbortTicket`] — replaces
-//! the metadata the dead writer owed to later versions' border sets,
-//! and the total order then **skips the hole**, so every later version
-//! publishes. Aborted versions are never readable; racing readers get
+//! the dead writer's own [`AssignedUpdate`], re-run with snapshot
+//! `vw − 1`'s bytes as data, stores a no-op *repair tree* in place of
+//! the metadata it owed to later versions' border sets, and the total
+//! order then **skips the hole**, so every later version publishes.
+//! [`VersionManager::expired_leases`] is the one query that finds the
+//! writers to abort. Aborted versions are never readable; racing readers get
 //! the typed `BlobError::VersionAborted`. See `docs/ARCHITECTURE.md`
 //! for the full failure model and the lease state machine.
 //!
@@ -62,7 +64,7 @@ mod state;
 #[doc(hidden)]
 pub use manager::PublishProbe;
 pub use manager::{
-    AbortTicket, AssignedUpdate, BlobScrubCut, ConcurrencyMode, ReadView, UpdateKind,
-    VersionManager, VmStats, DEFAULT_LEASE_TTL_TICKS,
+    AssignedUpdate, BlobScrubCut, ConcurrencyMode, ReadView, UpdateKind, VersionManager, VmStats,
+    DEFAULT_LEASE_TTL_TICKS,
 };
 pub use seqlock::SeqLock;

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blobseer_meta::plan::{borders_at_level, creates_position};
-use blobseer_meta::{Lineage, RootRef};
+use blobseer_meta::{Lineage, RootRef, UpdateContext};
 use blobseer_types::{div_ceil, BlobError, BlobId, ByteRange, NodePos, PageRange, Result, Version};
 use parking_lot::{Mutex, RwLock};
 
@@ -102,6 +102,10 @@ pub enum UpdateKind {
 
 /// The version manager's reply to an update registration: everything the
 /// writer needs to build and weave its metadata (paper §4.2).
+///
+/// [`VersionManager::begin_abort`] hands back the same record for a dead
+/// writer's version — the update its repair re-runs with snapshot
+/// `vw − 1`'s bytes as data.
 #[derive(Clone, Debug)]
 pub struct AssignedUpdate {
     /// Assigned snapshot version `vw`.
@@ -130,6 +134,20 @@ pub struct AssignedUpdate {
     pub prev_root: Option<RootRef>,
 }
 
+impl AssignedUpdate {
+    /// The weaving inputs `BUILD_META` takes
+    /// ([`blobseer_meta::build_meta`]).
+    pub fn context(self) -> UpdateContext {
+        UpdateContext {
+            vw: self.vw,
+            range: self.range,
+            new_root: self.new_root,
+            overrides: self.overrides,
+            ref_root: self.ref_root,
+        }
+    }
+}
+
 /// Everything a reader needs to serve any number of reads of one
 /// published snapshot: resolved once, under a single acquisition of the
 /// blob's lock, and valid forever (snapshots are immutable).
@@ -145,42 +163,6 @@ pub struct ReadView {
     pub root: Option<RootRef>,
     /// The blob's lineage (for metadata key resolution across branches).
     pub lineage: Lineage,
-}
-
-/// Everything an abort needs to build the **repair tree** of a dead
-/// writer's version: the exact node skeleton the writer was expected to
-/// create (later versions' border sets already point into it), with the
-/// weaving inputs recomputed as of abort time.
-///
-/// Returned by [`VersionManager::begin_abort`]; the caller stores a
-/// no-op tree for `vw` — snapshot `vw − 1`'s bytes over the assigned
-/// range, zero-extended to `new_size` — and then calls
-/// [`VersionManager::commit_abort`] so the total order can skip the
-/// hole.
-#[derive(Clone, Debug)]
-pub struct AbortTicket {
-    /// The version being aborted.
-    pub vw: Version,
-    /// Pages the dead update was assigned (the repair tree must create
-    /// exactly these leaves).
-    pub range: PageRange,
-    /// Root position of the dead update's tree.
-    pub new_root: NodePos,
-    /// Size of snapshot `vw − 1` in bytes.
-    pub prev_size: u64,
-    /// Size the dead update would have published (repair zero-extends
-    /// to it, so later appends keep their assigned offsets).
-    pub new_size: u64,
-    /// Border overrides recomputed as of abort time. Identical in
-    /// effect to what the dead writer was handed at assignment: both
-    /// resolve each border position to the newest version `< vw`
-    /// creating it — versions only move from in-flight to published,
-    /// never disappear (aborted ones leave a repair tree behind).
-    pub overrides: Vec<(NodePos, Version)>,
-    /// Root of the latest published snapshot (always `< vw`).
-    pub ref_root: Option<RootRef>,
-    /// Root of snapshot `vw − 1` (possibly still in flight).
-    pub prev_root: Option<RootRef>,
 }
 
 /// One blob's slice of the **tree-walk live set**, captured atomically
@@ -260,8 +242,8 @@ pub struct VersionManager {
     /// raised only by a full scan, and only when nobody lowered it
     /// meanwhile — so it may be stale-*low* (costing a spurious scan)
     /// but never stale-high past a grant. Lets the hot-path expiry
-    /// check ([`VersionManager::has_expired_leases`] and friends) be a
-    /// single atomic load while every lease is within TTL.
+    /// query ([`VersionManager::expired_leases`]) be a single atomic
+    /// load while every lease is within TTL.
     lease_watermark: AtomicU64,
     /// Versions currently stuck in `Aborting` (a begun-but-uncommitted
     /// abort): sweep work that must stay visible regardless of the
@@ -549,66 +531,42 @@ impl VersionManager {
         }
     }
 
-    /// `true` when some writer's lease may have lapsed (or an earlier
-    /// abort is stuck mid-repair and wants a retry). One atomic load
-    /// in the common all-leases-fresh case — safe to call per
-    /// operation; the engine's sweeper gates on it.
-    pub fn has_expired_leases(&self) -> bool {
-        if self.aborting.load(Ordering::Relaxed) > 0 {
-            return true;
-        }
-        if self.now_ticks() < self.lease_watermark.load(Ordering::Relaxed) {
-            return false;
-        }
-        !self.expired_leases().is_empty()
-    }
-
-    /// The single-blob form of [`VersionManager::has_expired_leases`],
-    /// restricted to versions strictly below `v` — what a completion
-    /// stage asks before its boundary merge ("is anything I might
-    /// block on dead?"). Same one-atomic fast path; the slow path
-    /// locks only this blob.
-    pub fn has_expired_below(&self, blob: BlobId, v: Version) -> Result<bool> {
-        if self.aborting.load(Ordering::Relaxed) == 0
-            && self.now_ticks() < self.lease_watermark.load(Ordering::Relaxed)
-        {
-            return Ok(false);
-        }
-        let state = self.blob_state(blob)?;
-        let now = self.now_ticks();
-        let inner = state.inner.lock();
-        Ok(!inner.expired_leases(now, Some(v)).is_empty())
-    }
-
-    /// The single-blob list behind [`VersionManager::has_expired_below`]:
-    /// expired (or abort-stuck) versions of `blob` strictly below `v`,
-    /// ascending. Locks only this blob.
-    pub fn expired_leases_below(&self, blob: BlobId, v: Version) -> Result<Vec<Version>> {
-        let state = self.blob_state(blob)?;
-        let now = self.now_ticks();
-        let inner = state.inner.lock();
-        Ok(inner.expired_leases(now, Some(v)))
-    }
-
     /// Every `(blob, version)` whose lease has lapsed as of the current
-    /// clock, plus any version stuck in a failed abort. Sorted, and
-    /// ascending per blob — aborts must run lowest-version-first so a
+    /// clock, plus any version stuck in a failed abort — the one
+    /// lease-expiry query every sweep trigger asks. Sorted, and
+    /// ascending per blob: aborts must run lowest-version-first so a
     /// repair only ever waits on strictly lower versions.
     ///
-    /// A full scan, behind the expiry checks too. When nothing is due,
-    /// raises the watermark to the earliest live expiry — but never
-    /// above `now + ttl` (a lease granted mid-scan on an already-visited
-    /// blob expires no earlier than that) and only if no concurrent
-    /// `assign` lowered it meanwhile (the CAS); a lost race leaves the
-    /// watermark stale-low, which costs a spurious scan, never a
-    /// missed expiry.
-    pub fn expired_leases(&self) -> Vec<(BlobId, Version)> {
-        let wm_before = self.lease_watermark.load(Ordering::Relaxed);
+    /// `below = Some((blob, v))` restricts the answer to `blob`'s
+    /// versions strictly below `v` — what a completion stage asks
+    /// before its boundary merge ("is anything I might block on
+    /// dead?") — and locks only that blob (an unknown blob has
+    /// nothing expired). `None` scans every blob.
+    ///
+    /// One atomic load while every lease is fresh and no abort is
+    /// stuck, so it is safe to call per operation. When a full scan
+    /// finds nothing due, it raises the watermark to the earliest live
+    /// expiry — but never above `now + ttl` (a lease granted mid-scan
+    /// on an already-visited blob expires no earlier than that) and
+    /// only if no concurrent `assign` lowered it meanwhile (the CAS); a
+    /// lost race leaves the watermark stale-low, which costs a spurious
+    /// scan, never a missed expiry.
+    pub fn expired_leases(&self, below: Option<(BlobId, Version)>) -> Vec<(BlobId, Version)> {
+        // Clock first: a lease granted after this read expires past
+        // `now`, so a watermark read later can only be conservative.
         let now = self.now_ticks();
-        let blobs = self.blobs.all();
+        let wm_before = self.lease_watermark.load(Ordering::Relaxed);
+        if self.aborting.load(Ordering::Relaxed) == 0 && now < wm_before {
+            return Vec::new();
+        }
+        if let Some((blob, limit)) = below {
+            let Ok(state) = self.blob_state(blob) else { return Vec::new() };
+            let inner = state.inner.lock();
+            return inner.expired_leases(now, Some(limit)).into_iter().map(|v| (blob, v)).collect();
+        }
         let mut out = Vec::new();
         let mut earliest = u64::MAX;
-        for (id, state) in blobs {
+        for (id, state) in self.blobs.all() {
             let inner = state.inner.lock();
             out.extend(inner.expired_leases(now, None).into_iter().map(|v| (id, v)));
             earliest = earliest.min(inner.earliest_expiry());
@@ -628,13 +586,25 @@ impl VersionManager {
 
     /// Begin aborting an assigned-but-unpublished version: mark it
     /// aborted (racing readers and a racing `complete` now surface
-    /// [`BlobError::VersionAborted`]) and return the [`AbortTicket`]
-    /// describing the repair tree the caller must store before
-    /// [`VersionManager::commit_abort`]. Idempotent over a failed
-    /// repair (state `Aborting` re-issues the ticket); refuses —
-    /// typed, with nothing changed — once the version completed,
-    /// published, or fully aborted.
-    pub fn begin_abort(&self, blob: BlobId, v: Version) -> Result<AbortTicket> {
+    /// [`BlobError::VersionAborted`]) and return the dead writer's
+    /// update for the caller to re-run as the **repair** before
+    /// [`VersionManager::commit_abort`]: snapshot `vw − 1`'s bytes,
+    /// zero-extended, over exactly the pages the writer was assigned.
+    ///
+    /// The returned update is widened to whole pages — `offset` is the
+    /// first page's start and `offset + size` is
+    /// `min(range.end() × psize, new_size)` — so the repair rewrites
+    /// every assigned page and merges nothing. Its overrides are
+    /// recomputed as of abort time, identical in effect to what the
+    /// writer was handed: both resolve each border position to the
+    /// newest version `< vw` creating it, and versions only move from
+    /// in-flight to published, never disappear (aborted ones leave a
+    /// repair tree behind).
+    ///
+    /// Idempotent over a failed repair (state `Aborting` re-issues the
+    /// update); refuses — typed, with nothing changed — once the
+    /// version completed, published, or fully aborted.
+    pub fn begin_abort(&self, blob: BlobId, v: Version) -> Result<AssignedUpdate> {
         self.tick();
         let state = self.blob_state(blob)?;
         let mut inner = state.inner.lock();
@@ -682,12 +652,16 @@ impl VersionManager {
         // (resolved by descending `ref_root`).
         let overrides = inflight_overrides(&inner.inflight, v, inf.range, inf.root);
         let prev = v.prev().expect("v ≥ 1: snapshot 0 is never in flight");
-        Ok(AbortTicket {
+        let new_size = inner.size_of(v);
+        let offset = inf.range.first * self.psize;
+        Ok(AssignedUpdate {
             vw: v,
+            offset,
+            size: (inf.range.end() * self.psize).min(new_size) - offset,
+            prev_size: inner.size_of(prev),
+            new_size,
             range: inf.range,
             new_root: inf.root,
-            prev_size: inner.size_of(prev),
-            new_size: inner.size_of(v),
             overrides,
             ref_root: inner.root_of(inner.published, self.psize),
             prev_root: inner.root_of(prev, self.psize),
@@ -1420,7 +1394,7 @@ mod tests {
 
     /// Drive a full abort at the VM level (the engine layers the repair
     /// tree build between the two calls).
-    fn abort(vm: &VersionManager, b: BlobId, v: Version) -> AbortTicket {
+    fn abort(vm: &VersionManager, b: BlobId, v: Version) -> AssignedUpdate {
         let ticket = vm.begin_abort(b, v).unwrap();
         vm.commit_abort(b, v).unwrap();
         ticket
@@ -1432,21 +1406,19 @@ mod tests {
             .with_lease_ttl(10);
         let b = vm.create();
         let a1 = vm.assign(b, UpdateKind::Append { size: 4 }).unwrap();
-        assert!(!vm.has_expired_leases());
-        assert!(vm.expired_leases().is_empty());
+        assert!(vm.expired_leases(None).is_empty());
         vm.advance_clock(9);
-        assert!(!vm.has_expired_leases(), "TTL not yet reached");
+        assert!(vm.expired_leases(None).is_empty(), "TTL not yet reached");
         vm.advance_clock(1);
-        assert!(vm.has_expired_leases());
-        assert_eq!(vm.expired_leases(), vec![(b, a1.vw)]);
+        assert_eq!(vm.expired_leases(None), vec![(b, a1.vw)]);
         // Renewal revives an expired-but-unaborted lease.
         vm.renew_lease(b, a1.vw).unwrap();
-        assert!(!vm.has_expired_leases());
+        assert!(vm.expired_leases(None).is_empty());
         assert_eq!(vm.stats().lease_renewals, 1);
         // Completion retires the lease entirely.
         vm.complete(b, a1.vw).unwrap();
         vm.advance_clock(1_000);
-        assert!(!vm.has_expired_leases());
+        assert!(vm.expired_leases(None).is_empty());
     }
 
     #[test]
@@ -1533,11 +1505,15 @@ mod tests {
         assert!(matches!(vm.complete(b, a1.vw), Err(BlobError::VersionAborted { .. })));
         assert!(matches!(vm.renew_lease(b, a1.vw), Err(BlobError::VersionAborted { .. })));
         // A failed repair leaves the version retryable.
-        assert!(vm.has_expired_leases(), "Aborting state always wants a retry");
+        assert_eq!(
+            vm.expired_leases(None),
+            vec![(b, a1.vw)],
+            "Aborting state always wants a retry"
+        );
         let ticket = vm.begin_abort(b, a1.vw).unwrap();
         assert_eq!(ticket.vw, a1.vw);
         vm.commit_abort(b, a1.vw).unwrap();
-        assert!(!vm.has_expired_leases());
+        assert!(vm.expired_leases(None).is_empty());
     }
 
     #[test]
@@ -1556,6 +1532,24 @@ mod tests {
         assert_eq!(ticket.ref_root.unwrap().version, Version(1));
         assert_eq!(ticket.prev_root.unwrap().version, Version(2));
         vm.commit_abort(b, a3.vw).unwrap();
+    }
+
+    #[test]
+    fn begin_abort_widens_the_dead_update_to_whole_pages() {
+        // A repair re-runs the dead update over every assigned page:
+        // from the first page's start to the page end or the snapshot
+        // end, whichever comes first.
+        let vm = vm();
+        let b = vm.create();
+        let a1 = vm.assign(b, UpdateKind::Append { size: 6 }).unwrap();
+        vm.complete(b, a1.vw).unwrap();
+        let a2 = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap(); // bytes [6, 14)
+        let update = abort(&vm, b, a2.vw);
+        assert_eq!(update.range, PageRange::new(1, 3));
+        assert_eq!((update.offset, update.size), (PSIZE, 14 - PSIZE));
+        let a3 = vm.assign(b, UpdateKind::Write { offset: 1, size: 2 }).unwrap(); // page 0
+        let update = abort(&vm, b, a3.vw);
+        assert_eq!((update.offset, update.size), (0, PSIZE));
     }
 
     #[test]
@@ -1622,21 +1616,21 @@ mod tests {
         let vm = VersionManager::new(PSIZE, ConcurrencyMode::Concurrent, Duration::from_secs(5))
             .with_lease_ttl(10);
         let b = vm.create();
-        assert!(!vm.has_expired_leases(), "no leases, nothing expires");
+        assert!(vm.expired_leases(None).is_empty(), "no leases, nothing expires");
         let a1 = vm.assign(b, UpdateKind::Append { size: 4 }).unwrap();
         // A scan before the TTL raises the stale-low watermark...
-        assert!(!vm.has_expired_leases());
-        assert!(!vm.has_expired_below(b, Version(9)).unwrap());
+        assert!(vm.expired_leases(None).is_empty());
+        assert!(vm.expired_leases(Some((b, Version(9)))).is_empty());
         // ...but expiry is still detected exactly at the TTL.
         vm.advance_clock(20);
-        assert!(vm.has_expired_leases());
-        assert!(vm.has_expired_below(b, Version(9)).unwrap());
-        assert!(!vm.has_expired_below(b, a1.vw).unwrap(), "strictly-below filter");
+        assert_eq!(vm.expired_leases(None), vec![(b, a1.vw)]);
+        assert_eq!(vm.expired_leases(Some((b, Version(9)))), vec![(b, a1.vw)]);
+        assert!(vm.expired_leases(Some((b, a1.vw))).is_empty(), "strictly-below filter");
         // A stuck abort stays visible regardless of the watermark.
         vm.begin_abort(b, a1.vw).unwrap();
-        assert!(vm.has_expired_leases());
+        assert_eq!(vm.expired_leases(None), vec![(b, a1.vw)]);
         vm.commit_abort(b, a1.vw).unwrap();
-        assert!(!vm.has_expired_leases());
+        assert!(vm.expired_leases(None).is_empty());
     }
 
     #[test]
