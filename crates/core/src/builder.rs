@@ -4,9 +4,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blobseer_meta::MetaStore;
-use blobseer_provider::{AllocationStrategy, DataProvider, PageStore, ProviderManager};
+use blobseer_provider::{AllocationStrategy, PageStore, ProviderManager};
 use blobseer_rt::ThreadPool;
-use blobseer_types::{BlobError, PageIdGen, ProviderId, QosConfig, Result, StoreConfig};
+use blobseer_types::{BlobError, PageIdGen, QosConfig, Result, StoreConfig};
 use blobseer_version::{ConcurrencyMode, VersionManager};
 
 use crate::engine::Engine;
@@ -227,16 +227,9 @@ impl Builder {
         }
         let wait = Duration::from_millis(config.metadata_wait_ms);
         let meta = MetaStore::new(config.metadata_providers, wait);
-        let metrics = EngineMetrics::new(meta.wait_latency(), config.data_providers);
+        let metrics = EngineMetrics::new(meta.wait_latency());
         let providers = match stores {
-            Some(stores) => ProviderManager::new(
-                stores
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, s)| Arc::new(DataProvider::new(ProviderId(i as u32), s)))
-                    .collect(),
-                strategy,
-            ),
+            Some(stores) => ProviderManager::new(stores, strategy),
             None => ProviderManager::with_memory_providers(config.data_providers, strategy),
         };
         let engine = Engine {

@@ -66,7 +66,8 @@ pub(crate) fn retire_versions(
         // Retired-aware: the copies live on the current chain (which
         // skips drained-and-retired members), not necessarily on the
         // leaf's literal primary.
-        let mut targets = engine.providers.chain_of(primary, engine.config.replication)?;
+        let mut targets: Vec<_> =
+            engine.providers.chain(primary, None)?.take(engine.config.replication).collect();
         // Plus the literal primary if it differs (pre-drain copies a
         // failed drain left behind are still best-effort deleted).
         if !targets.contains(&primary) {

@@ -136,7 +136,7 @@ pub use write::CrashPoint;
 // the fault-injection seam ([`Builder::page_stores`] + [`FaultPlan`]).
 pub use blobseer_provider::{
     AllocationStrategy, FaultPlan, FilePageStore, MembershipCounts, MemoryPageStore, PageStore,
-    PlacementCandidate, PlacementPolicy, ProviderStats, SealedPage, SUM_BLOCK,
+    ProviderStats, SealedPage, SUM_BLOCK,
 };
 pub use blobseer_types::{
     BlobError, BlobId, ByteRange, PageId, ProviderId, QosConfig, Result, StoreConfig, TenantId,
@@ -490,7 +490,7 @@ impl BlobSeer {
         self.engine.providers.membership()
     }
 
-    /// Hot-swap the page-placement policy to a built-in strategy. Only
+    /// Hot-swap the page-placement strategy, from a fresh state. Only
     /// new allocations are affected: every stored page keeps its
     /// location, and replica chains are a function of registry order,
     /// not of placement — so the swap never invalidates a leaf.
@@ -505,12 +505,6 @@ impl BlobSeer {
     /// ```
     pub fn set_placement(&self, strategy: AllocationStrategy) {
         self.engine.providers.set_placement(strategy);
-    }
-
-    /// [`BlobSeer::set_placement`] with a caller-implemented
-    /// [`PlacementPolicy`] trait object.
-    pub fn set_placement_policy(&self, policy: Arc<dyn PlacementPolicy>) {
-        self.engine.providers.set_placement_policy(policy);
     }
 
     /// The deployment's configuration.
@@ -698,7 +692,7 @@ impl BlobSeer {
             "payload bytes providers re-hashed to verify fetches (only the blocks returned)",
             self.engine.providers.total_bytes_verified(),
         );
-        self.engine.metrics.render_provider_latency(&mut out);
+        metrics::render_provider_latency(&self.engine.providers, &mut out);
         if let Some(qos) = &self.engine.qos {
             qos.render_into(&mut out);
         }

@@ -67,8 +67,8 @@ pub(crate) struct Fill {
 
 /// The providers one primary's pages are filled over, resolved once
 /// per pass (or drain round) and shared by every page that names that
-/// primary: deriving a chain is a walk of the registry and two `Vec`s,
-/// and resolving a handle a reference count the parallel jobs need.
+/// primary: deriving a chain is a walk of the registry, and resolving
+/// a handle a reference count the parallel jobs need.
 pub(crate) struct Route {
     /// Where the copies belong, in chain order.
     pub targets: Vec<Arc<DataProvider>>,
@@ -78,20 +78,26 @@ pub(crate) struct Route {
 }
 
 impl Route {
-    /// Resolve `targets` and the `sources` that are not targets.
-    pub(crate) fn resolve(
+    /// The route of `primary`'s pages: the first `replication` entries
+    /// of its [`chain`](blobseer_provider::ProviderManager::chain) as
+    /// targets, the rest as sources. Repair passes no `retiring`; a
+    /// drain passes its victim, so the targets are the chain as it
+    /// will read once the victim retires and the victim is the first
+    /// source.
+    pub(crate) fn of(
         engine: &Engine,
-        targets: &[ProviderId],
-        sources: &[ProviderId],
+        primary: ProviderId,
+        retiring: Option<ProviderId>,
     ) -> Result<Route> {
-        let resolve = |&id: &ProviderId| engine.providers.provider(id).cloned();
+        let resolve = |id| engine.providers.provider(id).cloned();
+        let mut chain = engine.providers.chain(primary, retiring)?;
         Ok(Route {
-            targets: targets.iter().map(resolve).collect::<Result<_>>()?,
-            sources: sources
-                .iter()
-                .filter(|id| !targets.contains(id))
+            targets: chain
+                .by_ref()
+                .take(engine.config.replication)
                 .map(resolve)
                 .collect::<Result<_>>()?,
+            sources: retiring.into_iter().chain(chain).map(resolve).collect::<Result<_>>()?,
         })
     }
 }

@@ -161,7 +161,7 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
             // verifies), then — and only then — delete the victim's copy.
             let route = match routes.entry(primary) {
                 Entry::Occupied(route) => route.into_mut(),
-                Entry::Vacant(slot) => slot.insert(drain_route(engine, primary, id)?),
+                Entry::Vacant(slot) => slot.insert(Route::of(engine, primary, Some(id))?),
             };
             let fill = fill_chain(pid, route, &|_| true)
                 .filter(|fill| fill.verified + fill.filled > 0)
@@ -194,16 +194,4 @@ fn drain_rounds(engine: &Arc<Engine>, victim: &Arc<DataProvider>) -> Result<Drai
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
-}
-
-/// The migration route of `primary`'s pages off `victim`: the chain as
-/// it will read once the victim retires, sourced from the victim first,
-/// then the failover fallbacks.
-fn drain_route(engine: &Engine, primary: ProviderId, victim: ProviderId) -> Result<Route> {
-    let targets =
-        engine.providers.chain_after_retire(primary, engine.config.replication, victim)?;
-    let mut sources = engine.providers.fallbacks_of(primary, 1)?;
-    sources.retain(|&s| s != victim);
-    sources.insert(0, victim);
-    Route::resolve(engine, &targets, &sources)
 }

@@ -11,13 +11,16 @@
 //! recording thread writes: two readers serving `read_into` side by
 //! side never move a metric line between their cores. The DHT's own
 //! block-time histogram is created by the DHT and merely registered
-//! here for exposition.
+//! here for exposition; each data provider owns its store and fetch
+//! latency histograms ([`render_provider_latency`] exports them).
 //!
 //! Metric names and semantics are documented in `docs/OBSERVABILITY.md`.
 
 use std::sync::Arc;
 
 use blobseer_metrics::{Counter, Registry, WindowedHistogram};
+use blobseer_provider::ProviderManager;
+use blobseer_types::ProviderId;
 
 pub(crate) struct EngineMetrics {
     registry: Registry,
@@ -48,23 +51,12 @@ pub(crate) struct EngineMetrics {
     /// Payload bytes the client checksummed while sealing pages — once
     /// per page, whatever the replication factor.
     pub sealed_bytes: Arc<Counter>,
-    /// Per-provider page-store latency, indexed by provider id. Kept
-    /// out of the [`Registry`] — labeled series (`{provider="N"}`)
-    /// need one shared `# TYPE` header, so exposition goes through
-    /// [`EngineMetrics::render_provider_latency`] instead. Buckets
-    /// allocate on first record, so idle providers cost a few words
-    /// each.
-    pub provider_store_latency: Vec<Arc<WindowedHistogram>>,
-    /// Per-provider page-fetch latency (successful fetches only),
-    /// indexed by provider id; same exposition path as stores.
-    pub provider_fetch_latency: Vec<Arc<WindowedHistogram>>,
 }
 
 impl EngineMetrics {
     /// Build and register the full metric set. `dht_wait` is the
-    /// metadata DHT's shared block-time histogram; `providers` sizes
-    /// the per-provider latency vectors.
-    pub fn new(dht_wait: Arc<WindowedHistogram>, providers: usize) -> EngineMetrics {
+    /// metadata DHT's shared block-time histogram.
+    pub fn new(dht_wait: Arc<WindowedHistogram>) -> EngineMetrics {
         let r = Registry::new();
         let append_ops = r.counter("blobseer_append_ops_total", "appends published");
         let write_ops = r.counter("blobseer_write_ops_total", "writes published");
@@ -174,12 +166,6 @@ impl EngineMetrics {
             corrupt_pages,
             under_replicated_stores,
             sealed_bytes,
-            provider_store_latency: (0..providers)
-                .map(|_| Arc::new(WindowedHistogram::new()))
-                .collect(),
-            provider_fetch_latency: (0..providers)
-                .map(|_| Arc::new(WindowedHistogram::new()))
-                .collect(),
         }
     }
 
@@ -187,34 +173,40 @@ impl EngineMetrics {
     pub fn render(&self) -> String {
         self.registry.render()
     }
+}
 
-    /// Append the per-provider store/fetch latency splits: one
-    /// `# HELP`/`# TYPE` header per metric, then `{provider="N"}`
-    /// labeled summary rows for every provider (including idle ones,
-    /// so the set of series is stable across scrapes).
-    pub fn render_provider_latency(&self, out: &mut String) {
-        use std::fmt::Write;
-        for (name, help, hists) in [
-            (
-                "blobseer_provider_store_latency_seconds",
-                "single page store on one provider (successful attempt)",
-                &self.provider_store_latency,
-            ),
-            (
-                "blobseer_provider_fetch_latency_seconds",
-                "single page fetch from one provider (successful attempt)",
-                &self.provider_fetch_latency,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} summary");
-            for (id, hist) in hists.iter().enumerate() {
-                blobseer_metrics::write_summary_seconds_labeled(
-                    out,
-                    name,
-                    &format!("provider=\"{id}\""),
-                    &hist.snapshot(),
-                );
-            }
+/// Append the per-provider store/fetch latency splits: one
+/// `# HELP`/`# TYPE` header per metric, then `{provider="N"}` labeled
+/// summary rows for every registered provider — joined and retired
+/// ones included, idle ones too, so the set of series is stable across
+/// scrapes. Kept out of the [`Registry`]: labeled series need one
+/// shared `# TYPE` header.
+pub(crate) fn render_provider_latency(providers: &ProviderManager, out: &mut String) {
+    use std::fmt::Write;
+    let registered: Vec<_> = (0..providers.provider_count() as u32)
+        .filter_map(|i| providers.provider(ProviderId(i)).ok())
+        .collect();
+    for (name, help, stores) in [
+        (
+            "blobseer_provider_store_latency_seconds",
+            "single page store on one provider (successful attempt)",
+            true,
+        ),
+        (
+            "blobseer_provider_fetch_latency_seconds",
+            "single page fetch from one provider (successful attempt)",
+            false,
+        ),
+    ] {
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} summary");
+        for p in &registered {
+            let hist = if stores { p.store_latency() } else { p.fetch_latency() };
+            blobseer_metrics::write_summary_seconds_labeled(
+                out,
+                name,
+                &format!("provider=\"{}\"", p.id().raw()),
+                &hist.snapshot(),
+            );
         }
     }
 }

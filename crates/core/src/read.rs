@@ -122,9 +122,11 @@ pub(crate) fn fetch_slices(
 }
 
 /// Fetch a page sub-range from its primary provider, falling back along
-/// the deterministic replica chain — and past it, through the fallback
-/// sequence write-path failover re-places copies onto — when a copy is
-/// missing, its provider is down, or it fails checksum verification.
+/// the page's deterministic provider sequence
+/// ([`blobseer_provider::ProviderManager::chain`]: the replica chain,
+/// then the fallbacks write-path failover re-places copies onto) when
+/// a copy is missing, its provider is down, or it fails checksum
+/// verification.
 /// Only the blocks overlapping `within` are verified (see
 /// [`blobseer_provider::DataProvider::fetch_page_range`]).
 ///
@@ -146,20 +148,16 @@ fn fetch_with_fallback(
     let mut last = None;
     let mut attempt = |id: blobseer_types::ProviderId| {
         let timer = Timer::start();
-        let fetched = engine
-            .providers
-            .provider(id)
-            .and_then(|p| p.fetch_page_range(descriptor.pid, within.offset, within.size));
+        let fetched = engine.providers.provider(id).and_then(|p| {
+            let data = p.fetch_page_range(descriptor.pid, within.offset, within.size)?;
+            // Per-provider fetch split: only the successful attempt is
+            // attributed (a miss on a fallback that never held the
+            // copy says nothing about that provider's latency).
+            timer.stop(p.fetch_latency());
+            Ok(data)
+        });
         match fetched {
-            Ok(data) => {
-                // Per-provider fetch split: only the successful attempt
-                // is attributed (a miss on a fallback that never held
-                // the copy says nothing about that provider's latency).
-                if let Some(hist) = engine.metrics.provider_fetch_latency.get(id.0 as usize) {
-                    timer.stop(hist);
-                }
-                return Some(data);
-            }
+            Ok(data) => return Some(data),
             Err(e @ BlobError::PageCorrupt { .. }) => {
                 engine.metrics.corrupt_pages.increment();
                 corrupt = Some(e);
@@ -175,9 +173,9 @@ fn fetch_with_fallback(
         return Ok(data);
     }
     // Replica chain first, then everything live beyond it, both in
-    // registry order — which is simply every serving successor of the
-    // primary, in order.
-    for id in engine.providers.fallbacks_of(descriptor.provider, 1)? {
+    // registry order.
+    let primary = descriptor.provider;
+    for id in engine.providers.chain(primary, None)?.filter(|&id| id != primary) {
         if let Some(data) = attempt(id) {
             return Ok(data);
         }

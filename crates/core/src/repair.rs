@@ -4,9 +4,9 @@
 //! down, at the price of *degraded* pages: copies re-placed on fallback
 //! providers, chain slots left empty, or copies that rotted at rest.
 //! [`repair_replicas`] marks the live set ([`LiveSet::mark`]) and
-//! derives, once per distinct primary, the expected chain
-//! ([`blobseer_provider::ProviderManager::chain_of`]) and the failover
-//! fallbacks as resolved provider handles ([`Route`]). One parallel job
+//! derives, once per distinct primary, the expected chain and the
+//! failover fallbacks ([`blobseer_provider::ProviderManager::chain`])
+//! as resolved provider handles ([`Route`]). One parallel job
 //! per provider then lists what it holds and flags the copies that sit
 //! on a fallback of their page's route — the strays. The copy phase is
 //! per-page work with no order between pages (pages are immutable,
@@ -146,9 +146,7 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
         }
         pages.push((pid, primary));
         if let Entry::Vacant(slot) = routes.entry(primary) {
-            let chain = engine.providers.chain_of(primary, engine.config.replication)?;
-            let fallbacks = engine.providers.fallbacks_of(primary, 1)?;
-            slot.insert(Route::resolve(engine, &chain, &fallbacks)?);
+            slot.insert(Route::of(engine, primary, None)?);
         }
     }
 

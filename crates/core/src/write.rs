@@ -398,18 +398,21 @@ pub(crate) fn store_boundary_pages(
     Ok(out)
 }
 
-/// Store one page on its primary plus the configured replica chain,
-/// failing over when chain members are down. Succeeds when at least
-/// one copy landed: the leaf names the primary, and readers fall back
-/// along the same deterministic chain (and past it, in registry
-/// order — see [`blobseer_provider::ProviderManager::fallbacks_of`]).
+/// Store one page on its replica chain — the first `replication`
+/// entries of [`blobseer_provider::ProviderManager::chain`] — failing
+/// over when chain members are down. Succeeds when at least one copy
+/// landed: the leaf names the primary, and readers walk the same
+/// deterministic sequence.
 ///
 /// Failure discipline per target: [`STORE_RETRIES`] extra attempts,
-/// then the copy is re-placed on the next live fallback provider past
-/// the chain. Each re-placement counts one `failovers_total`;
+/// then the copy is re-placed on the next fallback past the chain that
+/// accepts it. Each re-placement counts one `failovers_total`;
 /// publishing fewer copies than the chain wanted counts one
-/// `under_replicated_stores_total` (the repairer's cue). The update
-/// only fails when *no* provider in the deployment accepted the page.
+/// `under_replicated_stores_total` (the repairer's cue). The chain is
+/// never longer than the providers that serve, so a deployment drained
+/// below the replication factor is not under-replicated on every
+/// store. The update only fails when *no* provider in the deployment
+/// accepted the page.
 ///
 /// **This is where a page is sealed**: `payload` is checksummed here,
 /// once, on the client and inside the page's own fork-join item — and
@@ -425,13 +428,15 @@ fn store_one_replicated(
 ) -> Result<()> {
     engine.metrics.sealed_bytes.add(payload.len() as u64);
     let page = SealedPage::seal(payload);
-    // (Without replication this is empty and costs no registry walk.)
-    let replicas = engine.providers.replicas_of(primary, engine.config.replication)?;
-    let desired = 1 + replicas.len();
+    // Lazy: without replication a healthy store visits only the
+    // primary's registry slot.
+    let mut chain = engine.providers.chain(primary, None)?;
+    let mut desired = 0usize;
     let mut stored = 0usize;
     let mut failed = 0usize;
     let mut last_err = None;
-    for target in std::iter::once(primary).chain(replicas) {
+    for target in chain.by_ref().take(engine.config.replication) {
+        desired += 1;
         match store_with_retry(engine, target, pid, &page) {
             Ok(()) => stored += 1,
             Err(e) => {
@@ -440,23 +445,19 @@ fn store_one_replicated(
             }
         }
     }
-    if failed > 0 {
-        // Re-place each failed copy on the next fallback that accepts
-        // it. The fallback sequence is a deterministic function of
-        // (primary, registry order), so the repairer — and any reader —
-        // recomputes where a failed-over copy can live with no extra
-        // metadata.
-        let mut fallbacks = engine.providers.fallbacks_of(primary, desired)?.into_iter();
-        while failed > 0 {
-            let Some(fallback) = fallbacks.next() else { break };
-            match store_with_retry(engine, fallback, pid, &page) {
-                Ok(()) => {
-                    stored += 1;
-                    failed -= 1;
-                    engine.metrics.failovers.increment();
-                }
-                Err(e) => last_err = Some(e),
+    // Re-place each failed copy on the next fallback that accepts it.
+    // The sequence is a deterministic function of (primary, registry
+    // order), so the repairer — and any reader — recomputes where a
+    // failed-over copy can live with no extra metadata.
+    while failed > 0 {
+        let Some(fallback) = chain.next() else { break };
+        match store_with_retry(engine, fallback, pid, &page) {
+            Ok(()) => {
+                stored += 1;
+                failed -= 1;
+                engine.metrics.failovers.increment();
             }
+            Err(e) => last_err = Some(e),
         }
     }
     if stored == 0 {
@@ -482,17 +483,16 @@ fn store_with_retry(
     pid: blobseer_types::PageId,
     page: &SealedPage,
 ) -> Result<()> {
+    let provider = engine.providers.provider(target)?;
     let timer = Timer::start();
     let mut attempt = 0u32;
     loop {
-        match engine.providers.provider(target).and_then(|p| p.store_page(pid, page.clone())) {
+        match provider.store_page(pid, page.clone()) {
             Ok(()) => {
                 // Per-provider store split: the whole attempt sequence
                 // lands on the provider that finally accepted — which
                 // is what a capacity dashboard wants.
-                if let Some(hist) = engine.metrics.provider_store_latency.get(target.0 as usize) {
-                    timer.stop(hist);
-                }
+                timer.stop(provider.store_latency());
                 return Ok(());
             }
             Err(e) if attempt >= STORE_RETRIES => return Err(e),
@@ -625,8 +625,7 @@ mod tests {
         let src = data.as_ptr() as usize;
         let leaves = store_interior_pages(&store.engine, &data, 0).unwrap();
         let pd = leaves[0];
-        let replicas = store.engine.providers.replicas_of(pd.provider, 2).unwrap();
-        for target in std::iter::once(pd.provider).chain(replicas) {
+        for target in store.engine.providers.chain(pd.provider, None).unwrap().take(2) {
             let page = store.engine.providers.provider(target).unwrap().fetch_page(pd.pid).unwrap();
             assert_eq!(page.as_ptr() as usize, src, "copy on {target:?} must alias the source");
         }

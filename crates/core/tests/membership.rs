@@ -367,3 +367,26 @@ fn join_after_drain_and_placement_hot_swap() {
     let repair = store.repair_replicas().unwrap();
     assert_eq!(repair.pages_unrepairable, 0);
 }
+
+/// A page's chain is never longer than the providers that serve: a
+/// deployment drained below its replication factor stores every page
+/// on each survivor and does not count the stores as under-replicated.
+#[test]
+fn a_chain_shorter_than_the_replication_factor_is_not_under_replicated() {
+    let store = BlobSeer::builder()
+        .page_size(PSIZE)
+        .data_providers(3)
+        .metadata_providers(2)
+        .io_threads(2)
+        .replication(3)
+        .build()
+        .unwrap();
+    store.drain_provider(ProviderId(2)).unwrap();
+
+    let blob = store.create();
+    let v = blob.append_bytes(fill(4 * PSIZE as usize, 9)).unwrap();
+    blob.sync(v).unwrap();
+
+    assert_eq!(store.stats_snapshot().under_replicated_stores, 0);
+    assert_eq!(store.stats().physical_pages, 8);
+}

@@ -165,3 +165,30 @@ fn pipelined_updates_record_latency_on_completion() {
     let stats = s.stats_snapshot();
     assert_populated(stats.append, 4, "pipelined append");
 }
+
+/// Each provider owns its latency series, so a provider that joins
+/// after the build is exported and timed like the original ones.
+#[test]
+fn joined_providers_get_latency_series() {
+    let s = BlobSeer::builder()
+        .page_size(PSIZE)
+        .data_providers(2)
+        .metadata_providers(2)
+        .io_threads(2)
+        .build()
+        .unwrap();
+    assert_eq!(s.add_provider(), blobseer::ProviderId(2));
+    let blob = s.create();
+    // Round-robin puts one page on each of the three providers.
+    let v = blob.append(&[7u8; 3 * PSIZE as usize]).unwrap();
+    blob.sync(v).unwrap();
+    blob.snapshot(v).unwrap().read(ByteRange::new(0, 3 * PSIZE)).unwrap();
+
+    let text = s.metrics_text();
+    for want in [
+        "blobseer_provider_store_latency_seconds_count{provider=\"2\"} 1",
+        "blobseer_provider_fetch_latency_seconds_count{provider=\"2\"} 1",
+    ] {
+        assert!(text.contains(want), "missing {want:?}");
+    }
+}

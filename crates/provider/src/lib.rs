@@ -14,11 +14,13 @@
 //! * [`PageStore`] — the storage backend trait, with a sharded
 //!   in-memory implementation ([`MemoryPageStore`]) and a file-backed
 //!   one ([`FilePageStore`], sums persisted as a page-file header);
-//! * [`DataProvider`] — one storage node: a store plus access counters;
-//! * [`ProviderManager`] + [`AllocationStrategy`] — page-to-provider
-//!   placement. §4.3 notes that the placement strategy "plays a central
-//!   role in minimizing ... conflicts that lead to serialization", so
-//!   several strategies are provided and compared in the benches;
+//! * [`DataProvider`] — one storage node: a store plus access counters
+//!   and its own store/fetch latency histograms;
+//! * [`ProviderManager`] — the registry, page-to-provider placement (one
+//!   [`AllocationStrategy`], swappable live; §4.3 notes that the
+//!   strategy "plays a central role in minimizing ... conflicts that
+//!   lead to serialization") and every page's replica chain and
+//!   failover sequence ([`ProviderManager::chain`]);
 //! * [`FaultPlan`] — composable fault injection (offline, one-shot and
 //!   probabilistic I/O errors, latency, bit-flip corruption) wrapping
 //!   any store, so provider failure is a first-class, testable event.
@@ -29,17 +31,12 @@
 
 mod fault;
 mod manager;
-mod placement;
 mod provider;
 mod sealed;
 mod store;
 
 pub use fault::FaultPlan;
 pub use manager::{AllocationStrategy, MembershipCounts, ProviderManager};
-pub use placement::{
-    LeastLoadedPolicy, PlacementCandidate, PlacementPolicy, PowerOfTwoPolicy, RandomPolicy,
-    RoundRobinPolicy,
-};
 pub use provider::{DataProvider, ProviderStats, ScrubPass};
 pub use sealed::{SealedPage, SUM_BLOCK};
 pub use store::{FilePageStore, MemoryPageStore, PageStore};

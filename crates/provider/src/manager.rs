@@ -11,22 +11,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use blobseer_types::{BlobError, ProviderId, Result};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::placement::{
-    LeastLoadedPolicy, PlacementCandidate, PlacementPolicy, PowerOfTwoPolicy, RandomPolicy,
-    RoundRobinPolicy,
-};
 use crate::provider::{DataProvider, ProviderStats};
 use crate::store::{MemoryPageStore, PageStore};
 
-/// Page-to-provider placement policy (paper §3.1: "a strategy aiming at
-/// ensuring an even distribution of pages among providers"; §4.3 calls
-/// the strategy "central" to minimising serialization conflicts).
-///
-/// The enum names the built-in policies; at runtime the manager holds
-/// the policy as a swappable trait object ([`PlacementPolicy`]), so a
-/// deployment can switch strategies live via
+/// Page-to-provider placement strategy (paper §3.1: "a strategy aiming
+/// at ensuring an even distribution of pages among providers"; §4.3
+/// calls the strategy "central" to minimising serialization
+/// conflicts). A deployment can switch strategies live via
 /// [`ProviderManager::set_placement`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocationStrategy {
@@ -36,24 +31,27 @@ pub enum AllocationStrategy {
     RoundRobin,
     /// Uniform random placement (seeded for reproducibility).
     Random,
-    /// Always pick the providers currently storing the fewest bytes.
+    /// Always pick the providers currently storing the fewest bytes:
+    /// sort once per allocation, then deal pages round-robin over that
+    /// order so a single large allocation still spreads.
     LeastLoaded,
     /// Two random candidates, keep the less loaded (the classic
     /// power-of-two-choices load balancer).
     PowerOfTwoChoices,
 }
 
-impl AllocationStrategy {
-    /// Instantiate the built-in [`PlacementPolicy`] this name stands
-    /// for. Each call returns a fresh policy object with fresh state
-    /// (rotation cursor at zero, RNG at the deployment's fixed seed).
-    pub fn policy(self) -> Arc<dyn PlacementPolicy> {
-        match self {
-            AllocationStrategy::RoundRobin => Arc::new(RoundRobinPolicy::default()),
-            AllocationStrategy::Random => Arc::new(RandomPolicy::new()),
-            AllocationStrategy::LeastLoaded => Arc::new(LeastLoadedPolicy),
-            AllocationStrategy::PowerOfTwoChoices => Arc::new(PowerOfTwoPolicy::new()),
-        }
+/// The active strategy and its mutable state: the rotation cursor and
+/// the seeded RNG. Replaced whole on a swap, so a fresh strategy
+/// starts from a fresh state and two managers never share a cursor.
+struct Placement {
+    strategy: AllocationStrategy,
+    next: usize,
+    rng: StdRng,
+}
+
+impl Placement {
+    fn new(strategy: AllocationStrategy) -> Placement {
+        Placement { strategy, next: 0, rng: StdRng::seed_from_u64(0x5eed_b10b) }
     }
 }
 
@@ -132,8 +130,8 @@ impl Members {
         (0..self.len()).map(|i| self.at(i))
     }
 
-    /// Append the provider `make` builds for the next id.
-    fn push(&self, make: impl FnOnce(ProviderId) -> Arc<DataProvider>) -> ProviderId {
+    /// Append a provider over `store` with the next id.
+    fn push(&self, store: Arc<dyn PageStore>) -> ProviderId {
         let _append = self.append.lock();
         let i = self.len.load(Ordering::Relaxed);
         let id = ProviderId(u32::try_from(i).expect("provider ids fit in u32"));
@@ -141,70 +139,64 @@ impl Members {
         assert!(s < SEGMENTS, "provider registry full");
         let seg =
             self.segments[s].get_or_init(|| (0..FIRST << s).map(|_| OnceLock::new()).collect());
-        assert!(seg[slot].set(make(id)).is_ok(), "position {i} appended twice");
+        let provider = Arc::new(DataProvider::new(id, store));
+        assert!(seg[slot].set(provider).is_ok(), "position {i} appended twice");
         self.len.store(i + 1, Ordering::Release);
         id
     }
 }
 
 /// The provider manager: registry of data providers plus the placement
-/// policy. Providers may join dynamically ([`ProviderManager::add_provider`])
+/// strategy. Providers may join dynamically ([`ProviderManager::add_provider`])
 /// and leave via drain-then-retire, mirroring the paper's "new data
 /// providers may dynamically join and leave the system".
 ///
 /// **Retired providers stay in the registry as tombstones.** Every
 /// replica chain and failover sequence is a pure function of registry
-/// *positions*, so removing an entry would silently remap every page's
-/// copies. Instead, retirement flags the provider and every walk skips
-/// it; the position — and with it the determinism of
-/// [`Self::replicas_of`]/[`Self::fallbacks_of`] — survives arbitrarily
-/// many membership changes. Because nothing is ever removed, a
-/// provider's id is its position, and [`Self::provider`] is an index
-/// into an append-only table: no lock, no refcount.
+/// *positions* ([`Self::chain`]), so removing an entry would silently
+/// remap every page's copies. Instead, retirement flags the provider
+/// and the chain skips it; the position — and with it the determinism
+/// of every chain — survives arbitrarily many membership changes.
+/// Because nothing is ever removed, a provider's id is its position,
+/// and [`Self::provider`] is an index into an append-only table: no
+/// lock, no refcount.
 pub struct ProviderManager {
     providers: Members,
-    policy: RwLock<Arc<dyn PlacementPolicy>>,
+    placement: Mutex<Placement>,
 }
 
 impl ProviderManager {
     /// Manager over `n` fresh in-memory providers.
     pub fn with_memory_providers(n: usize, strategy: AllocationStrategy) -> Self {
-        let providers = (0..n)
-            .map(|i| {
-                Arc::new(DataProvider::new(ProviderId(i as u32), Arc::new(MemoryPageStore::new())))
-            })
-            .collect();
-        Self::new(providers, strategy)
+        let stores = (0..n).map(|_| Arc::new(MemoryPageStore::new()) as Arc<dyn PageStore>);
+        Self::new(stores.collect(), strategy)
     }
 
-    /// Manager over pre-built providers. Panics unless
-    /// `providers[i].id()` is `ProviderId(i)` for every `i`: ids are
-    /// registry positions.
-    pub fn new(providers: Vec<Arc<DataProvider>>, strategy: AllocationStrategy) -> Self {
-        assert!(!providers.is_empty(), "at least one data provider required");
-        let members = Members::new();
-        for (i, provider) in providers.into_iter().enumerate() {
-            assert_eq!(provider.id(), ProviderId(i as u32), "providers[{i}] has the wrong id");
-            members.push(|_| provider);
+    /// Manager over `stores`, joined in order: `stores[i]` becomes
+    /// provider `i`.
+    pub fn new(stores: Vec<Arc<dyn PageStore>>, strategy: AllocationStrategy) -> Self {
+        assert!(!stores.is_empty(), "at least one data provider required");
+        let mgr = ProviderManager {
+            providers: Members::new(),
+            placement: Mutex::new(Placement::new(strategy)),
+        };
+        for store in stores {
+            mgr.add_provider(store);
         }
-        ProviderManager { providers: members, policy: RwLock::new(strategy.policy()) }
+        mgr
     }
 
-    /// The active placement policy's name.
-    pub fn placement_name(&self) -> &'static str {
-        self.policy.read().name()
+    /// The active placement strategy.
+    pub fn placement(&self) -> AllocationStrategy {
+        self.placement.lock().strategy
     }
 
-    /// Hot-swap the placement policy to a built-in strategy. Only new
+    /// Hot-swap the placement strategy, from a fresh state (rotation
+    /// cursor at zero, RNG at the deployment's fixed seed). Only new
     /// allocations are affected; every already-stored page keeps its
     /// location and its registry-order replica chain.
     pub fn set_placement(&self, strategy: AllocationStrategy) {
-        self.set_placement_policy(strategy.policy());
-    }
-
-    /// Hot-swap to an arbitrary [`PlacementPolicy`] implementation.
-    pub fn set_placement_policy(&self, policy: Arc<dyn PlacementPolicy>) {
-        *self.policy.write() = policy;
+        *self.placement.lock() = Placement::new(strategy);
     }
 
     /// Number of registered providers (tombstones included).
@@ -236,7 +228,7 @@ impl ProviderManager {
     /// new member's id; it is immediately eligible for placement and
     /// failover.
     pub fn add_provider(&self, store: Arc<dyn PageStore>) -> ProviderId {
-        self.providers.push(|id| Arc::new(DataProvider::new(id, store)))
+        self.providers.push(store)
     }
 
     /// Every registered provider still in service (retired tombstones
@@ -259,126 +251,89 @@ impl ProviderManager {
     /// line 2: "PP ← the list of n page providers"). Providers repeat
     /// when `n` exceeds the deployment size. Failed, draining and
     /// retired providers are skipped; errors when no provider is
-    /// eligible.
+    /// eligible. The load-aware strategies read each eligible
+    /// provider's load once per allocation.
     pub fn allocate(&self, n: usize) -> Result<Vec<ProviderId>> {
-        let candidates: Vec<PlacementCandidate> = self
+        let eligible: Vec<&Arc<DataProvider>> = self
             .providers
             .iter()
             .filter(|p| p.is_available() && !p.is_draining() && !p.is_retired())
-            .map(|p| PlacementCandidate { id: p.id(), stored_bytes: p.stored_bytes() })
             .collect();
-        if candidates.is_empty() {
+        let count = eligible.len();
+        if count == 0 {
             return Err(BlobError::NoAvailableProvider);
         }
-        let policy = Arc::clone(&self.policy.read());
-        let picks = policy.place(&candidates, n);
-        if picks.len() != n {
-            return Err(BlobError::Internal(format!(
-                "placement policy '{}' returned {} placements for {} pages",
-                policy.name(),
-                picks.len(),
-                n
-            )));
-        }
-        Ok(picks.into_iter().map(|i| candidates[i % candidates.len()].id).collect())
+        let mut placement = self.placement.lock();
+        let picks: Vec<usize> = match placement.strategy {
+            AllocationStrategy::RoundRobin => {
+                let start = placement.next;
+                placement.next = start.wrapping_add(n);
+                (0..n).map(|i| start.wrapping_add(i) % count).collect()
+            }
+            AllocationStrategy::Random => {
+                (0..n).map(|_| placement.rng.gen_range(0..count)).collect()
+            }
+            AllocationStrategy::LeastLoaded => {
+                // One load read per provider (a key that moved mid-sort
+                // could make the sort panic); stable, so ties keep
+                // registry order.
+                let mut by_load: Vec<usize> = (0..count).collect();
+                by_load.sort_by_cached_key(|&i| eligible[i].stored_bytes());
+                (0..n).map(|i| by_load[i % count]).collect()
+            }
+            AllocationStrategy::PowerOfTwoChoices => {
+                let load: Vec<u64> = eligible.iter().map(|p| p.stored_bytes()).collect();
+                let rng = &mut placement.rng;
+                (0..n)
+                    .map(|_| {
+                        let a = rng.gen_range(0..count);
+                        let b = rng.gen_range(0..count);
+                        if load[a] <= load[b] {
+                            a
+                        } else {
+                            b
+                        }
+                    })
+                    .collect()
+            }
+        };
+        Ok(picks.into_iter().map(|i| eligible[i].id()).collect())
     }
 
-    /// The live successors of `primary` in registry order (wrapping,
-    /// retired tombstones skipped, `exclude` treated as already
-    /// retired), plus whether the primary itself still serves. The one
-    /// walk every chain derivation shares.
-    fn walk(
+    /// Every provider that may hold a copy of a page whose leaf names
+    /// `primary`, in the order copies are placed and looked for: the
+    /// primary if it still serves, then every serving successor in
+    /// registry order (wrapping), with `retiring` skipped as if it had
+    /// already retired. The first `replication` entries are the page's
+    /// **chain** — where its copies belong — and the rest its
+    /// **fallbacks**, where write-path failover re-places a copy a
+    /// chain member refused. Writers, readers, the repairer, the drain
+    /// and GC all derive the same sequence from the leaf's primary
+    /// alone, so neither replicas nor failover need extra metadata.
+    ///
+    /// The walk ignores availability, so chains are stable across
+    /// failures and recoveries; only **retirement** (a completed drain)
+    /// re-derives them, identically for every caller. A retired primary
+    /// still anchors its position: its chain starts at the first
+    /// serving successor. Passing the drain's victim as `retiring`
+    /// yields the chain as it will read once the victim retires, so the
+    /// drain can fill copies before readers see that chain.
+    ///
+    /// The walk is lazy: a caller that takes one entry visits one slot.
+    pub fn chain(
         &self,
         primary: ProviderId,
-        exclude: Option<ProviderId>,
-    ) -> Result<(bool, Vec<ProviderId>)> {
+        retiring: Option<ProviderId>,
+    ) -> Result<impl Iterator<Item = ProviderId> + '_> {
         let n = self.providers.len();
-        let idx = primary.raw() as usize;
-        if idx >= n {
+        let start = primary.raw() as usize;
+        if start >= n {
             return Err(BlobError::ProviderNotFound(primary));
         }
-        let serving = |p: &Arc<DataProvider>| !p.is_retired() && Some(p.id()) != exclude;
-        let primary_serving = serving(self.providers.at(idx));
-        let succ = (1..n)
-            .map(|i| self.providers.at((idx + i) % n))
-            .filter(|p| serving(p))
-            .map(|p| p.id())
-            .collect();
-        Ok((primary_serving, succ))
-    }
-
-    /// The deterministic replica chain of a page whose primary copy is
-    /// on `primary`: the `replicas − 1` serving providers that follow
-    /// it in registry order. Deriving replica locations from the
-    /// primary keeps the metadata tree unchanged (leaves name one
-    /// provider) — readers recompute the same chain when the primary is
-    /// down.
-    ///
-    /// The chain is computed over all serving providers, available or
-    /// not, so it is stable across failures and recoveries; only
-    /// **retirement** (a completed drain) re-derives it, identically
-    /// for every reader, writer and repairer. Without replication
-    /// (`replicas == 1`) the answer is empty whatever the registry
-    /// holds, and no walk is made — this sits on every page store.
-    pub fn replicas_of(&self, primary: ProviderId, replicas: usize) -> Result<Vec<ProviderId>> {
-        assert!(replicas >= 1);
-        if replicas == 1 {
-            return Ok(Vec::new());
-        }
-        let (_, mut succ) = self.walk(primary, None)?;
-        succ.truncate(replicas - 1);
-        Ok(succ)
-    }
-
-    /// The deterministic **failover sequence** of a page: every serving
-    /// provider *beyond* the replica chain, in registry order. When a
-    /// chain member rejects a store (or a read misses on the whole
-    /// chain), the next copy lives on the first of these that is alive
-    /// — writers and readers recompute the identical sequence from the
-    /// leaf's primary alone, so failover placement needs no extra
-    /// metadata, exactly like the chain itself.
-    pub fn fallbacks_of(&self, primary: ProviderId, replicas: usize) -> Result<Vec<ProviderId>> {
-        assert!(replicas >= 1);
-        let (_, succ) = self.walk(primary, None)?;
-        Ok(succ.into_iter().skip(replicas - 1).collect())
-    }
-
-    /// Where a page's copies are **expected to live**: the first
-    /// `replicas` serving providers at-or-after `primary` in registry
-    /// order. With the primary still serving this is `primary` plus
-    /// [`Self::replicas_of`]; once the primary retired, its position
-    /// still anchors the walk but the chain starts at the first live
-    /// successor. The repairer's and GC's notion of the full chain.
-    pub fn chain_of(&self, primary: ProviderId, replicas: usize) -> Result<Vec<ProviderId>> {
-        assert!(replicas >= 1);
-        let (primary_serving, succ) = self.walk(primary, None)?;
-        let mut chain = Vec::with_capacity(replicas);
-        if primary_serving {
-            chain.push(primary);
-        }
-        chain.extend(succ.into_iter().take(replicas - chain.len()));
-        Ok(chain)
-    }
-
-    /// [`Self::chain_of`] as it will read **after** `victim` retires:
-    /// the migration targets of a drain. Computing the post-retirement
-    /// chain while the victim still serves is what lets the drain fill
-    /// copies first and only then retire — readers never observe a
-    /// chain whose copies have not been placed yet.
-    pub fn chain_after_retire(
-        &self,
-        primary: ProviderId,
-        replicas: usize,
-        victim: ProviderId,
-    ) -> Result<Vec<ProviderId>> {
-        assert!(replicas >= 1);
-        let (primary_serving, succ) = self.walk(primary, Some(victim))?;
-        let mut chain = Vec::with_capacity(replicas);
-        if primary_serving {
-            chain.push(primary);
-        }
-        chain.extend(succ.into_iter().take(replicas - chain.len()));
-        Ok(chain)
+        Ok((start..start + n)
+            .map(move |i| self.providers.at(i % n))
+            .filter(move |p| !p.is_retired() && Some(p.id()) != retiring)
+            .map(|p| p.id()))
     }
 
     /// Stats snapshot for every serving provider.
@@ -409,7 +364,7 @@ impl std::fmt::Debug for ProviderManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProviderManager")
             .field("providers", &self.provider_count())
-            .field("placement", &self.placement_name())
+            .field("placement", &self.placement())
             .finish()
     }
 }
@@ -420,6 +375,18 @@ mod tests {
     use crate::sealed::SealedPage;
     use blobseer_types::PageId;
     use bytes::Bytes;
+
+    fn chain(mgr: &ProviderManager, primary: u32, retiring: Option<u32>) -> Vec<ProviderId> {
+        mgr.chain(ProviderId(primary), retiring.map(ProviderId)).unwrap().collect()
+    }
+
+    fn replica_chain(mgr: &ProviderManager, primary: u32, replication: usize) -> Vec<ProviderId> {
+        chain(mgr, primary, None).into_iter().take(replication).collect()
+    }
+
+    fn ids(ids: &[u32]) -> Vec<ProviderId> {
+        ids.iter().map(|&i| ProviderId(i)).collect()
+    }
 
     fn fill(mgr: &ProviderManager, pages: usize, page_bytes: usize) {
         let ids = mgr.allocate(pages).unwrap();
@@ -460,6 +427,32 @@ mod tests {
             seen[id.raw() as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn least_loaded_deals_from_the_lightest() {
+        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::LeastLoaded);
+        for (i, load) in [500, 10, 100].into_iter().enumerate() {
+            mgr.provider(ProviderId(i as u32))
+                .unwrap()
+                .store_page(PageId(i as u128), SealedPage::seal(Bytes::from(vec![0u8; load])))
+                .unwrap();
+        }
+        assert_eq!(mgr.allocate(3).unwrap(), ids(&[1, 2, 0]));
+    }
+
+    #[test]
+    fn power_of_two_rarely_picks_the_heavy_provider() {
+        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::PowerOfTwoChoices);
+        mgr.provider(ProviderId(1))
+            .unwrap()
+            .store_page(PageId(1), SealedPage::seal(Bytes::from(vec![0u8; 1_000_000])))
+            .unwrap();
+        // With one hugely loaded provider among light ones, p2c picks
+        // it only when both random draws land on it: rare.
+        let picks = mgr.allocate(200).unwrap();
+        let heavy = picks.iter().filter(|&&id| id == ProviderId(1)).count();
+        assert!(heavy < 40, "heavy provider picked {heavy}/200 times");
     }
 
     #[test]
@@ -522,19 +515,8 @@ mod tests {
             assert_eq!(mgr.provider(ProviderId(i)).unwrap().id(), ProviderId(i));
         }
         assert!(mgr.provider(ProviderId(200)).is_err());
-        assert_eq!(
-            mgr.replicas_of(ProviderId(199), 3).unwrap(),
-            vec![ProviderId(0), ProviderId(1)]
-        );
+        assert_eq!(replica_chain(&mgr, 199, 3), ids(&[199, 0, 1]));
         assert_eq!(mgr.membership().registered, 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "providers[1] has the wrong id")]
-    fn ids_must_be_registry_positions() {
-        let provider =
-            |i| Arc::new(DataProvider::new(ProviderId(i), Arc::new(MemoryPageStore::new())));
-        ProviderManager::new(vec![provider(0), provider(2)], AllocationStrategy::RoundRobin);
     }
 
     #[test]
@@ -595,61 +577,54 @@ mod tests {
     #[test]
     fn set_placement_swaps_live() {
         let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
-        assert_eq!(mgr.placement_name(), "round_robin");
+        assert_eq!(mgr.placement(), AllocationStrategy::RoundRobin);
         // Load provider 0; least-loaded must now avoid it.
         mgr.provider(ProviderId(0))
             .unwrap()
             .store_page(PageId(1), SealedPage::seal(Bytes::from(vec![0u8; 4096])))
             .unwrap();
         mgr.set_placement(AllocationStrategy::LeastLoaded);
-        assert_eq!(mgr.placement_name(), "least_loaded");
+        assert_eq!(mgr.placement(), AllocationStrategy::LeastLoaded);
         assert!(!mgr.allocate(2).unwrap().contains(&ProviderId(0)));
     }
 
     #[test]
     fn replica_chain_is_successors_in_registry_order() {
         let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
-        assert_eq!(mgr.replicas_of(ProviderId(3), 3).unwrap(), vec![ProviderId(4), ProviderId(0)]);
-        assert!(mgr.replicas_of(ProviderId(0), 1).unwrap().is_empty());
-        assert!(mgr.replicas_of(ProviderId(9), 2).is_err());
+        assert_eq!(replica_chain(&mgr, 3, 3), ids(&[3, 4, 0]));
+        assert_eq!(replica_chain(&mgr, 0, 1), ids(&[0]));
+        assert!(mgr.chain(ProviderId(9), None).is_err());
         // Stable across failures: the chain ignores availability.
         mgr.provider(ProviderId(4)).unwrap().fail();
-        assert_eq!(mgr.replicas_of(ProviderId(3), 2).unwrap(), vec![ProviderId(4)]);
+        assert_eq!(replica_chain(&mgr, 3, 2), ids(&[3, 4]));
     }
 
     #[test]
     fn fallback_sequence_continues_past_the_chain() {
         let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
-        // Chain of prov#3 at replication 2 is [prov#4]; fallbacks are
+        // Chain of prov#3 at replication 2 is [3, 4]; fallbacks are
         // the remaining providers in registry order.
-        assert_eq!(
-            mgr.fallbacks_of(ProviderId(3), 2).unwrap(),
-            vec![ProviderId(0), ProviderId(1), ProviderId(2)]
-        );
+        let fallbacks: Vec<_> = mgr.chain(ProviderId(3), None).unwrap().skip(2).collect();
+        assert_eq!(fallbacks, ids(&[0, 1, 2]));
         // Chain + fallbacks partition the deployment.
-        assert!(mgr.fallbacks_of(ProviderId(0), 5).unwrap().is_empty());
-        assert!(mgr.fallbacks_of(ProviderId(9), 2).is_err());
+        assert_eq!(chain(&mgr, 0, None), ids(&[0, 1, 2, 3, 4]));
+        assert!(mgr.chain(ProviderId(9), None).is_err());
     }
 
     #[test]
     fn retirement_rederives_chains_deterministically() {
         let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
         // Before: chain of prov#3 at r=2 is [3, 4].
-        assert_eq!(mgr.chain_of(ProviderId(3), 2).unwrap(), vec![ProviderId(3), ProviderId(4)]);
+        assert_eq!(replica_chain(&mgr, 3, 2), ids(&[3, 4]));
         // The drain previews the post-retirement chain …
-        assert_eq!(
-            mgr.chain_after_retire(ProviderId(3), 2, ProviderId(4)).unwrap(),
-            vec![ProviderId(3), ProviderId(0)]
-        );
+        assert_eq!(chain(&mgr, 3, Some(4)), ids(&[3, 0, 1, 2]));
+        assert_eq!(chain(&mgr, 4, Some(4)), ids(&[0, 1, 2, 3]));
         // … and after retiring #4, every derivation agrees with it.
         mgr.provider(ProviderId(4)).unwrap().retire();
-        assert_eq!(mgr.chain_of(ProviderId(3), 2).unwrap(), vec![ProviderId(3), ProviderId(0)]);
-        assert_eq!(mgr.replicas_of(ProviderId(3), 2).unwrap(), vec![ProviderId(0)]);
-        assert_eq!(mgr.fallbacks_of(ProviderId(3), 2).unwrap(), vec![ProviderId(1), ProviderId(2)]);
+        assert_eq!(chain(&mgr, 3, None), ids(&[3, 0, 1, 2]));
         // A retired *primary* still anchors its position: the chain
         // starts at the first live successor.
-        assert_eq!(mgr.chain_of(ProviderId(4), 2).unwrap(), vec![ProviderId(0), ProviderId(1)]);
-        assert_eq!(mgr.replicas_of(ProviderId(4), 2).unwrap(), vec![ProviderId(0)]);
+        assert_eq!(replica_chain(&mgr, 4, 2), ids(&[0, 1]));
         // Tombstones resolve for point lookups but leave the sweep list.
         assert!(mgr.provider(ProviderId(4)).is_ok());
         assert_eq!(mgr.all_providers().len(), 4);

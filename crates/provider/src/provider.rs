@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use blobseer_metrics::Counter;
+use blobseer_metrics::{Counter, WindowedHistogram};
 use blobseer_types::{BlobError, PageId, ProviderId, Result};
 use bytes::Bytes;
 
@@ -20,7 +20,10 @@ use crate::store::PageStore;
 /// counters (`reads`, `writes` and their byte totals, `bytes_verified`)
 /// are [`Counter`]s striped by thread, so two clients fetching from one
 /// provider never write the same counter line; the maintenance counters
-/// move once per pass and stay plain atomics.
+/// move once per pass and stay plain atomics. The provider also owns
+/// its store and fetch latency histograms, which the engine's write and
+/// read paths time into and exports per provider, so a provider that
+/// joins later has its series from the start.
 ///
 /// **Integrity.** A provider stores [`SealedPage`]s: the payload plus
 /// the block sums its client took. It **trusts them on store** — the
@@ -50,6 +53,8 @@ pub struct DataProvider {
     bytes_verified: Counter,
     pages_repaired: AtomicU64,
     bytes_repaired: AtomicU64,
+    store_latency: WindowedHistogram,
+    fetch_latency: WindowedHistogram,
 }
 
 impl DataProvider {
@@ -72,6 +77,8 @@ impl DataProvider {
             bytes_verified: Counter::new(),
             pages_repaired: AtomicU64::new(0),
             bytes_repaired: AtomicU64::new(0),
+            store_latency: WindowedHistogram::new(),
+            fetch_latency: WindowedHistogram::new(),
         }
     }
 
@@ -308,6 +315,19 @@ impl DataProvider {
     /// Payload bytes currently stored.
     pub fn stored_bytes(&self) -> u64 {
         self.store.stored_bytes()
+    }
+
+    /// Page-store latency on this provider, as its callers time it
+    /// (`blobseer_provider_store_latency_seconds`). Buckets allocate on
+    /// first record, so an idle provider costs a few words.
+    pub fn store_latency(&self) -> &WindowedHistogram {
+        &self.store_latency
+    }
+
+    /// Page-fetch latency on this provider, as its callers time it
+    /// (`blobseer_provider_fetch_latency_seconds`).
+    pub fn fetch_latency(&self) -> &WindowedHistogram {
+        &self.fetch_latency
     }
 
     /// Lifetime payload bytes re-hashed by fetches that verified (see
