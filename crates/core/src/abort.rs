@@ -215,9 +215,7 @@ fn repair(engine: &Arc<Engine>, blob: BlobId, update: AssignedUpdate) -> Result<
     // zombie's late stores lose to already-placed repair nodes the
     // same way.
     let reader = TreeReader::new(&engine.meta, &lineage);
-    for (key, node) in build_meta(&reader, &update.context(), &leaves)? {
-        engine.meta.put_new(key, node);
-    }
+    engine.meta.put_all(&build_meta(&reader, &update.context(), &leaves)?);
     Ok(())
 }
 

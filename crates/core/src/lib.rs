@@ -649,6 +649,12 @@ impl BlobSeer {
             "metadata tree nodes stored in the DHT",
             stats.metadata_nodes as i64,
         );
+        blobseer_metrics::write_gauge(
+            &mut out,
+            "blobseer_metadata_slots",
+            "metadata slab slots allocated (32 bytes each, reused once released)",
+            stats.metadata.slots as i64,
+        );
         let members = self.engine.providers.membership();
         blobseer_metrics::write_gauge(
             &mut out,

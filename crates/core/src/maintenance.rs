@@ -1,12 +1,13 @@
 //! The machinery scrub, repair and drain share: one mark, one fill.
 //!
 //! Pages and tree nodes are immutable and shared across versions
-//! (paper §3, §4.3). A node enters the metadata table only through
-//! `put_new`, so it is never replaced, and leaves it only through
-//! `retire_versions`, which deletes exactly the nodes no retained root
-//! reaches. So every leaf in the table names a live page, and every live
-//! page below the epoch cut is named by a leaf: [`LiveSet::mark`] — the
-//! only mark in the engine — is one pass over the table's leaves, with
+//! (paper §3, §4.3). A node enters the metadata store only as a fill of
+//! an empty write-once slot, so it is never replaced, and leaves it
+//! only through `retire_versions`, which deletes exactly the nodes no
+//! retained root reaches. So every stored leaf names a live page, and
+//! every live page below the epoch cut is named by a leaf:
+//! [`LiveSet::mark`] — the only mark in the engine — is one pass over
+//! the slabs' leaf runs, with
 //! no roots, lineage, visited set or per-blob restart. The epoch cut it
 //! takes first, and why the scan is safe under live writers and
 //! concurrent `retire_versions`, is argued once in `docs/OPERATIONS.md`
@@ -38,7 +39,7 @@ pub(crate) struct LiveSet {
 
 impl LiveSet {
     /// Take the page-id epoch strictly before the scan, then collect
-    /// every leaf of the node table; timed into `latency` (the caller's
+    /// every stored leaf; timed into `latency` (the caller's
     /// metadata-bound phase).
     pub(crate) fn mark(engine: &Engine, latency: &WindowedHistogram) -> LiveSet {
         let timer = Timer::start();

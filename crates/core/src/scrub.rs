@@ -52,7 +52,7 @@ pub struct ScrubReport {
     /// Offline (or mid-sweep unreadable) providers whose pass did not
     /// complete; re-scrub after recovery.
     pub providers_skipped: usize,
-    /// Always 0: the mark is one scan of the node table and has nothing
+    /// Always 0: the mark is one scan of the leaf runs and has nothing
     /// to restart. Kept so callers that sum it keep compiling.
     pub mark_restarts: u64,
 }

@@ -18,10 +18,12 @@
 //!    total-order semantics: snapshot `vw` equals snapshot `vw − 1`
 //!    with the update applied.
 //! 4. **Build and store metadata** — `BUILD_META` weaves the new tree
-//!    with older versions; all nodes are stored (Algorithm 4 line 34's
-//!    "in parallel" is a loop on the calling thread here: an in-process
-//!    `put_new` is a fraction of a microsecond, far less than handing
-//!    it to another thread — see `docs/ARCHITECTURE.md`).
+//!    with older versions and reserves the version's slab; all nodes
+//!    are stored with one `MetaStore::put_all` (Algorithm 4 line 34's
+//!    "in parallel" is one slab store on the calling thread here: one
+//!    header probe, a contiguous run of slot fills, one fence and one
+//!    waiter check — far less than handing it to another thread; see
+//!    `docs/ARCHITECTURE.md`).
 //! 5. **Notify the version manager** — which publishes `vw` once all
 //!    lower versions are published.
 //!
@@ -205,12 +207,11 @@ pub(crate) fn finish_until(
         Some(CrashPoint::AfterPartialMetadata) => leaves.len().min(nodes.len()),
         _ => 0,
     };
-    // Insert-if-absent: nodes are immutable once visible, so the only
-    // way this key can already exist is an abort repair having placed
-    // it — a presumed-dead writer racing its own repair must lose.
-    for &(key, node) in &nodes[store_from..] {
-        engine.meta.put_new(key, node);
-    }
+    // Insert-if-absent, per slot: nodes are immutable once visible, so
+    // the only way a slot can already be filled is an abort repair
+    // having placed it — a presumed-dead writer racing its own repair
+    // must lose.
+    engine.meta.put_all(&nodes[store_from..]);
     if matches!(crash, Some(CrashPoint::AfterPartialMetadata) | Some(CrashPoint::BeforeNotify)) {
         return Ok(vw);
     }

@@ -140,6 +140,7 @@ fn metrics_text_is_scrape_ready() {
     assert!(text.contains("# TYPE blobseer_physical_bytes gauge"));
     assert!(text.contains(&format!("blobseer_physical_bytes {PSIZE}\n")));
     assert!(text.contains("blobseer_physical_pages 1\n"));
+    assert!(text.contains("blobseer_metadata_slots 1\n"), "one page, one slot");
     // Every line is either a comment or `name[{labels}] value`.
     for line in text.lines() {
         assert!(

@@ -15,14 +15,23 @@
 //! boundary pages) simply wait for those nodes to materialise. Waiting
 //! is always on strictly lower versions, so it cannot deadlock.
 //!
+//! Two stores share the buckets' machinery. A [`Dht`] keeps one value
+//! per key in a bucket's cells. A [`Slabs`] store — what the metadata
+//! provider keeps tree nodes in — keeps one **slab** per update: a
+//! header cell per key (blob, version) naming a run of write-once
+//! slots that hold the update's values in its owner's [`Layout`]
+//! order; see the `slab` module.
+//!
 //! Per-bucket access statistics are kept so that benches can observe
 //! metadata hotspots (e.g. every reader of a snapshot fetches the same
-//! root node — the paper's Figure 2(b) degradation).
+//! root node — the paper's Figure 2(b) degradation). A slab store counts
+//! its gets, puts and waits per value, never per header probe.
 //!
 //! ## Locking
 //!
-//! A stored value is never replaced (`put_new` is the only store), and
-//! the table is built for that: each bucket is an open-addressed array
+//! A stored value is never replaced (`put_new` is the only store of a
+//! [`Dht`], a fill from empty the only store of a slab slot), and the
+//! cell table is built for that: each bucket is an open-addressed array
 //! of **write-once cells**, one cache line each — a state word, four
 //! key words and three value words, all `AtomicU64` (keys and values
 //! enter through [`CellKey`] / [`CellValue`]). A key is hashed once,
@@ -37,10 +46,12 @@
 //!   counter, striped by thread, so readers of the same hot node (every
 //!   reader of a snapshot fetches the same root) never serialize and
 //!   never write a cache line another reader writes.
-//! - **A live cell is never rewritten.** `remove` and `retain` turn it
-//!   into a tombstone, which is never reused in place. Writers
-//!   (`put_new`, `remove`, `retain`, rebuilds) serialize on the
-//!   bucket's mutex.
+//! - **A live cell is never rewritten.** `remove` and a slab sweep turn
+//!   it into a tombstone, which is never reused in place. Writers
+//!   (`put_new`, `remove`, reservations, sweeps, rebuilds) serialize on
+//!   the bucket's mutex. Slot fills and slot reads take no lock: a
+//!   fill is a CAS from empty, a read a one-slot seqlock that also
+//!   checks the run's generation (`slab`).
 //! - **The rebuild sequence.** When live entries plus tombstones pass ¾
 //!   of a bucket's capacity, the inserting writer makes the bucket's
 //!   rebuild sequence odd, appends a segment (if live entries fill
@@ -51,18 +62,20 @@
 //!   **miss** counts only if the sequence was even and unchanged across
 //!   the probe, and otherwise the reader probes again under the bucket
 //!   mutex. Readers never spin.
-//! - **Waits.** Blocking `get_wait`ers park on **per-key wait queues**
-//!   under a separate wait mutex, and a per-bucket waiter count gates
-//!   the wakeup path: an uncontended `put_new` (no parked readers — by
-//!   far the usual case) never touches the wait mutex or any condvar,
-//!   and a contended one notifies only the condvar of *its own key*. A
-//!   lost wakeup is ruled out by a pair of SeqCst fences: the insert
-//!   publishes the cell, fences, then loads the waiter count; the
-//!   waiter bumps the count, fences, then re-probes. Whichever fence
-//!   comes second in the single total order sees the other side's
-//!   store — the waiter finds the key, or the insert finds the waiter
-//!   (and notifies under the wait mutex, which the waiter holds until
-//!   it parks).
+//! - **Waits.** Blocking waiters park on **per-key wait queues** under
+//!   a separate wait mutex, in one parking loop for both stores
+//!   (`Bucket::park`), and a per-bucket waiter count gates the wakeup
+//!   path: an uncontended store (no parked readers — by far the usual
+//!   case) never touches the wait mutex or any condvar, and a
+//!   contended one notifies only the condvars of *its own keys* (a
+//!   slab store: every key of its slab's version). A lost wakeup is
+//!   ruled out by a pair of SeqCst fences: the store publishes its
+//!   cell or slots, fences, then loads the waiter count; the waiter
+//!   bumps the count, fences, then re-probes. Whichever fence comes
+//!   second in the single total order sees the other side's store —
+//!   the waiter finds the value, or the store finds the waiter (and
+//!   notifies under the wait mutex, which the waiter holds until it
+//!   parks). A slab's waiters park in its header's bucket.
 //! - **`for_each` holds the bucket mutex** while it visits that bucket,
 //!   so it sees every entry present for the whole visit and a writer
 //!   to the bucket waits only while that bucket is being visited.
@@ -75,11 +88,13 @@
 
 mod codec;
 mod hash;
+mod slab;
 mod stats;
 mod table;
 
 pub use codec::{CellKey, CellValue};
 pub use hash::static_bucket;
+pub use slab::{Layout, Slab, Slabs};
 pub use stats::{BucketStats, DhtStats};
 
 use std::collections::HashMap;
@@ -118,19 +133,136 @@ struct KeyQueue {
     parked: usize,
 }
 
+/// One metadata provider: a table of write-once cells, the parking lot
+/// of its waiters and its access counters.
 struct Bucket {
     /// The store proper: write-once cells.
     table: Table,
-    /// Slow-path parking lot for `get_wait`: per-key wait queues (by
+    /// Slow-path parking lot for blocking gets: per-key wait queues (by
     /// key words), held only around condvar waits and (when
-    /// `waiters > 0`) the lookup of which key — if any — to notify.
-    /// Never taken while holding the table's writer lock.
+    /// `waiters > 0`) the lookup of which keys to notify. Never taken
+    /// while holding the table's writer lock.
     wait_queues: Mutex<HashMap<[u64; 4], KeyQueue>>,
-    /// Number of `get_wait`ers registered on this bucket; changed only
-    /// under the wait mutex. `put_new` skips the wait mutex entirely
-    /// while this is zero.
+    /// Number of waiters registered on this bucket; changed only under
+    /// the wait mutex. A store skips the wait mutex entirely while this
+    /// is zero.
     waiters: AtomicUsize,
     stats: stats::BucketCounters,
+}
+
+/// `n` empty buckets.
+fn buckets(n: usize) -> Box<[Bucket]> {
+    assert!(n > 0, "DHT needs at least one bucket");
+    (0..n)
+        .map(|_| Bucket {
+            table: Table::new(n),
+            wait_queues: Mutex::new(HashMap::new()),
+            waiters: AtomicUsize::new(0),
+            stats: stats::BucketCounters::default(),
+        })
+        .collect()
+}
+
+impl Bucket {
+    /// After a store made something visible: wake the waiters parked on
+    /// every key whose words start with `prefix`. Touches no lock at
+    /// all while nobody is parked on the bucket, and no condvar unless
+    /// someone is parked on a matching key.
+    fn wake(&self, prefix: &[u64]) {
+        // Pairs with the waiter's fence after its count bump: we see its
+        // registration, or its re-probe sees our store.
+        fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            // Taking the wait lock serializes with a waiter that is
+            // between its re-probe and its park, so this notify cannot
+            // fall into that window and be lost. Waiters on other keys
+            // sleep on.
+            for (key, q) in self.wait_queues.lock().iter() {
+                if key.starts_with(prefix) {
+                    q.cv.notify_all();
+                }
+            }
+        }
+    }
+
+    /// The one parking loop: block on key `words` until `find` answers,
+    /// `timeout` elapses, or — after every `slice` that expires without
+    /// an answer — `between` has run with the wait mutex released. One
+    /// recorded wait and one `wait_latency` sample per call that
+    /// parked; a call answered by its first probe records neither.
+    fn park<V>(
+        &self,
+        words: [u64; 4],
+        timeout: Duration,
+        slice: Duration,
+        mut between: impl FnMut(),
+        wait_latency: &WindowedHistogram,
+        find: impl Fn() -> Option<V>,
+    ) -> Result<V, DhtError> {
+        // Fast path: present already — identical cost to a `get`.
+        if let Some(v) = find() {
+            return Ok(v);
+        }
+        let slice = if slice.is_zero() { timeout } else { slice };
+        let deadline = Instant::now() + timeout;
+        let mut queues = self.wait_queues.lock();
+        let cv = {
+            let q = queues
+                .entry(words)
+                .or_insert_with(|| KeyQueue { cv: Arc::new(Condvar::new()), parked: 0 });
+            q.parked += 1;
+            Arc::clone(&q.cv)
+        };
+        // Count ourselves in *before* the re-probe below: the count
+        // changes only under the wait mutex, and the fence pairs with
+        // `wake`'s, so a racing store either becomes visible to the
+        // re-probe or sees our count and notifies our queue.
+        self.waiters.store(self.waiters.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let mut block_timer: Option<Timer> = None;
+        let result = loop {
+            if let Some(v) = find() {
+                break Ok(v);
+            }
+            if block_timer.is_none() {
+                // Exactly one recorded wait per blocking call, however
+                // many (possibly spurious) wakeups or slices follow.
+                block_timer = Some(Timer::start());
+                self.stats.waits.increment();
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break Err(DhtError::WaitTimeout);
+            }
+            let slice_deadline = std::cmp::min(now + slice, deadline);
+            if cv.wait_until(&mut queues, slice_deadline).timed_out() {
+                // Slice expired. The key may have landed between the
+                // timeout and our relock — prefer it over self-help.
+                if let Some(v) = find() {
+                    break Ok(v);
+                }
+                if Instant::now() >= deadline {
+                    break Err(DhtError::WaitTimeout);
+                }
+                drop(queues);
+                between();
+                queues = self.wait_queues.lock();
+            }
+        };
+        // Deregister; drop the key's queue once the last waiter leaves.
+        if let Some(q) = queues.get_mut(&words) {
+            q.parked -= 1;
+            if q.parked == 0 {
+                queues.remove(&words);
+            }
+        }
+        self.waiters.store(self.waiters.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+        drop(queues);
+        if let Some(timer) = block_timer {
+            timer.stop(wait_latency);
+        }
+        result
+    }
 }
 
 /// A sharded, in-process key/value store with static key distribution.
@@ -157,16 +289,8 @@ where
 {
     /// Create a DHT spread over `buckets` metadata providers.
     pub fn new(buckets: usize) -> Self {
-        assert!(buckets > 0, "DHT needs at least one bucket");
         Dht {
-            buckets: (0..buckets)
-                .map(|_| Bucket {
-                    table: Table::new(buckets),
-                    wait_queues: Mutex::new(HashMap::new()),
-                    waiters: AtomicUsize::new(0),
-                    stats: stats::BucketCounters::new(),
-                })
-                .collect(),
+            buckets: self::buckets(buckets),
             wait_latency: Arc::new(WindowedHistogram::new()),
             types: PhantomData,
         }
@@ -210,22 +334,11 @@ where
     /// bucket, and no condvar unless someone is parked on this key.
     pub fn put_new(&self, key: K, value: V) -> bool {
         let (words, b, fraction) = self.locate(&key);
-        b.stats.record_put();
+        b.stats.puts.increment();
         let (kind, value) = value.encode();
         let inserted = b.table.insert(&Entry { key: words, kind, value }, fraction);
         if inserted {
-            // Pairs with the waiter's fence after its count bump: we
-            // see its registration, or its re-probe sees our cell.
-            fence(Ordering::SeqCst);
-            if b.waiters.load(Ordering::Relaxed) > 0 {
-                // Taking the wait lock serializes with a waiter that is
-                // between its re-probe and its park, so this notify
-                // cannot fall into that window and be lost. Only this
-                // key's queue is woken; waiters on other keys sleep on.
-                if let Some(q) = b.wait_queues.lock().get(&words) {
-                    q.cv.notify_all();
-                }
-            }
+            b.wake(&words);
         }
         inserted
     }
@@ -234,121 +347,26 @@ where
     /// published metadata never serialize on the bucket.
     pub fn get(&self, key: &K) -> Option<V> {
         let (words, b, fraction) = self.locate(key);
-        b.stats.record_get();
+        b.stats.gets.increment();
         b.table.get(&words, fraction).map(|(kind, value)| V::decode(kind, value))
     }
 
     /// Fetch a value, blocking until it appears or `timeout` elapses.
     ///
     /// This is how a reader of still-being-written metadata waits for
-    /// the lower-versioned writer to finish (§4.2). One uninterrupted
-    /// block: [`Dht::get_wait_sliced`] with a single slice.
+    /// the lower-versioned writer to finish (§4.2). One recorded wait
+    /// and one block-time sample per call that parked, spanning first
+    /// park to exit.
     pub fn get_wait(&self, key: &K, timeout: Duration) -> Result<V, DhtError> {
-        self.get_wait_sliced(key, timeout, timeout, || {})
-    }
-
-    /// [`Dht::get_wait`], sliced: park in `slice`-sized chunks and run
-    /// `between` after every slice that expires without the key
-    /// appearing — the **self-help hook**. The engine hangs a lease
-    /// sweep on it, so a reader blocked on a *dead* writer's missing
-    /// node recovers in roughly one slice (sweep → abort repair fills
-    /// the node) instead of burning the whole `timeout` and failing.
-    ///
-    /// `between` runs with the bucket's wait mutex **released** — it
-    /// may do arbitrary work, including `put_new` on this very
-    /// DHT. Our registration stays parked across the gap (the key's
-    /// queue entry cannot be dropped), and a notify landing in the gap
-    /// is not lost: the loop re-checks the table after re-locking.
-    ///
-    /// One `record_wait` and one block-time sample per call that
-    /// parked, spanning first park to exit — hook time included,
-    /// because the caller *was* blocked for all of it. A zero `slice`
-    /// (or one at/above `timeout`) is a single block: `between` never
-    /// runs.
-    pub fn get_wait_sliced(
-        &self,
-        key: &K,
-        timeout: Duration,
-        slice: Duration,
-        mut between: impl FnMut(),
-    ) -> Result<V, DhtError> {
         let (words, b, fraction) = self.locate(key);
-        b.stats.record_get();
+        b.stats.gets.increment();
         let find = || b.table.get(&words, fraction).map(|(kind, value)| V::decode(kind, value));
-        // Fast path: present already — identical cost to `get`.
-        if let Some(v) = find() {
-            return Ok(v);
-        }
-        let slice = if slice.is_zero() { timeout } else { slice };
-        let deadline = Instant::now() + timeout;
-        let mut queues = b.wait_queues.lock();
-        let cv = {
-            let q = queues
-                .entry(words)
-                .or_insert_with(|| KeyQueue { cv: Arc::new(Condvar::new()), parked: 0 });
-            q.parked += 1;
-            Arc::clone(&q.cv)
-        };
-        // Count ourselves in *before* the re-probe below: the count
-        // changes only under the wait mutex, and the fence pairs with
-        // `put_new`'s, so a racing insert either becomes visible to the
-        // re-probe or sees our count and notifies our queue.
-        b.waiters.store(b.waiters.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let mut block_timer: Option<Timer> = None;
-        let result = loop {
-            if let Some(v) = find() {
-                break Ok(v);
-            }
-            if block_timer.is_none() {
-                // Exactly one recorded wait per blocking call, however
-                // many (possibly spurious) wakeups or slices follow.
-                block_timer = Some(Timer::start());
-                b.stats.record_wait();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break Err(DhtError::WaitTimeout);
-            }
-            let slice_deadline = std::cmp::min(now + slice, deadline);
-            if cv.wait_until(&mut queues, slice_deadline).timed_out() {
-                // Slice expired. The key may have landed between the
-                // timeout and our relock — prefer it over self-help.
-                if let Some(v) = find() {
-                    break Ok(v);
-                }
-                if Instant::now() >= deadline {
-                    break Err(DhtError::WaitTimeout);
-                }
-                drop(queues);
-                between();
-                queues = b.wait_queues.lock();
-            }
-        };
-        // Deregister; drop the key's queue once the last waiter leaves.
-        if let Some(q) = queues.get_mut(&words) {
-            q.parked -= 1;
-            if q.parked == 0 {
-                queues.remove(&words);
-            }
-        }
-        b.waiters.store(b.waiters.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
-        drop(queues);
-        if let Some(timer) = block_timer {
-            timer.stop(&self.wait_latency);
-        }
-        result
-    }
-
-    /// `true` when the key is currently stored.
-    pub fn contains(&self, key: &K) -> bool {
-        let (words, b, fraction) = self.locate(key);
-        b.table.get(&words, fraction).is_some()
+        b.park(words, timeout, timeout, || {}, &self.wait_latency, find)
     }
 
     /// Remove a key, returning the previous value if any. Only tests
-    /// call it: metadata is write-once, and garbage collection sweeps
-    /// with [`Dht::retain`].
+    /// call it: metadata is write-once, and garbage collection
+    /// tombstones slab slots ([`Slabs::sweep`]).
     pub fn remove(&self, key: &K) -> Option<V> {
         let (words, b, fraction) = self.locate(key);
         b.table.remove(&words, fraction).map(|(kind, value)| V::decode(kind, value))
@@ -366,17 +384,6 @@ where
         }
     }
 
-    /// Keep only the entries for which `keep` returns `true`; returns
-    /// the number removed. The predicate runs under a bucket mutex —
-    /// keep it cheap and non-reentrant. This is the sweep primitive of
-    /// version garbage collection.
-    pub fn retain(&self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
-        self.buckets
-            .iter()
-            .map(|b| b.table.retain(|e| keep(&K::decode(e.key), &V::decode(e.kind, e.value))))
-            .sum()
-    }
-
     /// Total number of stored entries (O(buckets)).
     pub fn len(&self) -> usize {
         self.buckets.iter().map(|b| b.table.len()).sum()
@@ -390,16 +397,21 @@ where
     /// Snapshot of per-bucket access statistics, plus the cells the
     /// buckets hold and how often they were rebuilt.
     pub fn stats(&self) -> DhtStats {
-        let mut stats =
-            DhtStats::collect(self.buckets.iter().map(|b| b.stats.snapshot(b.table.len())));
-        for b in self.buckets.iter() {
-            let (growths, compactions) = b.table.rebuilds();
-            stats.capacity += b.table.capacity();
-            stats.growths += growths;
-            stats.compactions += compactions;
-        }
-        stats
+        collect_stats(&self.buckets, |b| b.table.len())
     }
+}
+
+/// The stats of `buckets`, each holding `entries(b)` entries, plus the
+/// cells their tables hold and how often those were rebuilt.
+fn collect_stats(buckets: &[Bucket], entries: impl Fn(&Bucket) -> usize) -> DhtStats {
+    let mut stats = DhtStats::collect(buckets.iter().map(|b| b.stats.snapshot(entries(b))));
+    for b in buckets {
+        let (growths, compactions) = b.table.rebuilds();
+        stats.capacity += b.table.capacity();
+        stats.growths += growths;
+        stats.compactions += compactions;
+    }
+    stats
 }
 
 impl<K, V> std::fmt::Debug for Dht<K, V> {
@@ -493,73 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn sliced_wait_self_help_supplies_the_key() {
-        // The between-slices hook stores the key itself (the shape of
-        // the engine's self-help lease sweep: abort repair fills the
-        // node the waiter is parked on).
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(4));
-        let d2 = Arc::clone(&dht);
-        let hook_runs = Arc::new(AtomicUsize::new(0));
-        let h2 = Arc::clone(&hook_runs);
-        let t0 = Instant::now();
-        let got =
-            dht.get_wait_sliced(&7, Duration::from_secs(5), Duration::from_millis(20), || {
-                h2.fetch_add(1, Ordering::SeqCst);
-                d2.put_new(7, 77);
-            });
-        assert_eq!(got, Ok(77));
-        assert_eq!(hook_runs.load(Ordering::SeqCst), 1, "recovered in one slice");
-        assert!(t0.elapsed() < Duration::from_secs(4), "did not burn the full timeout");
-        // Exactly one recorded wait for the whole sliced block.
-        assert_eq!(dht.stats().total_waits, 1);
-    }
-
-    #[test]
-    fn sliced_wait_still_honours_the_overall_deadline() {
-        let dht: Dht<u64, u64> = Dht::new(4);
-        let hook_runs = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        let got =
-            dht.get_wait_sliced(&7, Duration::from_millis(60), Duration::from_millis(15), || {
-                hook_runs.fetch_add(1, Ordering::SeqCst);
-            });
-        assert_eq!(got, Err(DhtError::WaitTimeout));
-        assert!(t0.elapsed() >= Duration::from_millis(60));
-        assert!(hook_runs.load(Ordering::SeqCst) >= 2, "hook ran between slices");
-        assert_eq!(dht.stats().total_waits, 1, "one sample per blocked call, however many slices");
-    }
-
-    #[test]
-    fn sliced_wait_sees_a_put_from_another_thread() {
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(4));
-        let d2 = Arc::clone(&dht);
-        let waiter = std::thread::spawn(move || {
-            d2.get_wait_sliced(&42, Duration::from_secs(5), Duration::from_millis(10), || {})
-        });
-        std::thread::sleep(Duration::from_millis(35));
-        dht.put_new(42, 99);
-        assert_eq!(waiter.join().unwrap(), Ok(99));
-    }
-
-    #[test]
-    fn sliced_wait_with_zero_slice_degrades_to_plain_wait() {
-        let dht: Dht<u64, u64> = Dht::new(4);
-        dht.put_new(1, 10);
-        assert_eq!(
-            dht.get_wait_sliced(&1, Duration::from_millis(5), Duration::ZERO, || {
-                panic!("no hook without slicing")
-            }),
-            Ok(10)
-        );
-        assert_eq!(
-            dht.get_wait_sliced(&2, Duration::from_millis(5), Duration::from_secs(1), || {
-                panic!("slice >= timeout degrades too")
-            }),
-            Err(DhtError::WaitTimeout)
-        );
-    }
-
-    #[test]
     fn keys_spread_over_buckets() {
         let dht: Dht<u64, u64> = Dht::new(16);
         for k in 0..10_000 {
@@ -586,19 +531,6 @@ mod tests {
         assert_eq!(s.total_puts, 1);
         assert_eq!(s.total_gets, 3);
         assert!(s.total_waits >= 1);
-    }
-
-    #[test]
-    fn retain_removes_and_counts() {
-        let dht: Dht<u64, u64> = Dht::new(4);
-        for k in 0..100 {
-            dht.put_new(k, k * 2);
-        }
-        let removed = dht.retain(|&k, _| k % 3 == 0);
-        assert_eq!(removed, 66);
-        assert_eq!(dht.len(), 34);
-        assert_eq!(dht.get(&3), Some(6));
-        assert_eq!(dht.get(&4), None);
     }
 
     #[test]

@@ -13,30 +13,23 @@ use blobseer_metrics::Counter;
 /// Per-bucket counters. A [`Counter`]'s stripes sit on cache lines of
 /// their own, so the constant counter traffic from hot `get`s never
 /// dirties the line holding the bucket's lock state (and vice versa).
+#[derive(Default)]
 pub(crate) struct BucketCounters {
-    gets: Counter,
-    puts: Counter,
-    waits: Counter,
+    pub gets: Counter,
+    pub puts: Counter,
+    pub waits: Counter,
+    /// Slab slots filled and tombstoned: a slab store's entries are the
+    /// difference.
+    pub filled: Counter,
+    pub swept: Counter,
 }
 
 impl BucketCounters {
-    pub(crate) fn new() -> Self {
-        BucketCounters { gets: Counter::new(), puts: Counter::new(), waits: Counter::new() }
-    }
-
-    #[inline]
-    pub(crate) fn record_get(&self) {
-        self.gets.increment();
-    }
-
-    #[inline]
-    pub(crate) fn record_put(&self) {
-        self.puts.increment();
-    }
-
-    #[inline]
-    pub(crate) fn record_wait(&self) {
-        self.waits.increment();
+    /// Slab slots live: filled and not yet tombstoned.
+    pub(crate) fn live_slots(&self) -> usize {
+        // Sweeps first: every swept slot was filled before it was swept.
+        let swept = self.swept.value();
+        self.filled.value().saturating_sub(swept) as usize
     }
 
     pub(crate) fn snapshot(&self, entries: usize) -> BucketStats {
@@ -75,8 +68,13 @@ pub struct DhtStats {
     pub total_puts: u64,
     /// Sum of blocking waits over all buckets.
     pub total_waits: u64,
-    /// Cells allocated over all buckets (64 bytes each).
+    /// Cells allocated over all buckets (64 bytes each): entries of a
+    /// [`crate::Dht`], slab headers of a [`crate::Slabs`].
     pub capacity: usize,
+    /// Slab slots allocated (32 bytes each): the runs carved out of a
+    /// [`crate::Slabs`] arena, reused ones counted once. Zero for a
+    /// [`crate::Dht`].
+    pub slots: usize,
     /// Rebuilds that grew a bucket by appending a segment.
     pub growths: u64,
     /// Rebuilds that compacted a bucket's tombstones at the same size.

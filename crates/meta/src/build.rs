@@ -207,9 +207,10 @@ pub(crate) fn resolve_borders(reader: &TreeReader<'_>, ctx: &UpdateContext) -> R
 
 /// `BUILD_META` (paper Algorithm 4): produce every tree node of snapshot
 /// `vw`, leaves first, weaving border children in via the resolved
-/// border set. Returns the `(key, node)` pairs; the caller stores them
-/// (Algorithm 4 line 34's parallel store is a loop on the calling
-/// thread in-process) and then notifies the version manager.
+/// border set, and reserve the slab they go into. Returns the
+/// `(key, node)` pairs; the caller stores them (Algorithm 4 line 34's
+/// parallel store is one [`crate::MetaStore::put_all`] in-process) and
+/// then notifies the version manager.
 pub fn build_meta(
     reader: &TreeReader<'_>,
     ctx: &UpdateContext,
@@ -242,6 +243,7 @@ pub fn build_meta(
         reader.lineage().blob(),
         "new versions are always owned by the blob being written"
     );
+    reader.store.reserve(owner, ctx.vw, ctx.range, ctx.new_root);
     let key = |pos: NodePos| NodeKey { blob: owner, version: ctx.vw, pos };
 
     let mut out: Vec<(NodeKey, TreeNode)> = Vec::with_capacity(plan.node_count() as usize);
@@ -555,6 +557,7 @@ mod tests {
         let reader = TreeReader::new(&store, &lineage);
         let root = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
         let leaf = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 4 };
+        store.reserve(BlobId(1), Version(1), PageRange::new(0, 1), root.pos);
         store.put_new(NodeKey { blob: BlobId(1), version: Version(1), pos: root.pos }, leaf);
         let ctx = UpdateContext {
             vw: Version(2),
@@ -584,9 +587,11 @@ mod tests {
         let leaves1: Vec<_> = (0..8).map(|i| pd(i, 100 + i as u128)).collect();
         commit(&store, build_meta(&reader, &ctx1, &leaves1).unwrap());
         let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 8) };
+        // Each build is its own version: one version, one slab layout.
+        let next = std::cell::Cell::new(2);
         let gets = |range: PageRange, new_root: NodePos, overrides: Vec<(NodePos, Version)>| {
-            let ctx =
-                UpdateContext { vw: Version(2), range, new_root, overrides, ref_root: Some(root1) };
+            let vw = Version(next.replace(next.get() + 1));
+            let ctx = UpdateContext { vw, range, new_root, overrides, ref_root: Some(root1) };
             let leaves: Vec<_> = range.iter().map(|i| pd(i, 200 + i as u128)).collect();
             let before = store.stats().total_gets;
             build_meta(&reader, &ctx, &leaves).unwrap();

@@ -18,7 +18,8 @@
 //!   update creates, which positions border it, and which positions a
 //!   read visits. Used by both the real engine and the network
 //!   simulator, so simulated costs follow the real tree math;
-//! * [`store`] — typed facade over the DHT (`blobseer-dht`);
+//! * [`store`] — typed facade over the DHT (`blobseer-dht`): one slab
+//!   of write-once slots per update, in [`plan::SlabLayout`] order;
 //! * [`read`] — `READ_META` (paper Algorithm 3);
 //! * [`build`] — `BUILD_META` (paper Algorithm 4) including border-set
 //!   resolution — one descent of the latest published tree along the
@@ -35,6 +36,6 @@ pub mod store;
 pub use build::{build_meta, UpdateContext};
 pub use lineage::Lineage;
 pub use node::{NodeKey, RootRef, TreeNode};
-pub use plan::{read_plan, update_plan, ReadPlan, UpdatePlan};
+pub use plan::{read_plan, update_plan, ReadPlan, SlabLayout, UpdatePlan};
 pub use read::{collect_tree_pages, read_meta, read_meta_multi, read_meta_page, TreeReader};
 pub use store::{MetaStore, SelfHelpHook};

@@ -94,6 +94,90 @@ pub fn update_plan(range: PageRange, root: NodePos) -> UpdatePlan {
     UpdatePlan { range, root, levels }
 }
 
+/// Where an update's nodes sit in its slab (`blobseer_dht::Slabs`): in
+/// [`UpdatePlan::positions`] order — leaves first, then level by level —
+/// by rank arithmetic, with no search and no stored key. The slab
+/// header keeps it as two words: the first page, and the last page's
+/// distance from it beside the root level.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SlabLayout {
+    /// First updated page.
+    pub first: u64,
+    /// Last updated page.
+    pub last: u64,
+    /// Level of the new tree's root.
+    pub root_level: u32,
+}
+
+/// Bits of the second header word that hold the last page's distance
+/// from the first; the root level sits above them.
+const SPAN_BITS: u32 = 58;
+
+/// `Σ_{j<k} (x >> j)`, in closed form: the sum over every `j ≥ 0` is
+/// `2x − popcount(x)`, and the terms from `k` on are that sum for
+/// `x >> k`. Exact whenever the result fits a word, as it does for any
+/// page index (below `2^63`).
+pub fn shifted_sum(x: u64, k: u32) -> u64 {
+    let all = |x: u64| x.wrapping_mul(2).wrapping_sub(u64::from(x.count_ones()));
+    all(x).wrapping_sub(all(x.checked_shr(k).unwrap_or(0)))
+}
+
+impl SlabLayout {
+    /// The layout of [`update_plan`]`(range, root)`.
+    pub fn new(range: PageRange, root: NodePos) -> Self {
+        let last = range.last().expect("updates cover at least one page");
+        debug_assert!(root.contains_page(last), "root {root:?} does not cover update {range:?}");
+        SlabLayout { first: range.first, last, root_level: root.level() }
+    }
+
+    /// Slots before level `k`: `Σ_{j<k} ((last>>j) − (first>>j) + 1)`.
+    fn before(&self, k: u32) -> u64 {
+        shifted_sum(self.last, k) - shifted_sum(self.first, k) + u64::from(k)
+    }
+
+    /// The leaf run: the slab's first `last − first + 1` slots.
+    pub fn leaves(&self) -> usize {
+        (self.last - self.first + 1) as usize
+    }
+
+    /// The slot of `pos`: its index in the plan's positions, or `None`
+    /// when the update does not create it.
+    #[inline]
+    pub fn rank(&self, pos: NodePos) -> Option<usize> {
+        let k = pos.level();
+        let i = pos.offset >> k;
+        let (lo, hi) = (self.first >> k, self.last >> k);
+        (k <= self.root_level && (lo..=hi).contains(&i)).then(|| (self.before(k) + i - lo) as usize)
+    }
+
+    /// The position in slot `rank`: the inverse of [`SlabLayout::rank`].
+    pub fn position(&self, rank: usize) -> Option<NodePos> {
+        let rank = rank as u64;
+        let k = (0..=self.root_level).rev().find(|&k| self.before(k) <= rank)?;
+        let i = (self.first >> k) + rank - self.before(k);
+        (i <= self.last >> k).then(|| NodePos::new(i << k, 1 << k))
+    }
+}
+
+impl blobseer_dht::Layout for SlabLayout {
+    fn encode(&self) -> [u64; 2] {
+        assert!(self.last - self.first < 1 << SPAN_BITS, "{self:?} spans too many pages");
+        [self.first, (self.last - self.first) | u64::from(self.root_level) << SPAN_BITS]
+    }
+
+    fn decode(w: [u64; 2]) -> Self {
+        SlabLayout {
+            first: w[0],
+            last: w[0] + (w[1] & ((1 << SPAN_BITS) - 1)),
+            root_level: (w[1] >> SPAN_BITS) as u32,
+        }
+    }
+
+    fn slots(&self) -> usize {
+        self.before(self.root_level + 1) as usize
+    }
+}
+
 /// `true` when an update of `range` under `root` creates a node at
 /// `pos`. Used by the version manager to decide whether an *in-flight*
 /// update will supply a border node for a newer writer (paper §4.2).

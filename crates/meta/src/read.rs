@@ -9,19 +9,24 @@ use blobseer_types::{
 
 use crate::lineage::Lineage;
 use crate::node::{NodeKey, RootRef, TreeNode};
-use crate::store::MetaStore;
+use crate::store::{Memo, MetaStore};
 
 /// A read-side view of one blob's metadata: the store plus the blob's
 /// lineage (so shared branch versions resolve to their owning ancestor).
+///
+/// A reader carries the slab header of the version it fetched from last
+/// down the tree, so consecutive nodes of one version skip the header
+/// probe. That memo makes a reader `!Sync`: each thread makes its own.
 pub struct TreeReader<'a> {
-    store: &'a MetaStore,
+    pub(crate) store: &'a MetaStore,
     lineage: &'a Lineage,
+    memo: Memo,
 }
 
 impl<'a> TreeReader<'a> {
     /// View `lineage`'s blob through `store`.
     pub fn new(store: &'a MetaStore, lineage: &'a Lineage) -> Self {
-        TreeReader { store, lineage }
+        TreeReader { store, lineage, memo: Memo::default() }
     }
 
     /// The blob's lineage.
@@ -36,12 +41,7 @@ impl<'a> TreeReader<'a> {
 
     /// Fetch a node; `wait` selects blocking vs. immediate semantics.
     pub fn fetch(&self, version: Version, pos: NodePos, wait: bool) -> Result<TreeNode> {
-        let key = self.key_for(version, pos);
-        if wait {
-            self.store.get_wait(&key)
-        } else {
-            self.store.get(&key)
-        }
+        self.store.fetch(&self.key_for(version, pos), &self.memo, wait)
     }
 
     /// The version of the node occupying `pos` within the tree rooted at
@@ -250,7 +250,7 @@ pub fn collect_tree_pages(
 mod tests {
     use super::*;
     use crate::node::TreeNode;
-    use blobseer_types::{BlobId, PageId, ProviderId};
+    use blobseer_types::{BlobId, PageId, PageRange, ProviderId};
     use std::time::Duration;
 
     /// Hand-build the Figure 1(a) tree: version 1 covering 4 pages.
@@ -267,6 +267,7 @@ mod tests {
             version: Version(v),
             pos: NodePos::new(o, s),
         };
+        store.reserve(BlobId(1), Version(1), PageRange::new(0, 4), NodePos::new(0, 4));
         for i in 0..4 {
             store.put_new(k(1, i, 1), leaf(i));
         }
@@ -317,6 +318,7 @@ mod tests {
         assert!(matches!(read_meta_page(&reader, root, 4), Err(BlobError::Internal(_))));
         // A missing child inside the tree is corrupt metadata.
         let partial = RootRef { version: Version(2), pos: NodePos::new(0, 2) };
+        store.reserve(BlobId(1), Version(2), PageRange::new(0, 1), partial.pos);
         store.put_new(
             NodeKey { blob: BlobId(1), version: Version(2), pos: NodePos::new(0, 2) },
             TreeNode::Inner { left: Some(Version(1)), right: None },
@@ -366,6 +368,7 @@ mod tests {
             version: Version(v),
             pos: NodePos::new(o, s),
         };
+        store.reserve(BlobId(1), Version(2), PageRange::new(0, 1), NodePos::new(0, 4));
         store.put_new(
             k(2, 0, 1),
             TreeNode::Leaf { pid: PageId(200), provider: ProviderId(0), valid_len: 4 },

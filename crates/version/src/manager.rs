@@ -168,7 +168,7 @@ pub struct ReadView {
 /// One blob's slice of the **tree-walk live set**, captured atomically
 /// under that blob's lock by [`VersionManager::scrub_cut`]: everything a
 /// reachability mark needs to enumerate the blob's live pages through
-/// its trees. The engine's maintenance mark scans the node table
+/// its trees. The engine's maintenance mark scans the slabs' leaf runs
 /// instead; this cut is the input of the tree walk its tests compare
 /// that scan against.
 ///

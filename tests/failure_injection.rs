@@ -11,12 +11,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use blobseer_dht::Dht;
 use blobseer_meta::{
     build_meta, read_meta, Lineage, MetaStore, NodeKey, RootRef, TreeNode, TreeReader,
     UpdateContext,
 };
-use blobseer_types::{BlobError, ByteRange, NodePos, PageDescriptor, PageId, ProviderId, Version};
+use blobseer_types::{
+    BlobError, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version,
+};
 use blobseer_version::{ConcurrencyMode, UpdateKind, VersionManager};
 
 const PSIZE: u64 = 4;
@@ -135,7 +136,7 @@ fn dependent_reader_times_out_on_missing_inflight_metadata() {
 fn late_metadata_release_unblocks_waiters() {
     // A reader blocked on an in-flight node proceeds the moment the
     // writer stores it — the §4.2 handoff, under an induced delay.
-    let meta = Arc::new(MetaStore::with_dht(Arc::new(Dht::new(2)), Duration::from_secs(5)));
+    let meta = Arc::new(MetaStore::new(2, Duration::from_secs(5)));
     let lineage = Lineage::root(blobseer_types::BlobId(1));
     let key = NodeKey { blob: lineage.blob(), version: Version(2), pos: NodePos::new(0, 1) };
     let m2 = Arc::clone(&meta);
@@ -147,6 +148,7 @@ fn late_metadata_release_unblocks_waiters() {
     });
     std::thread::sleep(Duration::from_millis(50));
     let leaf = TreeNode::Leaf { pid: PageId(9), provider: ProviderId(0), valid_len: 4 };
+    meta.reserve(key.blob, key.version, PageRange::new(0, 1), key.pos);
     meta.put_new(key, leaf);
     let (node, waited) = waiter.join().unwrap();
     assert_eq!(node, leaf);
