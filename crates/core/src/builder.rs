@@ -282,20 +282,20 @@ impl Default for Builder {
 /// a 1 ms interval) then *catches up* instead of silently stretching
 /// every tick, so `lease_ttl_ticks × interval` stays an honest
 /// wall-clock bound on wedged-writer recovery. Elapsed time is read
-/// off the metrics crate's monotone clock ([`clock::refresh`]), whose
-/// coarse reading the rest of the system shares.
+/// off the metrics crate's monotone process clock
+/// ([`clock::precise_now`]).
 fn spawn_lease_ticker(engine: &Arc<Engine>) {
     use blobseer_metrics::clock;
     let weak = Arc::downgrade(engine);
     let interval = Duration::from_millis(engine.config.lease_tick_interval_ms);
     let interval_ns = interval.as_nanos() as u64;
     let spawned = std::thread::Builder::new().name("blobseer-lease-tick".into()).spawn(move || {
-        let t0 = clock::refresh();
+        let t0 = clock::precise_now();
         let mut ticked = 0u64;
         loop {
             std::thread::sleep(interval);
             let Some(engine) = weak.upgrade() else { break };
-            let target = (clock::refresh() - t0) / interval_ns;
+            let target = (clock::precise_now() - t0) / interval_ns;
             if target > ticked {
                 engine.vm.advance_clock(target - ticked);
                 ticked = target;

@@ -129,7 +129,7 @@ pub use qos::TenantQosStats;
 pub use repair::RepairReport;
 pub use scrub::ScrubReport;
 pub use snapshot::{ScatterRead, ScatterSegment, Snapshot};
-pub use stats::{OpLatency, OpWindow, StatsSnapshot, StoreStats};
+pub use stats::{OpLatency, StatsSnapshot, StoreStats};
 pub use write::CrashPoint;
 
 // Re-export the vocabulary a user needs to drive the API — including
@@ -580,7 +580,7 @@ impl BlobSeer {
     /// phases — as nearest-rank percentiles over the store's lifetime.
     /// Percentiles are histogram bucket edges, within 1/128 above the
     /// true sample; recording is always on and costs two clock reads
-    /// and four relaxed atomic increments per timed span, all on the
+    /// and two relaxed atomic increments per timed span, both on the
     /// recording thread's own stripe. See
     /// `docs/OBSERVABILITY.md` for how to read the tails.
     ///

@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use blobseer_metrics::{Timer, WindowedHistogram};
+use blobseer_metrics::{AtomicHistogram, Timer};
 use blobseer_provider::{DataProvider, SealedPage};
 use blobseer_types::{PageId, ProviderId, Result};
 
@@ -41,7 +41,7 @@ impl LiveSet {
     /// Take the page-id epoch strictly before the scan, then collect
     /// every stored leaf; timed into `latency` (the caller's
     /// metadata-bound phase).
-    pub(crate) fn mark(engine: &Engine, latency: &WindowedHistogram) -> LiveSet {
+    pub(crate) fn mark(engine: &Engine, latency: &AtomicHistogram) -> LiveSet {
         let timer = Timer::start();
         let epoch = engine.scrub_pid_epoch();
         let mut pages = HashMap::new();
@@ -184,7 +184,7 @@ mod tests {
     }
 
     fn scan(s: &BlobSeer) -> LiveSet {
-        LiveSet::mark(&s.engine, &WindowedHistogram::new())
+        LiveSet::mark(&s.engine, &AtomicHistogram::new())
     }
 
     const CRASHES: [CrashPoint; 4] = [

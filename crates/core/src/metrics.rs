@@ -7,7 +7,7 @@
 //! always time: call sites start a [`Timer`](blobseer_metrics::Timer)
 //! (one clock read) and stop it into the histogram on success (one
 //! more). Both kinds are striped by thread, so a counter bump is one
-//! relaxed `fetch_add` and a record four, all on cache lines only the
+//! relaxed `fetch_add` and a record two, all on cache lines only the
 //! recording thread writes: two readers serving `read_into` side by
 //! side never move a metric line between their cores. The DHT's own
 //! block-time histogram is created by the DHT and merely registered
@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use blobseer_metrics::{Counter, Registry, WindowedHistogram};
+use blobseer_metrics::{AtomicHistogram, Counter, Registry};
 use blobseer_provider::ProviderManager;
 use blobseer_types::ProviderId;
 
@@ -29,20 +29,20 @@ pub(crate) struct EngineMetrics {
     pub read_ops: Arc<Counter>,
     pub read_scatter_ops: Arc<Counter>,
     pub readv_ops: Arc<Counter>,
-    pub append_latency: Arc<WindowedHistogram>,
-    pub write_latency: Arc<WindowedHistogram>,
-    pub read_latency: Arc<WindowedHistogram>,
-    pub read_scatter_latency: Arc<WindowedHistogram>,
-    pub readv_latency: Arc<WindowedHistogram>,
-    pub write_prepare_latency: Arc<WindowedHistogram>,
-    pub dht_get_wait_latency: Arc<WindowedHistogram>,
-    pub lease_sweep_latency: Arc<WindowedHistogram>,
-    pub scrub_mark_latency: Arc<WindowedHistogram>,
-    pub scrub_sweep_latency: Arc<WindowedHistogram>,
-    pub repair_mark_latency: Arc<WindowedHistogram>,
-    pub repair_copy_latency: Arc<WindowedHistogram>,
-    pub drain_mark_latency: Arc<WindowedHistogram>,
-    pub drain_copy_latency: Arc<WindowedHistogram>,
+    pub append_latency: Arc<AtomicHistogram>,
+    pub write_latency: Arc<AtomicHistogram>,
+    pub read_latency: Arc<AtomicHistogram>,
+    pub read_scatter_latency: Arc<AtomicHistogram>,
+    pub readv_latency: Arc<AtomicHistogram>,
+    pub write_prepare_latency: Arc<AtomicHistogram>,
+    pub dht_get_wait_latency: Arc<AtomicHistogram>,
+    pub lease_sweep_latency: Arc<AtomicHistogram>,
+    pub scrub_mark_latency: Arc<AtomicHistogram>,
+    pub scrub_sweep_latency: Arc<AtomicHistogram>,
+    pub repair_mark_latency: Arc<AtomicHistogram>,
+    pub repair_copy_latency: Arc<AtomicHistogram>,
+    pub drain_mark_latency: Arc<AtomicHistogram>,
+    pub drain_copy_latency: Arc<AtomicHistogram>,
     pub pages_migrated: Arc<Counter>,
     pub bytes_migrated: Arc<Counter>,
     pub failovers: Arc<Counter>,
@@ -56,7 +56,7 @@ pub(crate) struct EngineMetrics {
 impl EngineMetrics {
     /// Build and register the full metric set. `dht_wait` is the
     /// metadata DHT's shared block-time histogram.
-    pub fn new(dht_wait: Arc<WindowedHistogram>) -> EngineMetrics {
+    pub fn new(dht_wait: Arc<AtomicHistogram>) -> EngineMetrics {
         let r = Registry::new();
         let append_ops = r.counter("blobseer_append_ops_total", "appends published");
         let write_ops = r.counter("blobseer_write_ops_total", "writes published");

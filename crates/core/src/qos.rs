@@ -38,19 +38,18 @@
 //! pipelined traffic with a single tenant (see `docs/OPERATIONS.md`,
 //! "tenant quotas").
 //!
-//! Time: admission reads the shared coarse clock via
-//! [`clock::refresh`] (a real clock read — a throttled loop must see
-//! time advance even when nothing else is recording timers); the
-//! buckets themselves are the injected-time primitives from
-//! `blobseer_qos`, so the sim and tests drive identical logic in
-//! virtual time.
+//! Time: admission reads the metrics crate's process clock via
+//! [`clock::precise_now`] (a real clock read, so a throttled loop sees
+//! time advance whatever else is running); the buckets themselves are
+//! the injected-time primitives from `blobseer_qos`, so the sim and
+//! tests drive identical logic in virtual time.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use blobseer_metrics::{clock, Counter, WindowedHistogram};
+use blobseer_metrics::{clock, AtomicHistogram, Counter};
 use blobseer_qos::{FairQueue, QuotaSpec, TenantRegistry};
 use blobseer_types::{BlobError, QosConfig, Result, TenantId, TenantQuota};
 use parking_lot::Mutex;
@@ -71,7 +70,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub(crate) struct TenantQosMetrics {
     pub admitted: Counter,
     pub throttled: Counter,
-    pub wait: WindowedHistogram,
+    pub wait: AtomicHistogram,
 }
 
 /// Typed per-tenant QoS statistics, from
@@ -145,7 +144,7 @@ impl EngineQos {
             Arc::new(TenantQosMetrics {
                 admitted: Counter::new(),
                 throttled: Counter::new(),
-                wait: WindowedHistogram::new(),
+                wait: AtomicHistogram::new(),
             })
         }))
     }
@@ -198,7 +197,7 @@ impl EngineQos {
         }
 
         // Token gauges: only limited axes have buckets (and values).
-        let now = clock::refresh();
+        let now = clock::precise_now();
         let states = self.registry.all();
         let _ = writeln!(
             out,
@@ -266,14 +265,14 @@ pub(crate) fn admit_blocking(engine: &Engine, tenant: TenantId, payload_bytes: u
         m.admitted.increment();
         return Ok(());
     }
-    let start = clock::refresh();
+    let start = clock::precise_now();
     let deadline = start.saturating_add(qos.max_wait.as_nanos() as u64);
     loop {
-        let now = clock::refresh();
+        let now = clock::precise_now();
         match state.try_admit_at(now, payload_bytes) {
             Ok(()) => {
                 m.admitted.increment();
-                m.wait.record_at(now, now.saturating_sub(start));
+                m.wait.record(now.saturating_sub(start));
                 return Ok(());
             }
             Err(hint_ns) => {
@@ -300,7 +299,7 @@ pub(crate) fn admit_nonblocking(
     let Some(qos) = &engine.qos else { return Ok(()) };
     let state = qos.registry.state(tenant.raw() as u64);
     let m = qos.metrics_of(tenant);
-    if state.is_limited() && state.try_admit_at(clock::refresh(), payload_bytes).is_err() {
+    if state.is_limited() && state.try_admit_at(clock::precise_now(), payload_bytes).is_err() {
         m.throttled.increment();
         return Err(BlobError::QuotaExceeded { tenant });
     }

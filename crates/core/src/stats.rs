@@ -105,68 +105,12 @@ impl OpLatency {
     }
 }
 
-/// Latency-and-rate digest of one operation over the histogram's
-/// **recent window** (the ring of interval slices behind
-/// [`blobseer_metrics::WindowedHistogram`]), as opposed to the
-/// lifetime [`OpLatency`] view. This is what a dashboard's "now" panel
-/// wants: a burst ten minutes ago no longer dominates the percentile.
-///
-/// # Examples
-///
-/// ```
-/// # let store = blobseer::BlobSeer::builder().page_size(4096).data_providers(2)
-/// #     .metadata_providers(2).io_threads(1).build()?;
-/// # let blob = store.create();
-/// blob.append(&[1u8; 4096])?;
-/// let w = store.stats_snapshot().append_window;
-/// assert_eq!(w.count, 1);
-/// assert!(w.window_ns > 0);
-/// assert!(w.ops_per_sec() <= 1_000_000_000, "1 op over a >=1ns window");
-/// # Ok::<(), blobseer::BlobError>(())
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpWindow {
-    /// Samples recorded within the window.
-    pub count: u64,
-    /// Mean latency over the window, nanoseconds.
-    pub mean_ns: u64,
-    /// 99th percentile over the window, nanoseconds.
-    pub p99_ns: u64,
-    /// The window's span in nanoseconds (the denominator of
-    /// [`OpWindow::ops_per_sec`]).
-    pub window_ns: u64,
-}
-
-impl OpWindow {
-    /// The operation's recent rate: `count` over the window span,
-    /// rounded down to whole operations per second (0 when the window
-    /// span is zero).
-    pub fn ops_per_sec(&self) -> u64 {
-        if self.window_ns == 0 {
-            return 0;
-        }
-        ((self.count as u128 * 1_000_000_000) / self.window_ns as u128) as u64
-    }
-
-    fn from_hist(h: &blobseer_metrics::WindowedHistogram, now_ns: u64) -> OpWindow {
-        let s = h.window_snapshot_at(now_ns);
-        OpWindow {
-            count: s.count(),
-            mean_ns: s.mean(),
-            p99_ns: s.p99(),
-            window_ns: h.window().as_nanos() as u64,
-        }
-    }
-}
-
 /// Point-in-time latency digests for every instrumented operation,
 /// from [`crate::BlobSeer::stats_snapshot`]. Lifetime view: every
 /// sample since the store was built (the Prometheus exposition,
 /// [`crate::BlobSeer::metrics_text`], carries the same data plus
-/// operation counters); the `*_window` fields add the recent-window
-/// rate/latency view ([`OpWindow`]) for the hot-path operations.
-/// Field-by-field semantics — and how to read a rising tail — are in
-/// `docs/OBSERVABILITY.md`.
+/// operation counters). Field-by-field semantics — and how to read a
+/// rising tail — are in `docs/OBSERVABILITY.md`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// `APPEND`: version assignment to publication (blocking) or
@@ -219,28 +163,11 @@ pub struct StatsSnapshot {
     /// returns bytes from otherwise (per-provider splits are in
     /// [`StoreStats::providers`]).
     pub checksum_verified_bytes: u64,
-    /// `APPEND` over the recent window (rate + latency).
-    pub append_window: OpWindow,
-    /// `WRITE` over the recent window.
-    pub write_window: OpWindow,
-    /// Contiguous reads over the recent window.
-    pub read_window: OpWindow,
-    /// Scatter reads over the recent window.
-    pub read_scatter_window: OpWindow,
-    /// Vectored reads over the recent window.
-    pub readv_window: OpWindow,
-    /// DHT block time over the recent window — the first place a
-    /// concurrency regression shows up.
-    pub dht_get_wait_window: OpWindow,
 }
 
 pub(crate) fn snapshot(engine: &Engine) -> StatsSnapshot {
     let m = &engine.metrics;
-    let op = |h: &blobseer_metrics::WindowedHistogram| OpLatency::from_snapshot(&h.snapshot());
-    // One real clock read for every window: the coarse cached reading
-    // may be stale on a quiet deployment, which would inflate windows.
-    let now = blobseer_metrics::clock::refresh();
-    let win = |h: &blobseer_metrics::WindowedHistogram| OpWindow::from_hist(h, now);
+    let op = |h: &blobseer_metrics::AtomicHistogram| OpLatency::from_snapshot(&h.snapshot());
     StatsSnapshot {
         append: op(&m.append_latency),
         write: op(&m.write_latency),
@@ -259,11 +186,5 @@ pub(crate) fn snapshot(engine: &Engine) -> StatsSnapshot {
         under_replicated_stores: m.under_replicated_stores.value(),
         checksum_sealed_bytes: m.sealed_bytes.value(),
         checksum_verified_bytes: engine.providers.total_bytes_verified(),
-        append_window: win(&m.append_latency),
-        write_window: win(&m.write_latency),
-        read_window: win(&m.read_latency),
-        read_scatter_window: win(&m.read_scatter_latency),
-        readv_window: win(&m.readv_latency),
-        dht_get_wait_window: win(&m.dht_get_wait_latency),
     }
 }

@@ -103,7 +103,7 @@ use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blobseer_metrics::{Timer, WindowedHistogram};
+use blobseer_metrics::{AtomicHistogram, Timer};
 use parking_lot::{Condvar, Mutex};
 
 use table::{Entry, Table};
@@ -196,7 +196,7 @@ impl Bucket {
         timeout: Duration,
         slice: Duration,
         mut between: impl FnMut(),
-        wait_latency: &WindowedHistogram,
+        wait_latency: &AtomicHistogram,
         find: impl Fn() -> Option<V>,
     ) -> Result<V, DhtError> {
         // Fast path: present already — identical cost to a `get`.
@@ -277,7 +277,7 @@ pub struct Dht<K, V> {
     /// read it costs is noise — and the p999 of this histogram is the
     /// single best indicator of writer-pipeline stalls
     /// (`docs/OBSERVABILITY.md`).
-    wait_latency: Arc<WindowedHistogram>,
+    wait_latency: Arc<AtomicHistogram>,
     /// Keys and values are stored as words, never as `K`/`V`.
     types: PhantomData<fn() -> (K, V)>,
 }
@@ -291,7 +291,7 @@ where
     pub fn new(buckets: usize) -> Self {
         Dht {
             buckets: self::buckets(buckets),
-            wait_latency: Arc::new(WindowedHistogram::new()),
+            wait_latency: Arc::new(AtomicHistogram::new()),
             types: PhantomData,
         }
     }
@@ -299,7 +299,7 @@ where
     /// The shared block-time histogram of [`Dht::get_wait`] (nanoseconds
     /// per blocking call). Handed to a metrics registry so the store
     /// can expose `dht_get_wait` percentiles.
-    pub fn wait_latency(&self) -> Arc<WindowedHistogram> {
+    pub fn wait_latency(&self) -> Arc<AtomicHistogram> {
         Arc::clone(&self.wait_latency)
     }
 

@@ -43,7 +43,7 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use blobseer_metrics::WindowedHistogram;
+use blobseer_metrics::AtomicHistogram;
 use parking_lot::Mutex;
 
 use crate::codec::CellValue;
@@ -304,7 +304,7 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
 
     /// The block-time histogram of [`Slabs::wait`] (nanoseconds per
     /// blocking call).
-    pub fn wait_latency(&self) -> Arc<WindowedHistogram> {
+    pub fn wait_latency(&self) -> Arc<AtomicHistogram> {
         self.headers.wait_latency()
     }
 

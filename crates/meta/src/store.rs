@@ -244,7 +244,7 @@ impl MetaStore {
 
     /// The DHT's block-time histogram (nanoseconds per blocking
     /// `get_wait`), for registration in a store-level metrics registry.
-    pub fn wait_latency(&self) -> Arc<blobseer_metrics::WindowedHistogram> {
+    pub fn wait_latency(&self) -> Arc<blobseer_metrics::AtomicHistogram> {
         self.slabs.wait_latency()
     }
 }

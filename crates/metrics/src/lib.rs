@@ -3,32 +3,30 @@
 //! The paper's evaluation (§5) reasons in aggregate throughput; a
 //! deployment serving heavy traffic is judged on **tail latency**. This
 //! crate provides the measurement layer, in the spirit of pelikan-io's
-//! rustcommon stack (metriken-style registered metrics, clocksource's
-//! coarse cached clock, base-2 sub-bucketed histograms):
+//! rustcommon stack (metriken-style registered metrics, base-2
+//! sub-bucketed histograms):
 //!
 //! * [`Counter`] — an event counter striped by thread: a bump is one
 //!   relaxed `fetch_add` on a cache line only the calling thread
-//!   writes, and a read sums the stripes; [`Gauge`] — a plain relaxed
-//!   atomic level;
+//!   writes, and a read sums the stripes;
 //! * [`AtomicHistogram`] — a base-2-bucketed atomic histogram whose
-//!   relative error is bounded by the *grouping power* (default 7 →
-//!   ≤ 1/128 ≈ 0.8%), recording in O(1) with two `fetch_add`s (bucket
-//!   and sum) on the recording thread's stripe, its bucket groups
-//!   allocated on first record;
-//! * [`WindowedHistogram`] — an all-time histogram plus a ring of
-//!   interval slices, striped the same way, so snapshots can report
-//!   both lifetime and recent-window percentiles (p50/p90/p99/p999);
-//! * [`clock`] — a coarse cached clock ([`clock::coarse_now`]): one
-//!   relaxed atomic load where `Instant::now()` would be a syscall-ish
-//!   vDSO call, kept within a 1 ms granule by every [`Timer`] stop;
+//!   relative error is bounded by its [grouping power](GROUPING_POWER)
+//!   (7 → ≤ 1/128 ≈ 0.8%), recording in O(1) with two `fetch_add`s
+//!   (bucket and sum) on the recording thread's stripe, its bucket
+//!   groups allocated on first record; every latency, engine-wide or
+//!   per provider or tenant, is one of these, and its snapshot gives
+//!   lifetime percentiles (p50/p90/p99/p999);
+//! * [`clock`] — the process clock ([`clock::precise_now`]) and the
+//!   [`Timer`] that measures a span into a histogram with one clock
+//!   read per edge;
 //! * [`Registry`] — named metric registration and a Prometheus-style
 //!   text exposition ([`Registry::render`]).
 //!
 //! **No record writes a line another thread writes.** Up to
 //! [`STRIPES`] live threads each own a stripe (see the `stripe`
-//! module), and the coarse clock's shared line is written about once a
-//! millisecond. That is what keeps per-operation metrics cheap when
-//! many threads serve operations at once.
+//! module), and no metric keeps a shared cell beside its stripes. That
+//! is what keeps per-operation metrics cheap when many threads serve
+//! operations at once.
 //!
 //! Everything is safe under full concurrency; recording never takes a
 //! lock. Snapshots taken while writers are recording are approximate in
@@ -63,10 +61,8 @@ mod registry;
 mod stripe;
 
 pub use clock::Timer;
-pub use histogram::{
-    AtomicHistogram, HistogramSnapshot, WindowedHistogram, DEFAULT_GROUPING_POWER,
-};
-pub use metric::{Counter, Gauge};
+pub use histogram::{AtomicHistogram, HistogramSnapshot, GROUPING_POWER};
+pub use metric::Counter;
 pub use registry::{
     write_counter, write_gauge, write_summary_seconds, write_summary_seconds_labeled, Registry,
 };

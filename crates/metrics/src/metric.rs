@@ -1,6 +1,6 @@
-//! Lock-free scalar metrics: [`Counter`] and [`Gauge`].
+//! The lock-free scalar metric: [`Counter`].
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::stripe::{self, Padded, STRIPES};
 
@@ -55,55 +55,6 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// An instantaneous signed level (queue depth, in-flight operations).
-///
-/// # Examples
-///
-/// ```
-/// use blobseer_metrics::Gauge;
-///
-/// let g = Gauge::new();
-/// g.add(5);
-/// g.sub(2);
-/// assert_eq!(g.value(), 3);
-/// g.set(-1);
-/// assert_eq!(g.value(), -1);
-/// ```
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Gauge {
-        Gauge { value: AtomicI64::new(0) }
-    }
-
-    /// Increase by `n`.
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Decrease by `n`.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Overwrite the level.
-    #[inline]
-    pub fn set(&self, n: i64) {
-        self.value.store(n, Ordering::Relaxed);
-    }
-
-    /// Current reading.
-    pub fn value(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,15 +74,5 @@ mod tests {
             }
         });
         assert_eq!(c.value(), (STRIPES as u64 + 4) * 10_000);
-    }
-
-    #[test]
-    fn gauge_tracks_level() {
-        let g = Gauge::new();
-        g.add(10);
-        g.sub(3);
-        assert_eq!(g.value(), 7);
-        g.set(0);
-        assert_eq!(g.value(), 0);
     }
 }

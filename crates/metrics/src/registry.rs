@@ -12,13 +12,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::histogram::{HistogramSnapshot, WindowedHistogram};
-use crate::metric::{Counter, Gauge};
+use crate::histogram::{AtomicHistogram, HistogramSnapshot};
+use crate::metric::Counter;
 
 enum Entry {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<WindowedHistogram>),
+    Histogram(Arc<AtomicHistogram>),
 }
 
 struct Registered {
@@ -78,24 +77,8 @@ impl Registry {
         c
     }
 
-    /// Create and register a [`Gauge`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let registry = blobseer_metrics::Registry::new();
-    /// let g = registry.gauge("queue_depth", "jobs waiting");
-    /// g.set(4);
-    /// assert!(registry.render().contains("queue_depth 4"));
-    /// ```
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, help, Entry::Gauge(Arc::clone(&g)));
-        g
-    }
-
-    /// Create and register a default-configured [`WindowedHistogram`]
-    /// whose recorded values are **nanoseconds**; the exposition
+    /// Create and register an [`AtomicHistogram`] whose recorded values
+    /// are **nanoseconds**; the exposition
     /// renders its quantiles in seconds (hence the conventional
     /// `_seconds` name suffix).
     ///
@@ -104,13 +87,13 @@ impl Registry {
     /// ```
     /// let registry = blobseer_metrics::Registry::new();
     /// let h = registry.histogram_seconds("op_latency_seconds", "op latency");
-    /// h.record_at(0, 250); // 250ns
+    /// h.record(250); // 250ns
     /// let text = registry.render();
     /// assert!(text.contains(r#"op_latency_seconds{quantile="0.99"} 0.000000250"#));
     /// assert!(text.contains("op_latency_seconds_count 1"));
     /// ```
-    pub fn histogram_seconds(&self, name: &str, help: &str) -> Arc<WindowedHistogram> {
-        let h = Arc::new(WindowedHistogram::new());
+    pub fn histogram_seconds(&self, name: &str, help: &str) -> Arc<AtomicHistogram> {
+        let h = Arc::new(AtomicHistogram::new());
         self.register(name, help, Entry::Histogram(Arc::clone(&h)));
         h
     }
@@ -124,15 +107,15 @@ impl Registry {
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use blobseer_metrics::{Registry, WindowedHistogram};
+    /// use blobseer_metrics::{AtomicHistogram, Registry};
     ///
-    /// let shared = Arc::new(WindowedHistogram::new());
+    /// let shared = Arc::new(AtomicHistogram::new());
     /// let registry = Registry::new();
     /// registry.register_histogram_seconds("wait_seconds", "wait time", Arc::clone(&shared));
-    /// shared.record_at(0, 100);
+    /// shared.record(100);
     /// assert!(registry.render().contains("wait_seconds_count 1"));
     /// ```
-    pub fn register_histogram_seconds(&self, name: &str, help: &str, hist: Arc<WindowedHistogram>) {
+    pub fn register_histogram_seconds(&self, name: &str, help: &str, hist: Arc<AtomicHistogram>) {
         self.register(name, help, Entry::Histogram(hist));
     }
 
@@ -144,17 +127,14 @@ impl Registry {
     /// ```
     /// let registry = blobseer_metrics::Registry::new();
     /// registry.counter("a_total", "first").increment();
-    /// registry.gauge("b_level", "second").set(-2);
     /// let text = registry.render();
     /// assert!(text.starts_with("# HELP a_total first\n# TYPE a_total counter\na_total 1\n"));
-    /// assert!(text.contains("# TYPE b_level gauge\nb_level -2\n"));
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();
         for r in self.entries.lock().expect("metrics registry poisoned").iter() {
             match &r.entry {
                 Entry::Counter(c) => write_counter(&mut out, &r.name, &r.help, c.value()),
-                Entry::Gauge(g) => write_gauge(&mut out, &r.name, &r.help, g.value()),
                 Entry::Histogram(h) => {
                     write_summary_seconds(&mut out, &r.name, &r.help, &h.snapshot())
                 }
@@ -284,20 +264,15 @@ mod tests {
         // so the rendered quantiles are byte-for-byte deterministic.
         let registry = Registry::new();
         let ops = registry.counter("blobseer_append_ops_total", "appends completed");
-        let depth = registry.gauge("blobseer_io_queue_depth", "queued I/O jobs");
         let lat = registry.histogram_seconds("blobseer_append_latency_seconds", "append latency");
         ops.add(2);
-        depth.set(1);
-        lat.record_at(0, 100);
-        lat.record_at(0, 200);
+        lat.record(100);
+        lat.record(200);
 
         let expected = "\
 # HELP blobseer_append_ops_total appends completed
 # TYPE blobseer_append_ops_total counter
 blobseer_append_ops_total 2
-# HELP blobseer_io_queue_depth queued I/O jobs
-# TYPE blobseer_io_queue_depth gauge
-blobseer_io_queue_depth 1
 # HELP blobseer_append_latency_seconds append latency
 # TYPE blobseer_append_latency_seconds summary
 blobseer_append_latency_seconds{quantile=\"0.5\"} 0.000000100
@@ -322,10 +297,10 @@ blobseer_append_latency_seconds_count 2
 
     #[test]
     fn shared_histogram_renders() {
-        let shared = Arc::new(WindowedHistogram::new());
+        let shared = Arc::new(AtomicHistogram::new());
         let registry = Registry::new();
         registry.register_histogram_seconds("shared_seconds", "shared", Arc::clone(&shared));
-        shared.record_at(0, 50);
+        shared.record(50);
         assert!(registry.render().contains("shared_seconds_count 1"));
     }
 }

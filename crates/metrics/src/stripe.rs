@@ -3,8 +3,8 @@
 //! A metric that every operation bumps is written by every thread that
 //! serves operations. One shared atomic makes each bump a cache-line
 //! transfer between cores; [`Counter`](crate::Counter) and
-//! [`WindowedHistogram`](crate::WindowedHistogram) instead hold one
-//! cell per **stripe** and let a thread write only its own. Readers sum
+//! [`AtomicHistogram`](crate::AtomicHistogram) instead hold one cell
+//! per **stripe** and let a thread write only its own. Readers sum
 //! the stripes, so counts stay exact once writers quiesce.
 //!
 //! A thread claims the lowest free bit of a process-wide ownership mask

@@ -2,13 +2,12 @@
 //!
 //! The contract under test: percentile readouts carry a relative error
 //! of at most `2^-p` (the grouping power bound), counts are exact under
-//! full concurrency, and window rotation never touches the all-time
-//! histogram.
+//! full concurrency, and a snapshot's merge of the thread stripes
+//! reads the same as one thread recording everything.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use blobseer_metrics::{AtomicHistogram, WindowedHistogram, DEFAULT_GROUPING_POWER};
+use blobseer_metrics::{AtomicHistogram, GROUPING_POWER};
 use proptest::prelude::*;
 
 /// Exact percentile of a sorted sample using the same nearest-rank
@@ -19,7 +18,7 @@ fn exact_percentile(sorted: &[u64], pct: f64) -> u64 {
 }
 
 fn assert_within_bound(value: u64, exact: u64, pct: f64) {
-    let bound = 1.0 / (1u64 << DEFAULT_GROUPING_POWER) as f64;
+    let bound = 1.0 / (1u64 << GROUPING_POWER) as f64;
     assert!(value >= exact, "p{pct}: histogram {value} below exact {exact}");
     let err = (value - exact) as f64 / exact.max(1) as f64;
     assert!(err <= bound, "p{pct}: histogram {value} vs exact {exact}, err {err} > {bound}");
@@ -88,27 +87,6 @@ fn concurrent_recording_loses_nothing() {
     assert_eq!(snap.sum(), expected_sum);
 }
 
-#[test]
-fn concurrent_windowed_recording_keeps_all_time_exact() {
-    // Threads record with skewed timestamps so rotations race with
-    // records. The window is allowed bounded slop at slice boundaries;
-    // the all-time histogram must stay exact.
-    let h = Arc::new(WindowedHistogram::with_config(7, Duration::from_micros(50), 4));
-    let threads = 8u64;
-    let per_thread = 20_000u64;
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let h = Arc::clone(&h);
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    h.record_at(i * 1_000 + t * 137, i + 1);
-                }
-            });
-        }
-    });
-    assert_eq!(h.snapshot().count(), threads * per_thread);
-}
-
 proptest! {
     #[test]
     fn percentile_error_is_bounded_on_arbitrary_samples(
@@ -125,7 +103,7 @@ proptest! {
         prop_assert_eq!(snap.count(), values.len() as u64);
         let exact = exact_percentile(&values, pct);
         let got = snap.percentile(pct).unwrap();
-        let bound = 1.0 / (1u64 << DEFAULT_GROUPING_POWER) as f64;
+        let bound = 1.0 / (1u64 << GROUPING_POWER) as f64;
         prop_assert!(got >= exact);
         prop_assert!((got - exact) as f64 / exact.max(1) as f64 <= bound,
             "p{}: {} vs exact {}", pct, got, exact);
@@ -136,20 +114,28 @@ proptest! {
         a in proptest::collection::vec(0u64..1_000_000, 0..100),
         b in proptest::collection::vec(0u64..1_000_000, 0..100),
     ) {
-        // Recording the union into the all-time histogram must equal
-        // recording the halves into window slices and merging — the
-        // window snapshot is a merge over slices internally.
+        // Recording the union from one thread must equal recording the
+        // halves from two live threads and merging — the snapshot is a
+        // merge over the thread stripes internally.
         let combined = AtomicHistogram::new();
         for &v in a.iter().chain(b.iter()) {
             combined.record(v);
         }
-        let windowed = WindowedHistogram::with_config(7, Duration::from_secs(1), 2);
-        // Same period for both halves: nothing rotates out.
-        for &v in a.iter().chain(b.iter()) {
-            windowed.record_at(0, v);
-        }
+        let striped = AtomicHistogram::new();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for half in [&a, &b] {
+                let (striped, barrier) = (&striped, &barrier);
+                s.spawn(move || {
+                    for &v in half {
+                        striped.record(v);
+                    }
+                    barrier.wait();
+                });
+            }
+        });
         let lhs = combined.snapshot();
-        let rhs = windowed.window_snapshot_at(0);
+        let rhs = striped.snapshot();
         prop_assert_eq!(lhs.count(), rhs.count());
         prop_assert_eq!(lhs.sum(), rhs.sum());
         for pct in [50.0, 90.0, 99.0, 99.9] {

@@ -1,6 +1,6 @@
 //! Exact counts across thread stripes.
 //!
-//! A [`Counter`] and a [`WindowedHistogram`] keep one cell per thread
+//! A [`Counter`] and an [`AtomicHistogram`] keep one cell per thread
 //! stripe and merge them on read. Once the recording threads are
 //! joined, every reading must equal what one thread recording the same
 //! values serially would read — with more live threads than
@@ -12,9 +12,8 @@
 //! another number of threads.
 
 use std::sync::{Barrier, OnceLock};
-use std::time::Duration;
 
-use blobseer_metrics::{AtomicHistogram, Counter, HistogramSnapshot, WindowedHistogram, STRIPES};
+use blobseer_metrics::{AtomicHistogram, Counter, HistogramSnapshot, STRIPES};
 
 /// 0 by default, a mix of `PROPTEST_SEED` when it is set.
 fn mix() -> u64 {
@@ -55,11 +54,8 @@ fn assert_same(got: &HistogramSnapshot, want: &HistogramSnapshot, what: &str) {
 #[test]
 fn more_live_threads_than_stripes_count_exactly() {
     let threads = STRIPES as u64 + 4 + mix() % 5;
-    // One timestamp for every record: nothing rotates, so the window
-    // must be exact too.
-    let now = draw(u64::MAX, 0) % (1 << 40);
     let counter = Counter::new();
-    let hist = WindowedHistogram::new();
+    let hist = AtomicHistogram::new();
     // Every thread lives until all have recorded, so more than STRIPES
     // threads hold a stripe at once and some must share.
     let barrier = Barrier::new(threads as usize);
@@ -69,7 +65,7 @@ fn more_live_threads_than_stripes_count_exactly() {
             s.spawn(move || {
                 for v in values(t) {
                     counter.add(v % 7 + 1);
-                    hist.record_at(now, v);
+                    hist.record(v);
                 }
                 barrier.wait();
             });
@@ -86,7 +82,6 @@ fn more_live_threads_than_stripes_count_exactly() {
     let want = oracle.snapshot();
     assert_eq!(counter.value(), total);
     assert_same(&hist.snapshot(), &want, "all-time");
-    assert_same(&hist.window_snapshot_at(now), &want, "window");
 }
 
 #[test]
@@ -94,7 +89,7 @@ fn short_lived_threads_one_after_another_count_exactly() {
     // Each thread claims a stripe, records once and exits, handing the
     // stripe back: 64 owners come and go over STRIPES cells.
     let counter = Counter::new();
-    let hist = WindowedHistogram::with_config(7, Duration::from_secs(1), 4);
+    let hist = AtomicHistogram::new();
     let oracle = AtomicHistogram::new();
     let mut total = 0u64;
     for t in 0..64u64 {
@@ -102,7 +97,7 @@ fn short_lived_threads_one_after_another_count_exactly() {
         std::thread::scope(|s| {
             s.spawn(|| {
                 counter.add(v);
-                hist.record_at(0, v);
+                hist.record(v);
             });
         });
         total += v;
@@ -111,5 +106,4 @@ fn short_lived_threads_one_after_another_count_exactly() {
         assert_eq!(hist.snapshot().count(), t + 1, "after thread {t}");
     }
     assert_same(&hist.snapshot(), &oracle.snapshot(), "all-time");
-    assert_same(&hist.window_snapshot_at(0), &oracle.snapshot(), "window");
 }

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use blobseer_metrics::{Counter, WindowedHistogram};
+use blobseer_metrics::{AtomicHistogram, Counter};
 use blobseer_types::{BlobError, PageId, ProviderId, Result};
 use bytes::Bytes;
 
@@ -53,8 +53,8 @@ pub struct DataProvider {
     bytes_verified: Counter,
     pages_repaired: AtomicU64,
     bytes_repaired: AtomicU64,
-    store_latency: WindowedHistogram,
-    fetch_latency: WindowedHistogram,
+    store_latency: AtomicHistogram,
+    fetch_latency: AtomicHistogram,
 }
 
 impl DataProvider {
@@ -77,8 +77,8 @@ impl DataProvider {
             bytes_verified: Counter::new(),
             pages_repaired: AtomicU64::new(0),
             bytes_repaired: AtomicU64::new(0),
-            store_latency: WindowedHistogram::new(),
-            fetch_latency: WindowedHistogram::new(),
+            store_latency: AtomicHistogram::new(),
+            fetch_latency: AtomicHistogram::new(),
         }
     }
 
@@ -320,13 +320,13 @@ impl DataProvider {
     /// Page-store latency on this provider, as its callers time it
     /// (`blobseer_provider_store_latency_seconds`). Buckets allocate on
     /// first record, so an idle provider costs a few words.
-    pub fn store_latency(&self) -> &WindowedHistogram {
+    pub fn store_latency(&self) -> &AtomicHistogram {
         &self.store_latency
     }
 
     /// Page-fetch latency on this provider, as its callers time it
     /// (`blobseer_provider_fetch_latency_seconds`).
-    pub fn fetch_latency(&self) -> &WindowedHistogram {
+    pub fn fetch_latency(&self) -> &AtomicHistogram {
         &self.fetch_latency
     }
 

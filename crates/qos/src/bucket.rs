@@ -16,7 +16,7 @@ const NANOS_PER_SEC: u128 = 1_000_000_000;
 /// injected time, with no drift, at any call cadence.
 ///
 /// Time is injected (`now_ns` on every call), never read: the engine
-/// passes the coarse metrics clock, tests pass virtual time.
+/// passes the metrics process clock, tests pass virtual time.
 ///
 /// # Examples
 ///

@@ -19,11 +19,10 @@
 //!
 //! **Time is always injected.** Nothing in this crate reads a clock:
 //! every method takes `now_ns`, a monotonic nanosecond timestamp. The
-//! engine passes the `blobseer_metrics` coarse clock; tests pass
-//! virtual time (`tests/isolation.rs` runs a whole noisy-neighbour
-//! scenario that way), which makes every throttling decision
-//! deterministic. That is the same `_at` idiom the metrics crate uses
-//! for its window snapshots.
+//! engine passes the `blobseer_metrics` process clock
+//! (`clock::precise_now`); tests pass virtual time
+//! (`tests/isolation.rs` runs a whole noisy-neighbour scenario that
+//! way), which makes every throttling decision deterministic.
 
 mod bucket;
 mod queue;

@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use blobseer_meta::plan::{borders_at_level, creates_position};
 use blobseer_meta::{Lineage, RootRef, UpdateContext};
+use blobseer_metrics::Counter;
 use blobseer_types::{div_ceil, BlobError, BlobId, ByteRange, NodePos, PageRange, Result, Version};
 use parking_lot::{Mutex, RwLock};
 
@@ -251,13 +252,13 @@ pub struct VersionManager {
     aborting: AtomicU64,
     blobs: BlobShards,
     next_blob: AtomicU64,
-    assigned: AtomicU64,
-    published: AtomicU64,
-    branches: AtomicU64,
-    read_views: AtomicU64,
-    aborted: AtomicU64,
-    renewals: AtomicU64,
-    lockfree_reads: AtomicU64,
+    assigned: Counter,
+    published: Counter,
+    branches: Counter,
+    read_views: Counter,
+    aborted: Counter,
+    renewals: Counter,
+    lockfree_reads: Counter,
     probe_armed: std::sync::atomic::AtomicBool,
     publish_probe: Mutex<Option<PublishProbe>>,
 }
@@ -276,13 +277,13 @@ impl VersionManager {
             aborting: AtomicU64::new(0),
             blobs: BlobShards::new(),
             next_blob: AtomicU64::new(1),
-            assigned: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            branches: AtomicU64::new(0),
-            read_views: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            renewals: AtomicU64::new(0),
-            lockfree_reads: AtomicU64::new(0),
+            assigned: Counter::new(),
+            published: Counter::new(),
+            branches: Counter::new(),
+            read_views: Counter::new(),
+            aborted: Counter::new(),
+            renewals: Counter::new(),
+            lockfree_reads: Counter::new(),
             probe_armed: std::sync::atomic::AtomicBool::new(false),
             publish_probe: Mutex::new(None),
         }
@@ -377,7 +378,7 @@ impl VersionManager {
         owner.as_deref_mut().unwrap_or(&mut parent).child_branch_points.push(at);
         drop((owner, parent));
         self.blobs.insert(child_id, Arc::new(BlobState::new(child, self.psize)));
-        self.branches.fetch_add(1, Ordering::Relaxed);
+        self.branches.increment();
         Ok(child_id)
     }
 
@@ -428,7 +429,7 @@ impl VersionManager {
             Inflight { range, root: new_root, state: UpdateState::Active, lease_expires },
         );
         self.lease_watermark.fetch_min(lease_expires, Ordering::Relaxed);
-        self.assigned.fetch_add(1, Ordering::Relaxed);
+        self.assigned.increment();
 
         if self.mode == ConcurrencyMode::SerializedMetadata {
             // Ablation: hold the writer until every lower version has
@@ -489,7 +490,7 @@ impl VersionManager {
         }
         let (published, skipped) = inner.drain_publishable();
         if published > 0 {
-            self.published.fetch_add(published as u64, Ordering::Relaxed);
+            self.published.add(published as u64);
         }
         if published + skipped > 0 {
             self.republish(blob, &state, &inner);
@@ -513,7 +514,7 @@ impl VersionManager {
             return match inf.state {
                 UpdateState::Active => {
                     inf.lease_expires = now + self.lease_ttl;
-                    self.renewals.fetch_add(1, Ordering::Relaxed);
+                    self.renewals.increment();
                     Ok(())
                 }
                 UpdateState::Completed => Ok(()),
@@ -687,11 +688,11 @@ impl VersionManager {
                 return Err(BlobError::AbortConflict(format!("{v} is not in flight")));
             }
         }
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+        self.aborted.increment();
         self.aborting.fetch_sub(1, Ordering::Relaxed);
         let (published, skipped) = inner.drain_publishable();
         if published > 0 {
-            self.published.fetch_add(published as u64, Ordering::Relaxed);
+            self.published.add(published as u64);
         }
         if published + skipped > 0 {
             self.republish(blob, &state, &inner);
@@ -709,7 +710,7 @@ impl VersionManager {
     /// cell: no blob mutex on this path.
     pub fn get_recent(&self, blob: BlobId) -> Result<Version> {
         let (words, _) = self.blob_state(blob)?.hot.read();
-        self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
+        self.lockfree_reads.increment();
         Ok(Version(words[0]))
     }
 
@@ -760,14 +761,14 @@ impl VersionManager {
     /// versions resolve under a single acquisition of the blob's lock,
     /// as before.
     pub fn snapshot_view(&self, blob: BlobId, v: Version) -> Result<ReadView> {
-        self.read_views.fetch_add(1, Ordering::Relaxed);
+        self.read_views.increment();
         let state = self.blob_state(blob)?;
         let (words, _) = state.hot.read();
         if words[0] == v.raw() {
             // The triple was the readable frontier at publication time
             // and snapshots are immutable, so it is valid for `v`
             // forever; the read linearizes at the seqlock load.
-            self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
+            self.lockfree_reads.increment();
             return Ok(Self::view_from_words(&state, words));
         }
         let inner = state.inner.lock();
@@ -827,10 +828,10 @@ impl VersionManager {
     /// mutex. Counts one read-view resolution and one
     /// [`VmStats::lockfree_reads`].
     pub fn latest_view(&self, blob: BlobId) -> Result<(Version, ReadView)> {
-        self.read_views.fetch_add(1, Ordering::Relaxed);
+        self.read_views.increment();
         let state = self.blob_state(blob)?;
         let (words, _) = state.hot.read();
-        self.lockfree_reads.fetch_add(1, Ordering::Relaxed);
+        self.lockfree_reads.increment();
         Ok((Version(words[0]), Self::view_from_words(&state, words)))
     }
 
@@ -937,13 +938,13 @@ impl VersionManager {
     pub fn stats(&self) -> VmStats {
         VmStats {
             blobs: self.blobs.len() as u64,
-            assigned: self.assigned.load(Ordering::Relaxed),
-            published: self.published.load(Ordering::Relaxed),
-            branches: self.branches.load(Ordering::Relaxed),
-            read_views: self.read_views.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            lease_renewals: self.renewals.load(Ordering::Relaxed),
-            lockfree_reads: self.lockfree_reads.load(Ordering::Relaxed),
+            assigned: self.assigned.value(),
+            published: self.published.value(),
+            branches: self.branches.value(),
+            read_views: self.read_views.value(),
+            aborted: self.aborted.value(),
+            lease_renewals: self.renewals.value(),
+            lockfree_reads: self.lockfree_reads.value(),
         }
     }
 
