@@ -1,7 +1,7 @@
 //! Provider fault tolerance end-to-end: the in-place store retry,
 //! write-path failover, corrupt copies treated as misses, the replica
 //! repairer, and the sliced-wait self-help hook. Deterministic
-//! companions to the randomized `tests/prop_provider_crash.rs`.
+//! companions to the provider faults of `tests/small_scope.rs`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

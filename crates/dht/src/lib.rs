@@ -46,12 +46,12 @@
 //!   counter, striped by thread, so readers of the same hot node (every
 //!   reader of a snapshot fetches the same root) never serialize and
 //!   never write a cache line another reader writes.
-//! - **A live cell is never rewritten.** `remove` and a slab sweep turn
-//!   it into a tombstone, which is never reused in place. Writers
-//!   (`put_new`, `remove`, reservations, sweeps, rebuilds) serialize on
-//!   the bucket's mutex. Slot fills and slot reads take no lock: a
-//!   fill is a CAS from empty, a read a one-slot seqlock that also
-//!   checks the run's generation (`slab`).
+//! - **A live cell is never rewritten.** A slab sweep turns it into a
+//!   tombstone, which is never reused in place. Writers (`put_new`,
+//!   reservations, sweeps, rebuilds) serialize on the bucket's mutex.
+//!   Slot fills and slot reads take no lock: a fill is a CAS from
+//!   empty, a read a one-slot seqlock that also checks the run's
+//!   generation (`slab`).
 //! - **The rebuild sequence.** When live entries plus tombstones pass ¾
 //!   of a bucket's capacity, the inserting writer makes the bucket's
 //!   rebuild sequence odd, appends a segment (if live entries fill
@@ -62,20 +62,20 @@
 //!   **miss** counts only if the sequence was even and unchanged across
 //!   the probe, and otherwise the reader probes again under the bucket
 //!   mutex. Readers never spin.
-//! - **Waits.** Blocking waiters park on **per-key wait queues** under
-//!   a separate wait mutex, in one parking loop for both stores
+//! - **Waits.** Blocking waiters ([`Slabs::wait`]) park on **per-key
+//!   wait queues** under a separate wait mutex, in one parking loop
 //!   (`Bucket::park`), and a per-bucket waiter count gates the wakeup
 //!   path: an uncontended store (no parked readers — by far the usual
 //!   case) never touches the wait mutex or any condvar, and a
-//!   contended one notifies only the condvars of *its own keys* (a
-//!   slab store: every key of its slab's version). A lost wakeup is
-//!   ruled out by a pair of SeqCst fences: the store publishes its
-//!   cell or slots, fences, then loads the waiter count; the waiter
-//!   bumps the count, fences, then re-probes. Whichever fence comes
-//!   second in the single total order sees the other side's store —
-//!   the waiter finds the value, or the store finds the waiter (and
-//!   notifies under the wait mutex, which the waiter holds until it
-//!   parks). A slab's waiters park in its header's bucket.
+//!   contended one notifies only the condvars of *its own keys* (every
+//!   key of its slab's version). A lost wakeup is ruled out by a pair
+//!   of SeqCst fences: the store publishes its slots, fences, then
+//!   loads the waiter count; the waiter bumps the count, fences, then
+//!   re-probes. Whichever fence comes second in the single total order
+//!   sees the other side's store — the waiter finds the value, or the
+//!   store finds the waiter (and notifies under the wait mutex, which
+//!   the waiter holds until it parks). A slab's waiters park in its
+//!   header's bucket.
 //! - **`for_each` holds the bucket mutex** while it visits that bucket,
 //!   so it sees every entry present for the whole visit and a writer
 //!   to the bucket waits only while that bucket is being visited.
@@ -111,7 +111,8 @@ use table::{Entry, Table};
 /// Errors from blocking DHT operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DhtError {
-    /// `get_wait` exceeded its deadline without the key appearing.
+    /// A blocking wait ([`Slabs::wait`]) exceeded its deadline without
+    /// the value appearing.
     WaitTimeout,
 }
 
@@ -268,10 +269,11 @@ impl Bucket {
 /// A sharded, in-process key/value store with static key distribution.
 ///
 /// One bucket models one metadata provider. All operations are
-/// thread-safe; `put_new` wakes the `get_wait`ers parked on its key.
+/// thread-safe. A [`Slabs`] store keeps its headers in one and parks
+/// its waiters in its buckets.
 pub struct Dht<K, V> {
     buckets: Box<[Bucket]>,
-    /// Block-time distribution of `get_wait` calls that actually
+    /// Block-time distribution of [`Slabs::wait`] calls that actually
     /// parked. Always recorded (never gated on a config flag): a
     /// blocking metadata wait is milliseconds-scale, so the one timer
     /// read it costs is noise — and the p999 of this histogram is the
@@ -296,7 +298,7 @@ where
         }
     }
 
-    /// The shared block-time histogram of [`Dht::get_wait`] (nanoseconds
+    /// The shared block-time histogram of [`Slabs::wait`] (nanoseconds
     /// per blocking call). Handed to a metrics registry so the store
     /// can expose `dht_get_wait` percentiles.
     pub fn wait_latency(&self) -> Arc<AtomicHistogram> {
@@ -324,23 +326,16 @@ where
 
     /// Store a value only if the key is absent; returns `true` when
     /// this call inserted. The only store: a stored value is never
-    /// replaced, only removed. That is the write-fencing primitive
-    /// behind version abort repair: a repair must fill in the nodes a
-    /// dead writer never stored without clobbering the ones it did
-    /// (readers may already have woven content from them), and a
-    /// zombie writer's late stores must lose to an already-placed
-    /// repair node. An insert wakes readers blocked on *this
-    /// key*, touching no lock at all while nobody is parked on the
-    /// bucket, and no condvar unless someone is parked on this key.
+    /// replaced. That is the write-fencing primitive behind version
+    /// abort repair: a repair must fill in the nodes a dead writer
+    /// never stored without clobbering the ones it did (readers may
+    /// already have woven content from them), and a zombie writer's
+    /// late stores must lose to an already-placed repair node.
     pub fn put_new(&self, key: K, value: V) -> bool {
         let (words, b, fraction) = self.locate(&key);
         b.stats.puts.increment();
         let (kind, value) = value.encode();
-        let inserted = b.table.insert(&Entry { key: words, kind, value }, fraction);
-        if inserted {
-            b.wake(&words);
-        }
-        inserted
+        b.table.insert(&Entry { key: words, kind, value }, fraction)
     }
 
     /// Fetch a value if present. Lock-free: concurrent `get`s of
@@ -351,29 +346,8 @@ where
         b.table.get(&words, fraction).map(|(kind, value)| V::decode(kind, value))
     }
 
-    /// Fetch a value, blocking until it appears or `timeout` elapses.
-    ///
-    /// This is how a reader of still-being-written metadata waits for
-    /// the lower-versioned writer to finish (§4.2). One recorded wait
-    /// and one block-time sample per call that parked, spanning first
-    /// park to exit.
-    pub fn get_wait(&self, key: &K, timeout: Duration) -> Result<V, DhtError> {
-        let (words, b, fraction) = self.locate(key);
-        b.stats.gets.increment();
-        let find = || b.table.get(&words, fraction).map(|(kind, value)| V::decode(kind, value));
-        b.park(words, timeout, timeout, || {}, &self.wait_latency, find)
-    }
-
-    /// Remove a key, returning the previous value if any. Only tests
-    /// call it: metadata is write-once, and garbage collection
-    /// tombstones slab slots ([`Slabs::sweep`]).
-    pub fn remove(&self, key: &K) -> Option<V> {
-        let (words, b, fraction) = self.locate(key);
-        b.table.remove(&words, fraction).map(|(kind, value)| V::decode(kind, value))
-    }
-
     /// Visit every stored entry, one bucket at a time under that
-    /// bucket's **mutex**: readers and `get_wait`ers proceed in
+    /// bucket's **mutex**: readers and waiters proceed in
     /// parallel, and a writer to a bucket waits only while that bucket
     /// is being visited. The view is per-bucket consistent, not global —
     /// an entry stored into a bucket the visit already passed is not
@@ -446,65 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn put_new_wakes_waiters_on_insert() {
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(2));
-        let d2 = Arc::clone(&dht);
-        let waiter = std::thread::spawn(move || d2.get_wait(&9, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(dht.put_new(9, 42));
-        assert_eq!(waiter.join().unwrap(), Ok(42));
-    }
-
-    #[test]
-    fn remove_works() {
-        let dht: Dht<u64, u64> = Dht::new(4);
-        dht.put_new(7, 1);
-        assert_eq!(dht.remove(&7), Some(1));
-        assert_eq!(dht.remove(&7), None);
-        assert!(dht.is_empty());
-    }
-
-    #[test]
-    fn get_wait_returns_immediately_when_present() {
-        let dht: Dht<u64, u64> = Dht::new(4);
-        dht.put_new(1, 10);
-        assert_eq!(dht.get_wait(&1, Duration::from_millis(1)), Ok(10));
-    }
-
-    #[test]
-    fn get_wait_blocks_until_put() {
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(4));
-        let d2 = Arc::clone(&dht);
-        let waiter = std::thread::spawn(move || d2.get_wait(&42, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(30));
-        dht.put_new(42, 99);
-        assert_eq!(waiter.join().unwrap(), Ok(99));
-    }
-
-    #[test]
-    fn get_wait_times_out() {
-        let dht: Dht<u64, u64> = Dht::new(4);
-        let t0 = Instant::now();
-        assert_eq!(dht.get_wait(&42, Duration::from_millis(30)), Err(DhtError::WaitTimeout));
-        assert!(t0.elapsed() >= Duration::from_millis(30));
-    }
-
-    #[test]
-    fn many_waiters_all_wake() {
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(2));
-        let mut handles = Vec::new();
-        for _ in 0..16 {
-            let d = Arc::clone(&dht);
-            handles.push(std::thread::spawn(move || d.get_wait(&5, Duration::from_secs(5))));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        dht.put_new(5, 55);
-        for h in handles {
-            assert_eq!(h.join().unwrap(), Ok(55));
-        }
-    }
-
-    #[test]
     fn keys_spread_over_buckets() {
         let dht: Dht<u64, u64> = Dht::new(16);
         for k in 0..10_000 {
@@ -525,12 +440,11 @@ mod tests {
         let dht: Dht<u64, u64> = Dht::new(1);
         dht.put_new(1, 1);
         dht.get(&1);
-        dht.get(&1);
-        let _ = dht.get_wait(&2, Duration::from_millis(1));
+        dht.get(&2);
         let s = dht.stats();
         assert_eq!(s.total_puts, 1);
-        assert_eq!(s.total_gets, 3);
-        assert!(s.total_waits >= 1);
+        assert_eq!(s.total_gets, 2);
+        assert_eq!(s.total_waits, 0);
     }
 
     #[test]
@@ -544,102 +458,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..100).map(|k| (k, k * 2)).collect::<Vec<_>>());
         assert_eq!(dht.len(), 100);
-    }
-
-    #[test]
-    fn one_wait_recorded_per_blocking_call() {
-        // A blocking call that sees several puts-to-other-keys (each a
-        // notify_all, i.e. a wakeup that is spurious for this waiter)
-        // must still count as exactly one wait.
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(1));
-        let d = Arc::clone(&dht);
-        let waiter = std::thread::spawn(move || d.get_wait(&1, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        for k in 100..110 {
-            dht.put_new(k, k); // same bucket, wrong key: spurious wakeups
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        dht.put_new(1, 11);
-        assert_eq!(waiter.join().unwrap(), Ok(11));
-        assert_eq!(dht.stats().total_waits, 1);
-
-        // Non-blocking calls record no wait at all.
-        assert_eq!(dht.get_wait(&1, Duration::from_secs(1)), Ok(11));
-        assert_eq!(dht.stats().total_waits, 1);
-    }
-
-    #[test]
-    fn wait_duration_recorded_once_and_spans_the_block() {
-        // The latency histogram mirrors the wait counter's invariant:
-        // one sample per blocking call — and the sample covers the
-        // whole block, spurious wakeups included.
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(1));
-        let d = Arc::clone(&dht);
-        let waiter = std::thread::spawn(move || d.get_wait(&1, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(25));
-        dht.put_new(99, 99); // spurious wakeup: must not split the sample
-        std::thread::sleep(Duration::from_millis(25));
-        dht.put_new(1, 11);
-        assert_eq!(waiter.join().unwrap(), Ok(11));
-        let snap = dht.wait_latency().snapshot();
-        assert_eq!(snap.count(), 1);
-        assert!(snap.sum() >= 50_000_000, "blocked ~50ms but recorded {}ns", snap.sum());
-
-        // Fast-path (non-blocking) calls record nothing.
-        assert_eq!(dht.get_wait(&1, Duration::from_secs(1)), Ok(11));
-        assert_eq!(dht.wait_latency().snapshot().count(), 1);
-    }
-
-    #[test]
-    fn waiters_on_distinct_keys_wake_independently() {
-        // Two waiters parked on different keys of the same bucket: a
-        // put to one key must complete exactly that waiter, and must
-        // not disturb (or lose) the other.
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(1));
-        let d1 = Arc::clone(&dht);
-        let w1 = std::thread::spawn(move || d1.get_wait(&1, Duration::from_secs(10)));
-        let d2 = Arc::clone(&dht);
-        let w2 = std::thread::spawn(move || d2.get_wait(&2, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(30));
-        dht.put_new(1, 11);
-        assert_eq!(w1.join().unwrap(), Ok(11));
-        assert!(!w2.is_finished(), "waiter on key 2 must still be parked");
-        dht.put_new(2, 22);
-        assert_eq!(w2.join().unwrap(), Ok(22));
-    }
-
-    #[test]
-    fn key_queue_is_dropped_when_last_waiter_leaves() {
-        let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(1));
-        // A timed-out waiter must clean its queue up...
-        assert_eq!(dht.get_wait(&7, Duration::from_millis(10)), Err(DhtError::WaitTimeout));
-        assert!(dht.buckets[0].wait_queues.lock().is_empty());
-        assert_eq!(dht.buckets[0].waiters.load(Ordering::SeqCst), 0);
-        // ...and so must satisfied waiters.
-        let d = Arc::clone(&dht);
-        let w = std::thread::spawn(move || d.get_wait(&8, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        dht.put_new(8, 88);
-        assert_eq!(w.join().unwrap(), Ok(88));
-        assert!(dht.buckets[0].wait_queues.lock().is_empty());
-        assert_eq!(dht.buckets[0].waiters.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn uncontended_put_and_parked_waiter_interleave() {
-        // Hammer the registration window: waiters that race the put
-        // either see the value on their fast/re-check path or are woken
-        // by the gated notify — never lost.
-        for round in 0..200u64 {
-            let dht: Arc<Dht<u64, u64>> = Arc::new(Dht::new(1));
-            let d = Arc::clone(&dht);
-            let waiter = std::thread::spawn(move || d.get_wait(&round, Duration::from_secs(5)));
-            if round % 2 == 0 {
-                std::thread::yield_now();
-            }
-            dht.put_new(round, round * 3);
-            assert_eq!(waiter.join().unwrap(), Ok(round * 3), "round {round}");
-        }
     }
 
     #[test]

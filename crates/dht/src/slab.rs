@@ -611,6 +611,76 @@ mod tests {
     }
 
     #[test]
+    fn one_wait_and_one_sample_per_blocking_call() {
+        // Stores to other keys of the same bucket while the waiter is
+        // parked must not split its wait: one recorded wait and one
+        // latency sample, spanning the whole block.
+        let slabs = Store::new(1);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| wait(&slabs, 1, Duration::from_secs(5), Duration::ZERO, || {}));
+            std::thread::sleep(Duration::from_millis(25));
+            for k in 100..105 {
+                put(&slabs, k, k);
+            }
+            std::thread::sleep(Duration::from_millis(25));
+            put(&slabs, 1, 11);
+            assert_eq!(waiter.join().unwrap(), Ok(11));
+        });
+        assert_eq!(slabs.stats().total_waits, 1);
+        let snap = slabs.wait_latency().snapshot();
+        assert_eq!(snap.count(), 1);
+        assert!(snap.sum() >= 50_000_000, "blocked ~50ms but recorded {}ns", snap.sum());
+        // A wait its first probe answers records nothing.
+        assert_eq!(wait(&slabs, 1, Duration::from_secs(1), Duration::ZERO, || {}), Ok(11));
+        assert_eq!(slabs.stats().total_waits, 1);
+        assert_eq!(slabs.wait_latency().snapshot().count(), 1);
+    }
+
+    #[test]
+    fn waiters_on_distinct_keys_wake_independently() {
+        // Waiters on two keys of one bucket, three on the first: a store
+        // to that key completes exactly its waiters.
+        let slabs = Store::new(1);
+        std::thread::scope(|s| {
+            let first: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| wait(&slabs, 1, Duration::from_secs(10), Duration::ZERO, || {}))
+                })
+                .collect();
+            let second =
+                s.spawn(|| wait(&slabs, 2, Duration::from_secs(10), Duration::ZERO, || {}));
+            std::thread::sleep(Duration::from_millis(30));
+            put(&slabs, 1, 11);
+            for w in first {
+                assert_eq!(w.join().unwrap(), Ok(11));
+            }
+            assert!(!second.is_finished(), "the waiter on key 2 must still be parked");
+            put(&slabs, 2, 22);
+            assert_eq!(second.join().unwrap(), Ok(22));
+        });
+    }
+
+    #[test]
+    fn a_key_queue_is_dropped_when_its_last_waiter_leaves() {
+        let slabs = Store::new(1);
+        let bucket = &slabs.headers.buckets[0];
+        // A timed-out waiter cleans its queue up...
+        let timeout = Duration::from_millis(10);
+        assert_eq!(wait(&slabs, 7, timeout, Duration::ZERO, || {}), Err(DhtError::WaitTimeout));
+        assert!(bucket.wait_queues.lock().is_empty());
+        assert_eq!(bucket.waiters.load(Ordering::SeqCst), 0);
+        // ...and so does a satisfied one.
+        std::thread::scope(|s| {
+            let w = s.spawn(|| wait(&slabs, 8, Duration::from_secs(5), Duration::ZERO, || {}));
+            std::thread::sleep(Duration::from_millis(20));
+            put(&slabs, 8, 88);
+            assert_eq!(w.join().unwrap(), Ok(88));
+        });
+        assert!(bucket.wait_queues.lock().is_empty());
+        assert_eq!(bucket.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
     fn sliced_wait_with_zero_slice_degrades_to_plain_wait() {
         let slabs = Store::new(4);
         put(&slabs, 1, 10);

@@ -47,7 +47,7 @@ impl BucketCounters {
 pub struct BucketStats {
     /// Entries currently stored.
     pub entries: usize,
-    /// Lifetime `get`/`get_wait` calls routed here.
+    /// Lifetime gets routed here.
     pub gets: u64,
     /// Lifetime `put_new` calls routed here (inserted or not).
     pub puts: u64,

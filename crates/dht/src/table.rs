@@ -18,11 +18,11 @@
 //! probe; otherwise (and after a torn hit) the reader probes again
 //! under the writer lock. Readers never spin.
 //!
-//! **Writers** (`insert`, `remove`, `retain`, rebuilds) serialize on
-//! the bucket's mutex. A live cell is never overwritten: `remove` and
-//! `retain` turn it into a tombstone, and a tombstone is never reused
-//! in place, so outside a rebuild a cell only ever goes empty → busy →
-//! live → tombstone and no probe chain is ever cut.
+//! **Writers** (`insert`, `retain`, rebuilds) serialize on the
+//! bucket's mutex. A live cell is never overwritten: `retain` turns it
+//! into a tombstone, and a tombstone is never reused in place, so
+//! outside a rebuild a cell only ever goes empty → busy → live →
+//! tombstone and no probe chain is ever cut.
 //!
 //! **Growth never frees what a reader may be probing.** The cells are
 //! a list of append-only segments: segment 0 holds `BASE` cells and
@@ -316,18 +316,6 @@ impl Table {
         self.locked_cell(slot).fill(e, tag(fraction));
         self.writer.live.store(live + 1, Ordering::Relaxed);
         true
-    }
-
-    /// Tombstone `key`'s cell; its value, if it was present.
-    pub(crate) fn remove(&self, key: &[u64; 4], fraction: u64) -> Option<(bool, [u64; 3])> {
-        let mut tombs = self.writer.lock.lock();
-        let (i, s) = self.locate(key, fraction).ok()?;
-        let cell = self.locked_cell(i);
-        let value = cell.value();
-        cell.state.store((s & !STATE) | TOMB, Ordering::Release);
-        *tombs += 1;
-        self.writer.live.fetch_sub(1, Ordering::Relaxed);
-        Some((s & KIND != 0, value))
     }
 
     /// Tombstone every live entry `keep` rejects; the number removed.

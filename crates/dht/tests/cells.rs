@@ -1,5 +1,10 @@
-//! Concurrency tests of the write-once cell table: lock-free readers
-//! and whole-table visits racing growth, compaction and waits.
+//! Concurrency tests of the write-once cell table, through the store
+//! that keeps its headers there ([`Slabs`]): lock-free header probes
+//! and whole-table visits racing growth, sweeps and compaction.
+//!
+//! Each key's slab is one slot, so a header probe and a value read are
+//! one key's two halves. Removal is a [`Slabs::sweep`] of a batch of
+//! old keys, the only way a header cell turns into a tombstone.
 //!
 //! Sized to run in about a second with `--release`. `PROPTEST_SEED`
 //! moves every key (see [`base`]), so each seed of CI's stress job
@@ -9,9 +14,8 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
 
-use blobseer_dht::{CellKey, CellValue, Dht};
+use blobseer_dht::{CellValue, Layout, Slabs};
 
 /// Held by each test for its whole run. The races only show while the
 /// threads of one test share the CPUs with nothing else, so the tests
@@ -32,21 +36,34 @@ fn base() -> u64 {
     })
 }
 
-/// Key `i` of a test, stored as word `base() + i`. The encoding uses
-/// all four words, so a probe that compared fewer would be caught.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Key(u64);
+/// The slab key of key `i`: both words derive from it, so a probe that
+/// compared only one would be caught.
+fn key(i: u64) -> (u64, u64) {
+    let k = base() + i;
+    (k, k.rotate_left(17) ^ 0x5555_5555_5555_5555)
+}
 
-impl CellKey for Key {
-    fn encode(&self) -> [u64; 4] {
-        let k = base() + self.0;
-        [k, !k, k.rotate_left(17), k ^ 0x5555_5555_5555_5555]
+/// The index a slab key was made from.
+fn index((k, _): (u64, u64)) -> u64 {
+    k - base()
+}
+
+/// One slot.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct One;
+
+impl Layout for One {
+    fn encode(&self) -> [u64; 2] {
+        [1, !1]
     }
 
-    fn decode(w: [u64; 4]) -> Self {
-        let key = Key(w[0] - base());
-        assert_eq!(key.encode(), w, "torn key");
-        key
+    fn decode(w: [u64; 2]) -> Self {
+        assert_eq!(w, [1, !1], "torn header");
+        One
+    }
+
+    fn slots(&self) -> usize {
+        1
     }
 }
 
@@ -72,78 +89,86 @@ impl CellValue for Val {
     }
 }
 
+type Store = Slabs<One, Val>;
+
+/// Reserve key `i`'s slab and fill its slot; `false` if it was there.
+fn put(slabs: &Store, i: u64) -> bool {
+    let slab = slabs.reserve(key(i), One);
+    slabs.store(key(i), &slab, [(0, val(i))]) == 1
+}
+
+/// Key `i`'s value: a header probe, then a slot read.
+fn get(slabs: &Store, i: u64) -> Option<Val> {
+    let slab = slabs.slab(key(i))?;
+    slabs.get(key(i), Some((&slab, 0)))
+}
+
+/// Remove the keys `from..to`: one sweep, which turns their headers
+/// into tombstones.
+fn remove_below(slabs: &Store, from: u64, to: u64) {
+    slabs.sweep(|k| (from..to).contains(&index(k)), |_, _, _, _| false);
+}
+
 /// Keys present before the churn starts and never removed.
 const STABLE: u64 = 2_000;
-/// Churn keys alive at once: key `j` is removed when key `j + WINDOW`
-/// is inserted.
+/// Churn keys alive at once, give or take one batch: after every
+/// `BATCH` inserts, the keys more than `WINDOW` behind are swept.
 const WINDOW: u64 = 4_000;
+const BATCH: u64 = 64;
 /// Churn keys inserted in all.
 const CHURN: u64 = 60_000;
-
-/// Op index of churn key `j`'s insert: `WINDOW` inserts, then
-/// alternating insert/remove pairs.
-fn insert_op(j: u64) -> u64 {
-    if j < WINDOW {
-        j
-    } else {
-        WINDOW + 2 * (j - WINDOW)
-    }
-}
-
-/// Op index of churn key `j`'s removal.
-fn remove_op(j: u64) -> u64 {
-    insert_op(j + WINDOW) + 1
-}
 
 /// Four buckets holding the stable keys: growing to `STABLE + WINDOW`
 /// live keys takes every bucket through several growths, and the
 /// churn's tombstones then force repeated compactions.
-fn stable_table() -> Dht<Key, Val> {
-    let dht = Dht::new(4);
+fn stable_table() -> Store {
+    let slabs = Store::new(4);
     for k in 0..STABLE {
-        assert!(dht.put_new(Key(k), val(k)));
+        assert!(put(&slabs, k));
     }
-    dht
+    slabs
 }
 
-/// The writer: insert churn keys, removing each `WINDOW` inserts later;
-/// `progress` counts completed ops.
-fn churn(dht: &Dht<Key, Val>, progress: &AtomicU64) {
+/// The writer: insert churn keys, sweeping those `WINDOW` behind every
+/// `BATCH` inserts. `inserted` counts churn keys stored; `swept` is the
+/// churn index below which keys are being (or have been) removed,
+/// raised before each sweep starts.
+fn churn(slabs: &Store, inserted: &AtomicU64, swept: &AtomicU64) {
     for j in 0..CHURN {
-        assert!(dht.put_new(Key(STABLE + j), val(STABLE + j)));
-        progress.fetch_add(1, Ordering::SeqCst);
-        if j >= WINDOW {
-            let gone = STABLE + j - WINDOW;
-            assert_eq!(dht.remove(&Key(gone)), Some(val(gone)));
-            progress.fetch_add(1, Ordering::SeqCst);
+        assert!(put(slabs, STABLE + j));
+        inserted.store(j + 1, Ordering::SeqCst);
+        if j % BATCH == BATCH - 1 && j >= WINDOW {
+            let (from, to) = (swept.load(Ordering::SeqCst), j + 1 - WINDOW);
+            swept.store(to, Ordering::SeqCst);
+            remove_below(slabs, STABLE + from, STABLE + to);
         }
     }
 }
 
-fn assert_rebuilt(dht: &Dht<Key, Val>) {
-    let stats = dht.stats();
+fn assert_rebuilt(slabs: &Store, swept: &AtomicU64) {
+    let stats = slabs.stats();
     assert!(stats.growths >= 6, "only {} growths", stats.growths);
     assert!(stats.compactions >= 3, "only {} compactions", stats.compactions);
-    assert_eq!(dht.len() as u64, STABLE + WINDOW);
+    assert_eq!(slabs.live() as u64, STABLE + CHURN - swept.load(Ordering::SeqCst));
 }
 
 #[test]
 fn readers_never_miss_a_present_key_through_growth_and_compaction() {
     let _turn = one_at_a_time();
-    let dht = stable_table();
+    let slabs = stable_table();
     let done = AtomicBool::new(false);
-    let progress = AtomicU64::new(0);
+    let (inserted, swept) = (AtomicU64::new(0), AtomicU64::new(0));
     let gets: u64 = std::thread::scope(|s| {
         let readers: Vec<_> = (0..2u64)
             .map(|t| {
-                let (dht, done) = (&dht, &done);
+                let (slabs, done) = (&slabs, &done);
                 s.spawn(move || {
                     let mut gets = 0u64;
                     while !done.load(Ordering::Relaxed) {
                         // The two readers walk the keys in opposite orders.
                         for i in 0..STABLE {
                             let k = if t == 0 { i } else { STABLE - 1 - i };
-                            assert_eq!(dht.get(&Key(k)), Some(val(k)), "key {k}");
+                            assert_eq!(get(slabs, k), Some(val(k)), "key {k}");
                         }
                         gets += STABLE;
                     }
@@ -151,51 +176,50 @@ fn readers_never_miss_a_present_key_through_growth_and_compaction() {
                 })
             })
             .collect();
-        churn(&dht, &progress);
+        churn(&slabs, &inserted, &swept);
         done.store(true, Ordering::Relaxed);
         readers.into_iter().map(|r| r.join().unwrap()).sum()
     });
     assert!(gets > 0);
-    assert_rebuilt(&dht);
+    assert_rebuilt(&slabs, &swept);
 }
 
 #[test]
 fn for_each_sees_every_key_present_for_the_whole_visit() {
     let _turn = one_at_a_time();
-    let dht = stable_table();
+    let slabs = stable_table();
     let done = AtomicBool::new(false);
-    let progress = AtomicU64::new(0);
+    let (inserted, swept) = (AtomicU64::new(0), AtomicU64::new(0));
     let visits = std::thread::scope(|s| {
         let visitor = s.spawn(|| {
             let mut visits = 0u64;
             while !done.load(Ordering::Relaxed) {
-                let before = progress.load(Ordering::SeqCst);
+                let before = inserted.load(Ordering::SeqCst);
                 let mut seen = HashSet::new();
-                dht.for_each(|k, v| {
-                    assert_eq!(*v, val(k.0), "key {}", k.0);
-                    assert!(seen.insert(k.0), "key {} visited twice", k.0);
+                slabs.for_each_live(One::slots, |v| {
+                    let k = v.words[0];
+                    assert_eq!(v, val(k), "key {k}");
+                    assert!(seen.insert(k), "key {k} visited twice");
                 });
-                let after = progress.load(Ordering::SeqCst);
+                let cut = swept.load(Ordering::SeqCst);
                 for k in 0..STABLE {
                     assert!(seen.contains(&k), "stable key {k} missed");
                 }
-                // Inserted before the visit began, not yet being removed
+                // Inserted before the visit began, not yet being swept
                 // when it ended.
-                for j in 0..CHURN {
-                    if insert_op(j) < before && remove_op(j) > after {
-                        assert!(seen.contains(&(STABLE + j)), "churn key {j} missed");
-                    }
+                for j in cut..before {
+                    assert!(seen.contains(&(STABLE + j)), "churn key {j} missed");
                 }
                 visits += 1;
             }
             visits
         });
-        churn(&dht, &progress);
+        churn(&slabs, &inserted, &swept);
         done.store(true, Ordering::Relaxed);
         visitor.join().unwrap()
     });
     assert!(visits > 0);
-    assert_rebuilt(&dht);
+    assert_rebuilt(&slabs, &swept);
 }
 
 #[test]
@@ -204,67 +228,22 @@ fn capacity_tracks_peak_live_not_churn() {
     // One bucket, so the bound is about the rebuild policy rather than
     // how evenly the hash spreads keys over buckets.
     const LIVE: u64 = 1_000;
-    let dht: Dht<Key, u64> = Dht::new(1);
+    let slabs = Store::new(1);
     for k in 0..LIVE {
-        dht.put_new(Key(k), k);
+        put(&slabs, k);
     }
     for k in LIVE..LIVE + 1_000_000 {
-        assert!(dht.put_new(Key(k), k));
-        assert_eq!(dht.remove(&Key(k - LIVE)), Some(k - LIVE));
+        assert!(put(&slabs, k));
+        if k % LIVE == LIVE - 1 {
+            remove_below(&slabs, k + 1 - 2 * LIVE, k + 1 - LIVE);
+        }
     }
-    let stats = dht.stats();
-    let peak = LIVE as usize + 1;
+    let stats = slabs.stats();
+    let peak = 2 * LIVE as usize;
     assert!(stats.capacity <= 4 * peak, "{} cells for {peak} live keys", stats.capacity);
     assert!(stats.compactions > 0, "churn never compacted");
-    assert_eq!(dht.len(), LIVE as usize);
+    assert_eq!(slabs.live(), LIVE as usize);
     for k in 1_000_000..1_000_000 + LIVE {
-        assert_eq!(dht.get(&Key(k)), Some(k));
+        assert_eq!(get(&slabs, k), Some(val(k)));
     }
-}
-
-#[test]
-fn a_put_racing_a_new_waiter_always_wakes_it() {
-    let _turn = one_at_a_time();
-    // The waiter registers and re-probes while the put publishes and
-    // checks for waiters, at offsets swept over about a microsecond. A
-    // lost wakeup leaves the waiter parked until its timeout; a round
-    // that takes half of it fails.
-    const ROUNDS: u64 = 100_000;
-    const TIMEOUT: Duration = Duration::from_secs(5);
-    let dht: Dht<Key, u64> = Dht::new(1);
-    let go = AtomicU64::new(u64::MAX);
-    let finished = AtomicU64::new(u64::MAX);
-    let spin_until = |cell: &AtomicU64, round: u64| {
-        let (start, mut spins) = (Instant::now(), 0u32);
-        while cell.load(Ordering::Acquire) != round {
-            assert!(start.elapsed() < 2 * TIMEOUT, "round {round}: the other thread stalled");
-            spins += 1;
-            if spins > 1_000 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    };
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for round in 0..ROUNDS {
-                spin_until(&go, round);
-                let start = Instant::now();
-                assert_eq!(dht.get_wait(&Key(round), TIMEOUT), Ok(round), "round {round}");
-                let took = start.elapsed();
-                assert!(took < TIMEOUT / 2, "round {round}: woken after {took:?}");
-                finished.store(round, Ordering::Release);
-            }
-        });
-        for round in 0..ROUNDS {
-            go.store(round, Ordering::Release);
-            for i in 0..round % 1024 {
-                std::hint::black_box(i);
-            }
-            assert!(dht.put_new(Key(round), round));
-            spin_until(&finished, round);
-            dht.remove(&Key(round));
-        }
-    });
 }

@@ -178,16 +178,19 @@ impl AtomicHistogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let p = GROUPING_POWER;
         let mut buckets = vec![0; bucket_count(p)];
+        let mut count = 0;
         for (g, lines) in self.allocated() {
             let dst = &mut buckets[group_start(p, g)..][..group_len(p, g)];
             for run in lines.chunks(lines_per_run(g)) {
                 for (dst, src) in dst.iter_mut().zip(run.iter().flat_map(|line| line.iter())) {
-                    *dst += src.load(Ordering::Relaxed);
+                    let n = src.load(Ordering::Relaxed);
+                    *dst += n;
+                    count += n;
                 }
             }
         }
         let sum = self.sums.iter().fold(0u64, |sum, s| sum.wrapping_add(s.load(Ordering::Relaxed)));
-        HistogramSnapshot { sum, buckets }
+        HistogramSnapshot { count, sum, buckets }
     }
 }
 
@@ -223,6 +226,8 @@ impl Default for AtomicHistogram {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
+    /// The bucket counts' total, added up once by `snapshot`.
+    count: u64,
     sum: u64,
     buckets: Vec<u64>,
 }
@@ -230,7 +235,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.count
     }
 
     /// Sum of all recorded values (wrapping).
@@ -240,14 +245,14 @@ impl HistogramSnapshot {
 
     /// Mean recorded value, or 0 when empty.
     pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count()).unwrap_or(0)
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// The value at percentile `pct` (0–100), or `None` when empty.
     /// Reported as the upper edge of the bucket holding that rank; see
     /// the type docs for the error bound.
     pub fn percentile(&self, pct: f64) -> Option<u64> {
-        let total = self.count();
+        let total = self.count;
         if total == 0 || !pct.is_finite() {
             return None;
         }
@@ -354,6 +359,27 @@ mod tests {
         assert_eq!(snap.percentile(50.0), None);
         assert_eq!(snap.mean(), 0);
         assert_eq!(snap.max(), 0);
+    }
+
+    #[test]
+    fn count_is_the_bucket_total_across_groups() {
+        // Values in four powers of two, from two threads: the total
+        // `snapshot` keeps is the sum of every bucket it copied.
+        let h = AtomicHistogram::new();
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let h = &h;
+                s.spawn(move || {
+                    for i in 0..500u64 {
+                        h.record((3 + t * 7 + i) << (i % 4 * 9));
+                    }
+                });
+            }
+        });
+        let snap = h.snapshot();
+        assert!(groups(&h).len() >= 4);
+        assert_eq!(snap.count(), snap.buckets.iter().sum::<u64>());
+        assert_eq!(snap.count(), 1_000);
     }
 
     /// The groups a histogram allocated, by index.

@@ -210,8 +210,8 @@ pub struct VmStats {
     pub published: u64,
     /// Branches created.
     pub branches: u64,
-    /// Read-view resolutions served ([`VersionManager::read_view`] +
-    /// [`VersionManager::snapshot_view`]). Version-pinned `Snapshot`
+    /// Read-view resolutions served ([`VersionManager::snapshot_view`]
+    /// and [`VersionManager::latest_view`]). Version-pinned `Snapshot`
     /// reads must not move this counter after construction — asserted
     /// by the engine's tests.
     pub read_views: u64,
@@ -714,14 +714,6 @@ impl VersionManager {
         Ok(Version(words[0]))
     }
 
-    /// `true` when `v` is published for `blob` (aborted versions are
-    /// never published — the order skips them).
-    pub fn is_published(&self, blob: BlobId, v: Version) -> Result<bool> {
-        let state = self.blob_state(blob)?;
-        let inner = state.inner.lock();
-        Ok(v <= inner.published && !inner.is_aborted(v))
-    }
-
     /// `true` when `v` was aborted for `blob`.
     pub fn is_aborted(&self, blob: BlobId, v: Version) -> Result<bool> {
         Ok(self.blob_state(blob)?.inner.lock().is_aborted(v))
@@ -743,15 +735,9 @@ impl VersionManager {
         Ok(inner.size_of(v))
     }
 
-    /// Everything a READ needs: the snapshot size and tree root of a
-    /// published version (`None` root for the empty snapshot 0).
-    pub fn read_view(&self, blob: BlobId, v: Version) -> Result<(u64, Option<RootRef>)> {
-        let view = self.snapshot_view(blob, v)?;
-        Ok((view.size, view.root))
-    }
-
-    /// [`VersionManager::read_view`] plus the blob's lineage. This is
-    /// the one-time lookup a version-pinned `Snapshot` caches; all
+    /// Everything a READ needs: the snapshot size, tree root (`None`
+    /// for an empty snapshot) and lineage of a published version. This
+    /// is the one-time lookup a version-pinned `Snapshot` caches; all
     /// subsequent reads of that snapshot are VM-free.
     ///
     /// When `v` is the blob's current readable frontier — the hot case:
@@ -922,12 +908,6 @@ impl VersionManager {
         BlobScrubCut { blob: id, lineage: inner.lineage.clone(), roots, inflight }
     }
 
-    /// The earliest readable version of `blob` (`v0` when nothing has
-    /// been retired).
-    pub fn retired_before(&self, blob: BlobId) -> Result<Version> {
-        Ok(self.blob_state(blob)?.inner.lock().retired_before)
-    }
-
     /// The blob's lineage (for metadata key resolution).
     pub fn lineage(&self, blob: BlobId) -> Result<Lineage> {
         // Immutable since creation: the lock-free copy is the same value.
@@ -1056,9 +1036,9 @@ mod tests {
         let b = vm.create();
         assert_eq!(vm.get_recent(b).unwrap(), Version::ZERO);
         assert_eq!(vm.get_size(b, Version::ZERO).unwrap(), 0);
-        let (size, root) = vm.read_view(b, Version::ZERO).unwrap();
-        assert_eq!(size, 0);
-        assert!(root.is_none());
+        let view = vm.snapshot_view(b, Version::ZERO).unwrap();
+        assert_eq!(view.size, 0);
+        assert!(view.root.is_none());
     }
 
     #[test]
@@ -1308,10 +1288,10 @@ mod tests {
         let roots = vm.begin_retire(b, Version(3)).unwrap();
         assert_eq!(roots.len(), 4);
         assert_eq!(roots[0].version, Version(3));
-        assert_eq!(vm.retired_before(b).unwrap(), Version(3));
         assert!(matches!(vm.get_size(b, Version(2)), Err(BlobError::VersionRetired { .. })));
-        assert!(matches!(vm.read_view(b, Version(1)), Err(BlobError::VersionRetired { .. })));
+        assert!(matches!(vm.snapshot_view(b, Version(1)), Err(BlobError::VersionRetired { .. })));
         assert!(vm.get_size(b, Version(3)).is_ok());
+        assert!(vm.snapshot_view(b, Version(3)).is_ok());
         // Re-retiring below the watermark is a no-op.
         assert!(vm.begin_retire(b, Version(2)).unwrap().is_empty());
         // Branching at a retired version is rejected.
@@ -1386,7 +1366,7 @@ mod tests {
         // Both view entry points move the read_views counter; nothing
         // else does.
         let before = vm.stats().read_views;
-        vm.read_view(b, a1.vw).unwrap();
+        vm.latest_view(b).unwrap();
         vm.snapshot_view(b, a1.vw).unwrap();
         vm.get_size(b, a1.vw).unwrap();
         vm.get_recent(b).unwrap();
@@ -1444,9 +1424,8 @@ mod tests {
         // The frontier drained over the hole; v3 is published.
         assert_eq!(vm.get_recent(b).unwrap(), Version(3));
         assert_eq!(vm.get_size(b, Version(3)).unwrap(), 24, "assigned offsets kept");
-        assert!(vm.is_published(b, Version(3)).unwrap());
+        assert_eq!(vm.snapshot_view(b, Version(3)).unwrap().size, 24);
         // The hole is typed everywhere.
-        assert!(!vm.is_published(b, Version(2)).unwrap());
         assert!(vm.is_aborted(b, Version(2)).unwrap());
         assert!(matches!(vm.get_size(b, Version(2)), Err(BlobError::VersionAborted { .. })));
         assert!(matches!(vm.snapshot_view(b, Version(2)), Err(BlobError::VersionAborted { .. })));
@@ -1589,6 +1568,31 @@ mod tests {
         let ac = vm.assign(c, UpdateKind::Append { size: 4 }).unwrap();
         vm.complete(c, ac.vw).unwrap();
         assert_eq!(vm.get_recent(c).unwrap(), Version(4));
+    }
+
+    #[test]
+    fn a_fork_at_v0_inherits_no_retirement_of_its_own_versions() {
+        // The parent retired v1, so its frontier falls back to v0 (v2
+        // is a hole). A branch there shares only v0; its own v1 and v2
+        // are new versions, readable once published.
+        let vm = vm();
+        let b = vm.create();
+        let a1 = vm.assign(b, UpdateKind::Append { size: 4 }).unwrap();
+        vm.complete(b, a1.vw).unwrap();
+        let a2 = vm.assign(b, UpdateKind::Append { size: 4 }).unwrap();
+        abort(&vm, b, a2.vw);
+        vm.begin_retire(b, Version(2)).unwrap();
+        assert_eq!(vm.get_recent(b).unwrap(), Version::ZERO);
+        let c = vm.branch(b, Version::ZERO).unwrap();
+        for v in 1..=2 {
+            let a = vm.assign(c, UpdateKind::Append { size: 4 }).unwrap();
+            vm.complete(c, a.vw).unwrap();
+            assert_eq!(vm.get_recent(c).unwrap(), Version(v));
+            assert_eq!(vm.snapshot_view(c, Version(v)).unwrap().size, 4 * v);
+        }
+        // The child can retire its own history.
+        assert_eq!(vm.begin_retire(c, Version(2)).unwrap().len(), 1);
+        assert!(matches!(vm.get_size(c, Version(1)), Err(BlobError::VersionRetired { .. })));
     }
 
     #[test]

@@ -105,8 +105,9 @@ impl BlobInner {
             // aborted in every branch that inherits it.
             aborted: parent.aborted.range(..=at.raw()).copied().collect(),
             // The child's shared history is exactly as retired as the
-            // parent's was at fork time.
-            retired_before: parent.retired_before,
+            // parent's was at fork time, and none of its own: a fork at
+            // v0 of a blob whose history was retired starts clean.
+            retired_before: parent.retired_before.min(Version(at.raw() + 1)),
             child_branch_points: Vec::new(),
         }
     }

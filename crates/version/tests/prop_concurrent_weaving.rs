@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use blobseer_meta::{build_meta, read_meta, MetaStore, TreeReader, UpdateContext};
 use blobseer_types::{ByteRange, PageDescriptor, PageId, ProviderId, Version};
-use blobseer_version::{AssignedUpdate, ConcurrencyMode, UpdateKind, VersionManager};
+use blobseer_version::{AssignedUpdate, ConcurrencyMode, ReadView, UpdateKind, VersionManager};
 use proptest::prelude::*;
 
 const PSIZE: u64 = 4;
@@ -125,7 +125,7 @@ proptest! {
         // version-order model exactly, page by page.
         let newest = Version(assigned.len() as u64 + 1);
         prop_assert_eq!(vm.get_recent(blob).unwrap(), newest);
-        let (size, root) = vm.read_view(blob, newest).unwrap();
+        let ReadView { size, root, .. } = vm.snapshot_view(blob, newest).unwrap();
         prop_assert_eq!(size, cur_pages * PSIZE);
         let lineage = vm.lineage(blob).unwrap();
         let reader = TreeReader::new(&meta, &lineage);
@@ -155,7 +155,7 @@ proptest! {
                     mid_model.insert(p, marker_base + p as u128);
                 }
             }
-            let (mid_size, mid_root) = vm.read_view(blob, mid).unwrap();
+            let ReadView { size: mid_size, root: mid_root, .. } = vm.snapshot_view(blob, mid).unwrap();
             let pds = read_meta(
                 &reader,
                 mid_root.expect("non-empty"),
@@ -191,7 +191,7 @@ fn all_writers_target_the_same_page() {
     }
     let newest = vm.get_recent(blob).unwrap();
     assert_eq!(newest, Version(7));
-    let (_, root) = vm.read_view(blob, newest).unwrap();
+    let ReadView { root, .. } = vm.snapshot_view(blob, newest).unwrap();
     let lineage = vm.lineage(blob).unwrap();
     let reader = TreeReader::new(&meta, &lineage);
     let pds = read_meta(&reader, root.unwrap(), ByteRange::new(0, PSIZE), PSIZE).unwrap();
@@ -199,7 +199,7 @@ fn all_writers_target_the_same_page() {
     assert_eq!(pds[0].pid.raw(), 6000);
     // Every intermediate version sees its own writer's page.
     for (i, a) in assigned.iter().enumerate() {
-        let (_, root) = vm.read_view(blob, a.vw).unwrap();
+        let ReadView { root, .. } = vm.snapshot_view(blob, a.vw).unwrap();
         let pds = read_meta(&reader, root.unwrap(), ByteRange::new(0, PSIZE), PSIZE).unwrap();
         assert_eq!(pds[0].pid.raw(), (i as u128 + 1) * 1000, "{}", a.vw);
     }
@@ -225,7 +225,7 @@ fn cascading_root_growth_built_in_reverse() {
         apply_assigned(&vm, &meta, blob, a, *marker);
     }
     let newest = vm.get_recent(blob).unwrap();
-    let (size, root) = vm.read_view(blob, newest).unwrap();
+    let ReadView { size, root, .. } = vm.snapshot_view(blob, newest).unwrap();
     assert_eq!(size, 32 * PSIZE);
     let lineage = vm.lineage(blob).unwrap();
     let reader = TreeReader::new(&meta, &lineage);

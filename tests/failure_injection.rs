@@ -18,7 +18,7 @@ use blobseer_meta::{
 use blobseer_types::{
     BlobError, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version,
 };
-use blobseer_version::{ConcurrencyMode, UpdateKind, VersionManager};
+use blobseer_version::{ConcurrencyMode, ReadView, UpdateKind, VersionManager};
 
 const PSIZE: u64 = 4;
 
@@ -108,7 +108,7 @@ fn published_readers_never_wait_on_inflight_writers() {
     let _stalled = vm.assign(blob, UpdateKind::Append { size: PSIZE }).unwrap();
     // Reading published v1 touches only complete metadata: it must
     // succeed immediately (well under the 100 ms DHT timeout).
-    let (size, root) = vm.read_view(blob, Version(1)).unwrap();
+    let ReadView { size, root, .. } = vm.snapshot_view(blob, Version(1)).unwrap();
     assert_eq!(size, 4 * PSIZE);
     let reader = TreeReader::new(&meta, &lineage);
     let t0 = std::time::Instant::now();

@@ -1,169 +1,60 @@
-//! Property-based tests of the full engine against a flat-buffer model.
+//! The data plane against the one spec (`spec/mod.rs`): random appends,
+//! unaligned writes and branches on several blobs, with deeper trees
+//! than the small-scope search reaches.
 //!
-//! For any sequence of WRITE/APPEND/BRANCH operations, every published
-//! snapshot of every blob must equal the model obtained by replaying
-//! the same operations in version order on plain byte vectors. This is
-//! the strongest single statement of the paper's semantics (§2:
-//! "generating a new snapshot labeled with version k is semantically
-//! equivalent to applying the update to a copy of the snapshot labeled
-//! with version k − 1").
+//! * `engine_matches_model`: every version of every blob holds the
+//!   spec's bytes — snapshot *k* is snapshot *k − 1* with update *k*
+//!   applied (§2) — after every operation and once settled.
+//! * `reads_are_slices_of_full_reads`: random windows of every readable
+//!   version equal the same slice of its full read, and of the spec.
 
-use std::collections::HashMap;
+mod spec;
 
-use blobseer::{BlobId, BlobSeer, Version};
+use blobseer::{ByteRange, Version};
 use proptest::prelude::*;
+use spec::{appends, op_strategy, run_script, writes, Op, RandomOp};
 
-const PSIZE: u64 = 32;
-
-#[derive(Clone, Debug)]
-enum Op {
-    /// Append `len` patterned bytes to blob slot `slot % live`.
-    Append { slot: usize, len: usize, fill: u8 },
-    /// Overwrite at a relative offset (scaled into the current size).
-    Write { slot: usize, offset_permille: u16, len: usize, fill: u8 },
-    /// Branch the slot's blob at its most recent published version.
-    Branch { slot: usize },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// Mostly appends and writes, some branches and moves between blobs.
+fn data_plane() -> impl Strategy<Value = RandomOp> {
     prop_oneof![
-        4 => (any::<usize>(), 1usize..200, any::<u8>())
-            .prop_map(|(slot, len, fill)| Op::Append { slot, len, fill }),
-        4 => (any::<usize>(), 0u16..=1000, 1usize..150, any::<u8>())
-            .prop_map(|(slot, offset_permille, len, fill)| Op::Write {
-                slot, offset_permille, len, fill
-            }),
-        1 => any::<usize>().prop_map(|slot| Op::Branch { slot }),
+        4 => appends(),
+        4 => writes(),
+        1 => Just(RandomOp::Op(Op::BranchLatest)),
+        1 => Just(RandomOp::Op(Op::BranchBack)),
+        2 => any::<usize>().prop_map(|index| RandomOp::Op(Op::Focus { index })),
+        2 => op_strategy(),
     ]
 }
 
-/// Model of one blob: its snapshots by version.
-#[derive(Clone, Default)]
-struct ModelBlob {
-    snapshots: Vec<Vec<u8>>,
-}
-
-impl ModelBlob {
-    fn new() -> Self {
-        ModelBlob { snapshots: vec![Vec::new()] }
-    }
-
-    fn latest(&self) -> &Vec<u8> {
-        self.snapshots.last().expect("v0 exists")
-    }
-
-    fn apply(&mut self, offset: u64, data: &[u8]) {
-        let mut next = self.latest().clone();
-        let end = offset as usize + data.len();
-        if next.len() < end {
-            next.resize(end, 0);
-        }
-        next[offset as usize..end].copy_from_slice(data);
-        self.snapshots.push(next);
-    }
-}
-
-fn fill_bytes(len: usize, fill: u8) -> Vec<u8> {
-    (0..len).map(|i| fill.wrapping_add(i as u8).wrapping_mul(13) | 1).collect()
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn engine_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let store = BlobSeer::builder()
-            .page_size(PSIZE)
-            .data_providers(5)
-            .metadata_providers(3)
-            .io_threads(2)
-            .build()
-            .unwrap();
-        let mut blobs: Vec<BlobId> = vec![store.create().id()];
-        let mut models: HashMap<BlobId, ModelBlob> = HashMap::new();
-        models.insert(blobs[0], ModelBlob::new());
-
-        for op in &ops {
-            match *op {
-                Op::Append { slot, len, fill } => {
-                    let id = blobs[slot % blobs.len()];
-                    let data = fill_bytes(len, fill);
-                    let v = store.append(id, &data).unwrap();
-                    let model = models.get_mut(&id).unwrap();
-                    prop_assert_eq!(v.raw() as usize, model.snapshots.len());
-                    let offset = model.latest().len() as u64;
-                    model.apply(offset, &data);
-                }
-                Op::Write { slot, offset_permille, len, fill } => {
-                    let id = blobs[slot % blobs.len()];
-                    let model = models.get_mut(&id).unwrap();
-                    let cur = model.latest().len() as u64;
-                    let offset = cur * u64::from(offset_permille) / 1000;
-                    let data = fill_bytes(len, fill);
-                    let v = store.write(id, &data, offset).unwrap();
-                    prop_assert_eq!(v.raw() as usize, model.snapshots.len());
-                    model.apply(offset, &data);
-                }
-                Op::Branch { slot } => {
-                    let id = blobs[slot % blobs.len()];
-                    // Branch at the newest *published* version; sync
-                    // first so that is the newest assigned one.
-                    let model = models.get(&id).unwrap().clone();
-                    let at = Version(model.snapshots.len() as u64 - 1);
-                    store.sync(id, at).unwrap();
-                    let child = store.branch(id, at).unwrap().id();
-                    blobs.push(child);
-                    // The child model shares the parent's history up to
-                    // the branch point.
-                    let child_model = ModelBlob {
-                        snapshots: model.snapshots[..=at.raw() as usize].to_vec(),
-                    };
-                    models.insert(child, child_model);
-                }
-            }
-        }
-
-        // Verify every snapshot of every blob, byte for byte.
-        for (&id, model) in &models {
-            let newest = Version(model.snapshots.len() as u64 - 1);
-            store.sync(id, newest).unwrap();
-            for (v, expected) in model.snapshots.iter().enumerate() {
-                let v = Version(v as u64);
-                let size = store.get_size(id, v).unwrap();
-                prop_assert_eq!(size, expected.len() as u64, "{:?} {:?}", id, v);
-                let got = store.read(id, v, 0, size).unwrap();
-                prop_assert_eq!(&got, expected, "{:?} {:?}", id, v);
-            }
-        }
+    fn engine_matches_model(script in proptest::collection::vec(data_plane(), 1..60)) {
+        run_script(&script);
     }
 
     #[test]
     fn reads_are_slices_of_full_reads(
-        appends in proptest::collection::vec((1usize..300, any::<u8>()), 1..12),
+        script in proptest::collection::vec(data_plane(), 1..24),
         windows in proptest::collection::vec((0u16..=1000, 1u64..200), 1..12),
     ) {
-        let store = BlobSeer::builder()
-            .page_size(PSIZE)
-            .data_providers(4)
-            .metadata_providers(2)
-            .build()
-            .unwrap();
-        let blob = store.create().id();
-        let mut last = Version(0);
-        for &(len, fill) in &appends {
-            last = store.append(blob, &fill_bytes(len, fill)).unwrap();
-        }
-        store.sync(blob, last).unwrap();
-        let size = store.get_size(blob, last).unwrap();
-        let full = store.read(blob, last, 0, size).unwrap();
-        for &(permille, len) in &windows {
-            let offset = size * u64::from(permille) / 1000;
-            let len = len.min(size - offset);
-            let got = store.read(blob, last, offset, len).unwrap();
-            prop_assert_eq!(&got[..], &full[offset as usize..(offset + len) as usize]);
+        let (harness, spec) = run_script(&script);
+        for (b, blob) in harness.blobs.iter().enumerate() {
+            for v in 0..=spec.last(b) {
+                let Ok(want) = spec.read(b, v) else { continue };
+                let snap = blob.snapshot(Version(v)).unwrap();
+                let size = snap.len();
+                let full = snap.read(ByteRange::new(0, size)).unwrap();
+                for &(permille, len) in &windows {
+                    let offset = size * u64::from(permille) / 1000;
+                    let len = len.min(size - offset);
+                    let got = snap.read(ByteRange::new(offset, len)).unwrap();
+                    let (start, end) = (offset as usize, (offset + len) as usize);
+                    prop_assert_eq!(&got[..], &full[start..end], "blob {} v{}", b, v);
+                    prop_assert_eq!(&got[..], &want[start..end], "blob {} v{}", b, v);
+                }
+            }
         }
     }
 }
