@@ -17,15 +17,19 @@
 //! the chain and its other sources as provider handles — once per
 //! distinct primary, not per page, and share it across that primary's
 //! pages; repair runs the fills in parallel slices on the store's pool,
-//! drain one by one. What each caller does with the answer — reclaim,
-//! fill or evacuate — is its own module's policy.
+//! drain one by one. Maintenance asks a provider for a verdict
+//! ([`DataProvider::verify_page`]) unless it moves bytes: only a fill
+//! fetches. The live set is keyed by [`PageIdHash`], a multiply-fold of
+//! engine-minted ids, not SipHash, so scrub, repair and drain all probe
+//! it cheaply. What each caller does with the answer — reclaim, fill or
+//! evacuate — is its own module's policy.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use blobseer_metrics::{AtomicHistogram, Timer};
 use blobseer_provider::{DataProvider, SealedPage};
-use blobseer_types::{PageId, ProviderId, Result};
+use blobseer_types::{PageId, PageIdHash, ProviderId, Result};
 
 use crate::engine::Engine;
 
@@ -34,7 +38,7 @@ use crate::engine::Engine;
 pub(crate) struct LiveSet {
     /// The page-id epoch cut: pages at or above it are unjudged.
     pub epoch: PageId,
-    pub pages: HashMap<PageId, ProviderId>,
+    pub pages: HashMap<PageId, ProviderId, PageIdHash>,
 }
 
 impl LiveSet {
@@ -44,7 +48,7 @@ impl LiveSet {
     pub(crate) fn mark(engine: &Engine, latency: &AtomicHistogram) -> LiveSet {
         let timer = Timer::start();
         let epoch = engine.scrub_pid_epoch();
-        let mut pages = HashMap::new();
+        let mut pages = HashMap::default();
         engine.meta.for_each_leaf(|pid, provider| {
             pages.insert(pid, provider);
         });
@@ -159,8 +163,8 @@ mod tests {
     /// of every blob (shared subtrees once), then probe the leaf
     /// positions of every in-flight update — a wedged writer's durable
     /// leaves name pages its eventual repair keeps.
-    fn tree_mark(engine: &Engine) -> HashMap<PageId, ProviderId> {
-        let mut pages = HashMap::new();
+    fn tree_mark(engine: &Engine) -> HashMap<PageId, ProviderId, PageIdHash> {
+        let mut pages = HashMap::default();
         let mut visited = HashSet::new();
         for cut in engine.vm.scrub_cut() {
             let reader = TreeReader::new(&engine.meta, &cut.lineage);

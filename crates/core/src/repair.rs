@@ -12,10 +12,16 @@
 //! per-page work with no order between pages (pages are immutable,
 //! their copies independent), so it fork-joins on the store's pool in
 //! fixed slices of live pages below the epoch, each returning its share
-//! of the [`RepairReport`]. Per page it fills the chain from a verified
-//! copy ([`fill_chain`]: chain first, then the fallbacks) and, once
-//! every chain slot holds a verified copy, trims that page's flagged
-//! strays, so a second pass over a healthy deployment is a no-op. A
+//! of the [`RepairReport`]. A page whose chain copies the scans all
+//! listed is judged where the copies live: each target verifies its own
+//! copy ([`DataProvider::verify_page`]) and hands out no bytes, so a
+//! healthy page costs no fetch. Any other page — a copy missing, or one
+//! that just failed its verify and is not asked again — fills the chain
+//! from a verified copy ([`fill_chain`]: chain first, then the
+//! fallbacks), which fetches. Once every chain slot holds a verified
+//! copy the page's flagged strays are trimmed, so a second pass over a
+//! healthy deployment is a no-op. The pass's page sets and maps are
+//! keyed by [`PageIdHash`]. A
 //! page with no verified copy anywhere is reported
 //! ([`RepairReport::pages_unrepairable`]) and left untouched — data
 //! loss beyond replication's budget, an operator problem
@@ -31,10 +37,10 @@ use std::sync::Arc;
 use blobseer_metrics::Timer;
 use blobseer_provider::DataProvider;
 use blobseer_rt::parallel_map;
-use blobseer_types::{PageId, ProviderId, Result};
+use blobseer_types::{PageId, PageIdHash, ProviderId, Result};
 
 use crate::engine::Engine;
-use crate::maintenance::{fill_chain, LiveSet, Route};
+use crate::maintenance::{fill_chain, Fill, LiveSet, Route};
 
 /// What a [`crate::BlobSeer::repair_replicas`] pass found and fixed.
 /// On a fully healthy deployment everything but `pages_examined`,
@@ -87,27 +93,45 @@ struct Pass {
     /// One route per distinct primary of `pages`.
     routes: Arc<HashMap<ProviderId, Route>>,
     /// What each provider whose scan completed physically holds.
-    holders: HashMap<ProviderId, HashSet<PageId>>,
+    holders: HashMap<ProviderId, HashSet<PageId, PageIdHash>>,
     /// Copies the scans found on a route's sources (outside the chain),
     /// by page: the strays to trim once the chain is whole.
-    strays: HashMap<PageId, Vec<Arc<DataProvider>>>,
+    strays: HashMap<PageId, Vec<Arc<DataProvider>>, PageIdHash>,
 }
 
 impl Pass {
-    /// Fill, then trim, `pages[range]`: the slice's share of the
+    /// Judge, fill, then trim, `pages[range]`: the slice's share of the
     /// report's per-page counts.
     fn repair(&self, range: Range<usize>) -> RepairReport {
         let mut report = RepairReport::default();
         for &(pid, primary) in &self.pages[range] {
             report.pages_examined += 1;
-            // Only copies the scan listed are fetched: an extra fetch
-            // would count as a read and consume injected one-shot faults.
-            let listed = |id| self.holders.get(&id).is_some_and(|pages| pages.contains(&pid));
-            let Some(fill) = fill_chain(pid, &self.routes[&primary], &listed) else {
-                // A later pass, after provider recovery, may still find
-                // a copy.
-                report.pages_unrepairable += 1;
-                continue;
+            let route = &self.routes[&primary];
+            // Only copies the scan listed are asked about: an extra
+            // request would count and consume injected one-shot faults.
+            let held = |id| self.holders.get(&id).is_some_and(|pages| pages.contains(&pid));
+            // Every chain copy listed: each target verifies its own copy
+            // in place, and a page whose copies all pass costs no fetch.
+            let whole = route.targets.iter().all(|target| held(target.id()));
+            let rejected: Vec<ProviderId> = if whole {
+                let failed = route.targets.iter().filter(|target| target.verify_page(pid).is_err());
+                failed.map(|target| target.id()).collect()
+            } else {
+                Vec::new()
+            };
+            let fill = if whole && rejected.is_empty() {
+                Fill { verified: route.targets.len() as u64, ..Fill::default() }
+            } else {
+                // A missing copy, or one just rejected (never asked
+                // again): fill the chain from a verified copy.
+                let listed = |id| held(id) && !rejected.contains(&id);
+                let Some(fill) = fill_chain(pid, route, &listed) else {
+                    // A later pass, after provider recovery, may still
+                    // find a copy.
+                    report.pages_unrepairable += 1;
+                    continue;
+                };
+                fill
             };
             report.copies_verified += fill.verified;
             report.copies_repaired += fill.filled;
@@ -171,12 +195,13 @@ pub(crate) fn repair_replicas(engine: &Arc<Engine>) -> Result<RepairReport> {
                     })
             };
             let strays = listed.iter().map(|&(pid, _)| pid).filter(is_stray).collect::<Vec<_>>();
-            let pages: HashSet<PageId> = listed.into_iter().map(|(pid, _)| pid).collect();
+            let pages: HashSet<PageId, PageIdHash> =
+                listed.into_iter().map(|(pid, _)| pid).collect();
             Some((Arc::clone(provider), pages, strays))
         })
     };
     let mut holders = HashMap::new();
-    let mut strays: HashMap<PageId, Vec<Arc<DataProvider>>> = HashMap::new();
+    let mut strays: HashMap<PageId, Vec<Arc<DataProvider>>, PageIdHash> = HashMap::default();
     for (provider, pages, flagged) in scans.into_iter().flatten() {
         for pid in flagged {
             strays.entry(pid).or_default().push(Arc::clone(&provider));

@@ -1,9 +1,12 @@
 //! Page integrity accounting — who hashes what, as counts that repeat
 //! exactly: a page is sealed once by the client however many copies are
 //! stored, a sub-page read verifies only the blocks it returns bytes
-//! from, and repair re-places sealed pages without hashing them again.
+//! from, repair re-places sealed pages without hashing them again, and
+//! it verifies healthy chain copies where they live, reading nothing.
 
-use blobseer::{BlobSeer, Bytes, ProviderId, SUM_BLOCK};
+use std::sync::Arc;
+
+use blobseer::{BlobSeer, Bytes, FaultPlan, MemoryPageStore, PageStore, ProviderId, SUM_BLOCK};
 
 const PAGE: u64 = 64 << 10;
 const MIB: u64 = 1 << 20;
@@ -93,4 +96,54 @@ fn a_repair_fill_seals_nothing() {
     let second = s.repair_replicas().unwrap();
     assert_eq!((second.copies_repaired, second.pages_unrepairable), (0, 0));
     assert_eq!(second.copies_verified, 2 * (MIB / PAGE));
+}
+
+#[test]
+fn a_healthy_copy_is_verified_in_place_and_only_a_fill_reads() {
+    const PAGES: u64 = MIB / PAGE;
+    let plans: Vec<Arc<FaultPlan>> =
+        (0..4).map(|_| Arc::new(FaultPlan::new(Arc::new(MemoryPageStore::new())))).collect();
+    let s = BlobSeer::builder()
+        .page_size(PAGE)
+        .metadata_providers(2)
+        .io_threads(2)
+        .replication(2)
+        .page_stores(plans.iter().map(|p| Arc::clone(p) as Arc<dyn PageStore>).collect())
+        .build()
+        .unwrap();
+    let blob = s.create();
+    let v = blob.append_bytes(payload(MIB)).unwrap();
+    blob.sync(v).unwrap();
+    let verified = || s.stats_snapshot().checksum_verified_bytes;
+    let sum = |field: fn(&blobseer::ProviderStats) -> u64| {
+        s.stats().providers.iter().map(field).sum::<u64>()
+    };
+    let bytes_read = || sum(|p| p.bytes_read);
+    let corrupt = || sum(|p| p.corrupt_detected);
+
+    // A clean ingest: every chain copy is hashed once, where it lives.
+    let (before, read) = (verified(), bytes_read());
+    let clean = s.repair_replicas().unwrap();
+    assert_eq!((clean.copies_verified, clean.copies_repaired), (2 * PAGES, 0));
+    assert_eq!(verified() - before, clean.copies_verified * PAGE);
+    assert_eq!(bytes_read(), read, "a healthy page costs no fetch");
+
+    // One chain copy rots. Its verify fails once; the fill fetches the
+    // sibling, hashing it a second time, and re-places the copy.
+    let (pid, _) = plans[0].scan().unwrap()[0];
+    assert!(plans[0].corrupt_stored_page(pid).unwrap());
+    let (before, read) = (verified(), bytes_read());
+    let healed = s.repair_replicas().unwrap();
+    assert_eq!((healed.copies_repaired, healed.bytes_copied), (1, PAGE));
+    assert_eq!(healed.copies_verified, 2 * PAGES - 1, "the rotted copy is not counted");
+    assert_eq!(corrupt(), 1);
+    assert_eq!(verified() - before, (healed.copies_verified + 1) * PAGE);
+    assert_eq!(bytes_read() - read, PAGE, "the fill's one fetch");
+
+    // Converged: the next pass is a no-op.
+    let (before, read) = (verified(), bytes_read());
+    let again = s.repair_replicas().unwrap();
+    assert_eq!((again.copies_verified, again.copies_repaired), (2 * PAGES, 0));
+    assert_eq!(verified() - before, 2 * PAGES * PAGE);
+    assert_eq!((corrupt(), bytes_read()), (1, read));
 }

@@ -5,8 +5,9 @@
 //!
 //! * **offline** — every request errors until the plan is cleared
 //!   (a crashed node whose disk survives);
-//! * **one-shot I/O errors** — the next *n* stores/fetches fail, then
-//!   service resumes (a flaky NIC, a timed-out RPC);
+//! * **one-shot I/O errors** — the next *n* stores/fetches (an
+//!   in-place verify counts as a fetch) fail, then service resumes (a
+//!   flaky NIC, a timed-out RPC);
 //! * **probabilistic I/O errors** — each store/fetch fails with
 //!   probability `p`, drawn from a **seeded** RNG so every run of a
 //!   test replays the same fault schedule;
@@ -103,7 +104,8 @@ impl FaultPlan {
         self.fail_next_stores.store(n, Ordering::SeqCst);
     }
 
-    /// Arm one-shot fetch errors: the next `n` fetches fail.
+    /// Arm one-shot fetch errors: the next `n` fetches or in-place
+    /// verifies fail.
     pub fn fail_next_fetches(&self, n: u64) {
         self.fail_next_fetches.store(n, Ordering::SeqCst);
     }
@@ -212,6 +214,13 @@ impl PageStore for FaultPlan {
         self.inner.fetch(pid)
     }
 
+    /// Behind the same gate as [`Self::fetch`]: an in-place verify is a
+    /// read of the copy, and consumes a one-shot fetch error.
+    fn verify(&self, pid: PageId) -> Result<Option<u64>> {
+        self.gate("fetch", &self.fail_next_fetches)?;
+        self.inner.verify(pid)
+    }
+
     fn contains(&self, pid: PageId) -> bool {
         self.inner.contains(pid)
     }
@@ -318,6 +327,25 @@ mod tests {
         assert_eq!(failed, ARMED);
         assert_eq!(plan.injected_errors(), ARMED);
         plan.store(PageId(u128::MAX), sealed(b"r")).unwrap();
+    }
+
+    #[test]
+    fn in_place_verifies_pass_the_fetch_gate() {
+        let (plan, _) = plan();
+        plan.store(PageId(1), sealed(b"payload")).unwrap();
+        assert_eq!(plan.verify(PageId(1)).unwrap(), Some(7));
+        plan.set_offline(true);
+        assert!(matches!(plan.verify(PageId(1)), Err(BlobError::Storage(_))));
+        assert_eq!(plan.injected_errors(), 1);
+        plan.set_offline(false);
+        // One armed fetch error is consumed by exactly one verify.
+        plan.fail_next_fetches(1);
+        assert!(matches!(plan.verify(PageId(1)), Err(BlobError::Storage(_))));
+        assert_eq!(plan.verify(PageId(1)).unwrap(), Some(7));
+        assert_eq!(plan.injected_errors(), 2);
+        // Rot at rest is seen where the copy lives.
+        assert!(plan.corrupt_stored_page(PageId(1)).unwrap());
+        assert_eq!(plan.verify(PageId(1)).unwrap(), None);
     }
 
     #[test]

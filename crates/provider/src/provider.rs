@@ -35,7 +35,10 @@ use crate::store::PageStore;
 /// payload `Bytes` stay pointer-identical to what the client handed
 /// over. A failed verification surfaces as [`BlobError::PageCorrupt`]
 /// and bumps `corrupt_detected`; callers treat it as a miss and fall
-/// through to the next replica.
+/// through to the next replica. Maintenance that only needs a copy's
+/// health asks for the verdict alone ([`Self::verify_page`]: the store
+/// hashes its copy in place, no bytes are handed out); only fills and
+/// drain, which move bytes, fetch.
 pub struct DataProvider {
     id: ProviderId,
     store: Arc<dyn PageStore>,
@@ -203,12 +206,34 @@ impl DataProvider {
                 }
             }
         };
+        self.count_verdict(pid, verified)?;
+        Ok(page)
+    }
+
+    /// Count a verification's verdict: bytes hashed when it passed, one
+    /// corrupt copy (a typed error) when it failed.
+    fn count_verdict(&self, pid: PageId, verified: Option<u64>) -> Result<u64> {
         let Some(hashed) = verified else {
             self.corrupt_detected.fetch_add(1, Ordering::Relaxed);
             return Err(BlobError::PageCorrupt { pid, provider: self.id });
         };
         self.bytes_verified.add(hashed);
-        Ok(page)
+        Ok(hashed)
+    }
+
+    /// Verify the stored copy of a page whole where it lives, handing
+    /// out no bytes: the repairer's check that a chain copy is healthy.
+    /// Counts `bytes_verified` and `corrupt_detected` as
+    /// [`Self::fetch_page`] does, but no read. Returns the bytes
+    /// hashed; fails typed as a fetch does (unavailable, missing,
+    /// corrupt).
+    pub fn verify_page(&self, pid: PageId) -> Result<u64> {
+        self.check_available()?;
+        let verified = self
+            .store
+            .verify(pid)
+            .map_err(|_| BlobError::PageMissing { pid, provider: self.id })?;
+        self.count_verdict(pid, verified)
     }
 
     /// Fetch a whole page with every block verified. The returned
@@ -330,8 +355,8 @@ impl DataProvider {
         &self.fetch_latency
     }
 
-    /// Lifetime payload bytes re-hashed by fetches that verified (see
-    /// [`ProviderStats::bytes_verified`]).
+    /// Lifetime payload bytes re-hashed by fetches and in-place
+    /// verifies that passed (see [`ProviderStats::bytes_verified`]).
     pub fn bytes_verified(&self) -> u64 {
         self.bytes_verified.value()
     }
@@ -389,11 +414,13 @@ pub struct ProviderStats {
     pub pages_scrubbed: u64,
     /// Lifetime payload bytes reclaimed by orphan scrubs.
     pub bytes_scrubbed: u64,
-    /// Lifetime fetches that failed checksum verification here.
+    /// Lifetime fetches and in-place verifies that failed checksum
+    /// verification here.
     pub corrupt_detected: u64,
-    /// Lifetime payload bytes re-hashed by fetches that verified: whole
-    /// pages for [`DataProvider::fetch_page`], only the blocks
-    /// overlapping the range for [`DataProvider::fetch_page_range`].
+    /// Lifetime payload bytes re-hashed by fetches and in-place
+    /// verifies that passed: whole pages for [`DataProvider::fetch_page`]
+    /// and [`DataProvider::verify_page`], only the blocks overlapping
+    /// the range for [`DataProvider::fetch_page_range`].
     pub bytes_verified: u64,
     /// Lifetime page copies written onto this provider by the replica
     /// repairer (fills and corrupt-copy replacements).
@@ -541,6 +568,27 @@ mod tests {
         assert_eq!(&p.fetch_page(PageId(1)).unwrap()[..], b"healthy payload");
         let s = p.stats();
         assert_eq!((s.pages_repaired, s.bytes_repaired, s.bytes_verified), (1, 15, 15));
+    }
+
+    #[test]
+    fn verify_page_counts_a_verdict_and_no_read() {
+        let plan = Arc::new(FaultPlan::new(Arc::new(MemoryPageStore::new())));
+        let p = DataProvider::new(ProviderId(7), Arc::clone(&plan) as Arc<dyn PageStore>);
+        let len = 3 * SUM_BLOCK as u64 + 5;
+        p.store_page(PageId(1), SealedPage::seal(Bytes::from(vec![4u8; len as usize]))).unwrap();
+        let counts = |p: &DataProvider| {
+            let s = p.stats();
+            (s.bytes_verified, s.corrupt_detected, s.reads, s.bytes_read)
+        };
+
+        assert_eq!(p.verify_page(PageId(1)).unwrap(), len);
+        assert_eq!(counts(&p), (len, 0, 0, 0), "every block hashed, nothing read");
+        assert!(matches!(p.verify_page(PageId(2)), Err(BlobError::PageMissing { .. })));
+        assert!(plan.corrupt_stored_page(PageId(1)).unwrap());
+        assert!(matches!(p.verify_page(PageId(1)), Err(BlobError::PageCorrupt { .. })));
+        assert_eq!(counts(&p), (len, 1, 0, 0));
+        p.fail();
+        assert!(matches!(p.verify_page(PageId(1)), Err(BlobError::ProviderUnavailable(_))));
     }
 
     #[test]

@@ -35,6 +35,16 @@ pub trait PageStore: Send + Sync {
     /// counts as corrupt), never as an error that reads as "missing".
     fn fetch(&self, pid: PageId) -> Result<SealedPage>;
 
+    /// Verify the stored copy whole where it lives and return only the
+    /// verdict: the payload bytes hashed, or `None` for a copy that is
+    /// corrupt or unverifiable. A page not stored here errors as in
+    /// [`Self::fetch`]. The default fetches and verifies; a store that
+    /// can hash its entry in place overrides it to skip handing a copy
+    /// out.
+    fn verify(&self, pid: PageId) -> Result<Option<u64>> {
+        Ok(self.fetch(pid)?.verify())
+    }
+
     /// `true` if the page is stored here.
     fn contains(&self, pid: PageId) -> bool;
 
@@ -61,6 +71,11 @@ pub trait PageStore: Send + Sync {
     /// Total payload bytes stored — the measure behind the paper's
     /// storage-efficiency claim (§4.3).
     fn stored_bytes(&self) -> u64;
+}
+
+/// The error of a request for a page that is not stored.
+fn not_stored(pid: PageId) -> BlobError {
+    BlobError::Storage(format!("{pid:?} not stored"))
 }
 
 const MEM_SHARDS: usize = 16;
@@ -105,11 +120,13 @@ impl PageStore for MemoryPageStore {
     }
 
     fn fetch(&self, pid: PageId) -> Result<SealedPage> {
-        self.shard(pid)
-            .read()
-            .get(&pid)
-            .cloned()
-            .ok_or(BlobError::Storage(format!("{pid:?} not stored")))
+        self.shard(pid).read().get(&pid).cloned().ok_or_else(|| not_stored(pid))
+    }
+
+    fn verify(&self, pid: PageId) -> Result<Option<u64>> {
+        // Hashed under the shard's read guard: no clone, and stores to
+        // the shard wait out one page's verify.
+        self.shard(pid).read().get(&pid).map(SealedPage::verify).ok_or_else(|| not_stored(pid))
     }
 
     fn contains(&self, pid: PageId) -> bool {
@@ -274,9 +291,7 @@ impl PageStore for FilePageStore {
     fn fetch(&self, pid: PageId) -> Result<SealedPage> {
         let image = match fs::read(self.path_of(pid)) {
             Ok(image) => Bytes::from(image),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(BlobError::Storage(format!("{pid:?} not stored")))
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(not_stored(pid)),
             Err(e) => return Err(e.into()),
         };
         Ok(match parse_page_file(&image) {
@@ -355,6 +370,9 @@ mod tests {
         assert_eq!(&page[..], b"hello world!");
         assert_eq!(page.sums(), sealed(b"hello world!").sums(), "sums come back as sealed");
         assert_eq!(page.verify(), Some(12));
+        // The in-place verdict, and a typed miss for a page not stored.
+        assert_eq!(store.verify(pid(1)).unwrap(), Some(12));
+        assert!(matches!(store.verify(pid(3)), Err(BlobError::Storage(_))));
         let mut scanned = store.scan().unwrap();
         scanned.sort_unstable();
         assert_eq!(scanned, vec![(pid(1), 12), (pid(2), 4)]);
@@ -445,12 +463,37 @@ mod tests {
             fs::write(&path, damaged).unwrap();
             let reopened = FilePageStore::open(&dir).unwrap();
             assert_eq!(reopened.fetch(pid(1)).unwrap().verify(), None, "{what}");
+            assert_eq!(reopened.verify(pid(1)).unwrap(), None, "{what}: corrupt, not missing");
             assert!(reopened.contains(pid(1)) && reopened.page_count() == 1, "{what}");
             // A store over the damaged file replaces it, accounting intact.
             reopened.store(pid(1), sealed(b"intact")).unwrap();
             assert_eq!(reopened.fetch(pid(1)).unwrap().verify(), Some(6), "{what}");
             assert_eq!((reopened.page_count(), reopened.stored_bytes()), (1, 6), "{what}");
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rotted_payloads_verify_as_corrupt_in_both_stores() {
+        let data = Bytes::from(vec![0x5Au8; 2 * SUM_BLOCK + 9]);
+        let mut rotted = data.to_vec();
+        *rotted.last_mut().unwrap() ^= 0x40;
+        let memory = MemoryPageStore::new();
+        memory.store(pid(1), SealedPage::seal(data.clone())).unwrap();
+        memory.store(pid(2), SealedPage::seal(data.clone()).with_payload(rotted.into())).unwrap();
+        assert_eq!(memory.verify(pid(1)).unwrap(), Some(data.len() as u64));
+        assert_eq!(memory.verify(pid(2)).unwrap(), None);
+
+        // The file store's medium flips the file's last byte, which is
+        // payload whatever the header holds.
+        let dir = temp_dir("rot");
+        let file = FilePageStore::open(&dir).unwrap();
+        file.store(pid(1), SealedPage::seal(data.clone())).unwrap();
+        assert_eq!(file.verify(pid(1)).unwrap(), Some(data.len() as u64));
+        let mut image = fs::read(file.path_of(pid(1))).unwrap();
+        *image.last_mut().unwrap() ^= 0x40;
+        fs::write(file.path_of(pid(1)), &image).unwrap();
+        assert_eq!(file.verify(pid(1)).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,6 +8,7 @@
 //! same role in our in-process reproduction).
 
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -95,6 +96,61 @@ impl PageId {
 impl fmt::Debug for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "pid:{:x}", self.0)
+    }
+}
+
+/// A [`BuildHasher`] for maps and sets keyed by [`PageId`]: two
+/// multiply-folds (the id's halves, then a constant) instead of
+/// SipHash's rounds.
+/// Page ids are minted by the engine ([`PageIdGen`]), never chosen by a
+/// client, so SipHash's resistance to crafted keys buys nothing there.
+/// A fold's high half mixes every input bit into the low bits a table
+/// indexes by and the top bits it tags with; the second fold keeps two
+/// generators' runs of consecutive ids from lining up.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PageIdHash;
+
+impl BuildHasher for PageIdHash {
+    type Hasher = PageIdHasher;
+
+    fn build_hasher(&self) -> PageIdHasher {
+        PageIdHasher(0)
+    }
+}
+
+/// The [`Hasher`] [`PageIdHash`] builds.
+#[derive(Clone, Copy, Debug)]
+pub struct PageIdHasher(u64);
+
+/// The full product of `a` and `b`, its halves XOR-ed together.
+#[inline]
+fn fold_multiply(a: u64, b: u64) -> u64 {
+    let full = (a as u128).wrapping_mul(b as u128);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+impl Hasher for PageIdHasher {
+    #[inline]
+    fn write_u128(&mut self, n: u128) {
+        const K: [u64; 4] = [
+            0x243f_6a88_85a3_08d3,
+            0x1319_8a2e_0370_7344,
+            0xa409_3822_299f_31d0,
+            0x082e_fa98_ec4e_6c89,
+        ];
+        let folded = fold_multiply(self.0 ^ n as u64 ^ K[0], (n >> 64) as u64 ^ K[1]);
+        self.0 = fold_multiply(folded ^ K[2], K[3]);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u128(byte.into());
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -263,6 +319,31 @@ mod tests {
             assert!(ids.insert(a.next_id()));
             assert!(ids.insert(b.next_id()));
         }
+    }
+
+    /// Consecutive ids of two generators spread evenly over the low
+    /// bits a table indexes by and the top seven bits it tags with.
+    #[test]
+    fn page_id_hash_spreads_consecutive_ids() {
+        const IDS: usize = 1 << 14;
+        let hashes: Vec<u64> = (0..IDS as u128)
+            .flat_map(|seq| [PageId(1 << 64 | seq), PageId(2 << 64 | seq)])
+            .map(|pid| PageIdHash.hash_one(pid))
+            .collect();
+        let expected = 2 * IDS / 128;
+        for (what, bucket) in [
+            ("low bits", (|h| (h & 127) as usize) as fn(u64) -> usize),
+            ("top bits", |h| (h >> 57) as usize),
+        ] {
+            let mut counts = [0usize; 128];
+            for &h in &hashes {
+                counts[bucket(h)] += 1;
+            }
+            let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+            assert!(*min > expected * 3 / 4 && *max < expected * 5 / 4, "{what}: {min}..{max}");
+        }
+        let distinct: HashSet<u64> = hashes.iter().copied().collect();
+        assert_eq!(distinct.len(), hashes.len());
     }
 
     #[test]

@@ -27,7 +27,7 @@ mod range;
 pub use checksum::page_checksum;
 pub use config::{QosConfig, StoreConfig, TenantQuota, TenantQuotaEntry, DEFAULT_PAGE_SIZE};
 pub use error::{BlobError, Result};
-pub use ids::{BlobId, PageId, PageIdGen, ProviderId, TenantId, Version};
+pub use ids::{BlobId, PageId, PageIdGen, PageIdHash, PageIdHasher, ProviderId, TenantId, Version};
 pub use page::{PageDescriptor, PageSlice};
 pub use range::{ByteRange, NodePos, PageRange};
 
