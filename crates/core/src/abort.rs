@@ -164,7 +164,8 @@ pub(crate) fn self_help_on_wait(engine: &Arc<Engine>) {
 /// manager, store the repair tree, commit. Typed errors
 /// ([`BlobError::AbortConflict`]) when the version already completed,
 /// published or aborted; on a repair failure the version stays marked
-/// (readers already see `VersionAborted`) and the sweeper retries.
+/// (readers already see `VersionAborted`) and the sweeper retries —
+/// but not while this repair runs.
 pub(crate) fn abort_version(engine: &Arc<Engine>, blob: BlobId, v: Version) -> Result<()> {
     let _guard = enter_repair();
     // The repair stores pages before their leaves land; pin it with
@@ -172,9 +173,10 @@ pub(crate) fn abort_version(engine: &Arc<Engine>, blob: BlobId, v: Version) -> R
     // `scrub_orphans` never reclaims repair pages mid-flight.
     let _pin = engine.pin_update();
     let update = engine.vm.begin_abort(blob, v)?;
+    let _repairing = Repairing(engine, blob, v);
     repair(engine, blob, update)?;
     match engine.vm.commit_abort(blob, v) {
-        // A concurrent aborter (the sweeper retries `Aborting` versions)
+        // A concurrent aborter (the sweeper retries stuck `Aborting` versions)
         // committed between our repair and our commit: the abort we
         // were asked for happened — repairs are idempotent (`put_new`),
         // so whose nodes landed is immaterial.
@@ -182,6 +184,17 @@ pub(crate) fn abort_version(engine: &Arc<Engine>, blob: BlobId, v: Version) -> R
             Ok(())
         }
         other => other,
+    }
+}
+
+/// One repair begun by `begin_abort`, ended on drop: after its commit
+/// that is a no-op, and after a failure or panic it hands the version
+/// back to the sweeper. While it runs no sweep repeats it.
+struct Repairing<'a>(&'a Engine, BlobId, Version);
+
+impl Drop for Repairing<'_> {
+    fn drop(&mut self) {
+        self.0.vm.end_repair(self.1, self.2);
     }
 }
 

@@ -226,8 +226,6 @@ impl Builder {
             q.validate().map_err(BlobError::Storage)?;
         }
         let wait = Duration::from_millis(config.metadata_wait_ms);
-        let meta = MetaStore::new(config.metadata_providers, wait);
-        let metrics = EngineMetrics::new(meta.wait_latency());
         let providers = match stores {
             Some(stores) => ProviderManager::new(stores, strategy),
             None => ProviderManager::with_memory_providers(config.data_providers, strategy),
@@ -235,8 +233,8 @@ impl Builder {
         let engine = Engine {
             vm: VersionManager::new(config.page_size, mode, wait)
                 .with_lease_ttl(config.lease_ttl_ticks),
-            meta,
-            metrics,
+            meta: MetaStore::new(config.metadata_providers, wait),
+            metrics: EngineMetrics::default(),
             providers,
             pool: ThreadPool::new(config.client_io_threads, "blobseer-io"),
             order_locks: Default::default(),

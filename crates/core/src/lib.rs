@@ -604,7 +604,7 @@ impl BlobSeer {
         stats::snapshot(&self.engine)
     }
 
-    /// Prometheus-style text exposition of every registered metric:
+    /// Prometheus-style text exposition of every engine metric:
     /// operation counters (`blobseer_*_ops_total`) and latency
     /// summaries (`blobseer_*_seconds{quantile="..."}` in seconds),
     /// plus deployment gauges (physical bytes/pages, metadata nodes),
@@ -629,80 +629,7 @@ impl BlobSeer {
     /// # Ok::<(), blobseer::BlobError>(())
     /// ```
     pub fn metrics_text(&self) -> String {
-        let mut out = self.engine.metrics.render();
-        let stats = stats::collect(&self.engine);
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_physical_bytes",
-            "payload bytes physically stored across all providers",
-            stats.physical_bytes as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_physical_pages",
-            "pages physically stored across all providers",
-            stats.physical_pages as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_metadata_nodes",
-            "metadata tree nodes stored in the DHT",
-            stats.metadata_nodes as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_metadata_slots",
-            "metadata slab slots allocated (32 bytes each, reused once released)",
-            stats.metadata.slots as i64,
-        );
-        let members = self.engine.providers.membership();
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_providers_registered",
-            "data providers ever registered (retired tombstones included)",
-            members.registered as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_providers_active",
-            "data providers eligible for new page placement",
-            members.active as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_providers_draining",
-            "data providers currently draining (read-only)",
-            members.draining as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_providers_retired",
-            "data providers retired by completed drains",
-            members.retired as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_vm_read_views_total",
-            "read-view resolutions served by the version manager",
-            stats.vm.read_views as i64,
-        );
-        blobseer_metrics::write_gauge(
-            &mut out,
-            "blobseer_vm_lockfree_reads_total",
-            "hot VM reads served wait-free from a blob's seqlock cell (no blob mutex)",
-            stats.vm.lockfree_reads as i64,
-        );
-        blobseer_metrics::write_counter(
-            &mut out,
-            "blobseer_checksum_verified_bytes_total",
-            "payload bytes providers re-hashed to verify fetches (only the blocks returned)",
-            self.engine.providers.total_bytes_verified(),
-        );
-        metrics::render_provider_latency(&self.engine.providers, &mut out);
-        if let Some(qos) = &self.engine.qos {
-            qos.render_into(&mut out);
-        }
-        out
+        metrics::render(&self.engine)
     }
 }
 

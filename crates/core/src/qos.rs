@@ -45,7 +45,6 @@
 //! tests drive identical logic in virtual time.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,10 +92,10 @@ pub struct TenantQosStats {
 /// the DRR queue for pipelined completion stages, and lazily-created
 /// per-tenant metrics.
 pub(crate) struct EngineQos {
-    registry: TenantRegistry,
+    pub registry: TenantRegistry,
     queue: FairQueue<Job>,
     max_wait: Duration,
-    tenants: Mutex<HashMap<u32, Arc<TenantQosMetrics>>>,
+    pub tenants: Mutex<HashMap<u32, Arc<TenantQosMetrics>>>,
 }
 
 impl EngineQos {
@@ -147,78 +146,6 @@ impl EngineQos {
                 wait: AtomicHistogram::new(),
             })
         }))
-    }
-
-    /// Append the QoS exposition: per-tenant admission counters, wait
-    /// summaries and live token gauges, with one `# HELP`/`# TYPE`
-    /// header per metric name and `{tenant="N"}`-labeled series in
-    /// tenant-id order.
-    pub fn render_into(&self, out: &mut String) {
-        let mut rows: Vec<(u32, Arc<TenantQosMetrics>)> =
-            self.tenants.lock().iter().map(|(&t, m)| (t, Arc::clone(m))).collect();
-        rows.sort_by_key(|(t, _)| *t);
-
-        let _ = writeln!(
-            out,
-            "# HELP blobseer_qos_admitted_total updates admitted by QoS admission control\n\
-             # TYPE blobseer_qos_admitted_total counter"
-        );
-        for (t, m) in &rows {
-            let _ = writeln!(
-                out,
-                "blobseer_qos_admitted_total{{tenant=\"{t}\"}} {}",
-                m.admitted.value()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP blobseer_qos_throttled_total updates refused with QuotaExceeded\n\
-             # TYPE blobseer_qos_throttled_total counter"
-        );
-        for (t, m) in &rows {
-            let _ = writeln!(
-                out,
-                "blobseer_qos_throttled_total{{tenant=\"{t}\"}} {}",
-                m.throttled.value()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP blobseer_qos_wait_seconds time blocked in admission waiting for tokens\n\
-             # TYPE blobseer_qos_wait_seconds summary"
-        );
-        for (t, m) in &rows {
-            blobseer_metrics::write_summary_seconds_labeled(
-                out,
-                "blobseer_qos_wait_seconds",
-                &format!("tenant=\"{t}\""),
-                &m.wait.snapshot(),
-            );
-        }
-
-        // Token gauges: only limited axes have buckets (and values).
-        let now = clock::precise_now();
-        let states = self.registry.all();
-        let _ = writeln!(
-            out,
-            "# HELP blobseer_qos_tokens_bytes byte tokens currently available (limited tenants)\n\
-             # TYPE blobseer_qos_tokens_bytes gauge"
-        );
-        for (t, state) in &states {
-            if let (Some(bytes), _) = state.tokens_at(now) {
-                let _ = writeln!(out, "blobseer_qos_tokens_bytes{{tenant=\"{t}\"}} {bytes}");
-            }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP blobseer_qos_tokens_ops op tokens currently available (limited tenants)\n\
-             # TYPE blobseer_qos_tokens_ops gauge"
-        );
-        for (t, state) in &states {
-            if let (_, Some(ops)) = state.tokens_at(now) {
-                let _ = writeln!(out, "blobseer_qos_tokens_ops{{tenant=\"{t}\"}} {ops}");
-            }
-        }
     }
 }
 

@@ -215,7 +215,6 @@ impl Snapshot {
     pub fn read(&self, range: ByteRange) -> Result<Bytes> {
         let op_timer = Timer::start();
         let scatter = self.scatter(&[range])?.remove(0);
-        self.engine.metrics.read_ops.increment();
         op_timer.stop(&self.engine.metrics.read_latency);
         Ok(scatter.into_bytes())
     }
@@ -246,7 +245,6 @@ impl Snapshot {
         }
         read::read_at_root_into(&self.engine, &self.lineage, self.root()?, request, buf)
             .map_err(|e| self.refine_error(e))?;
-        self.engine.metrics.read_ops.increment();
         op_timer.stop(&self.engine.metrics.read_latency);
         Ok(())
     }
@@ -275,7 +273,6 @@ impl Snapshot {
     pub fn read_scatter(&self, range: ByteRange) -> Result<ScatterRead> {
         let op_timer = Timer::start();
         let scatter = self.scatter(&[range])?.remove(0);
-        self.engine.metrics.read_scatter_ops.increment();
         op_timer.stop(&self.engine.metrics.read_scatter_latency);
         Ok(scatter)
     }
@@ -308,15 +305,13 @@ impl Snapshot {
     pub fn readv(&self, requests: &[ByteRange]) -> Result<Vec<ScatterRead>> {
         let op_timer = Timer::start();
         let reads = self.scatter(requests)?;
-        self.engine.metrics.readv_ops.increment();
         op_timer.stop(&self.engine.metrics.readv_latency);
         Ok(reads)
     }
 
     /// Shared body of [`Snapshot::read`], [`Snapshot::read_scatter`] and
     /// [`Snapshot::readv`]. It records no metric, so each public entry
-    /// point records its *own* counter and latency histogram exactly
-    /// once.
+    /// point records its *own* latency histogram exactly once.
     fn scatter(&self, requests: &[ByteRange]) -> Result<Vec<ScatterRead>> {
         for &r in requests {
             self.check(r)?;

@@ -2,7 +2,7 @@
 //!
 //! Two views live here: [`StoreStats`] — footprint and component
 //! counters (bytes, pages, tree nodes) — and [`StatsSnapshot`] — the
-//! tail-latency view built from the engine's metric registry
+//! tail-latency view built from the engine's metrics
 //! (`crate::metrics`). The first answers "how much", the second
 //! "how slow"; `docs/OBSERVABILITY.md` is the reference for both.
 
@@ -175,7 +175,7 @@ pub(crate) fn snapshot(engine: &Engine) -> StatsSnapshot {
         read_scatter: op(&m.read_scatter_latency),
         readv: op(&m.readv_latency),
         write_prepare: op(&m.write_prepare_latency),
-        dht_get_wait: op(&m.dht_get_wait_latency),
+        dht_get_wait: op(engine.meta.wait_latency()),
         lease_sweep: op(&m.lease_sweep_latency),
         scrub_mark: op(&m.scrub_mark_latency),
         scrub_sweep: op(&m.scrub_sweep_latency),

@@ -265,16 +265,15 @@ pub(crate) fn update(
     Ok(published)
 }
 
-/// Count a published update and record its end-to-end latency (only on
-/// success: failed updates would pollute the tail with abort timing).
+/// Record a published update's end-to-end latency (only on success:
+/// failed updates would pollute the tail with abort timing); the
+/// histogram's count is the update's `_ops_total`.
 /// Shared by the blocking path above and the pipelined completion stage
 /// in `crate::pending`.
 pub(crate) fn record_update(engine: &Engine, is_append: bool, timer: Timer) {
     if is_append {
-        engine.metrics.append_ops.increment();
         timer.stop(&engine.metrics.append_latency);
     } else {
-        engine.metrics.write_ops.increment();
         timer.stop(&engine.metrics.write_latency);
     }
 }

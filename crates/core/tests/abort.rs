@@ -4,9 +4,13 @@
 //! lease expiry, with the aborted version skipped in every snapshot
 //! lineage and surfaced as `VersionAborted` to racing readers.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use blobseer::{BlobError, BlobSeer, ByteRange, Bytes, CrashPoint, Version};
+use blobseer::{
+    BlobError, BlobSeer, ByteRange, Bytes, CrashPoint, FaultPlan, MemoryPageStore, PageStore,
+    Version,
+};
 
 const PSIZE: u64 = 4096;
 
@@ -306,4 +310,38 @@ fn repair_pages_keep_the_dead_writers_valid_lengths() {
     // v1: 4096 + 2048; repair: 4096 + 4096 + 2048; v3's merged tail:
     // 2048 + 16.
     assert_eq!(s.stats().physical_bytes, 4096 + 2048 + 4096 + 4096 + 2048 + 2064);
+}
+
+#[test]
+fn no_sweep_repeats_an_abort_that_is_still_repairing() {
+    // Every page request sleeps, so the explicit abort's repair
+    // (seventeen pages) long outlasts the cancelled stage, which
+    // fails at its lease renewal or its completion and queues a lease
+    // sweep while the version is still mid-abort. That abort is not
+    // expired work: no sweep may start a second, pinned repair of it.
+    let plans: Vec<_> =
+        (0..4).map(|_| Arc::new(FaultPlan::new(Arc::new(MemoryPageStore::new())))).collect();
+    let s = BlobSeer::builder()
+        .page_size(PSIZE)
+        .metadata_providers(2)
+        .io_threads(2)
+        .page_stores(plans.iter().map(|p| Arc::clone(p) as Arc<dyn PageStore>).collect())
+        .build()
+        .unwrap();
+    let blob = s.create();
+    blob.append(&[1u8; 100]).unwrap();
+    plans.iter().for_each(|p| p.set_latency(Duration::from_millis(10)));
+    let pending = blob.append_pipelined(filled(16 * PSIZE as usize, 2)).unwrap();
+    // Let the stage renew its lease and start its boundary merge, so
+    // it fails behind the abort rather than beside it.
+    std::thread::sleep(Duration::from_millis(5));
+    blob.abort(pending.version()).unwrap();
+    assert!(matches!(pending.wait(), Err(BlobError::VersionAborted { .. })));
+    plans.iter().for_each(|p| p.set_latency(Duration::ZERO));
+
+    // Nothing is storing pages once the abort returned.
+    let first = s.repair_replicas().unwrap();
+    assert_eq!(first.pages_exempt, 0, "a repair still runs: {first:?}");
+    assert_eq!(first.copies_repaired + first.copies_failed + first.strays_trimmed, 0);
+    assert_eq!(s.repair_replicas().unwrap(), first, "a second pass does nothing new");
 }

@@ -62,20 +62,20 @@
 //!   **miss** counts only if the sequence was even and unchanged across
 //!   the probe, and otherwise the reader probes again under the bucket
 //!   mutex. Readers never spin.
-//! - **Waits.** Blocking waiters ([`Slabs::wait`]) park on **per-key
-//!   wait queues** under a separate wait mutex, in one parking loop
-//!   (`Bucket::park`), and a per-bucket waiter count gates the wakeup
-//!   path: an uncontended store (no parked readers — by far the usual
-//!   case) never touches the wait mutex or any condvar, and a
-//!   contended one notifies only the condvars of *its own keys* (every
-//!   key of its slab's version). A lost wakeup is ruled out by a pair
+//! - **Waits.** Only a [`Slabs`] store waits: its blocking waiters
+//!   ([`Slabs::wait`]) park on **per-key wait queues** under a wait
+//!   mutex of the header's bucket, in one parking loop (`Slabs::park`),
+//!   and a per-bucket waiter count gates the wakeup path: an
+//!   uncontended store (no parked readers — by far the usual case)
+//!   never touches the wait mutex or any condvar, and a contended one
+//!   notifies only the condvars of *its own keys* (every key of its
+//!   slab's version). A lost wakeup is ruled out by a pair
 //!   of SeqCst fences: the store publishes its slots, fences, then
 //!   loads the waiter count; the waiter bumps the count, fences, then
 //!   re-probes. Whichever fence comes second in the single total order
 //!   sees the other side's store — the waiter finds the value, or the
 //!   store finds the waiter (and notifies under the wait mutex, which
-//!   the waiter holds until it parks). A slab's waiters park in its
-//!   header's bucket.
+//!   the waiter holds until it parks). A [`Dht`] keeps no wait state.
 //! - **`for_each` holds the bucket mutex** while it visits that bucket,
 //!   so it sees every entry present for the whole visit and a writer
 //!   to the bucket waits only while that bucket is being visited.
@@ -97,14 +97,7 @@ pub use hash::static_bucket;
 pub use slab::{Layout, Slab, Slabs};
 pub use stats::{BucketStats, DhtStats};
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use blobseer_metrics::{AtomicHistogram, Timer};
-use parking_lot::{Condvar, Mutex};
 
 use table::{Entry, Table};
 
@@ -126,28 +119,11 @@ impl std::fmt::Display for DhtError {
 
 impl std::error::Error for DhtError {}
 
-/// Parked waiters for one key: their private condvar plus a count that
-/// keeps the queue entry alive while anyone is parked. Guarded by the
-/// bucket's wait mutex.
-struct KeyQueue {
-    cv: Arc<Condvar>,
-    parked: usize,
-}
-
-/// One metadata provider: a table of write-once cells, the parking lot
-/// of its waiters and its access counters.
+/// One metadata provider: a table of write-once cells and its access
+/// counters.
 struct Bucket {
     /// The store proper: write-once cells.
     table: Table,
-    /// Slow-path parking lot for blocking gets: per-key wait queues (by
-    /// key words), held only around condvar waits and (when
-    /// `waiters > 0`) the lookup of which keys to notify. Never taken
-    /// while holding the table's writer lock.
-    wait_queues: Mutex<HashMap<[u64; 4], KeyQueue>>,
-    /// Number of waiters registered on this bucket; changed only under
-    /// the wait mutex. A store skips the wait mutex entirely while this
-    /// is zero.
-    waiters: AtomicUsize,
     stats: stats::BucketCounters,
 }
 
@@ -155,131 +131,17 @@ struct Bucket {
 fn buckets(n: usize) -> Box<[Bucket]> {
     assert!(n > 0, "DHT needs at least one bucket");
     (0..n)
-        .map(|_| Bucket {
-            table: Table::new(n),
-            wait_queues: Mutex::new(HashMap::new()),
-            waiters: AtomicUsize::new(0),
-            stats: stats::BucketCounters::default(),
-        })
+        .map(|_| Bucket { table: Table::new(n), stats: stats::BucketCounters::default() })
         .collect()
-}
-
-impl Bucket {
-    /// After a store made something visible: wake the waiters parked on
-    /// every key whose words start with `prefix`. Touches no lock at
-    /// all while nobody is parked on the bucket, and no condvar unless
-    /// someone is parked on a matching key.
-    fn wake(&self, prefix: &[u64]) {
-        // Pairs with the waiter's fence after its count bump: we see its
-        // registration, or its re-probe sees our store.
-        fence(Ordering::SeqCst);
-        if self.waiters.load(Ordering::Relaxed) > 0 {
-            // Taking the wait lock serializes with a waiter that is
-            // between its re-probe and its park, so this notify cannot
-            // fall into that window and be lost. Waiters on other keys
-            // sleep on.
-            for (key, q) in self.wait_queues.lock().iter() {
-                if key.starts_with(prefix) {
-                    q.cv.notify_all();
-                }
-            }
-        }
-    }
-
-    /// The one parking loop: block on key `words` until `find` answers,
-    /// `timeout` elapses, or — after every `slice` that expires without
-    /// an answer — `between` has run with the wait mutex released. One
-    /// recorded wait and one `wait_latency` sample per call that
-    /// parked; a call answered by its first probe records neither.
-    fn park<V>(
-        &self,
-        words: [u64; 4],
-        timeout: Duration,
-        slice: Duration,
-        mut between: impl FnMut(),
-        wait_latency: &AtomicHistogram,
-        find: impl Fn() -> Option<V>,
-    ) -> Result<V, DhtError> {
-        // Fast path: present already — identical cost to a `get`.
-        if let Some(v) = find() {
-            return Ok(v);
-        }
-        let slice = if slice.is_zero() { timeout } else { slice };
-        let deadline = Instant::now() + timeout;
-        let mut queues = self.wait_queues.lock();
-        let cv = {
-            let q = queues
-                .entry(words)
-                .or_insert_with(|| KeyQueue { cv: Arc::new(Condvar::new()), parked: 0 });
-            q.parked += 1;
-            Arc::clone(&q.cv)
-        };
-        // Count ourselves in *before* the re-probe below: the count
-        // changes only under the wait mutex, and the fence pairs with
-        // `wake`'s, so a racing store either becomes visible to the
-        // re-probe or sees our count and notifies our queue.
-        self.waiters.store(self.waiters.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let mut block_timer: Option<Timer> = None;
-        let result = loop {
-            if let Some(v) = find() {
-                break Ok(v);
-            }
-            if block_timer.is_none() {
-                // Exactly one recorded wait per blocking call, however
-                // many (possibly spurious) wakeups or slices follow.
-                block_timer = Some(Timer::start());
-                self.stats.waits.increment();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break Err(DhtError::WaitTimeout);
-            }
-            let slice_deadline = std::cmp::min(now + slice, deadline);
-            if cv.wait_until(&mut queues, slice_deadline).timed_out() {
-                // Slice expired. The key may have landed between the
-                // timeout and our relock — prefer it over self-help.
-                if let Some(v) = find() {
-                    break Ok(v);
-                }
-                if Instant::now() >= deadline {
-                    break Err(DhtError::WaitTimeout);
-                }
-                drop(queues);
-                between();
-                queues = self.wait_queues.lock();
-            }
-        };
-        // Deregister; drop the key's queue once the last waiter leaves.
-        if let Some(q) = queues.get_mut(&words) {
-            q.parked -= 1;
-            if q.parked == 0 {
-                queues.remove(&words);
-            }
-        }
-        self.waiters.store(self.waiters.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
-        drop(queues);
-        if let Some(timer) = block_timer {
-            timer.stop(wait_latency);
-        }
-        result
-    }
 }
 
 /// A sharded, in-process key/value store with static key distribution.
 ///
 /// One bucket models one metadata provider. All operations are
-/// thread-safe. A [`Slabs`] store keeps its headers in one and parks
-/// its waiters in its buckets.
+/// thread-safe; none of them waits. A [`Slabs`] store keeps its
+/// headers in one.
 pub struct Dht<K, V> {
     buckets: Box<[Bucket]>,
-    /// Block-time distribution of [`Slabs::wait`] calls that actually
-    /// parked. Always recorded (never gated on a config flag): a
-    /// blocking metadata wait is milliseconds-scale, so the one timer
-    /// read it costs is noise — and the p999 of this histogram is the
-    /// single best indicator of writer-pipeline stalls
-    /// (`docs/OBSERVABILITY.md`).
-    wait_latency: Arc<AtomicHistogram>,
     /// Keys and values are stored as words, never as `K`/`V`.
     types: PhantomData<fn() -> (K, V)>,
 }
@@ -291,18 +153,7 @@ where
 {
     /// Create a DHT spread over `buckets` metadata providers.
     pub fn new(buckets: usize) -> Self {
-        Dht {
-            buckets: self::buckets(buckets),
-            wait_latency: Arc::new(AtomicHistogram::new()),
-            types: PhantomData,
-        }
-    }
-
-    /// The shared block-time histogram of [`Slabs::wait`] (nanoseconds
-    /// per blocking call). Handed to a metrics registry so the store
-    /// can expose `dht_get_wait` percentiles.
-    pub fn wait_latency(&self) -> Arc<AtomicHistogram> {
-        Arc::clone(&self.wait_latency)
+        Dht { buckets: self::buckets(buckets), types: PhantomData }
     }
 
     /// Number of buckets (metadata providers).
@@ -316,12 +167,13 @@ where
         static_bucket(key, self.buckets.len())
     }
 
-    /// The key's words, its bucket and its fraction (the one hash).
+    /// The key's words, its bucket's index and its fraction (the one
+    /// hash).
     #[inline]
-    fn locate(&self, key: &K) -> ([u64; 4], &Bucket, u64) {
+    fn locate(&self, key: &K) -> ([u64; 4], usize, u64) {
         let words = key.encode();
         let (bucket, fraction) = hash::place(&words, self.buckets.len());
-        (words, &self.buckets[bucket], fraction)
+        (words, bucket, fraction)
     }
 
     /// Store a value only if the key is absent; returns `true` when
@@ -332,7 +184,8 @@ where
     /// already have woven content from them), and a zombie writer's
     /// late stores must lose to an already-placed repair node.
     pub fn put_new(&self, key: K, value: V) -> bool {
-        let (words, b, fraction) = self.locate(&key);
+        let (words, i, fraction) = self.locate(&key);
+        let b = &self.buckets[i];
         b.stats.puts.increment();
         let (kind, value) = value.encode();
         b.table.insert(&Entry { key: words, kind, value }, fraction)
@@ -341,7 +194,8 @@ where
     /// Fetch a value if present. Lock-free: concurrent `get`s of
     /// published metadata never serialize on the bucket.
     pub fn get(&self, key: &K) -> Option<V> {
-        let (words, b, fraction) = self.locate(key);
+        let (words, i, fraction) = self.locate(key);
+        let b = &self.buckets[i];
         b.stats.gets.increment();
         b.table.get(&words, fraction).map(|(kind, value)| V::decode(kind, value))
     }
@@ -397,6 +251,7 @@ impl<K, V> std::fmt::Debug for Dht<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     #[test]

@@ -32,19 +32,19 @@
 //! generation, so it can neither read nor fill the run's new values.
 //! Memory follows the peak of live slabs, not the churn.
 //!
-//! **Waits** park on the bucket of the header key, in the one parking
-//! loop of the crate (`Bucket::park`). A store fills its slots, then
-//! fences once and checks the bucket's waiter count once, waking the
-//! queues of the slab's version when anyone is parked.
+//! **Waits** park in the [`Lot`] of the header key's bucket, in the
+//! one parking loop of the crate (`Slabs::park`). A store fills its
+//! slots, then fences once and checks the lot's waiter count once,
+//! waking the queues of the slab's version when anyone is parked.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use blobseer_metrics::AtomicHistogram;
-use parking_lot::Mutex;
+use blobseer_metrics::{AtomicHistogram, Timer};
+use parking_lot::{Condvar, Mutex};
 
 use crate::codec::CellValue;
 use crate::table::Entry;
@@ -285,6 +285,50 @@ impl Arena {
     }
 }
 
+/// Parked waiters for one key: their private condvar plus a count that
+/// keeps the queue entry alive while anyone is parked. Guarded by the
+/// lot's wait mutex.
+struct KeyQueue {
+    cv: Arc<Condvar>,
+    parked: usize,
+}
+
+/// The parking lot of one header bucket.
+#[derive(Default)]
+struct Lot {
+    /// Per-key wait queues (by value words), held only around condvar
+    /// waits and (when `waiters > 0`) the lookup of which keys to
+    /// notify. Never taken while holding the bucket's writer lock.
+    queues: Mutex<HashMap<[u64; 4], KeyQueue>>,
+    /// Number of waiters parked in this lot; changed only under the
+    /// wait mutex. A store skips the wait mutex entirely while this is
+    /// zero.
+    waiters: AtomicUsize,
+}
+
+impl Lot {
+    /// After a store made something visible: wake the waiters parked on
+    /// every key whose words start with `prefix`. Touches no lock at
+    /// all while nobody is parked in the lot, and no condvar unless
+    /// someone is parked on a matching key.
+    fn wake(&self, prefix: &[u64]) {
+        // Pairs with the waiter's fence after its count bump: we see its
+        // registration, or its re-probe sees our store.
+        fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            // Taking the wait lock serializes with a waiter that is
+            // between its re-probe and its park, so this notify cannot
+            // fall into that window and be lost. Waiters on other keys
+            // sleep on.
+            for (key, q) in self.queues.lock().iter() {
+                if key.starts_with(prefix) {
+                    q.cv.notify_all();
+                }
+            }
+        }
+    }
+}
+
 /// Version slabs over `buckets` metadata providers: one header cell
 /// per key, in the key's bucket, naming a run of write-once slots.
 ///
@@ -293,19 +337,33 @@ impl Arena {
 pub struct Slabs<L, V> {
     headers: Dht<(u64, u64), Slab<L>>,
     arena: Arena,
+    /// One parking lot per header bucket.
+    lots: Box<[Lot]>,
+    /// Block-time distribution of [`Slabs::wait`] calls that actually
+    /// parked. Always recorded: a blocking metadata wait is
+    /// milliseconds-scale, so the one timer read it costs is noise —
+    /// and the p999 of this histogram is the single best indicator of
+    /// writer-pipeline stalls (`docs/OBSERVABILITY.md`).
+    wait_latency: AtomicHistogram,
     values: PhantomData<fn() -> V>,
 }
 
 impl<L: Layout, V: CellValue> Slabs<L, V> {
     /// An empty store spread over `buckets` metadata providers.
     pub fn new(buckets: usize) -> Self {
-        Slabs { headers: Dht::new(buckets), arena: Arena::default(), values: PhantomData }
+        Slabs {
+            headers: Dht::new(buckets),
+            arena: Arena::default(),
+            lots: (0..buckets).map(|_| Lot::default()).collect(),
+            wait_latency: AtomicHistogram::new(),
+            values: PhantomData,
+        }
     }
 
     /// The block-time histogram of [`Slabs::wait`] (nanoseconds per
     /// blocking call).
-    pub fn wait_latency(&self) -> Arc<AtomicHistogram> {
-        self.headers.wait_latency()
+    pub fn wait_latency(&self) -> &AtomicHistogram {
+        &self.wait_latency
     }
 
     fn probe(b: &Bucket, words: &[u64; 4], fraction: u64) -> Option<Slab<L>> {
@@ -314,15 +372,16 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
 
     /// The slab of `key`, if one is reserved: a header probe.
     pub fn slab(&self, key: (u64, u64)) -> Option<Slab<L>> {
-        let (words, b, fraction) = self.headers.locate(&key);
-        Self::probe(b, &words, fraction)
+        let (words, i, fraction) = self.headers.locate(&key);
+        Self::probe(&self.headers.buckets[i], &words, fraction)
     }
 
     /// The slab of `key`, reserving a run for `layout` if none is.
     /// Idempotent: every caller for a key gets the one slab, and a
     /// caller that loses the race to reserve hands its run back.
     pub fn reserve(&self, key: (u64, u64), layout: L) -> Slab<L> {
-        let (words, b, fraction) = self.headers.locate(&key);
+        let (words, i, fraction) = self.headers.locate(&key);
+        let b = &self.headers.buckets[i];
         loop {
             if let Some(slab) = Self::probe(b, &words, fraction) {
                 debug_assert_eq!(slab.layout, layout, "one key, one layout");
@@ -340,7 +399,7 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
 
     /// Fill each `(index, value)` into `slab` (the slab of `key`)
     /// where that slot is still empty, then fence once, check the
-    /// bucket's waiters once and wake the ones parked on `key`'s
+    /// waiters of `key`'s lot once and wake the ones parked on `key`'s
     /// values. Returns the slots this call filled.
     pub fn store(
         &self,
@@ -348,7 +407,8 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
         slab: &Slab<L>,
         values: impl IntoIterator<Item = (usize, V)>,
     ) -> usize {
-        let (words, b, _) = self.headers.locate(&key);
+        let (words, i, _) = self.headers.locate(&key);
+        let b = &self.headers.buckets[i];
         let (mut puts, mut filled) = (0, 0);
         for (index, value) in values {
             puts += 1;
@@ -357,7 +417,7 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
         b.stats.puts.add(puts);
         if filled > 0 {
             b.stats.filled.add(filled as u64);
-            b.wake(&words[..2]);
+            self.lots[i].wake(&words[..2]);
         }
         filled
     }
@@ -365,8 +425,8 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
     /// Count one get of a value of `key`, and read slot `at` if there
     /// is one: `None` when no slab or no live slot holds it.
     pub fn get(&self, key: (u64, u64), at: Option<(&Slab<L>, usize)>) -> Option<V> {
-        let (_, b, _) = self.headers.locate(&key);
-        b.stats.gets.increment();
+        let (_, i, _) = self.headers.locate(&key);
+        self.headers.buckets[i].stats.gets.increment();
         let (slab, index) = at?;
         self.arena.read(slab, index)
     }
@@ -388,13 +448,94 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
         slice: Duration,
         between: impl FnMut(),
     ) -> Result<V, DhtError> {
-        let (header, b, fraction) = self.headers.locate(&key);
+        let (header, i, fraction) = self.headers.locate(&key);
         debug_assert_eq!(words[..2], header[..2], "a value's words start with its slab key");
         let find = || {
-            let slab = Self::probe(b, &header, fraction)?;
+            let slab = Self::probe(&self.headers.buckets[i], &header, fraction)?;
             self.arena.read(&slab, index(&slab.layout)?)
         };
-        b.park(words, timeout, slice, between, &self.headers.wait_latency, find)
+        self.park(i, words, timeout, slice, between, find)
+    }
+
+    /// The one parking loop: block in lot `i` on key `words` until
+    /// `find` answers, `timeout` elapses, or — after every `slice` that
+    /// expires without an answer — `between` has run with the wait
+    /// mutex released. One recorded wait and one `wait_latency` sample
+    /// per call that parked; a call answered by its first probe records
+    /// neither.
+    fn park(
+        &self,
+        i: usize,
+        words: [u64; 4],
+        timeout: Duration,
+        slice: Duration,
+        mut between: impl FnMut(),
+        find: impl Fn() -> Option<V>,
+    ) -> Result<V, DhtError> {
+        // Fast path: present already — identical cost to a `get`.
+        if let Some(v) = find() {
+            return Ok(v);
+        }
+        let lot = &self.lots[i];
+        let slice = if slice.is_zero() { timeout } else { slice };
+        let deadline = Instant::now() + timeout;
+        let mut queues = lot.queues.lock();
+        let cv = {
+            let q = queues
+                .entry(words)
+                .or_insert_with(|| KeyQueue { cv: Arc::new(Condvar::new()), parked: 0 });
+            q.parked += 1;
+            Arc::clone(&q.cv)
+        };
+        // Count ourselves in *before* the re-probe below: the count
+        // changes only under the wait mutex, and the fence pairs with
+        // `wake`'s, so a racing store either becomes visible to the
+        // re-probe or sees our count and notifies our queue.
+        lot.waiters.store(lot.waiters.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let mut block_timer: Option<Timer> = None;
+        let result = loop {
+            if let Some(v) = find() {
+                break Ok(v);
+            }
+            if block_timer.is_none() {
+                // Exactly one recorded wait per blocking call, however
+                // many (possibly spurious) wakeups or slices follow.
+                block_timer = Some(Timer::start());
+                self.headers.buckets[i].stats.waits.increment();
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break Err(DhtError::WaitTimeout);
+            }
+            let slice_deadline = std::cmp::min(now + slice, deadline);
+            if cv.wait_until(&mut queues, slice_deadline).timed_out() {
+                // Slice expired. The key may have landed between the
+                // timeout and our relock — prefer it over self-help.
+                if let Some(v) = find() {
+                    break Ok(v);
+                }
+                if Instant::now() >= deadline {
+                    break Err(DhtError::WaitTimeout);
+                }
+                drop(queues);
+                between();
+                queues = lot.queues.lock();
+            }
+        };
+        // Deregister; drop the key's queue once the last waiter leaves.
+        if let Some(q) = queues.get_mut(&words) {
+            q.parked -= 1;
+            if q.parked == 0 {
+                queues.remove(&words);
+            }
+        }
+        lot.waiters.store(lot.waiters.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+        drop(queues);
+        if let Some(timer) = block_timer {
+            timer.stop(&self.wait_latency);
+        }
+        result
     }
 
     /// Visit the live values among the first `run(layout)` slots of
@@ -447,11 +588,17 @@ impl<L: Layout, V: CellValue> Slabs<L, V> {
         self.headers.buckets.iter().map(|b| b.stats.live_slots()).sum()
     }
 
+    /// Slots carved out of the arena (32 bytes each), reused ones
+    /// counted once.
+    pub fn slots(&self) -> usize {
+        self.arena.alloc.lock().carved
+    }
+
     /// Per-bucket access statistics: entries are live values,
     /// `capacity` counts header cells and `slots` the slots carved.
     pub fn stats(&self) -> DhtStats {
         let mut stats = collect_stats(&self.headers.buckets, |b| b.stats.live_slots());
-        stats.slots = self.arena.alloc.lock().carved;
+        stats.slots = self.slots();
         stats
     }
 }
@@ -605,7 +752,7 @@ mod tests {
             assert_eq!(waiter.join().unwrap(), Ok(99));
         });
         assert_eq!(
-            slabs.headers.buckets.iter().map(|b| b.waiters.load(Ordering::SeqCst)).sum::<usize>(),
+            slabs.lots.iter().map(|lot| lot.waiters.load(Ordering::SeqCst)).sum::<usize>(),
             0
         );
     }
@@ -663,12 +810,12 @@ mod tests {
     #[test]
     fn a_key_queue_is_dropped_when_its_last_waiter_leaves() {
         let slabs = Store::new(1);
-        let bucket = &slabs.headers.buckets[0];
+        let lot = &slabs.lots[0];
         // A timed-out waiter cleans its queue up...
         let timeout = Duration::from_millis(10);
         assert_eq!(wait(&slabs, 7, timeout, Duration::ZERO, || {}), Err(DhtError::WaitTimeout));
-        assert!(bucket.wait_queues.lock().is_empty());
-        assert_eq!(bucket.waiters.load(Ordering::SeqCst), 0);
+        assert!(lot.queues.lock().is_empty());
+        assert_eq!(lot.waiters.load(Ordering::SeqCst), 0);
         // ...and so does a satisfied one.
         std::thread::scope(|s| {
             let w = s.spawn(|| wait(&slabs, 8, Duration::from_secs(5), Duration::ZERO, || {}));
@@ -676,8 +823,8 @@ mod tests {
             put(&slabs, 8, 88);
             assert_eq!(w.join().unwrap(), Ok(88));
         });
-        assert!(bucket.wait_queues.lock().is_empty());
-        assert_eq!(bucket.waiters.load(Ordering::SeqCst), 0);
+        assert!(lot.queues.lock().is_empty());
+        assert_eq!(lot.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -242,9 +242,15 @@ impl MetaStore {
         self.slabs.stats()
     }
 
+    /// Slab slots allocated (32 bytes each, reused ones counted once):
+    /// the metadata's memory, read without building per-bucket stats.
+    pub fn slots(&self) -> usize {
+        self.slabs.slots()
+    }
+
     /// The DHT's block-time histogram (nanoseconds per blocking
-    /// `get_wait`), for registration in a store-level metrics registry.
-    pub fn wait_latency(&self) -> Arc<blobseer_metrics::AtomicHistogram> {
+    /// `get_wait`).
+    pub fn wait_latency(&self) -> &blobseer_metrics::AtomicHistogram {
         self.slabs.wait_latency()
     }
 }

@@ -3,8 +3,7 @@
 //! The paper's evaluation (§5) reasons in aggregate throughput; a
 //! deployment serving heavy traffic is judged on **tail latency**. This
 //! crate provides the measurement layer, in the spirit of pelikan-io's
-//! rustcommon stack (metriken-style registered metrics, base-2
-//! sub-bucketed histograms):
+//! rustcommon stack (base-2 sub-bucketed histograms):
 //!
 //! * [`Counter`] — an event counter striped by thread: a bump is one
 //!   relaxed `fetch_add` on a cache line only the calling thread
@@ -19,8 +18,12 @@
 //! * [`clock`] — the process clock ([`clock::precise_now`]) and the
 //!   [`Timer`] that measures a span into a histogram with one clock
 //!   read per edge;
-//! * [`Registry`] — named metric registration and a Prometheus-style
-//!   text exposition ([`Registry::render`]).
+//! * the text exposition — [`write_header`], [`write_sample`] and
+//!   [`write_summary_seconds_labeled`] for labeled families,
+//!   [`write_counter`], [`write_gauge`] and [`write_summary_seconds`]
+//!   for one-series ones — in the Prometheus text format. There is no
+//!   registry: a caller keeps its metrics as plain fields and writes
+//!   them in its own order.
 //!
 //! **No record writes a line another thread writes.** Up to
 //! [`STRIPES`] live threads each own a stripe (see the `stripe`
@@ -38,32 +41,31 @@
 //! # Examples
 //!
 //! ```
-//! use blobseer_metrics::{Registry, Timer};
+//! use blobseer_metrics::{AtomicHistogram, Timer};
 //!
-//! let registry = Registry::new();
-//! let ops = registry.counter("myapp_ops_total", "operations served");
-//! let latency =
-//!     registry.histogram_seconds("myapp_op_latency_seconds", "operation latency");
-//!
+//! let latency = AtomicHistogram::new();
 //! let timer = Timer::start();
-//! ops.increment();
 //! timer.stop(&latency); // records elapsed nanoseconds
 //!
-//! let text = registry.render();
-//! assert!(text.contains("# TYPE myapp_ops_total counter"));
+//! let mut text = String::new();
+//! let snap = latency.snapshot();
+//! blobseer_metrics::write_counter(&mut text, "myapp_ops_total", "operations served", snap.count());
+//! blobseer_metrics::write_summary_seconds(&mut text, "myapp_op_latency_seconds", "operation latency", &snap);
+//! assert!(text.contains("myapp_ops_total 1\n"));
 //! assert!(text.contains("# TYPE myapp_op_latency_seconds summary"));
 //! ```
 
 pub mod clock;
+mod exposition;
 mod histogram;
 mod metric;
-mod registry;
 mod stripe;
 
 pub use clock::Timer;
+pub use exposition::{
+    write_counter, write_gauge, write_header, write_sample, write_summary_seconds,
+    write_summary_seconds_labeled,
+};
 pub use histogram::{AtomicHistogram, HistogramSnapshot, GROUPING_POWER};
 pub use metric::Counter;
-pub use registry::{
-    write_counter, write_gauge, write_summary_seconds, write_summary_seconds_labeled, Registry,
-};
 pub use stripe::STRIPES;

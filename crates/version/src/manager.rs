@@ -426,7 +426,13 @@ impl VersionManager {
         let lease_expires = now + self.lease_ttl;
         inner.inflight.insert(
             vw.raw(),
-            Inflight { range, root: new_root, state: UpdateState::Active, lease_expires },
+            Inflight {
+                range,
+                root: new_root,
+                state: UpdateState::Active,
+                lease_expires,
+                repairs: 0,
+            },
         );
         self.lease_watermark.fetch_min(lease_expires, Ordering::Relaxed);
         self.assigned.increment();
@@ -533,8 +539,9 @@ impl VersionManager {
     }
 
     /// Every `(blob, version)` whose lease has lapsed as of the current
-    /// clock, plus any version stuck in a failed abort — the one
-    /// lease-expiry query every sweep trigger asks. Sorted, and
+    /// clock, plus any version stuck in a failed abort (not one whose
+    /// repair still runs) — the one lease-expiry query every sweep
+    /// trigger asks. Sorted, and
     /// ascending per blob: aborts must run lowest-version-first so a
     /// repair only ever waits on strictly lower versions.
     ///
@@ -544,8 +551,8 @@ impl VersionManager {
     /// dead?") — and locks only that blob (an unknown blob has
     /// nothing expired). `None` scans every blob.
     ///
-    /// One atomic load while every lease is fresh and no abort is
-    /// stuck, so it is safe to call per operation. When a full scan
+    /// One atomic load while every lease is fresh and no version is
+    /// mid-abort, so it is safe to call per operation. When a full scan
     /// finds nothing due, it raises the watermark to the earliest live
     /// expiry — but never above `now + ttl` (a lease granted mid-scan
     /// on an already-visited blob expires no earlier than that) and
@@ -604,7 +611,10 @@ impl VersionManager {
     ///
     /// Idempotent over a failed repair (state `Aborting` re-issues the
     /// update); refuses — typed, with nothing changed — once the
-    /// version completed, published, or fully aborted.
+    /// version completed, published, or fully aborted. Each call begins
+    /// one repair, which [`VersionManager::commit_abort`] or
+    /// [`VersionManager::end_repair`] ends; while one runs,
+    /// [`VersionManager::expired_leases`] does not report the version.
     pub fn begin_abort(&self, blob: BlobId, v: Version) -> Result<AssignedUpdate> {
         self.tick();
         let state = self.blob_state(blob)?;
@@ -634,6 +644,7 @@ impl VersionManager {
         let inf = {
             let entry = inner.inflight.get_mut(&v.raw()).expect("checked above");
             entry.state = UpdateState::Aborting;
+            entry.repairs += 1;
             *entry
         };
         if prior == UpdateState::Active {
@@ -667,6 +678,19 @@ impl VersionManager {
             ref_root: inner.root_of(inner.published, self.psize),
             prev_root: inner.root_of(prev, self.psize),
         })
+    }
+
+    /// A repair begun by [`VersionManager::begin_abort`] ended without
+    /// committing (it failed or panicked): once no other repair of `v`
+    /// runs, a sweep may retry it. A no-op once `v` left `Aborting`.
+    pub fn end_repair(&self, blob: BlobId, v: Version) {
+        let Ok(state) = self.blob_state(blob) else { return };
+        let mut inner = state.inner.lock();
+        if let Some(inf) = inner.inflight.get_mut(&v.raw()) {
+            if inf.state == UpdateState::Aborting {
+                inf.repairs = inf.repairs.saturating_sub(1);
+            }
+        }
     }
 
     /// Finish an abort after the repair tree is durable: the version
@@ -1484,12 +1508,11 @@ mod tests {
         vm.begin_abort(b, a1.vw).unwrap();
         assert!(matches!(vm.complete(b, a1.vw), Err(BlobError::VersionAborted { .. })));
         assert!(matches!(vm.renew_lease(b, a1.vw), Err(BlobError::VersionAborted { .. })));
-        // A failed repair leaves the version retryable.
-        assert_eq!(
-            vm.expired_leases(None),
-            vec![(b, a1.vw)],
-            "Aborting state always wants a retry"
-        );
+        // A running repair is nobody's sweep work; a failed one leaves
+        // the version retryable.
+        assert!(vm.expired_leases(None).is_empty(), "the repair still runs");
+        vm.end_repair(b, a1.vw);
+        assert_eq!(vm.expired_leases(None), vec![(b, a1.vw)], "a stuck abort wants a retry");
         let ticket = vm.begin_abort(b, a1.vw).unwrap();
         assert_eq!(ticket.vw, a1.vw);
         vm.commit_abort(b, a1.vw).unwrap();
@@ -1631,8 +1654,10 @@ mod tests {
         assert_eq!(vm.expired_leases(None), vec![(b, a1.vw)]);
         assert_eq!(vm.expired_leases(Some((b, Version(9)))), vec![(b, a1.vw)]);
         assert!(vm.expired_leases(Some((b, a1.vw))).is_empty(), "strictly-below filter");
-        // A stuck abort stays visible regardless of the watermark.
+        // A stuck abort (its repair failed) stays visible regardless of
+        // the watermark.
         vm.begin_abort(b, a1.vw).unwrap();
+        vm.end_repair(b, a1.vw);
         assert_eq!(vm.expired_leases(None), vec![(b, a1.vw)]);
         vm.commit_abort(b, a1.vw).unwrap();
         assert!(vm.expired_leases(None).is_empty());

@@ -53,6 +53,9 @@ pub(crate) struct Inflight {
     /// Logical-clock tick at which the writer's lease lapses (only
     /// meaningful while `state == Active`).
     pub lease_expires: u64,
+    /// Repairs of this `Aborting` version begun and not yet ended: a
+    /// sweep retries a stuck abort only while none is running.
+    pub repairs: u32,
 }
 
 /// Mutable per-blob state, guarded by one mutex per blob so different
@@ -169,15 +172,15 @@ impl BlobInner {
     }
 
     /// Versions whose lease has lapsed as of `now` — plus any version
-    /// stuck mid-abort — ascending, optionally restricted to versions
-    /// strictly below `limit`.
+    /// stuck mid-abort with no repair running — ascending, optionally
+    /// restricted to versions strictly below `limit`.
     pub fn expired_leases(&self, now: u64, limit: Option<Version>) -> Vec<Version> {
         let upto = limit.map_or(u64::MAX, |v| v.raw());
         self.inflight
             .range(..upto)
             .filter(|(_, inf)| match inf.state {
                 UpdateState::Active => inf.lease_expires <= now,
-                UpdateState::Aborting => true,
+                UpdateState::Aborting => inf.repairs == 0,
                 UpdateState::Completed | UpdateState::Aborted => false,
             })
             .map(|(&v, _)| Version(v))
@@ -275,7 +278,7 @@ mod tests {
     }
 
     fn inflight(range: PageRange, root: NodePos, state: UpdateState) -> Inflight {
-        Inflight { range, root, state, lease_expires: u64::MAX }
+        Inflight { range, root, state, lease_expires: u64::MAX, repairs: 0 }
     }
 
     #[test]
@@ -338,7 +341,9 @@ mod tests {
             .insert(2, inflight(PageRange::new(2, 2), NodePos::new(0, 4), UpdateState::Completed));
         assert_eq!(b.drain_publishable(), (0, 0));
         assert_eq!(b.published, Version(0));
-        assert!(b.has_expired(0), "a stuck abort always wants a retry");
+        assert!(b.has_expired(0), "a stuck abort wants a retry");
+        b.inflight.get_mut(&1).unwrap().repairs = 1;
+        assert!(!b.has_expired(0), "an abort whose repair runs does not");
     }
 
     #[test]
@@ -363,6 +368,7 @@ mod tests {
                 root: NodePos::new(0, 2),
                 state: UpdateState::Active,
                 lease_expires: 10,
+                repairs: 0,
             },
         );
         assert!(!b.has_expired(9));
