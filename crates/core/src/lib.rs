@@ -167,11 +167,6 @@ impl BlobSeer {
         Builder::new()
     }
 
-    /// A deployment with [`StoreConfig::default`] settings.
-    pub fn new_default() -> Self {
-        Self::builder().build().expect("default config is valid")
-    }
-
     /// `CREATE`: register a new blob and return its [`Blob`] handle.
     /// The blob starts as the empty snapshot, version 0.
     pub fn create(&self) -> Blob {

@@ -1,7 +1,7 @@
 //! `BUILD_META` (paper Algorithm 4): constructing a new snapshot's tree
 //! and weaving it with the trees of earlier versions.
 
-use blobseer_types::{BlobError, NodePos, PageDescriptor, PageRange, Result, Version};
+use blobseer_types::{BlobError, NodePos, PageDescriptor, PageRange, Result, Version, FANOUT};
 
 use crate::node::{NodeKey, RootRef, TreeNode};
 use crate::plan::{borders_at_level, creates_position, update_plan};
@@ -59,8 +59,8 @@ enum Step {
     /// The next node on the path, not fetched yet.
     Next(Version, NodePos),
     /// The deepest node fetched so far: its position and its children's
-    /// versions, `[left, right]`.
-    At(NodePos, [Option<Version>; 2]),
+    /// versions, by slot.
+    At(NodePos, [Option<Version>; FANOUT as usize]),
     /// A `None` child ended the path: the tree has no node below.
     Ended,
 }
@@ -81,7 +81,7 @@ impl Walk {
         &mut self,
         reader: &TreeReader<'_>,
         level: u32,
-    ) -> Result<Option<[Option<Version>; 2]>> {
+    ) -> Result<Option<[Option<Version>; FANOUT as usize]>> {
         loop {
             self.step = match self.step {
                 Step::Ended => return Ok(None),
@@ -90,14 +90,14 @@ impl Walk {
                     return Ok(Some(children));
                 }
                 Step::At(pos, children) => {
-                    let child = pos.child_toward(self.page);
-                    match children[usize::from(!child.is_left_child())] {
-                        Some(v) => Step::Next(v, child),
+                    let slot = pos.slot_toward(self.page);
+                    match children[slot] {
+                        Some(v) => Step::Next(v, pos.child(slot)),
                         None => Step::Ended,
                     }
                 }
                 Step::Next(version, pos) => match reader.fetch(version, pos, true)? {
-                    TreeNode::Inner { left, right } => Step::At(pos, [left, right]),
+                    TreeNode::Inner { children } => Step::At(pos, children),
                     TreeNode::Leaf { .. } => {
                         return Err(BlobError::Internal(format!(
                             "node {pos:?} of {version} is a leaf above the leaf level"
@@ -110,13 +110,13 @@ impl Walk {
 }
 
 /// The descent of the reference tree along an update's two boundary
-/// paths: to its first page (the left borders' parents) and to its last
-/// page (the right borders' parents). One walk covers the prefix the
-/// paths share and forks into one walk per side where they part, so
-/// every path node is fetched at most once.
+/// paths: to its first page (the parents of the borders before it) and
+/// to its last page (the parents of the borders after it). One walk
+/// covers the prefix the paths share and forks into one walk per side
+/// where they part, so every path node is fetched at most once.
 struct Descent {
     reference: RootRef,
-    /// Pages the left and right walks lead to.
+    /// Pages the two side walks lead to: first, last.
     pages: [u64; 2],
     /// Lowest level of the shared prefix: the paths' lowest common
     /// ancestor, or the reference root when only the first page lies
@@ -128,6 +128,8 @@ struct Descent {
 
 impl Descent {
     fn new(reference: RootRef, first: u64, last: u64) -> Self {
+        // The paths part below the highest bit in which the pages differ.
+        const _: () = assert!(FANOUT == 2);
         let lca = u64::BITS - (first ^ last).leading_zeros();
         Descent {
             reference,
@@ -138,8 +140,9 @@ impl Descent {
         }
     }
 
-    /// [`TreeReader::version_at`] of border `pos` on `side` (0 = left),
-    /// read out of its parent. Borders must be asked for top-down.
+    /// [`TreeReader::version_at`] of border `pos` on `side` (0 = before
+    /// the update), read out of its parent in that border's slot.
+    /// Borders must be asked for top-down.
     fn version_of(
         &mut self,
         reader: &TreeReader<'_>,
@@ -167,7 +170,7 @@ impl Descent {
             }
         };
         let children = walk.children_at(reader, parent)?;
-        Ok(children.and_then(|c| c[usize::from(!pos.is_left_child())]))
+        Ok(children.and_then(|c| c[pos.slot()]))
     }
 }
 
@@ -262,11 +265,11 @@ pub fn build_meta(
     };
     for span in plan.levels.iter().skip(1) {
         for pos in span.positions() {
-            let node = TreeNode::Inner {
-                left: child_version(pos.left())?,
-                right: child_version(pos.right())?,
-            };
-            out.push((key(pos), node));
+            let mut children = [None; FANOUT as usize];
+            for (version, child) in children.iter_mut().zip(pos.children()) {
+                *version = child_version(child)?;
+            }
+            out.push((key(pos), TreeNode::Inner { children }));
         }
     }
     Ok(out)
@@ -349,15 +352,15 @@ mod tests {
         let by_pos: HashMap<NodePos, TreeNode> = nodes2.iter().map(|(k, n)| (k.pos, *n)).collect();
         assert_eq!(
             by_pos[&NodePos::new(0, 2)],
-            TreeNode::Inner { left: Some(Version(1)), right: Some(Version(2)) }
+            TreeNode::Inner { children: [Some(Version(1)), Some(Version(2))] }
         );
         assert_eq!(
             by_pos[&NodePos::new(2, 2)],
-            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(1)) }
+            TreeNode::Inner { children: [Some(Version(2)), Some(Version(1))] }
         );
         assert_eq!(
             by_pos[&NodePos::new(0, 4)],
-            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(2)) }
+            TreeNode::Inner { children: [Some(Version(2)), Some(Version(2))] }
         );
         commit(&store, nodes2);
 
@@ -375,16 +378,16 @@ mod tests {
         // New black root: left = old grey root (v2), right = own subtree.
         assert_eq!(
             by_pos[&NodePos::new(0, 8)],
-            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(3)) }
+            TreeNode::Inner { children: [Some(Version(2)), Some(Version(3))] }
         );
         // Incomplete right spine: dangling children are None.
         assert_eq!(
             by_pos[&NodePos::new(4, 4)],
-            TreeNode::Inner { left: Some(Version(3)), right: None }
+            TreeNode::Inner { children: [Some(Version(3)), None] }
         );
         assert_eq!(
             by_pos[&NodePos::new(4, 2)],
-            TreeNode::Inner { left: Some(Version(3)), right: None }
+            TreeNode::Inner { children: [Some(Version(3)), None] }
         );
         commit(&store, nodes3);
 
@@ -447,12 +450,12 @@ mod tests {
         let by_pos: HashMap<NodePos, TreeNode> = nodes3.iter().map(|(k, n)| (k.pos, *n)).collect();
         assert_eq!(
             by_pos[&NodePos::new(4, 4)],
-            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(3)) },
+            TreeNode::Inner { children: [Some(Version(2)), Some(Version(3))] },
             "C2 links to C1's yet-unwritten node via the override"
         );
         assert_eq!(
             by_pos[&NodePos::new(0, 8)],
-            TreeNode::Inner { left: Some(Version(1)), right: Some(Version(3)) }
+            TreeNode::Inner { children: [Some(Version(1)), Some(Version(3))] }
         );
         commit(&store, nodes3);
 

@@ -2,9 +2,10 @@
 //!
 //! Metadata in BlobSeer maps any `(version, offset, size)` request to the
 //! pages holding that data. It is organised as a **segment tree per
-//! snapshot version**: a binary tree over dyadic page ranges whose
-//! leaves name pages and whose inner nodes record, for each child, the
-//! *version* of the node occupying the child position. Trees of
+//! snapshot version**: a tree over dyadic page ranges, `FANOUT`
+//! children per inner node, whose leaves name pages and whose inner
+//! nodes record, for each child slot, the *version* of the node
+//! occupying the child position. Trees of
 //! successive versions **share** all subtrees that the newer update did
 //! not touch — new nodes are "weaved" with old ones (paper Fig. 1) —
 //! which is what makes versioning cheap in both space and time.
@@ -15,8 +16,8 @@
 //! * [`lineage`] — blob ancestry for cheap branching (BRANCH shares all
 //!   metadata up to the branch point);
 //! * [`plan`] — **pure** planners computing which tree positions an
-//!   update creates, which positions border it, and which positions a
-//!   read visits. Used by both the real engine and the network
+//!   update creates (which a read of the same range visits) and which
+//!   positions border it. Used by both the real engine and the network
 //!   simulator, so simulated costs follow the real tree math;
 //! * [`store`] — typed facade over the DHT (`blobseer-dht`): one slab
 //!   of write-once slots per update, in [`plan::SlabLayout`] order;
@@ -36,6 +37,6 @@ pub mod store;
 pub use build::{build_meta, UpdateContext};
 pub use lineage::Lineage;
 pub use node::{NodeKey, RootRef, TreeNode};
-pub use plan::{read_plan, update_plan, ReadPlan, SlabLayout, UpdatePlan};
+pub use plan::{update_plan, SlabLayout, UpdatePlan};
 pub use read::{collect_tree_pages, read_meta, read_meta_multi, read_meta_page, TreeReader};
 pub use store::{MetaStore, SelfHelpHook};

@@ -1,7 +1,11 @@
 //! Tree-node model and DHT keys.
+//!
+//! An inner node holds one child version per slot (`0..FANOUT`, in page
+//! order, as [`NodePos::child`] names them); the codec and every walk
+//! index children by slot.
 
 use blobseer_dht::{CellKey, CellValue};
-use blobseer_types::{BlobId, NodePos, PageId, ProviderId, Version};
+use blobseer_types::{BlobId, NodePos, PageId, ProviderId, Version, FANOUT};
 
 /// DHT key of a tree node: "each tree node is identified uniquely by its
 /// version and \[the\] range specified by the offset and size it covers"
@@ -22,19 +26,18 @@ pub struct NodeKey {
 ///
 /// Inner nodes "hold the version of the left child vl and the version of
 /// the right child vr, while leaves hold the page id pid and the provider
-/// that store\[s\] the page" (paper §4.1). A `None` child version marks a
-/// child position beyond the blob's current content — incomplete trees
-/// arise whenever the page count is not a power of two (e.g. paper
-/// Fig. 1(c), where the grown root `(0,8)` has no pages 5..8).
+/// that store\[s\] the page" (paper §4.1); here the inner node holds one
+/// child version per slot. A `None` child version marks a child position
+/// beyond the blob's current content — incomplete trees arise whenever
+/// the page count is not a power of two (e.g. paper Fig. 1(c), where the
+/// grown root `(0,8)` has no pages 5..8).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TreeNode {
-    /// An interior node: versions of the children occupying the left and
-    /// right half of this node's range.
+    /// An interior node: the versions of the children occupying its
+    /// range's `FANOUT` equal parts.
     Inner {
-        /// Version of the node at the left-child position, if any.
-        left: Option<Version>,
-        /// Version of the node at the right-child position, if any.
-        right: Option<Version>,
+        /// Version of the node at each child position, by slot.
+        children: [Option<Version>; FANOUT as usize],
     },
     /// A leaf covering exactly one page.
     Leaf {
@@ -46,27 +49,6 @@ pub enum TreeNode {
         /// final, partially-filled page).
         valid_len: u32,
     },
-}
-
-impl TreeNode {
-    /// Child version toward the left/right half; panics on leaves.
-    pub fn child(&self, left_side: bool) -> Option<Version> {
-        match self {
-            TreeNode::Inner { left, right } => {
-                if left_side {
-                    *left
-                } else {
-                    *right
-                }
-            }
-            TreeNode::Leaf { .. } => panic!("leaf has no children"),
-        }
-    }
-
-    /// `true` for leaves.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, TreeNode::Leaf { .. })
-    }
 }
 
 /// A node key is its four words: blob, version, offset, size.
@@ -84,15 +66,24 @@ impl CellKey for NodeKey {
     }
 }
 
-/// The kind bit is set for leaves. An inner node is its two child
-/// versions plus a word of presence bits (bit 0 left, bit 1 right); a
-/// leaf is its page id as two words plus `provider << 32 | valid_len`.
+/// The kind bit is set for leaves. An inner node is one word per child
+/// version, by slot, plus a word of presence bits (bit `i` for slot
+/// `i`); a leaf is its page id as two words plus
+/// `provider << 32 | valid_len`.
 impl CellValue for TreeNode {
     fn encode(&self) -> (bool, [u64; 3]) {
         match *self {
-            TreeNode::Inner { left, right } => {
-                let present = u64::from(left.is_some()) | u64::from(right.is_some()) << 1;
-                (false, [left.map_or(0, |v| v.0), right.map_or(0, |v| v.0), present])
+            TreeNode::Inner { children } => {
+                // One word per child and a presence word fill the three.
+                const _: () = assert!(FANOUT == 2);
+                let mut w = [0; 3];
+                for (slot, child) in children.iter().enumerate() {
+                    if let Some(v) = child {
+                        w[slot] = v.0;
+                        w[2] |= 1 << slot;
+                    }
+                }
+                (false, w)
             }
             TreeNode::Leaf { pid, provider, valid_len } => (
                 true,
@@ -114,8 +105,9 @@ impl CellValue for TreeNode {
             }
         } else {
             TreeNode::Inner {
-                left: (w[2] & 1 != 0).then_some(Version(w[0])),
-                right: (w[2] & 2 != 0).then_some(Version(w[1])),
+                children: std::array::from_fn(|slot| {
+                    (w[2] >> slot & 1 != 0).then_some(Version(w[slot]))
+                }),
             }
         }
     }
@@ -137,34 +129,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn node_child_access() {
-        let n = TreeNode::Inner { left: Some(Version(3)), right: None };
-        assert_eq!(n.child(true), Some(Version(3)));
-        assert_eq!(n.child(false), None);
-        assert!(!n.is_leaf());
-    }
-
-    #[test]
-    fn leaf_identification() {
-        let l = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 64 };
-        assert!(l.is_leaf());
-    }
-
-    #[test]
-    #[should_panic]
-    fn leaf_child_panics() {
-        let l = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 64 };
-        let _ = l.child(true);
-    }
-
-    #[test]
     fn cell_codecs_round_trip() {
         let key = NodeKey { blob: BlobId(3), version: Version(u64::MAX), pos: NodePos::new(8, 8) };
         assert_eq!(NodeKey::decode(key.encode()), key);
         let nodes = [
-            TreeNode::Inner { left: Some(Version(0)), right: None },
-            TreeNode::Inner { left: None, right: Some(Version(u64::MAX)) },
-            TreeNode::Inner { left: None, right: None },
+            TreeNode::Inner { children: [Some(Version(0)), None] },
+            TreeNode::Inner { children: [None, Some(Version(u64::MAX))] },
+            TreeNode::Inner { children: [None, None] },
             TreeNode::Leaf {
                 pid: PageId(u128::MAX - 1),
                 provider: ProviderId(u32::MAX),

@@ -1,5 +1,14 @@
-//! Pure tree planners: which positions an update creates, which
-//! positions border it, which positions a read visits.
+//! Pure tree planners: which positions an update creates and which
+//! positions border it. A read of a page range visits exactly the
+//! positions an update of that range would create (Algorithm 3 explores
+//! a node iff its range intersects the request), so [`update_plan`]'s
+//! spans, taken root first, are a read's plan too.
+//!
+//! Positions are [`NodePos`]es and children are named by slot
+//! (`0..FANOUT`); a level is one bit of page index. The formulas that
+//! hold only for two children — one level per bit in [`update_plan`],
+//! the popcount in [`shifted_sum`], one border per side in
+//! [`borders_at_level`] — each assert `FANOUT == 2`.
 //!
 //! These functions are arithmetic only — no storage, no locking — and
 //! are shared by three consumers:
@@ -14,7 +23,7 @@
 //!   the power-of-two step-downs visible in the paper's Figure 2(a))
 //!   follows the real tree math.
 
-use blobseer_types::{NodePos, PageRange};
+use blobseer_types::{NodePos, PageRange, FANOUT};
 
 /// The contiguous run of tree positions an update creates at one level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,6 +87,8 @@ impl UpdatePlan {
 /// Plan the positions created by updating `range` in a tree rooted at
 /// `root` (the root position *after* the update).
 pub fn update_plan(range: PageRange, root: NodePos) -> UpdatePlan {
+    // One span per level, and a level is one bit of page index.
+    const _: () = assert!(FANOUT == 2);
     assert!(!range.is_empty(), "updates cover at least one page");
     assert!(
         root.contains_page(range.last().expect("non-empty")),
@@ -118,6 +129,7 @@ const SPAN_BITS: u32 = 58;
 /// `x >> k`. Exact whenever the result fits a word, as it does for any
 /// page index (below `2^63`).
 pub fn shifted_sum(x: u64, k: u32) -> u64 {
+    const _: () = assert!(FANOUT == 2);
     let all = |x: u64| x.wrapping_mul(2).wrapping_sub(u64::from(x.count_ones()));
     all(x).wrapping_sub(all(x.checked_shr(k).unwrap_or(0)))
 }
@@ -186,17 +198,19 @@ pub fn creates_position(range: PageRange, root: NodePos, pos: NodePos) -> bool {
 }
 
 /// The border positions of an update of pages `first..=last` at one
-/// `level` below the root, as `[left, right]`.
+/// `level` below the root, as `[before, after]`.
 ///
 /// The created nodes at `level` are indices `first >> level ..= last >>
 /// level`; their parents' other children are the borders. So there is a
-/// left border, the left sibling of `first`'s ancestor, iff bit `level`
-/// of `first` is 1, and a right border, the right sibling of `last`'s
-/// ancestor, iff bit `level` of `last` is 0. Every left border hangs off
-/// the root-to-`first` path and every right border off the
+/// border before the update, in slot 0 beside `first`'s ancestor, iff
+/// that ancestor sits in slot 1 (bit `level` of `first` is 1), and one
+/// after it, in slot 1 beside `last`'s ancestor, iff that ancestor sits
+/// in slot 0 (bit `level` of `last` is 0). Every border before hangs
+/// off the root-to-`first` path and every border after off the
 /// root-to-`last` path, which is what lets the writer resolve them all
 /// in one descent.
 pub fn borders_at_level(first: u64, last: u64, level: u32) -> [Option<NodePos>; 2] {
+    const _: () = assert!(FANOUT == 2);
     let size = 1u64 << level;
     let (lo, hi) = (first >> level, last >> level);
     [
@@ -207,7 +221,7 @@ pub fn borders_at_level(first: u64, last: u64, level: u32) -> [Option<NodePos>; 
 
 /// The border positions of an update: children of created inner nodes
 /// that the update itself does not create (paper §4.2's set `B_vw`).
-/// Ordered top-down, left before right. Positions may lie beyond the
+/// Ordered top-down, then by offset. Positions may lie beyond the
 /// blob's content; the resolver decides whether they map to an existing
 /// node or to a `None` child.
 pub fn border_positions(range: PageRange, root: NodePos) -> Vec<NodePos> {
@@ -231,7 +245,7 @@ fn border_positions_by_walk(range: PageRange, root: NodePos) -> Vec<NodePos> {
         if pos.is_leaf() {
             continue;
         }
-        for child in [pos.right(), pos.left()] {
+        for child in pos.children() {
             if child.intersects(range) {
                 stack.push(child);
             } else {
@@ -243,49 +257,6 @@ fn border_positions_by_walk(range: PageRange, root: NodePos) -> Vec<NodePos> {
     out
 }
 
-/// The positions `READ_META` visits, level by level (root first).
-///
-/// Algorithm 3 explores a node iff its range intersects the request, so
-/// the visited positions at each level form one contiguous index run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReadPlan {
-    /// Visited positions per level, **root level first**, each a span.
-    pub levels: Vec<LevelSpan>,
-}
-
-impl ReadPlan {
-    /// Total nodes fetched.
-    pub fn node_count(&self) -> u64 {
-        self.levels.iter().map(LevelSpan::count).sum()
-    }
-
-    /// Number of leaves fetched (equals pages covered by the request).
-    pub fn leaf_count(&self) -> u64 {
-        self.levels.last().map(LevelSpan::count).unwrap_or(0)
-    }
-
-    /// Tree depth traversed.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-}
-
-/// Plan a metadata read of `range` in a tree rooted at `root`.
-pub fn read_plan(range: PageRange, root: NodePos) -> ReadPlan {
-    assert!(!range.is_empty(), "reads cover at least one page");
-    assert!(root.contains_page(range.last().expect("non-empty")));
-    let last = range.last().expect("non-empty");
-    let levels = (0..=root.level())
-        .rev()
-        .map(|level| LevelSpan {
-            level,
-            first_index: range.first >> level,
-            last_index: last >> level,
-        })
-        .collect();
-    ReadPlan { levels }
-}
-
 /// Nodes in a *complete* (from-scratch) tree over `pages` pages — the
 /// cost of the naive rebuild the paper rejects (§4.1: "rebuilding a full
 /// tree for subsequent updates would be space- and time-inefficient").
@@ -293,8 +264,7 @@ pub fn full_tree_node_count(pages: u64) -> u64 {
     if pages == 0 {
         return 0;
     }
-    let root = NodePos::root_for(pages);
-    (0..=root.level()).map(|level| ((pages - 1) >> level) + 1).sum()
+    update_plan(PageRange::new(0, pages), NodePos::root_for(pages)).node_count()
 }
 
 #[cfg(test)]
@@ -392,7 +362,7 @@ mod tests {
         let borders: std::collections::HashSet<NodePos> =
             border_positions(range, root).into_iter().collect();
         for p in plan.positions().filter(|p| !p.is_leaf()) {
-            for child in [p.left(), p.right()] {
+            for child in p.children() {
                 assert!(
                     created.contains(&child) ^ borders.contains(&child),
                     "child {child:?} of {p:?} must be exactly one of created/border"
@@ -421,27 +391,27 @@ mod tests {
     }
 
     #[test]
-    fn read_plan_matches_algorithm3_counts() {
-        // Reading 1024 pages out of a 2^20-page blob: 1 node at each of
-        // the top 11 levels, then 2, 4, ..., 1024.
+    fn update_spans_match_algorithm3_read_counts() {
+        // Reading 1024 pages out of a 2^20-page blob visits what an
+        // update of them creates: 1 node at each of the top 11 levels,
+        // then 2, 4, ..., 1024.
         let root = pos(0, 1 << 20);
-        let plan = read_plan(PageRange::new(0, 1024), root);
+        let plan = update_plan(PageRange::new(0, 1024), root);
         assert_eq!(plan.depth(), 21);
-        assert_eq!(plan.levels[0].count(), 1, "root");
+        assert_eq!(plan.levels[20].count(), 1, "root");
         assert_eq!(plan.levels[10].count(), 1, "level 10 spans exactly the request");
-        assert_eq!(plan.levels[11].count(), 2);
-        assert_eq!(plan.levels[20].count(), 1024, "leaves");
-        assert_eq!(plan.leaf_count(), 1024);
+        assert_eq!(plan.levels[9].count(), 2);
+        assert_eq!(plan.levels[0].count(), 1024, "leaves");
         assert_eq!(plan.node_count(), 11 + (2048 - 2));
     }
 
     #[test]
-    fn read_plan_unaligned_chunk() {
+    fn update_spans_of_an_unaligned_chunk() {
         // A chunk straddling a big subtree boundary visits two nodes per
         // upper level instead of one.
         let root = pos(0, 16);
-        let plan = read_plan(PageRange::new(7, 2), root);
-        let counts: Vec<u64> = plan.levels.iter().map(LevelSpan::count).collect();
+        let plan = update_plan(PageRange::new(7, 2), root);
+        let counts: Vec<u64> = plan.levels.iter().rev().map(LevelSpan::count).collect();
         assert_eq!(counts, vec![1, 2, 2, 2, 2]);
     }
 

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use blobseer_types::{
-    BlobError, ByteRange, NodePos, PageDescriptor, PageId, ProviderId, Result, Version,
+    BlobError, ByteRange, NodePos, PageDescriptor, PageId, ProviderId, Result, Version, FANOUT,
 };
 
 use crate::lineage::Lineage;
@@ -62,12 +62,16 @@ impl<'a> TreeReader<'a> {
         let mut cur_version = root.version;
         let mut cur_pos = root.pos;
         while cur_pos != pos {
-            let node = self.fetch(cur_version, cur_pos, wait)?;
-            let child_pos = cur_pos.child_toward(pos.offset);
-            match node.child(child_pos.is_left_child()) {
+            let TreeNode::Inner { children } = self.fetch(cur_version, cur_pos, wait)? else {
+                return Err(BlobError::Internal(format!(
+                    "tree {root:?}: leaf stored at {cur_pos:?}"
+                )));
+            };
+            let slot = cur_pos.slot_toward(pos.offset);
+            match children[slot] {
                 Some(v) => {
                     cur_version = v;
-                    cur_pos = child_pos;
+                    cur_pos = cur_pos.child(slot);
                 }
                 None => return Ok(None),
             }
@@ -102,13 +106,13 @@ pub fn read_meta_page(reader: &TreeReader<'_>, root: RootRef, page: u64) -> Resu
             TreeNode::Leaf { pid, provider, valid_len } if pos.is_leaf() => {
                 return Ok(PageDescriptor { pid, page_index: pos.offset, provider, valid_len });
             }
-            TreeNode::Inner { left, right } if !pos.is_leaf() => {
-                let child = pos.child_toward(page);
-                match if child.is_left_child() { left } else { right } {
-                    Some(v) => (version, pos) = (v, child),
+            TreeNode::Inner { children } if !pos.is_leaf() => {
+                let slot = pos.slot_toward(page);
+                match children[slot] {
+                    Some(v) => (version, pos) = (v, pos.child(slot)),
                     None => {
                         return Err(BlobError::Internal(format!(
-                            "tree {root:?}: missing child {child:?} above page {page}"
+                            "tree {root:?}: missing child {slot} of {pos:?} above page {page}"
                         )))
                     }
                 }
@@ -163,9 +167,9 @@ pub fn read_meta_multi(
         _ => {}
     }
     let mut out = Vec::with_capacity(union as usize);
-    // One pending right sibling per level above the node being expanded,
-    // plus its two children: `level + 1` entries at most, never a regrow.
-    let mut stack = Vec::with_capacity(root.pos.level() as usize + 1);
+    // Up to `FANOUT - 1` pending later siblings per level above the node
+    // being expanded, plus its children: never a regrow.
+    let mut stack = Vec::with_capacity((FANOUT as usize - 1) * root.pos.level() as usize + 1);
     stack.push((root.version, root.pos));
     while let Some((version, pos)) = stack.pop() {
         match reader.fetch(version, pos, true)? {
@@ -173,10 +177,11 @@ pub fn read_meta_multi(
                 debug_assert!(pos.is_leaf());
                 out.push(PageDescriptor { pid, page_index: pos.offset, provider, valid_len });
             }
-            TreeNode::Inner { left, right } => {
-                // Right first, so the left subtree pops first and leaves
-                // arrive in page order.
-                for (child, child_version) in [(pos.right(), right), (pos.left(), left)] {
+            TreeNode::Inner { children } => {
+                // Last slot first, so slot 0's subtree pops first and
+                // leaves arrive in page order.
+                for (slot, child_version) in children.into_iter().enumerate().rev() {
+                    let child = pos.child(slot);
                     let bytes = child.page_range().bytes(psize);
                     if !requests.iter().any(|r| r.intersects(bytes)) {
                         continue;
@@ -233,12 +238,11 @@ pub fn collect_tree_pages(
         }
         match reader.fetch(version, pos, false)? {
             TreeNode::Leaf { pid, provider, .. } => on_leaf(pid, provider),
-            TreeNode::Inner { left, right } => {
-                if let Some(v) = left {
-                    stack.push((v, pos.left()));
-                }
-                if let Some(v) = right {
-                    stack.push((v, pos.right()));
+            TreeNode::Inner { children } => {
+                for (child, v) in pos.children().zip(children) {
+                    if let Some(v) = v {
+                        stack.push((v, child));
+                    }
                 }
             }
         }
@@ -271,7 +275,7 @@ mod tests {
         for i in 0..4 {
             store.put_new(k(1, i, 1), leaf(i));
         }
-        let inner = |l, r| TreeNode::Inner { left: Some(Version(l)), right: Some(Version(r)) };
+        let inner = |l, r| TreeNode::Inner { children: [Some(Version(l)), Some(Version(r))] };
         store.put_new(k(1, 0, 2), inner(1, 1));
         store.put_new(k(1, 2, 2), inner(1, 1));
         store.put_new(k(1, 0, 4), inner(1, 1));
@@ -321,7 +325,7 @@ mod tests {
         store.reserve(BlobId(1), Version(2), PageRange::new(0, 1), partial.pos);
         store.put_new(
             NodeKey { blob: BlobId(1), version: Version(2), pos: NodePos::new(0, 2) },
-            TreeNode::Inner { left: Some(Version(1)), right: None },
+            TreeNode::Inner { children: [Some(Version(1)), None] },
         );
         assert!(read_meta_page(&reader, partial, 0).is_ok());
         assert!(matches!(read_meta_page(&reader, partial, 1), Err(BlobError::Internal(_))));
@@ -375,11 +379,11 @@ mod tests {
         );
         store.put_new(
             k(2, 0, 2),
-            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(1)) },
+            TreeNode::Inner { children: [Some(Version(2)), Some(Version(1))] },
         );
         store.put_new(
             k(2, 0, 4),
-            TreeNode::Inner { left: Some(Version(2)), right: Some(Version(1)) },
+            TreeNode::Inner { children: [Some(Version(2)), Some(Version(1))] },
         );
         let reader = TreeReader::new(&store, &lineage);
 

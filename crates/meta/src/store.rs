@@ -338,7 +338,7 @@ mod tests {
         reserve(&store, 1, 2, 2);
         store.put_new(key(1, 0, 1), leaf(10));
         store.put_new(key(1, 1, 1), leaf(11));
-        store.put_new(key(1, 0, 2), TreeNode::Inner { left: Some(Version(1)), right: None });
+        store.put_new(key(1, 0, 2), TreeNode::Inner { children: [Some(Version(1)), None] });
         let mut seen = Vec::new();
         store.for_each_leaf(|pid, provider| seen.push((pid.raw(), provider)));
         seen.sort_unstable();
@@ -373,7 +373,7 @@ mod tests {
         let s2 = Arc::clone(&store);
         let waiter = std::thread::spawn(move || s2.get_wait(&key(2, 0, 2)));
         std::thread::sleep(Duration::from_millis(20));
-        let n = TreeNode::Inner { left: Some(Version(1)), right: None };
+        let n = TreeNode::Inner { children: [Some(Version(1)), None] };
         // The waiter parked before the slab existed.
         reserve(&store, 2, 1, 2);
         store.put_new(key(2, 0, 2), n);

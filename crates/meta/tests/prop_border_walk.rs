@@ -54,9 +54,12 @@ fn descent_nodes(
     let (mut version, mut at) = (root.version, root.pos);
     while at != pos {
         out.insert((version, at));
-        let child = at.child_toward(pos.offset);
-        match reader.fetch(version, at, false).unwrap().child(child.is_left_child()) {
-            Some(v) => (version, at) = (v, child),
+        let TreeNode::Inner { children } = reader.fetch(version, at, false).unwrap() else {
+            panic!("leaf at inner position {at:?}");
+        };
+        let slot = at.slot_toward(pos.offset);
+        match children[slot] {
+            Some(v) => (version, at) = (v, at.child(slot)),
             None => return,
         }
     }
@@ -110,13 +113,10 @@ fn checked_build(
     };
     for (key, node) in &nodes {
         assert_eq!(key.version, ctx.vw);
-        if let TreeNode::Inner { left, right } = *node {
+        if let TreeNode::Inner { children } = *node {
             let pos = key.pos;
-            assert_eq!(
-                (left, right),
-                (child(pos.left()), child(pos.right())),
-                "{ctx:?} at {pos:?}"
-            );
+            let expected: Vec<_> = pos.children().map(child).collect();
+            assert_eq!(children.to_vec(), expected, "{ctx:?} at {pos:?}");
         }
     }
     nodes
@@ -186,7 +186,7 @@ proptest! {
         let by_definition: BTreeSet<(std::cmp::Reverse<u32>, u64)> = created
             .iter()
             .filter(|p| !p.is_leaf())
-            .flat_map(|p| [p.left(), p.right()])
+            .flat_map(|p| p.children())
             .filter(|c| !created.contains(c))
             .map(|c| (std::cmp::Reverse(c.level()), c.offset))
             .collect();

@@ -17,7 +17,7 @@ use blobseer_meta::{
     build_meta, read_meta, read_meta_multi, Lineage, MetaStore, RootRef, TreeReader, UpdateContext,
 };
 use blobseer_types::{
-    next_pow2, BlobId, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version,
+    BlobId, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version,
 };
 use proptest::prelude::*;
 
@@ -159,11 +159,12 @@ proptest! {
         }
 
         // Structural sanity rides along: roots grow monotonically and
-        // every root is the next power of two of the size so far.
+        // every root is the least power of the fanout covering the size
+        // so far.
         let mut max_end = 0;
         for a in &applied {
             max_end = max_end.max(a.range.end());
-            prop_assert_eq!(a.root.size, next_pow2(max_end));
+            prop_assert_eq!(a.root.size, NodePos::root_for(max_end).size);
         }
     }
 
@@ -186,7 +187,7 @@ proptest! {
         for pos in &created {
             prop_assert!(pos.intersects(range));
             if !pos.is_leaf() {
-                for child in [pos.left(), pos.right()] {
+                for child in pos.children() {
                     prop_assert!(
                         created.contains(&child) ^ borders.contains(&child),
                         "child {child:?} of {pos:?}"

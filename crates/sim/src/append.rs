@@ -234,7 +234,7 @@ impl Process for AppendClient {
                     let mut cur = plan.root;
                     while !cur.is_leaf() && cur.intersects(plan.range) {
                         stages.extend(self.node_fetch(cur));
-                        cur = cur.child_toward(plan.range.first);
+                        cur = cur.child(cur.slot_toward(plan.range.first));
                     }
                     for pos in border_positions(plan.range, plan.root) {
                         stages.extend(self.node_fetch(pos));

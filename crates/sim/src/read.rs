@@ -4,7 +4,8 @@
 //! pages of 64 KiB) is served by co-deployed data+metadata providers.
 //! Each reader executes Algorithm 1: consult the version manager, walk
 //! the metadata tree level by level (parents before children — the
-//! node set per level comes from [`blobseer_meta::plan::read_plan`]),
+//! node set per level is [`blobseer_meta::plan::update_plan`]'s span
+//! there: a read visits what an update of its range creates),
 //! then fetch all pages in parallel. Readers run *on provider nodes*
 //! ("the readers are deployed on nodes that already run a data and
 //! metadata provider"), so client-side work contends with serving work
@@ -14,7 +15,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use blobseer_meta::plan::{read_plan, ReadPlan};
+use blobseer_meta::plan::{update_plan, LevelSpan};
 use blobseer_simnet::{to_secs, Activity, Engine, Nanos, Network, NodeId, Process, Step};
 use blobseer_types::{NodePos, PageRange};
 
@@ -62,10 +63,9 @@ pub fn read_experiment(
             client: cluster.co_deployed_client(r),
             cluster: cluster.clone(),
             page_size,
-            plan: read_plan(range, root),
+            levels: update_plan(range, root).levels,
             range,
             phase: Phase::Begin,
-            level: 0,
             start: 0,
             results: Arc::clone(&results),
         }));
@@ -97,10 +97,10 @@ struct ReadClient {
     cluster: Cluster,
     client: NodeId,
     page_size: u64,
-    plan: ReadPlan,
+    /// Spans still to fetch, leaves first: the root's is popped first.
+    levels: Vec<LevelSpan>,
     range: PageRange,
     phase: Phase,
-    level: usize,
     start: Nanos,
     results: Arc<Mutex<Vec<Nanos>>>,
 }
@@ -140,12 +140,10 @@ impl Process for ReadClient {
                     return Step::Await(vec![self.vm_rpc()]);
                 }
                 Phase::MetaLevels => {
-                    if self.level >= self.plan.levels.len() {
+                    let Some(span) = self.levels.pop() else {
                         self.phase = Phase::Pages;
                         continue;
-                    }
-                    let span = self.plan.levels[self.level];
-                    self.level += 1;
+                    };
                     let batch = span.positions().map(|pos| self.node_fetch(pos)).collect();
                     return Step::AwaitWindow {
                         activities: batch,

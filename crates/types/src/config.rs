@@ -207,12 +207,6 @@ impl QosConfig {
         Ok(())
     }
 
-    /// Set the quota shared by all tenants without explicit entries.
-    pub fn with_default_quota(mut self, quota: TenantQuota) -> Self {
-        self.default_quota = quota;
-        self
-    }
-
     /// Add (or replace) one tenant's quota.
     pub fn with_tenant(mut self, tenant: u32, quota: TenantQuota) -> Self {
         self.tenants.retain(|e| e.tenant != tenant);

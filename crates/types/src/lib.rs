@@ -8,8 +8,8 @@
 //!
 //! * identifiers — [`BlobId`], [`Version`], [`PageId`], [`ProviderId`],
 //!   [`TenantId`];
-//! * range arithmetic — [`ByteRange`], [`PageRange`] and the dyadic
-//!   segment-tree positions [`NodePos`];
+//! * range arithmetic — [`ByteRange`], [`PageRange`], the dyadic
+//!   segment-tree positions [`NodePos`] and the tree's arity [`FANOUT`];
 //! * the [`PageDescriptor`] record exchanged between the metadata layer
 //!   and the data-access layer (the paper's *PD* sets);
 //! * store-wide [`StoreConfig`] and the common [`BlobError`] type.
@@ -29,17 +29,7 @@ pub use config::{QosConfig, StoreConfig, TenantQuota, TenantQuotaEntry, DEFAULT_
 pub use error::{BlobError, Result};
 pub use ids::{BlobId, PageId, PageIdGen, PageIdHash, PageIdHasher, ProviderId, TenantId, Version};
 pub use page::{PageDescriptor, PageSlice};
-pub use range::{ByteRange, NodePos, PageRange};
-
-/// Round `n` up to the next power of two, with `next_pow2(0) == 1`.
-///
-/// Used to size segment-tree roots: the root of a snapshot holding `p`
-/// pages covers `next_pow2(p)` pages (paper §4.1 assumes power-of-two
-/// tree spans).
-#[inline]
-pub fn next_pow2(n: u64) -> u64 {
-    n.max(1).next_power_of_two()
-}
+pub use range::{ByteRange, NodePos, PageRange, FANOUT};
 
 /// Integer ceiling division.
 #[inline]
@@ -51,19 +41,6 @@ pub fn div_ceil(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn next_pow2_edge_cases() {
-        assert_eq!(next_pow2(0), 1);
-        assert_eq!(next_pow2(1), 1);
-        assert_eq!(next_pow2(2), 2);
-        assert_eq!(next_pow2(3), 4);
-        assert_eq!(next_pow2(4), 4);
-        assert_eq!(next_pow2(5), 8);
-        assert_eq!(next_pow2(1023), 1024);
-        assert_eq!(next_pow2(1024), 1024);
-        assert_eq!(next_pow2(1025), 2048);
-    }
 
     #[test]
     fn div_ceil_edge_cases() {

@@ -9,7 +9,15 @@
 //!    ([`PageRange`]);
 //! 3. **dyadic positions** — segment-tree nodes cover power-of-two-sized,
 //!    self-aligned page ranges ([`NodePos`]); the tree of snapshot `v`
-//!    is rooted at `(0, next_pow2(pages(v)))`.
+//!    is rooted at [`NodePos::root_for`]`(pages(v))`.
+//!
+//! The tree's arity is one constant, [`FANOUT`]. An inner node's range
+//! splits into `FANOUT` equal children, named by their **slot**
+//! `0..FANOUT` in page order, and every walk goes through the slot
+//! helpers ([`NodePos::child`], [`NodePos::children`],
+//! [`NodePos::slot`], [`NodePos::slot_toward`]). A formula that holds
+//! only for two children carries `const _: () = assert!(FANOUT == 2);`
+//! beside it, so a change of arity finds each one by compiling.
 //!
 //! Keeping the tree coordinates in *pages* (not bytes) makes every
 //! alignment argument in the paper's Algorithms 3 & 4 an exact integer
@@ -18,8 +26,6 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-
-use crate::next_pow2;
 
 /// A byte range `[offset, offset + size)` within a blob snapshot.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -176,6 +182,9 @@ impl fmt::Debug for PageRange {
     }
 }
 
+/// Children per inner node of the segment tree.
+pub const FANOUT: u64 = 2;
+
 /// A segment-tree node position: a *dyadic* page range.
 ///
 /// Positions satisfy two invariants, checked in debug builds:
@@ -201,10 +210,12 @@ impl NodePos {
         NodePos { offset, size }
     }
 
-    /// The root position for a snapshot holding `pages` pages.
+    /// The root position for a snapshot holding `pages` pages: the least
+    /// power of [`FANOUT`] that is at least `pages` (1 for none).
     #[inline]
     pub fn root_for(pages: u64) -> Self {
-        NodePos::new(0, next_pow2(pages))
+        const _: () = assert!(FANOUT == 2);
+        NodePos::new(0, pages.max(1).next_power_of_two())
     }
 
     /// `true` when this position covers a single page.
@@ -219,37 +230,42 @@ impl NodePos {
         self.size.trailing_zeros()
     }
 
-    /// Left child position (first half of the covered range).
+    /// The child position in `slot` (`< FANOUT`): the `slot`-th of this
+    /// range's `FANOUT` equal parts, in page order.
     ///
     /// Panics in debug builds when called on a leaf.
     #[inline]
-    pub fn left(self) -> NodePos {
-        debug_assert!(!self.is_leaf());
-        NodePos::new(self.offset, self.size / 2)
+    pub fn child(self, slot: usize) -> NodePos {
+        debug_assert!(!self.is_leaf() && (slot as u64) < FANOUT);
+        let size = self.size / FANOUT;
+        NodePos::new(self.offset + slot as u64 * size, size)
     }
 
-    /// Right child position (second half of the covered range).
+    /// The child positions, slot 0 first.
     #[inline]
-    pub fn right(self) -> NodePos {
-        debug_assert!(!self.is_leaf());
-        NodePos::new(self.offset + self.size / 2, self.size / 2)
+    pub fn children(self) -> impl Iterator<Item = NodePos> {
+        (0..FANOUT as usize).map(move |slot| self.child(slot))
+    }
+
+    /// The slot this position occupies under its parent (paper: left
+    /// iff `offset % (2 × size) == 0`).
+    #[inline]
+    pub fn slot(self) -> usize {
+        ((self.offset >> self.level()) % FANOUT) as usize
+    }
+
+    /// The slot of the child (of this inner node) under which page `p`
+    /// lies.
+    #[inline]
+    pub fn slot_toward(self, p: u64) -> usize {
+        debug_assert!(!self.is_leaf() && self.contains_page(p));
+        ((p - self.offset) >> (self.size / FANOUT).trailing_zeros()) as usize
     }
 
     /// Parent position (Algorithm 4, lines 13-18).
     #[inline]
     pub fn parent(self) -> NodePos {
-        if self.is_left_child() {
-            NodePos::new(self.offset, self.size * 2)
-        } else {
-            NodePos::new(self.offset - self.size, self.size * 2)
-        }
-    }
-
-    /// `true` when this position is the left child of its parent
-    /// (paper: `offset % (2 × size) == 0`).
-    #[inline]
-    pub fn is_left_child(self) -> bool {
-        self.offset.is_multiple_of(self.size * 2)
+        NodePos::new(self.offset - self.slot() as u64 * self.size, self.size * FANOUT)
     }
 
     /// The page range covered.
@@ -280,26 +296,6 @@ impl NodePos {
     #[inline]
     pub fn contains_page(self, p: u64) -> bool {
         p >= self.offset && p < self.end()
-    }
-
-    /// The child position (of this inner node) under which page `p` lies.
-    #[inline]
-    pub fn child_toward(self, p: u64) -> NodePos {
-        debug_assert!(!self.is_leaf() && self.contains_page(p));
-        if p < self.offset + self.size / 2 {
-            self.left()
-        } else {
-            self.right()
-        }
-    }
-
-    /// The ancestor of `self` at `level` (≥ `self.level()`).
-    #[inline]
-    pub fn ancestor_at_level(self, level: u32) -> NodePos {
-        debug_assert!(level >= self.level());
-        debug_assert!(level < 64);
-        let size = 1u64 << level;
-        NodePos::new(self.offset & !(size - 1), size)
     }
 }
 
@@ -369,11 +365,12 @@ mod tests {
         // The 4-page example tree from paper Figure 1(a).
         let root = NodePos::root_for(4);
         assert_eq!(root, NodePos::new(0, 4));
-        assert_eq!(root.left(), NodePos::new(0, 2));
-        assert_eq!(root.right(), NodePos::new(2, 2));
-        assert_eq!(root.left().left(), NodePos::new(0, 1));
-        assert_eq!(root.right().right(), NodePos::new(3, 1));
-        assert!(root.left().left().is_leaf());
+        assert_eq!(root.child(0), NodePos::new(0, 2));
+        assert_eq!(root.child(1), NodePos::new(2, 2));
+        assert_eq!(root.child(0).child(0), NodePos::new(0, 1));
+        assert_eq!(root.child(1).child(1), NodePos::new(3, 1));
+        assert_eq!(root.children().collect::<Vec<_>>(), [root.child(0), root.child(1)]);
+        assert!(root.child(0).child(0).is_leaf());
         assert_eq!(root.level(), 2);
         assert_eq!(NodePos::new(3, 1).level(), 0);
     }
@@ -381,58 +378,45 @@ mod tests {
     #[test]
     fn node_pos_parent_inverts_children() {
         let root = NodePos::new(0, 8);
-        for pos in [
-            root.left(),
-            root.right(),
-            root.left().left(),
-            root.left().right(),
-            root.right().left(),
-            root.right().right(),
-        ] {
-            if pos.is_left_child() {
-                assert_eq!(pos.parent().left(), pos);
-            } else {
-                assert_eq!(pos.parent().right(), pos);
-            }
+        for pos in root.children().chain(root.children().flat_map(NodePos::children)) {
+            assert_eq!(pos.parent().child(pos.slot()), pos);
         }
     }
 
     #[test]
-    fn node_pos_left_right_detection() {
-        assert!(NodePos::new(0, 2).is_left_child());
-        assert!(!NodePos::new(2, 2).is_left_child());
-        assert!(NodePos::new(4, 2).is_left_child());
-        assert!(!NodePos::new(6, 2).is_left_child());
-        assert!(NodePos::new(0, 1).is_left_child());
-        assert!(!NodePos::new(1, 1).is_left_child());
+    fn node_pos_slot_detection() {
+        assert_eq!(NodePos::new(0, 2).slot(), 0);
+        assert_eq!(NodePos::new(2, 2).slot(), 1);
+        assert_eq!(NodePos::new(4, 2).slot(), 0);
+        assert_eq!(NodePos::new(6, 2).slot(), 1);
+        assert_eq!(NodePos::new(0, 1).slot(), 0);
+        assert_eq!(NodePos::new(1, 1).slot(), 1);
     }
 
     #[test]
     fn node_pos_root_growth_matches_figure_1c() {
         // Fig 1(c): appending a 5th page to a 4-page blob grows the root
-        // from (0,4) to (0,8), whose left child is the old root.
+        // from (0,4) to (0,8), whose first child is the old root.
         assert_eq!(NodePos::root_for(4), NodePos::new(0, 4));
         let grown = NodePos::root_for(5);
         assert_eq!(grown, NodePos::new(0, 8));
-        assert_eq!(grown.left(), NodePos::new(0, 4));
+        assert_eq!(grown.child(0), NodePos::new(0, 4));
+        for (pages, size) in
+            [(0, 1), (1, 1), (2, 2), (3, 4), (1023, 1024), (1024, 1024), (1025, 2048)]
+        {
+            assert_eq!(NodePos::root_for(pages), NodePos::new(0, size), "{pages} pages");
+        }
     }
 
     #[test]
-    fn node_pos_child_toward() {
+    fn node_pos_slot_toward() {
         let root = NodePos::new(0, 8);
-        assert_eq!(root.child_toward(0), root.left());
-        assert_eq!(root.child_toward(3), root.left());
-        assert_eq!(root.child_toward(4), root.right());
-        assert_eq!(root.child_toward(7), root.right());
-    }
-
-    #[test]
-    fn node_pos_ancestor_at_level() {
-        let leaf = NodePos::new(5, 1);
-        assert_eq!(leaf.ancestor_at_level(0), leaf);
-        assert_eq!(leaf.ancestor_at_level(1), NodePos::new(4, 2));
-        assert_eq!(leaf.ancestor_at_level(2), NodePos::new(4, 4));
-        assert_eq!(leaf.ancestor_at_level(3), NodePos::new(0, 8));
+        assert_eq!(root.slot_toward(0), 0);
+        assert_eq!(root.slot_toward(3), 0);
+        assert_eq!(root.slot_toward(4), 1);
+        assert_eq!(root.slot_toward(7), 1);
+        assert_eq!(NodePos::new(4, 4).slot_toward(5), 0);
+        assert_eq!(NodePos::new(4, 4).slot_toward(6), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! planners: if dyadic positions ever overlapped without nesting, the
 //! metadata "weaving" of the paper would be ill-defined.
 
-use blobseer_types::{next_pow2, ByteRange, NodePos, PageRange};
+use blobseer_types::{ByteRange, NodePos, PageRange, FANOUT};
 use proptest::prelude::*;
 
 /// Strategy producing a valid dyadic position within a bounded universe.
@@ -29,32 +29,42 @@ proptest! {
     #[test]
     fn parent_child_roundtrip(p in node_pos()) {
         if !p.is_leaf() {
-            prop_assert_eq!(p.left().parent(), p);
-            prop_assert_eq!(p.right().parent(), p);
-            prop_assert!(p.left().is_left_child());
-            prop_assert!(!p.right().is_left_child());
-            // Children partition the parent exactly.
-            prop_assert_eq!(p.left().end(), p.right().offset);
-            prop_assert_eq!(p.left().offset, p.offset);
-            prop_assert_eq!(p.right().end(), p.end());
+            let mut end = p.offset;
+            for i in 0..FANOUT as usize {
+                let c = p.child(i);
+                prop_assert_eq!(c.parent(), p);
+                prop_assert_eq!(c.slot(), i);
+                // The children tile the parent exactly, in slot order.
+                prop_assert_eq!(c.offset, end);
+                prop_assert_eq!(c.size, p.size / FANOUT);
+                end = c.end();
+            }
+            prop_assert_eq!(end, p.end());
+            prop_assert!(p.children().eq((0..FANOUT as usize).map(|i| p.child(i))));
         }
     }
 
     #[test]
-    fn ancestor_at_level_contains(p in node_pos(), up in 0u32..8) {
-        let level = p.level() + up;
-        let a = p.ancestor_at_level(level);
+    fn parents_contain_their_descendants(p in node_pos(), up in 0u32..8) {
+        let mut a = p;
+        for _ in 0..up {
+            a = a.parent();
+        }
         prop_assert!(a.contains(p));
-        prop_assert_eq!(a.level(), level);
+        prop_assert_eq!(a.level(), p.level() + up);
     }
 
     #[test]
-    fn child_toward_reaches_leaf(p in node_pos(), seed in any::<u64>()) {
+    fn slot_toward_reaches_leaf(p in node_pos(), seed in any::<u64>()) {
         let page = p.offset + seed % p.size;
         let mut cur = p;
         while !cur.is_leaf() {
-            cur = cur.child_toward(page);
-            prop_assert!(cur.contains_page(page));
+            let slot = cur.slot_toward(page);
+            // The slot names the one child that holds the page.
+            for i in 0..FANOUT as usize {
+                prop_assert_eq!(cur.child(i).contains_page(page), i == slot);
+            }
+            cur = cur.child(slot);
         }
         prop_assert_eq!(cur.offset, page);
     }
@@ -105,11 +115,13 @@ proptest! {
     }
 
     #[test]
-    fn next_pow2_properties(n in 0u64..(1 << 40)) {
-        let p = next_pow2(n);
-        prop_assert!(p.is_power_of_two());
-        prop_assert!(p >= n.max(1));
-        prop_assert!(p < 2 * n.max(1));
+    fn root_for_is_the_least_power_of_fanout(n in 0u64..(1 << 40)) {
+        let size = NodePos::root_for(n).size;
+        let mut power = 1;
+        while power < n {
+            power *= FANOUT;
+        }
+        prop_assert_eq!(size, power);
     }
 
     #[test]

@@ -1007,10 +1007,10 @@ impl std::fmt::Debug for VersionManager {
 /// The partial border set of an update of `range` under `root` (paper
 /// §4.2): for each border position, the highest version below `below`
 /// in `inflight` whose update creates a node there. Aborted holes count
-/// — their repair trees create those nodes. One ascending pass over
-/// `inflight`, each entry tested against the update's borders level by
-/// level, so the last match is the highest; nothing is allocated but
-/// the result. Ordered like `border_positions`: top-down, left first.
+/// — their repair trees create those nodes. Each border scans the lower
+/// in-flight entries downward and stops at the first creator; nothing
+/// is allocated but the result. Ordered like `border_positions`:
+/// top-down, then by offset.
 fn inflight_overrides(
     inflight: &BTreeMap<u64, Inflight>,
     below: Version,
@@ -1018,25 +1018,13 @@ fn inflight_overrides(
     root: NodePos,
 ) -> Vec<(NodePos, Version)> {
     let (first, last) = (range.first, range.end() - 1);
-    let levels = root.level();
-    // `best[level][side]`: the raw creator version, 0 for none —
-    // snapshot 0 is never in flight.
-    let mut best = [[0u64; 2]; u64::BITS as usize];
-    for (&vk, inf) in inflight.range(..below.raw()) {
-        for level in 0..levels {
-            let borders = borders_at_level(first, last, level);
-            for (slot, border) in best[level as usize].iter_mut().zip(borders) {
-                if border.is_some_and(|pos| creates_position(inf.range, inf.root, pos)) {
-                    *slot = vk;
-                }
-            }
-        }
-    }
+    let lower = inflight.range(..below.raw());
     let mut out = Vec::new();
-    for level in (0..levels).rev() {
-        let borders = borders_at_level(first, last, level);
-        for (border, &vk) in borders.into_iter().zip(&best[level as usize]) {
-            if let Some(pos) = border.filter(|_| vk > 0) {
+    for level in (0..root.level()).rev() {
+        for pos in borders_at_level(first, last, level).into_iter().flatten() {
+            let creator =
+                lower.clone().rev().find(|(_, inf)| creates_position(inf.range, inf.root, pos));
+            if let Some((&vk, _)) = creator {
                 out.push((pos, Version(vk)));
             }
         }

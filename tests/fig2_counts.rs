@@ -9,7 +9,7 @@
 //! `StoreStats` deltas — exact, and independent of the host.
 
 use blobseer::{BlobSeer, ByteRange, Bytes};
-use blobseer_meta::{read_plan, update_plan};
+use blobseer_meta::update_plan;
 use blobseer_types::{NodePos, PageRange};
 
 const PAGE: u64 = 64 * 1024;
@@ -81,6 +81,6 @@ fn reads_fetch_exactly_the_planned_nodes() {
         assert_eq!(bytes.len() as u64, len);
         let first = offset / PAGE;
         let range = PageRange::new(first, (offset + len).div_ceil(PAGE) - first);
-        assert_eq!(gets, read_plan(range, root).node_count(), "read of {len} B at {offset}");
+        assert_eq!(gets, update_plan(range, root).node_count(), "read of {len} B at {offset}");
     }
 }
