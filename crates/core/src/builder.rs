@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blobseer_meta::MetaStore;
-use blobseer_provider::{AllocationStrategy, PageStore, ProviderManager};
+use blobseer_provider::{PageStore, ProviderManager};
 use blobseer_rt::ThreadPool;
 use blobseer_types::{BlobError, PageIdGen, QosConfig, Result, StoreConfig};
 use blobseer_version::{ConcurrencyMode, VersionManager};
@@ -16,12 +16,12 @@ use crate::BlobSeer;
 /// Configures and builds a [`BlobSeer`] deployment.
 ///
 /// Defaults mirror [`StoreConfig::default`]: 64 KiB pages (the paper's
-/// smaller evaluation page size), 16 data + 16 metadata providers,
-/// round-robin placement and the paper's concurrent metadata mode.
+/// smaller evaluation page size), 16 data + 16 metadata providers and
+/// the paper's concurrent metadata mode. Placement is not a setting:
+/// pages always go round robin over the eligible providers.
 #[derive(Clone)]
 pub struct Builder {
     config: StoreConfig,
-    strategy: AllocationStrategy,
     mode: ConcurrencyMode,
     stores: Option<Vec<Arc<dyn PageStore>>>,
     qos: Option<QosConfig>,
@@ -31,7 +31,6 @@ impl std::fmt::Debug for Builder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Builder")
             .field("config", &self.config)
-            .field("strategy", &self.strategy)
             .field("mode", &self.mode)
             .field("custom_stores", &self.stores.as_ref().map(Vec::len))
             .field("qos", &self.qos)
@@ -44,7 +43,6 @@ impl Builder {
     pub fn new() -> Self {
         Builder {
             config: StoreConfig::default(),
-            strategy: AllocationStrategy::RoundRobin,
             mode: ConcurrencyMode::Concurrent,
             stores: None,
             qos: None,
@@ -78,12 +76,6 @@ impl Builder {
     /// Bound on blocking waits (SYNC, in-flight metadata nodes).
     pub fn metadata_wait(mut self, timeout: Duration) -> Self {
         self.config.metadata_wait_ms = timeout.as_millis() as u64;
-        self
-    }
-
-    /// Page-to-provider placement strategy.
-    pub fn allocation(mut self, strategy: AllocationStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -217,7 +209,7 @@ impl Builder {
 
     /// Validate the configuration and assemble the deployment.
     pub fn build(self) -> Result<BlobSeer> {
-        let Builder { mut config, strategy, mode, stores, qos } = self;
+        let Builder { mut config, mode, stores, qos } = self;
         if let Some(stores) = &stores {
             config.data_providers = stores.len();
         }
@@ -227,8 +219,8 @@ impl Builder {
         }
         let wait = Duration::from_millis(config.metadata_wait_ms);
         let providers = match stores {
-            Some(stores) => ProviderManager::new(stores, strategy),
-            None => ProviderManager::with_memory_providers(config.data_providers, strategy),
+            Some(stores) => ProviderManager::new(stores),
+            None => ProviderManager::with_memory_providers(config.data_providers),
         };
         let engine = Engine {
             vm: VersionManager::new(config.page_size, mode, wait)
@@ -366,7 +358,6 @@ mod tests {
             .metadata_providers(5)
             .io_threads(2)
             .metadata_wait(Duration::from_millis(1234))
-            .allocation(AllocationStrategy::LeastLoaded)
             .concurrency_mode(ConcurrencyMode::SerializedMetadata)
             .build()
             .unwrap();

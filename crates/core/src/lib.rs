@@ -135,8 +135,7 @@ pub use write::CrashPoint;
 // Re-export the vocabulary a user needs to drive the API — including
 // the fault-injection seam ([`Builder::page_stores`] + [`FaultPlan`]).
 pub use blobseer_provider::{
-    AllocationStrategy, FaultPlan, FilePageStore, MembershipCounts, MemoryPageStore, PageStore,
-    ProviderStats, SealedPage, SUM_BLOCK,
+    FaultPlan, MembershipCounts, MemoryPageStore, PageStore, ProviderStats, SealedPage, SUM_BLOCK,
 };
 pub use blobseer_types::{
     BlobError, BlobId, ByteRange, PageId, ProviderId, QosConfig, Result, StoreConfig, TenantId,
@@ -415,11 +414,12 @@ impl BlobSeer {
     }
 
     /// Register a brand-new in-memory data provider and return its id.
-    /// The newcomer is **immediately** eligible: the next allocation
-    /// may place primaries on it, and replica chains that wrap past the
-    /// former last registry position continue onto it. Use
+    /// The newcomer is **immediately** eligible: the round-robin
+    /// rotation deals it its share of new pages, and replica chains
+    /// that wrap past the former last registry position continue onto
+    /// it. Pages already stored stay where they are. Use
     /// [`BlobSeer::add_provider_store`] to bring your own backing
-    /// store (e.g. a [`FilePageStore`]).
+    /// store.
     ///
     /// # Examples
     ///
@@ -435,7 +435,9 @@ impl BlobSeer {
         self.add_provider_store(Arc::new(MemoryPageStore::new()))
     }
 
-    /// [`BlobSeer::add_provider`] over a caller-supplied page store.
+    /// [`BlobSeer::add_provider`] over a caller-supplied page store —
+    /// typically a [`FaultPlan`] wrapping a [`MemoryPageStore`], kept as
+    /// a handle to inject failures into the newcomer.
     pub fn add_provider_store(&self, store: Arc<dyn PageStore>) -> ProviderId {
         self.engine.providers.add_provider(store)
     }
@@ -483,23 +485,6 @@ impl BlobSeer {
     /// `blobseer_providers_*` gauges by [`BlobSeer::metrics_text`].
     pub fn membership(&self) -> MembershipCounts {
         self.engine.providers.membership()
-    }
-
-    /// Hot-swap the page-placement strategy, from a fresh state. Only
-    /// new allocations are affected: every stored page keeps its
-    /// location, and replica chains are a function of registry order,
-    /// not of placement — so the swap never invalidates a leaf.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # let store = blobseer::BlobSeer::builder().page_size(64).data_providers(2)
-    /// #     .metadata_providers(2).io_threads(1).build()?;
-    /// store.set_placement(blobseer::AllocationStrategy::LeastLoaded);
-    /// # Ok::<(), blobseer::BlobError>(())
-    /// ```
-    pub fn set_placement(&self, strategy: AllocationStrategy) {
-        self.engine.providers.set_placement(strategy);
     }
 
     /// The deployment's configuration.

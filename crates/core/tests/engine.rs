@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use blobseer::{AllocationStrategy, BlobError, BlobSeer, ConcurrencyMode, Version};
+use blobseer::{BlobError, BlobSeer, ConcurrencyMode, Version};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -421,28 +421,6 @@ fn serialized_metadata_mode_is_correct_too() {
     }
     s.sync(b, Version(40)).unwrap();
     assert_eq!(s.get_size(b, Version(40)).unwrap(), 4000);
-}
-
-#[test]
-fn allocation_strategies_all_work() {
-    for strategy in [
-        AllocationStrategy::RoundRobin,
-        AllocationStrategy::Random,
-        AllocationStrategy::LeastLoaded,
-        AllocationStrategy::PowerOfTwoChoices,
-    ] {
-        let s = BlobSeer::builder()
-            .page_size(PSIZE)
-            .data_providers(5)
-            .allocation(strategy)
-            .build()
-            .unwrap();
-        let b = s.create().id();
-        let data = patterned(PSIZE as usize * 10 + 17, 7);
-        let v = s.append(b, &data).unwrap();
-        s.sync(b, v).unwrap();
-        assert_eq!(s.read(b, v, 0, data.len() as u64).unwrap(), data, "strategy {strategy:?}");
-    }
 }
 
 #[test]

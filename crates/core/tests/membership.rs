@@ -344,10 +344,10 @@ fn the_round_that_finds_the_victim_empty_does_not_mark() {
     assert_eq!(marks(&store), report.rounds - 1);
 }
 
-/// A join after drains reuses no retired id, and placement hot-swap
-/// applies to the next allocation without a rebuild.
+/// A join after drains reuses no retired id, and the newcomer takes
+/// its share of the pages written after it joined.
 #[test]
-fn join_after_drain_and_placement_hot_swap() {
+fn join_after_drain_takes_its_share_of_new_pages() {
     let (store, _handles) = store_with_handles(3);
     store.drain_provider(ProviderId(1)).unwrap();
 
@@ -356,7 +356,6 @@ fn join_after_drain_and_placement_hot_swap() {
     let members = store.membership();
     assert_eq!((members.registered, members.active, members.retired), (4, 3, 1));
 
-    store.set_placement(blobseer::AllocationStrategy::LeastLoaded);
     let blob = store.create();
     for i in 0..3 {
         let v = blob.append_bytes(fill(150, 60 + i)).unwrap();
@@ -364,6 +363,8 @@ fn join_after_drain_and_placement_hot_swap() {
     }
     let last = blob.recent_version().unwrap();
     assert_eq!(read_all(&blob, last).len(), 450);
+    let joined = store.stats().providers.into_iter().find(|p| p.id == id).unwrap();
+    assert!(joined.pages > 0, "the joined provider holds no page: {joined:?}");
     let repair = store.repair_replicas().unwrap();
     assert_eq!(repair.pages_unrepairable, 0);
 }

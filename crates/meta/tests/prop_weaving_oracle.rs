@@ -36,6 +36,17 @@ fn requests() -> impl Strategy<Value = Vec<(u16, u64)>> {
     proptest::collection::vec((0u16..=1000, 0u64..4 * PSIZE), 0..6)
 }
 
+/// The root of a snapshot of `pages` pages, computed independently of
+/// `NodePos::root_for`: offset 0 and the smallest `1 << k` that is at
+/// least `max(1, pages)`.
+fn least_covering_root(pages: u64) -> NodePos {
+    let mut size = 1;
+    while size < pages.max(1) {
+        size *= 2;
+    }
+    NodePos::new(0, size)
+}
+
 struct Applied {
     range: PageRange,
     root: NodePos,
@@ -158,13 +169,13 @@ proptest! {
             prop_assert_eq!(d.pid.raw() >> 32, owner(d.page_index), "page {}", d.page_index);
         }
 
-        // Structural sanity rides along: roots grow monotonically and
-        // every root is the least power of the fanout covering the size
-        // so far.
+        // Structural sanity rides along: every root sits at offset 0 and
+        // is the least power of two covering the size so far, found by
+        // doubling rather than by `root_for`, which built the roots.
         let mut max_end = 0;
         for a in &applied {
             max_end = max_end.max(a.range.end());
-            prop_assert_eq!(a.root.size, NodePos::root_for(max_end).size);
+            prop_assert_eq!(a.root, least_covering_root(max_end), "size {}", max_end);
         }
     }
 

@@ -11,16 +11,14 @@
 //! * [`SealedPage`] — a page payload plus the block checksums
 //!   ([`SUM_BLOCK`] bytes each) its client took; the unit every store
 //!   and provider below traffics in;
-//! * [`PageStore`] — the storage backend trait, with a sharded
-//!   in-memory implementation ([`MemoryPageStore`]) and a file-backed
-//!   one ([`FilePageStore`], sums persisted as a page-file header);
+//! * [`PageStore`] — the storage backend trait, with one sharded
+//!   in-memory implementation ([`MemoryPageStore`]);
 //! * [`DataProvider`] — one storage node: a store plus access counters
 //!   and its own store/fetch latency histograms;
-//! * [`ProviderManager`] — the registry, page-to-provider placement (one
-//!   [`AllocationStrategy`], swappable live; §4.3 notes that the
-//!   strategy "plays a central role in minimizing ... conflicts that
-//!   lead to serialization") and every page's replica chain and
-//!   failover sequence ([`ProviderManager::chain`]);
+//! * [`ProviderManager`] — the registry, page-to-provider placement
+//!   (round robin over the eligible providers, the even distribution
+//!   §3.1 asks for) and every page's replica chain and failover
+//!   sequence ([`ProviderManager::chain`]);
 //! * [`FaultPlan`] — composable fault injection (offline, one-shot and
 //!   probabilistic I/O errors, latency, bit-flip corruption) wrapping
 //!   any store, so provider failure is a first-class, testable event.
@@ -36,7 +34,7 @@ mod sealed;
 mod store;
 
 pub use fault::FaultPlan;
-pub use manager::{AllocationStrategy, MembershipCounts, ProviderManager};
+pub use manager::{MembershipCounts, ProviderManager};
 pub use provider::{DataProvider, ProviderStats, ScrubPass};
 pub use sealed::{SealedPage, SUM_BLOCK};
-pub use store::{FilePageStore, MemoryPageStore, PageStore};
+pub use store::{MemoryPageStore, PageStore};

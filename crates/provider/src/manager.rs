@@ -1,59 +1,21 @@
-//! The provider manager and its page-to-provider allocation strategies.
+//! The provider manager: the registry and round-robin page placement.
 //!
 //! The registry is an append-only table indexed by provider id (id
 //! equals position; providers are never removed, retirement is a
 //! flag). A lookup takes no lock and hands out a borrowed handle, so a
 //! read's provider resolution touches no refcount and writes no shared
 //! line; chain and placement walks read the published prefix, and only
-//! joins serialize, on a mutex.
+//! joins serialize, on a mutex. Placement is one rotation cursor over
+//! the eligible providers, advanced atomically.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use blobseer_types::{BlobError, ProviderId, Result};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::provider::{DataProvider, ProviderStats};
 use crate::store::{MemoryPageStore, PageStore};
-
-/// Page-to-provider placement strategy (paper §3.1: "a strategy aiming
-/// at ensuring an even distribution of pages among providers"; §4.3
-/// calls the strategy "central" to minimising serialization
-/// conflicts). A deployment can switch strategies live via
-/// [`ProviderManager::set_placement`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllocationStrategy {
-    /// Deterministic rotation — the baseline "even distribution". Also
-    /// what the figure simulations assume, so placement there matches
-    /// the real engine exactly.
-    RoundRobin,
-    /// Uniform random placement (seeded for reproducibility).
-    Random,
-    /// Always pick the providers currently storing the fewest bytes:
-    /// sort once per allocation, then deal pages round-robin over that
-    /// order so a single large allocation still spreads.
-    LeastLoaded,
-    /// Two random candidates, keep the less loaded (the classic
-    /// power-of-two-choices load balancer).
-    PowerOfTwoChoices,
-}
-
-/// The active strategy and its mutable state: the rotation cursor and
-/// the seeded RNG. Replaced whole on a swap, so a fresh strategy
-/// starts from a fresh state and two managers never share a cursor.
-struct Placement {
-    strategy: AllocationStrategy,
-    next: usize,
-    rng: StdRng,
-}
-
-impl Placement {
-    fn new(strategy: AllocationStrategy) -> Placement {
-        Placement { strategy, next: 0, rng: StdRng::seed_from_u64(0x5eed_b10b) }
-    }
-}
 
 /// Point-in-time membership census of the deployment; see
 /// [`ProviderManager::membership`].
@@ -146,8 +108,8 @@ impl Members {
     }
 }
 
-/// The provider manager: registry of data providers plus the placement
-/// strategy. Providers may join dynamically ([`ProviderManager::add_provider`])
+/// The provider manager: registry of data providers plus round-robin
+/// placement. Providers may join dynamically ([`ProviderManager::add_provider`])
 /// and leave via drain-then-retire, mirroring the paper's "new data
 /// providers may dynamically join and leave the system".
 ///
@@ -162,41 +124,27 @@ impl Members {
 /// lock, no refcount.
 pub struct ProviderManager {
     providers: Members,
-    placement: Mutex<Placement>,
+    /// Rotation cursor of [`Self::allocate`]: the running count of
+    /// pages placed. Relaxed is enough: it publishes no other data.
+    next: AtomicUsize,
 }
 
 impl ProviderManager {
     /// Manager over `n` fresh in-memory providers.
-    pub fn with_memory_providers(n: usize, strategy: AllocationStrategy) -> Self {
+    pub fn with_memory_providers(n: usize) -> Self {
         let stores = (0..n).map(|_| Arc::new(MemoryPageStore::new()) as Arc<dyn PageStore>);
-        Self::new(stores.collect(), strategy)
+        Self::new(stores.collect())
     }
 
     /// Manager over `stores`, joined in order: `stores[i]` becomes
     /// provider `i`.
-    pub fn new(stores: Vec<Arc<dyn PageStore>>, strategy: AllocationStrategy) -> Self {
+    pub fn new(stores: Vec<Arc<dyn PageStore>>) -> Self {
         assert!(!stores.is_empty(), "at least one data provider required");
-        let mgr = ProviderManager {
-            providers: Members::new(),
-            placement: Mutex::new(Placement::new(strategy)),
-        };
+        let mgr = ProviderManager { providers: Members::new(), next: AtomicUsize::new(0) };
         for store in stores {
             mgr.add_provider(store);
         }
         mgr
-    }
-
-    /// The active placement strategy.
-    pub fn placement(&self) -> AllocationStrategy {
-        self.placement.lock().strategy
-    }
-
-    /// Hot-swap the placement strategy, from a fresh state (rotation
-    /// cursor at zero, RNG at the deployment's fixed seed). Only new
-    /// allocations are affected; every already-stored page keeps its
-    /// location and its registry-order replica chain.
-    pub fn set_placement(&self, strategy: AllocationStrategy) {
-        *self.placement.lock() = Placement::new(strategy);
     }
 
     /// Number of registered providers (tombstones included).
@@ -248,11 +196,14 @@ impl ProviderManager {
     }
 
     /// Choose `n` providers to receive `n` new pages (paper Algorithm 2
-    /// line 2: "PP ← the list of n page providers"). Providers repeat
+    /// line 2: "PP ← the list of n page providers"), round robin over
+    /// the eligible providers in registry order — the paper's "even
+    /// distribution of pages among providers" (§3.1). Providers repeat
     /// when `n` exceeds the deployment size. Failed, draining and
     /// retired providers are skipped; errors when no provider is
-    /// eligible. The load-aware strategies read each eligible
-    /// provider's load once per allocation.
+    /// eligible. Concurrent allocations each reserve their `n` slots of
+    /// the rotation with one `fetch_add`, so none is lost or dealt
+    /// twice.
     pub fn allocate(&self, n: usize) -> Result<Vec<ProviderId>> {
         let eligible: Vec<&Arc<DataProvider>> = self
             .providers
@@ -263,41 +214,8 @@ impl ProviderManager {
         if count == 0 {
             return Err(BlobError::NoAvailableProvider);
         }
-        let mut placement = self.placement.lock();
-        let picks: Vec<usize> = match placement.strategy {
-            AllocationStrategy::RoundRobin => {
-                let start = placement.next;
-                placement.next = start.wrapping_add(n);
-                (0..n).map(|i| start.wrapping_add(i) % count).collect()
-            }
-            AllocationStrategy::Random => {
-                (0..n).map(|_| placement.rng.gen_range(0..count)).collect()
-            }
-            AllocationStrategy::LeastLoaded => {
-                // One load read per provider (a key that moved mid-sort
-                // could make the sort panic); stable, so ties keep
-                // registry order.
-                let mut by_load: Vec<usize> = (0..count).collect();
-                by_load.sort_by_cached_key(|&i| eligible[i].stored_bytes());
-                (0..n).map(|i| by_load[i % count]).collect()
-            }
-            AllocationStrategy::PowerOfTwoChoices => {
-                let load: Vec<u64> = eligible.iter().map(|p| p.stored_bytes()).collect();
-                let rng = &mut placement.rng;
-                (0..n)
-                    .map(|_| {
-                        let a = rng.gen_range(0..count);
-                        let b = rng.gen_range(0..count);
-                        if load[a] <= load[b] {
-                            a
-                        } else {
-                            b
-                        }
-                    })
-                    .collect()
-            }
-        };
-        Ok(picks.into_iter().map(|i| eligible[i].id()).collect())
+        let start = self.next.fetch_add(n, Ordering::Relaxed);
+        Ok((0..n).map(|i| eligible[start.wrapping_add(i) % count].id()).collect())
     }
 
     /// Every provider that may hold a copy of a page whose leaf names
@@ -362,10 +280,7 @@ impl ProviderManager {
 
 impl std::fmt::Debug for ProviderManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProviderManager")
-            .field("providers", &self.provider_count())
-            .field("placement", &self.placement())
-            .finish()
+        f.debug_struct("ProviderManager").field("providers", &self.provider_count()).finish()
     }
 }
 
@@ -400,7 +315,7 @@ mod tests {
 
     #[test]
     fn round_robin_is_perfectly_even() {
-        let mgr = ProviderManager::with_memory_providers(7, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(7);
         let ids = mgr.allocate(70).unwrap();
         let mut counts = vec![0usize; 7];
         for id in ids {
@@ -411,7 +326,7 @@ mod tests {
 
     #[test]
     fn round_robin_continues_across_allocations() {
-        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(4);
         let a = mgr.allocate(3).unwrap();
         let b = mgr.allocate(3).unwrap();
         assert_eq!(a, vec![ProviderId(0), ProviderId(1), ProviderId(2)]);
@@ -419,86 +334,43 @@ mod tests {
     }
 
     #[test]
-    fn random_covers_all_providers_eventually() {
-        let mgr = ProviderManager::with_memory_providers(8, AllocationStrategy::Random);
-        let ids = mgr.allocate(1000).unwrap();
-        let mut seen = [false; 8];
-        for id in &ids {
-            seen[id.raw() as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn least_loaded_deals_from_the_lightest() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::LeastLoaded);
-        for (i, load) in [500, 10, 100].into_iter().enumerate() {
-            mgr.provider(ProviderId(i as u32))
-                .unwrap()
-                .store_page(PageId(i as u128), SealedPage::seal(Bytes::from(vec![0u8; load])))
-                .unwrap();
-        }
-        assert_eq!(mgr.allocate(3).unwrap(), ids(&[1, 2, 0]));
-    }
-
-    #[test]
-    fn power_of_two_rarely_picks_the_heavy_provider() {
-        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::PowerOfTwoChoices);
-        mgr.provider(ProviderId(1))
-            .unwrap()
-            .store_page(PageId(1), SealedPage::seal(Bytes::from(vec![0u8; 1_000_000])))
-            .unwrap();
-        // With one hugely loaded provider among light ones, p2c picks
-        // it only when both random draws land on it: rare.
-        let picks = mgr.allocate(200).unwrap();
-        let heavy = picks.iter().filter(|&&id| id == ProviderId(1)).count();
-        assert!(heavy < 40, "heavy provider picked {heavy}/200 times");
-    }
-
-    #[test]
-    fn least_loaded_prefers_empty_providers() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::LeastLoaded);
-        // Pre-load provider 0 heavily.
-        mgr.provider(ProviderId(0))
-            .unwrap()
-            .store_page(PageId(999), SealedPage::seal(Bytes::from(vec![0u8; 10_000])))
-            .unwrap();
-        let ids = mgr.allocate(2).unwrap();
-        assert!(!ids.contains(&ProviderId(0)), "{ids:?}");
-    }
-
-    #[test]
-    fn power_of_two_choices_balances() {
-        let mgr = ProviderManager::with_memory_providers(10, AllocationStrategy::PowerOfTwoChoices);
-        for round in 0..100 {
-            let ids = mgr.allocate(10).unwrap();
-            for (i, id) in ids.iter().enumerate() {
-                mgr.provider(*id)
-                    .unwrap()
-                    .store_page(
-                        PageId((round * 100 + i) as u128),
-                        SealedPage::seal(Bytes::from(vec![0u8; 100])),
-                    )
-                    .unwrap();
-            }
-        }
-        let stats = mgr.stats();
-        let max = stats.iter().map(|s| s.pages).max().unwrap();
-        let min = stats.iter().map(|s| s.pages).min().unwrap();
-        // p2c keeps the gap tight: no provider more than ~2x any other.
-        assert!(max <= min * 2 + 10, "max={max} min={min}");
+    fn concurrent_allocations_lose_no_reservation() {
+        // 4 threads × 250 allocations × 3 pages = 3000 picks over 5
+        // providers: an exact rotation gives each one 600.
+        let mgr = ProviderManager::with_memory_providers(5);
+        let start = std::sync::Barrier::new(4);
+        let counts: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut counts = vec![0usize; 5];
+                        for _ in 0..250 {
+                            for id in mgr.allocate(3).unwrap() {
+                                counts[id.raw() as usize] += 1;
+                            }
+                        }
+                        counts
+                    })
+                })
+                .collect();
+            let per_thread: Vec<Vec<usize>> =
+                workers.into_iter().map(|w| w.join().unwrap()).collect();
+            (0..5).map(|p| per_thread.iter().map(|c| c[p]).sum()).collect()
+        });
+        assert_eq!(counts, vec![600; 5]);
     }
 
     #[test]
     fn allocate_more_than_providers_repeats() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(3);
         let ids = mgr.allocate(10).unwrap();
         assert_eq!(ids.len(), 10);
     }
 
     #[test]
     fn register_grows_deployment() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(2);
         assert_eq!(mgr.provider_count(), 2);
         assert_eq!(mgr.add_provider(Arc::new(MemoryPageStore::new())), ProviderId(2));
         assert_eq!(mgr.provider_count(), 3);
@@ -507,7 +379,7 @@ mod tests {
 
     #[test]
     fn registry_grows_past_its_first_segments() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(3);
         for i in 3..200u32 {
             assert_eq!(mgr.add_provider(Arc::new(MemoryPageStore::new())), ProviderId(i));
         }
@@ -521,7 +393,7 @@ mod tests {
 
     #[test]
     fn add_provider_assigns_next_free_id_and_is_eligible() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(2);
         let id = mgr.add_provider(Arc::new(MemoryPageStore::new()));
         assert_eq!(id, ProviderId(2));
         assert_eq!(mgr.membership().active, 3);
@@ -534,7 +406,7 @@ mod tests {
 
     #[test]
     fn unknown_provider_is_error() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(2);
         assert!(matches!(
             mgr.provider(ProviderId(9)),
             Err(BlobError::ProviderNotFound(ProviderId(9)))
@@ -543,7 +415,7 @@ mod tests {
 
     #[test]
     fn allocate_skips_failed_providers() {
-        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(4);
         mgr.provider(ProviderId(1)).unwrap().fail();
         let ids = mgr.allocate(30).unwrap();
         assert!(!ids.contains(&ProviderId(1)), "{ids:?}");
@@ -554,7 +426,7 @@ mod tests {
 
     #[test]
     fn allocate_skips_draining_and_retired_providers() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(3);
         mgr.provider(ProviderId(0)).unwrap().begin_drain();
         mgr.provider(ProviderId(2)).unwrap().retire();
         let ids = mgr.allocate(10).unwrap();
@@ -568,29 +440,15 @@ mod tests {
 
     #[test]
     fn allocate_fails_when_all_providers_down() {
-        let mgr = ProviderManager::with_memory_providers(2, AllocationStrategy::Random);
+        let mgr = ProviderManager::with_memory_providers(2);
         mgr.provider(ProviderId(0)).unwrap().fail();
         mgr.provider(ProviderId(1)).unwrap().fail();
         assert!(matches!(mgr.allocate(1), Err(BlobError::NoAvailableProvider)));
     }
 
     #[test]
-    fn set_placement_swaps_live() {
-        let mgr = ProviderManager::with_memory_providers(3, AllocationStrategy::RoundRobin);
-        assert_eq!(mgr.placement(), AllocationStrategy::RoundRobin);
-        // Load provider 0; least-loaded must now avoid it.
-        mgr.provider(ProviderId(0))
-            .unwrap()
-            .store_page(PageId(1), SealedPage::seal(Bytes::from(vec![0u8; 4096])))
-            .unwrap();
-        mgr.set_placement(AllocationStrategy::LeastLoaded);
-        assert_eq!(mgr.placement(), AllocationStrategy::LeastLoaded);
-        assert!(!mgr.allocate(2).unwrap().contains(&ProviderId(0)));
-    }
-
-    #[test]
     fn replica_chain_is_successors_in_registry_order() {
-        let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(5);
         assert_eq!(replica_chain(&mgr, 3, 3), ids(&[3, 4, 0]));
         assert_eq!(replica_chain(&mgr, 0, 1), ids(&[0]));
         assert!(mgr.chain(ProviderId(9), None).is_err());
@@ -601,7 +459,7 @@ mod tests {
 
     #[test]
     fn fallback_sequence_continues_past_the_chain() {
-        let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(5);
         // Chain of prov#3 at replication 2 is [3, 4]; fallbacks are
         // the remaining providers in registry order.
         let fallbacks: Vec<_> = mgr.chain(ProviderId(3), None).unwrap().skip(2).collect();
@@ -613,7 +471,7 @@ mod tests {
 
     #[test]
     fn retirement_rederives_chains_deterministically() {
-        let mgr = ProviderManager::with_memory_providers(5, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(5);
         // Before: chain of prov#3 at r=2 is [3, 4].
         assert_eq!(replica_chain(&mgr, 3, 2), ids(&[3, 4]));
         // The drain previews the post-retirement chain …
@@ -633,7 +491,7 @@ mod tests {
 
     #[test]
     fn totals_aggregate() {
-        let mgr = ProviderManager::with_memory_providers(4, AllocationStrategy::RoundRobin);
+        let mgr = ProviderManager::with_memory_providers(4);
         fill(&mgr, 8, 128);
         assert_eq!(mgr.total_pages(), 8);
         assert_eq!(mgr.total_stored_bytes(), 8 * 128);

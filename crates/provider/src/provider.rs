@@ -31,10 +31,9 @@ use crate::store::PageStore;
 /// copy would only compare a buffer with itself — and **verifies on
 /// every fetch**, re-hashing exactly the blocks it is about to return
 /// bytes from. Payload and sums are one store entry (one lookup, one
-/// lock; persisted together by [`crate::FilePageStore`]), and the
-/// payload `Bytes` stay pointer-identical to what the client handed
-/// over. A failed verification surfaces as [`BlobError::PageCorrupt`]
-/// and bumps `corrupt_detected`; callers treat it as a miss and fall
+/// lock), and the payload `Bytes` stay pointer-identical to what the
+/// client handed over. A failed verification surfaces as
+/// [`BlobError::PageCorrupt`] and bumps `corrupt_detected`; callers treat it as a miss and fall
 /// through to the next replica. Maintenance that only needs a copy's
 /// health asks for the verdict alone ([`Self::verify_page`]: the store
 /// hashes its copy in place, no bytes are handed out); only fills and
@@ -449,7 +448,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::sealed::SUM_BLOCK;
-    use crate::store::{FilePageStore, MemoryPageStore};
+    use crate::store::MemoryPageStore;
 
     fn provider() -> DataProvider {
         DataProvider::new(ProviderId(7), Arc::new(MemoryPageStore::new()))
@@ -614,44 +613,6 @@ mod tests {
         let too_far = p.fetch_page_range(PageId(1), 0, data.len() as u64 + 1);
         assert!(matches!(too_far, Err(BlobError::Storage(_))), "{too_far:?}");
         assert_eq!(p.stats().corrupt_detected, 0);
-    }
-
-    #[test]
-    fn corruption_while_down_is_detected_not_adopted() {
-        let dir =
-            std::env::temp_dir().join(format!("blobseer-provider-rot-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let payload: Vec<u8> = (0..2 * SUM_BLOCK + 300).map(|i| (i % 241) as u8).collect();
-        {
-            let store = Arc::new(FilePageStore::open(&dir).unwrap());
-            let p = DataProvider::new(ProviderId(1), store);
-            p.store_page(PageId(3), SealedPage::seal(Bytes::from(payload.clone()))).unwrap();
-            assert_eq!(&p.fetch_page(PageId(3)).unwrap()[..], &payload[..]);
-        }
-        // The process is down; the medium flips a payload byte (the
-        // last byte of the file is payload whatever the header holds).
-        let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        let mut image = std::fs::read(&file).unwrap();
-        *image.last_mut().unwrap() ^= 0x40;
-        std::fs::write(&file, &image).unwrap();
-
-        let store = Arc::new(FilePageStore::open(&dir).unwrap());
-        assert_eq!(store.stored_bytes(), payload.len() as u64, "payload bytes only");
-        let p = DataProvider::new(ProviderId(1), store);
-        assert!(matches!(p.fetch_page(PageId(3)), Err(BlobError::PageCorrupt { .. })));
-        // The rot sits in the last block: a read of the first is served.
-        assert_eq!(p.fetch_page_range(PageId(3), 0, 64).unwrap(), Bytes::from(&payload[..64]));
-        let last = (2 * SUM_BLOCK) as u64;
-        assert!(matches!(
-            p.fetch_page_range(PageId(3), last, 8),
-            Err(BlobError::PageCorrupt { .. })
-        ));
-        assert_eq!(p.stats().corrupt_detected, 2);
-
-        // A header that no longer parses is corrupt too, not missing.
-        std::fs::write(&file, &image[..7]).unwrap();
-        assert!(matches!(p.fetch_page(PageId(3)), Err(BlobError::PageCorrupt { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

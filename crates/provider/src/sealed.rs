@@ -59,24 +59,6 @@ impl SealedPage {
         SealedPage { data, sums }
     }
 
-    /// Reassemble a page from stored parts (a file-backed store reading
-    /// its header back). `sums` is taken as found: a count that does
-    /// not fit the payload fails every verification.
-    pub(crate) fn from_parts(data: Bytes, sums: &[u64]) -> SealedPage {
-        let sums = match sums {
-            [one] => Sums::One(*one),
-            many => Sums::Many(many.into()),
-        };
-        SealedPage { data, sums }
-    }
-
-    /// The stored form of a copy whose sums were lost (a page file
-    /// with a short or malformed header): no sums at all, so no byte
-    /// of it ever verifies and every fetch reports it corrupt.
-    pub(crate) fn unverifiable(data: Bytes) -> SealedPage {
-        SealedPage::from_parts(data, &[])
-    }
-
     /// Fault injection: this page's sums over a **different** payload —
     /// what media rot leaves behind. The result fails verification
     /// wherever `data` differs from the sealed bytes.
@@ -201,7 +183,6 @@ mod tests {
     #[test]
     fn sums_that_do_not_fit_the_payload_never_verify() {
         let data = payload(SUM_BLOCK + 1);
-        assert_eq!(SealedPage::unverifiable(data.clone()).verify_range(0, 1), None);
         // A truncated payload under intact sums: the block count gives
         // it away even when the surviving block still matches.
         let page = SealedPage::seal(data.clone()).with_payload(data.slice(..SUM_BLOCK));

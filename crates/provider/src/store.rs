@@ -1,13 +1,9 @@
-//! Page storage backends.
+//! The page storage trait and its in-memory backend.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use blobseer_types::{BlobError, PageId, Result};
-use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::sealed::SealedPage;
@@ -21,29 +17,26 @@ use crate::sealed::SealedPage;
 ///
 /// An entry is a [`SealedPage`]: the payload **and** the block sums the
 /// client sealed it with travel, are stored and come back together —
-/// one lookup, one lock, and nothing to forget across a restart. There
-/// is no way to read payload bytes out of a store without the sums
-/// that judge them. All byte accounting (`scan`, `stored_bytes`,
-/// `delete`'s return value) counts **payload bytes only**.
+/// one lookup, one lock. There is no way to read payload bytes out of
+/// a store without the sums that judge them. All byte accounting
+/// (`scan`, `stored_bytes`, `delete`'s return value) counts **payload
+/// bytes only**.
+///
+/// [`MemoryPageStore`] is the one backend; [`crate::FaultPlan`] wraps
+/// any store to inject failures through this same seam.
 pub trait PageStore: Send + Sync {
     /// Store a page. Overwrites (identical) content on retries.
     fn store(&self, pid: PageId, page: SealedPage) -> Result<()>;
 
     /// Fetch a page as stored — unverified; [`crate::DataProvider`]
-    /// checks the blocks it is about to return. A copy whose sums
-    /// cannot be recovered must come back unverifiable (so the fetch
-    /// counts as corrupt), never as an error that reads as "missing".
+    /// checks the blocks it is about to return.
     fn fetch(&self, pid: PageId) -> Result<SealedPage>;
 
     /// Verify the stored copy whole where it lives and return only the
-    /// verdict: the payload bytes hashed, or `None` for a copy that is
-    /// corrupt or unverifiable. A page not stored here errors as in
-    /// [`Self::fetch`]. The default fetches and verifies; a store that
-    /// can hash its entry in place overrides it to skip handing a copy
-    /// out.
-    fn verify(&self, pid: PageId) -> Result<Option<u64>> {
-        Ok(self.fetch(pid)?.verify())
-    }
+    /// verdict: the payload bytes hashed, or `None` for a corrupt copy.
+    /// A page not stored here errors as in [`Self::fetch`]. No copy is
+    /// handed out.
+    fn verify(&self, pid: PageId) -> Result<Option<u64>>;
 
     /// `true` if the page is stored here.
     fn contains(&self, pid: PageId) -> bool;
@@ -59,7 +52,7 @@ pub trait PageStore: Send + Sync {
     /// which is sufficient for mark-and-sweep (the scrubber's epoch cut
     /// exempts everything stored after its mark began, and deleting an
     /// already-deleted page is a no-op). A store that cannot enumerate
-    /// at all (unreadable backing directory) must **error**, not
+    /// at all (an offline store) must **error**, not
     /// return an empty list — "nothing stored" and "nothing visible"
     /// are different answers, and the scrubber reports them
     /// differently (clean sweep vs. skipped provider).
@@ -162,189 +155,11 @@ impl PageStore for MemoryPageStore {
     }
 }
 
-/// First bytes of every page file.
-const FILE_MAGIC: [u8; 8] = *b"BSPAGE\x00\x01";
-/// Magic plus the little-endian `u64` block count.
-const FILE_PREFIX: usize = 16;
-
-/// File-backed page store: one file per page under a directory.
-///
-/// Models a commodity provider persisting pages to local disk. Used by
-/// the durability-oriented tests and available to library users; the
-/// benches use [`MemoryPageStore`] to keep the measured path CPU-bound.
-///
-/// # Page file layout
-///
-/// ```text
-/// "BSPAGE\0\1" | block count: u64 LE | count × sum: u64 LE | payload
-/// ```
-///
-/// The sums are the ones the client sealed the page with, so a copy
-/// that rots while the process is down is caught by the first fetch
-/// after the restart. A file too short for its header, with the wrong
-/// magic or with a block count that does not fit the file comes back
-/// from [`PageStore::fetch`] unverifiable (hence corrupt, and
-/// repairable from a replica) and counts zero payload bytes.
-pub struct FilePageStore {
-    dir: PathBuf,
-    pages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// Split a page file image into its sums and payload offset; `None`
-/// for a short or malformed header.
-fn parse_page_file(image: &[u8]) -> Option<(Vec<u64>, usize)> {
-    let payload_at = header_len(image.get(..FILE_PREFIX)?)?;
-    let sums = image
-        .get(FILE_PREFIX..payload_at)?
-        .chunks_exact(8)
-        .map(|sum| u64::from_le_bytes(sum.try_into().expect("an 8-byte chunk")))
-        .collect();
-    Some((sums, payload_at))
-}
-
-/// Length of the whole header (prefix plus sums) that a page file's
-/// first [`FILE_PREFIX`] bytes declare, i.e. where the payload starts.
-fn header_len(prefix: &[u8]) -> Option<usize> {
-    let (magic, count) = prefix.split_at(8);
-    if magic != FILE_MAGIC {
-        return None;
-    }
-    let count = usize::try_from(u64::from_le_bytes(count.try_into().ok()?)).ok()?;
-    count.checked_mul(8)?.checked_add(FILE_PREFIX)
-}
-
-/// Payload bytes of the page file at `path`: its length minus the
-/// header length its prefix declares (zero for a malformed file);
-/// `None` when there is no such file.
-fn payload_len_on_disk(path: &Path) -> Result<Option<u64>> {
-    let mut file = match fs::File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let file_len = file.metadata()?.len();
-    let mut prefix = [0u8; FILE_PREFIX];
-    let payload = match file.read_exact(&mut prefix) {
-        Ok(()) => header_len(&prefix).and_then(|header| file_len.checked_sub(header as u64)),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => None,
-        Err(e) => return Err(e.into()),
-    };
-    Ok(Some(payload.unwrap_or(0)))
-}
-
-impl FilePageStore {
-    /// Open (creating if needed) a store rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        let store = FilePageStore { dir, pages: AtomicU64::new(0), bytes: AtomicU64::new(0) };
-        // Recover counters from a pre-existing directory.
-        for (_, payload) in store.scan()? {
-            store.pages.fetch_add(1, Ordering::Relaxed);
-            store.bytes.fetch_add(payload, Ordering::Relaxed);
-        }
-        Ok(store)
-    }
-
-    fn path_of(&self, pid: PageId) -> PathBuf {
-        self.dir.join(format!("{:032x}.page", pid.raw()))
-    }
-
-    /// Inverse of [`FilePageStore::path_of`]: the pid encoded in a page
-    /// file name, or `None` for foreign files in the directory.
-    fn pid_of(name: &str) -> Option<PageId> {
-        let hex = name.strip_suffix(".page")?;
-        if hex.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(hex, 16).ok().map(PageId)
-    }
-}
-
-impl PageStore for FilePageStore {
-    fn store(&self, pid: PageId, page: SealedPage) -> Result<()> {
-        let path = self.path_of(pid);
-        let old_len = payload_len_on_disk(&path)?;
-        let sums = page.sums();
-        let mut header = Vec::with_capacity(FILE_PREFIX + sums.len() * 8);
-        header.extend_from_slice(&FILE_MAGIC);
-        header.extend_from_slice(&(sums.len() as u64).to_le_bytes());
-        for sum in sums {
-            header.extend_from_slice(&sum.to_le_bytes());
-        }
-        let mut file = fs::File::create(&path)?;
-        file.write_all(&header)?;
-        file.write_all(&page)?;
-        match old_len {
-            Some(old) => {
-                self.bytes.fetch_sub(old, Ordering::Relaxed);
-            }
-            None => {
-                self.pages.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.bytes.fetch_add(page.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn fetch(&self, pid: PageId) -> Result<SealedPage> {
-        let image = match fs::read(self.path_of(pid)) {
-            Ok(image) => Bytes::from(image),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(not_stored(pid)),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(match parse_page_file(&image) {
-            Some((sums, payload_at)) => SealedPage::from_parts(image.slice(payload_at..), &sums),
-            None => SealedPage::unverifiable(image),
-        })
-    }
-
-    fn contains(&self, pid: PageId) -> bool {
-        self.path_of(pid).exists()
-    }
-
-    fn delete(&self, pid: PageId) -> Result<Option<u64>> {
-        let path = self.path_of(pid);
-        let Some(payload) = payload_len_on_disk(&path)? else { return Ok(None) };
-        fs::remove_file(&path)?;
-        self.pages.fetch_sub(1, Ordering::Relaxed);
-        self.bytes.fetch_sub(payload, Ordering::Relaxed);
-        Ok(Some(payload))
-    }
-
-    fn scan(&self) -> Result<Vec<(PageId, u64)>> {
-        // Directory listing. Foreign files — and files racing a
-        // concurrent delete, which vanish mid-walk — are skipped (weak
-        // consistency is all sweep needs), but an unreadable directory
-        // is a hard error: an empty answer would make the scrubber
-        // report a clean sweep over pages it never saw.
-        let mut out = Vec::with_capacity(self.page_count());
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let Some(pid) = entry.file_name().to_str().and_then(Self::pid_of) else {
-                continue;
-            };
-            if let Ok(Some(payload)) = payload_len_on_disk(&entry.path()) {
-                out.push((pid, payload));
-            }
-        }
-        Ok(out)
-    }
-
-    fn page_count(&self) -> usize {
-        self.pages.load(Ordering::Relaxed) as usize
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sealed::SUM_BLOCK;
+    use bytes::Bytes;
 
     fn pid(n: u128) -> PageId {
         PageId(n)
@@ -354,13 +169,9 @@ mod tests {
         SealedPage::seal(Bytes::from_static(bytes))
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("blobseer-fps-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn exercise_store(store: &dyn PageStore) {
+    #[test]
+    fn memory_store_contract() {
+        let store = MemoryPageStore::new();
         assert_eq!(store.page_count(), 0);
         store.store(pid(1), sealed(b"hello world!")).unwrap();
         store.store(pid(2), sealed(b"abcd")).unwrap();
@@ -400,18 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_store_contract() {
-        exercise_store(&MemoryPageStore::new());
-    }
-
-    #[test]
-    fn file_store_contract() {
-        let dir = temp_dir("contract");
-        exercise_store(&FilePageStore::open(&dir).unwrap());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn memory_store_keeps_the_callers_allocation() {
         let store = MemoryPageStore::new();
         let data = Bytes::from(vec![3u8; 64]);
@@ -420,61 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn file_store_recovers_counters_as_payload_bytes() {
-        let dir = temp_dir("rec");
-        {
-            let s = FilePageStore::open(&dir).unwrap();
-            s.store(pid(9), sealed(b"persist")).unwrap();
-            s.store(pid(10), SealedPage::seal(Bytes::from(vec![1u8; SUM_BLOCK + 1]))).unwrap();
-        }
-        let s2 = FilePageStore::open(&dir).unwrap();
-        assert_eq!(s2.page_count(), 2);
-        assert_eq!(s2.stored_bytes(), 7 + SUM_BLOCK as u64 + 1);
-        let page = s2.fetch(pid(9)).unwrap();
-        assert_eq!(&page[..], b"persist");
-        assert_eq!(page.verify(), Some(7));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_with_a_short_or_malformed_header_is_unverifiable() {
-        let dir = temp_dir("hdr");
-        let s = FilePageStore::open(&dir).unwrap();
-        s.store(pid(1), sealed(b"intact")).unwrap();
-        let path = s.path_of(pid(1));
-        let image = fs::read(&path).unwrap();
-        assert_eq!(image.len(), FILE_PREFIX + 8 + 6);
-
-        let mut wrong_magic = image.clone();
-        wrong_magic[0] ^= 1;
-        let mut huge_count = image.clone();
-        huge_count[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let mut wrong_count = image.clone();
-        wrong_count[8..16].copy_from_slice(&0u64.to_le_bytes());
-        for (what, damaged) in [
-            ("truncated prefix", &image[..5]),
-            ("truncated sums", &image[..FILE_PREFIX + 3]),
-            ("wrong magic", &wrong_magic[..]),
-            ("count beyond the file", &huge_count[..]),
-            ("count that does not fit the payload", &wrong_count[..]),
-        ] {
-            // Damage while down: the reopened store still lists the
-            // page (so repair can replace it) but can never verify it.
-            fs::write(&path, damaged).unwrap();
-            let reopened = FilePageStore::open(&dir).unwrap();
-            assert_eq!(reopened.fetch(pid(1)).unwrap().verify(), None, "{what}");
-            assert_eq!(reopened.verify(pid(1)).unwrap(), None, "{what}: corrupt, not missing");
-            assert!(reopened.contains(pid(1)) && reopened.page_count() == 1, "{what}");
-            // A store over the damaged file replaces it, accounting intact.
-            reopened.store(pid(1), sealed(b"intact")).unwrap();
-            assert_eq!(reopened.fetch(pid(1)).unwrap().verify(), Some(6), "{what}");
-            assert_eq!((reopened.page_count(), reopened.stored_bytes()), (1, 6), "{what}");
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn rotted_payloads_verify_as_corrupt_in_both_stores() {
+    fn rotted_payloads_verify_as_corrupt() {
         let data = Bytes::from(vec![0x5Au8; 2 * SUM_BLOCK + 9]);
         let mut rotted = data.to_vec();
         *rotted.last_mut().unwrap() ^= 0x40;
@@ -483,18 +228,6 @@ mod tests {
         memory.store(pid(2), SealedPage::seal(data.clone()).with_payload(rotted.into())).unwrap();
         assert_eq!(memory.verify(pid(1)).unwrap(), Some(data.len() as u64));
         assert_eq!(memory.verify(pid(2)).unwrap(), None);
-
-        // The file store's medium flips the file's last byte, which is
-        // payload whatever the header holds.
-        let dir = temp_dir("rot");
-        let file = FilePageStore::open(&dir).unwrap();
-        file.store(pid(1), SealedPage::seal(data.clone())).unwrap();
-        assert_eq!(file.verify(pid(1)).unwrap(), Some(data.len() as u64));
-        let mut image = fs::read(file.path_of(pid(1))).unwrap();
-        *image.last_mut().unwrap() ^= 0x40;
-        fs::write(file.path_of(pid(1)), &image).unwrap();
-        assert_eq!(file.verify(pid(1)).unwrap(), None);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! The sum is not cryptographic and does not need to be: the adversary
 //! is entropy, not an attacker. What matters is that it has no
-//! dependencies, is stable across platforms (it is persisted in
-//! file-backed page headers), costs about what reading the bytes from
-//! memory costs, and **provably** notices the damage media actually
+//! dependencies, is stable across platforms (a durable store would
+//! persist it beside the payload), costs about what reading the bytes
+//! from memory costs, and **provably** notices the damage media actually
 //! does. Byte-serial FNV-1a, which this replaces, had the last property
 //! but ran at ~0.65 GiB/s — 0.72 to 0.95 of the engine's CPU on four of
 //! the five benchmark workloads.

@@ -86,7 +86,12 @@ pub enum BlobError {
     /// Nothing was done: no version assigned, no page stored. The
     /// caller owns the retry policy; see `docs/FAILURES.md`.
     QuotaExceeded { tenant: TenantId },
-    /// Storage-level failure (file-backed page store I/O, etc.).
+    /// A request refused below or beside the data path: a page store
+    /// error on a store, delete or scan (in this workspace, one
+    /// injected by a `FaultPlan` wrapper), a range past a page's end,
+    /// an invalid configuration, or a QoS call with QoS off. The
+    /// message says which. A fetch that finds no page is
+    /// [`BlobError::PageMissing`] instead.
     Storage(String),
     /// Internal invariant violation; indicates a bug, surfaced rather
     /// than panicking so stress tests can report it.
@@ -147,12 +152,6 @@ impl fmt::Display for BlobError {
 
 impl std::error::Error for BlobError {}
 
-impl From<std::io::Error> for BlobError {
-    fn from(e: std::io::Error) -> Self {
-        BlobError::Storage(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,14 +163,6 @@ mod tests {
         assert!(s.contains("blob#1"));
         assert!(s.contains("100"));
         assert!(s.contains("64"));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e: BlobError = io.into();
-        assert!(matches!(e, BlobError::Storage(_)));
-        assert!(e.to_string().contains("gone"));
     }
 
     #[test]

@@ -1084,6 +1084,36 @@ mod tests {
     }
 
     #[test]
+    fn assigned_roots_are_the_least_covering_power() {
+        // Independent of `NodePos::root_for`: offset 0 and the smallest
+        // `1 << k` covering `max(1, pages)`, found by doubling.
+        let oracle = |pages: u64| {
+            let mut size = 1;
+            while size < pages.max(1) {
+                size *= 2;
+            }
+            NodePos::new(0, size)
+        };
+        let vm = vm();
+        let b = vm.create();
+        let mut size = 0u64;
+        for i in 0..48u64 {
+            // Appends of 1..=13 bytes, and every third update a write
+            // somewhere in range that may run past the end.
+            let len = 1 + i * 7 % 13;
+            let kind = if i % 3 == 2 {
+                UpdateKind::Write { offset: size * (i % 5) / 4, size: len }
+            } else {
+                UpdateKind::Append { size: len }
+            };
+            let a = vm.assign(b, kind).unwrap();
+            size = a.new_size;
+            assert_eq!(a.new_root, oracle(size.div_ceil(PSIZE)), "update {i}, size {size}");
+        }
+        assert!(size > 32 * PSIZE, "the run crosses several powers: {size}");
+    }
+
+    #[test]
     fn write_validation() {
         let vm = vm();
         let b = vm.create();
