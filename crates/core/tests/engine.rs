@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use blobseer::{BlobError, BlobSeer, ConcurrencyMode, Version};
+use blobseer_types::{FANOUT, LEVEL_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -264,20 +265,22 @@ fn metadata_is_shared_across_versions() {
     let b = s.create().id();
     let v1 = s.append(b, &patterned(PSIZE as usize * 64, 0)).unwrap();
     s.sync(b, v1).unwrap();
-    let base_nodes = s.stats().metadata_nodes;
-    assert_eq!(base_nodes, 127, "full 64-page tree");
+    // A full 64-page tree: 64 leaves, then 16, 4 and 1 inner nodes.
+    let full: u64 = (0..4).map(|d| 64 / FANOUT.pow(d)).sum();
+    assert_eq!(full, 85);
+    assert_eq!(s.stats().metadata_nodes, full as usize, "full 64-page tree");
     let v2 = s.write(b, &patterned(PSIZE as usize, 1), 0).unwrap();
     s.sync(b, v2).unwrap();
-    // One leaf + the 6 inner nodes up the spine.
-    assert_eq!(s.stats().metadata_nodes, 127 + 7);
+    // One leaf + the 3 inner nodes up the spine.
+    assert_eq!(s.stats().metadata_nodes, full as usize + 4);
 }
 
 #[test]
 fn border_resolution_is_one_descent() {
     // §4.2: a writer reads each border's version out of its parent on
     // the paths to its first and last page, fetching each path node
-    // once — not one root-to-border descent per border (105 gets for a
-    // one-page write at depth 15).
+    // once — not one root-to-border descent per border (84 gets for a
+    // one-page write at depth 8).
     let s = store();
     let b = s.create().id();
     let pages = 1u64 << 14;
@@ -289,15 +292,20 @@ fn border_resolution_is_one_descent() {
         s.sync(b, v).unwrap();
         s.stats().metadata.total_gets - before
     };
-    // One page: 14 borders, one per level below the root, hang off one
-    // path whose nodes above the leaf level are fetched once each.
-    assert_eq!(write_gets(5000, 1), 14);
+    // One page: 21 borders, three per level below the root, hang off
+    // one path whose 7 nodes above the leaf level are fetched once each.
+    let inner_levels = pages.trailing_zeros() / LEVEL_BITS;
+    assert_eq!(write_gets(5000, 1), u64::from(inner_levels));
+    assert_eq!(inner_levels, 7);
     // Two pages either side of the middle: the paths part at the root,
-    // and every distinct node on them down to level 1 is fetched once.
+    // and every distinct node on them down to the lowest inner level is
+    // fetched once.
     let (first, last) = (pages / 2 - 1, pages / 2);
-    let path_nodes: std::collections::HashSet<(u32, u64)> =
-        (1..=14).flat_map(|level| [(level, first >> level), (level, last >> level)]).collect();
-    assert_eq!(path_nodes.len(), 27);
+    let path_nodes: std::collections::HashSet<(u32, u64)> = (1..=inner_levels)
+        .map(|i| i * LEVEL_BITS)
+        .flat_map(|level| [(level, first >> level), (level, last >> level)])
+        .collect();
+    assert_eq!(path_nodes.len(), 13);
     assert_eq!(write_gets(first, 2), path_nodes.len() as u64);
 }
 

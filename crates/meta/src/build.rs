@@ -1,32 +1,59 @@
 //! `BUILD_META` (paper Algorithm 4): constructing a new snapshot's tree
 //! and weaving it with the trees of earlier versions.
 
-use blobseer_types::{BlobError, NodePos, PageDescriptor, PageRange, Result, Version, FANOUT};
+use blobseer_types::{
+    BlobError, NodePos, PageDescriptor, PageRange, Result, Version, FANOUT, LEVEL_BITS,
+};
 
 use crate::node::{NodeKey, RootRef, TreeNode};
-use crate::plan::{borders_at_level, creates_position, update_plan};
+use crate::plan::{borders_at_level, creates_position, levels_below, update_plan};
 use crate::read::TreeReader;
 
 /// The resolved border set `B_vw`: for every border position of the
-/// update, level by level from the top, the version of the existing
-/// node there (or `None` when the position lies beyond the blob's
-/// content — the dangling children of an incomplete tree, cf. paper
-/// Fig. 1(c)). At most two entries per level, so a scan beats a map.
+/// update, the version of the existing node there (or `None` when the
+/// position lies beyond the blob's content — the dangling children of
+/// an incomplete tree, cf. paper Fig. 1(c)).
+///
+/// Indexed, not searched: at one tree level the borders on one side
+/// all hang off the same boundary-path parent, so (level, side, slot)
+/// names each one, and a build looks a border up in O(1).
 #[derive(Clone, Debug)]
 pub(crate) struct BorderSet {
-    entries: Vec<(NodePos, Option<Version>)>,
+    /// First updated page: borders below it are before the update.
+    first: u64,
+    /// `FANOUT` entries per (level, side), lowest level first; `None`
+    /// where no border was resolved.
+    versions: Vec<Option<Option<Version>>>,
 }
 
 impl BorderSet {
+    /// An empty set for an update from page `first` under a root of
+    /// tree level `top`.
+    fn new(first: u64, top: u32) -> Self {
+        BorderSet { first, versions: vec![None; (top / LEVEL_BITS) as usize * 2 * FANOUT as usize] }
+    }
+
+    /// Where border `pos` is kept: by its tree level, its side of the
+    /// update and its slot.
+    fn index(&self, pos: NodePos) -> usize {
+        let side = usize::from(pos.offset > self.first);
+        ((pos.level() / LEVEL_BITS) as usize * 2 + side) * FANOUT as usize + pos.slot()
+    }
+
+    fn insert(&mut self, pos: NodePos, version: Option<Version>) {
+        let i = self.index(pos);
+        self.versions[i] = Some(version);
+    }
+
     /// Resolved version at a border position.
     ///
     /// Errors when `pos` was never resolved — that would mean the build
     /// walked a child position the planner did not classify, i.e. a bug.
     pub(crate) fn lookup(&self, pos: NodePos) -> Result<Option<Version>> {
-        self.entries
-            .iter()
-            .find(|(p, _)| *p == pos)
-            .map(|&(_, v)| v)
+        self.versions
+            .get(self.index(pos))
+            .copied()
+            .flatten()
             .ok_or_else(|| BlobError::Internal(format!("border position {pos:?} was not resolved")))
     }
 }
@@ -128,9 +155,9 @@ struct Descent {
 
 impl Descent {
     fn new(reference: RootRef, first: u64, last: u64) -> Self {
-        // The paths part below the highest bit in which the pages differ.
-        const _: () = assert!(FANOUT == 2);
-        let lca = u64::BITS - (first ^ last).leading_zeros();
+        // The paths part below the highest bit in which the pages
+        // differ, at the tree level that holds that bit.
+        let lca = (u64::BITS - (first ^ last).leading_zeros()).next_multiple_of(LEVEL_BITS);
         Descent {
             reference,
             pages: [first, last],
@@ -157,7 +184,7 @@ impl Descent {
         }
         // Strictly inside the reference root, so is the parent — and
         // it lies on this side's path.
-        let parent = pos.level() + 1;
+        let parent = pos.level() + LEVEL_BITS;
         let walk = if parent >= self.fork {
             &mut self.shared
         } else {
@@ -190,22 +217,20 @@ pub(crate) fn resolve_borders(reader: &TreeReader<'_>, ctx: &UpdateContext) -> R
         .range
         .last()
         .ok_or_else(|| BlobError::Internal(format!("update {:?} covers no page", ctx.range)))?;
-    let top = ctx.new_root.level();
     let mut descent = ctx.ref_root.map(|r| Descent::new(r, first, last));
-    let mut entries = Vec::with_capacity(2 * top as usize);
-    for level in (0..top).rev() {
-        for (side, border) in borders_at_level(first, last, level).into_iter().enumerate() {
-            let Some(pos) = border else { continue };
+    let mut borders = BorderSet::new(first, ctx.new_root.level());
+    for level in levels_below(ctx.new_root, LEVEL_BITS) {
+        for (side, pos) in borders_at_level(first, last, level, LEVEL_BITS) {
             // The last override wins, as a map built from the list would.
             let version = match (ctx.overrides.iter().rfind(|(p, _)| *p == pos), &mut descent) {
                 (Some(&(_, v)), _) => Some(v),
                 (None, Some(descent)) => descent.version_of(reader, side, pos)?,
                 (None, None) => None,
             };
-            entries.push((pos, version));
+            borders.insert(pos, version);
         }
     }
-    Ok(BorderSet { entries })
+    Ok(borders)
 }
 
 /// `BUILD_META` (paper Algorithm 4): produce every tree node of snapshot
@@ -239,7 +264,7 @@ pub fn build_meta(
     }
 
     let borders = resolve_borders(reader, ctx)?;
-    let plan = update_plan(ctx.range, ctx.new_root);
+    let plan = update_plan(ctx.range, ctx.new_root, LEVEL_BITS);
     let owner = reader.lineage().owner_of(ctx.vw);
     debug_assert_eq!(
         owner,
@@ -305,14 +330,19 @@ mod tests {
         }
     }
 
-    /// Replays the full Figure 1 scenario and checks the exact weaving.
+    fn inner(children: [u64; FANOUT as usize]) -> TreeNode {
+        TreeNode::Inner { children: children.map(|v| (v != 0).then_some(Version(v))) }
+    }
+
+    /// Replays the Figure 1 scenario at four children per node and
+    /// checks the exact weaving.
     #[test]
     fn figure_1_weaving_end_to_end() {
         let store = store();
         let lineage = Lineage::root(BlobId(1));
         let reader = TreeReader::new(&store, &lineage);
 
-        // (a) v1: write 4 pages to the empty blob.
+        // (a) v1: write 4 pages to the empty blob: four leaves, a root.
         let ctx1 = UpdateContext {
             vw: Version(1),
             range: PageRange::new(0, 4),
@@ -322,7 +352,7 @@ mod tests {
         };
         let leaves1: Vec<_> = (0..4).map(|i| pd(i, 100 + i as u128)).collect();
         let nodes1 = build_meta(&reader, &ctx1, &leaves1).unwrap();
-        assert_eq!(nodes1.len(), 7);
+        assert_eq!(nodes1.len(), 5);
         commit(&store, nodes1);
 
         // (b) v2: overwrite pages 1..3.
@@ -336,59 +366,29 @@ mod tests {
         };
         let leaves2 = vec![pd(1, 201), pd(2, 202)];
         let nodes2 = build_meta(&reader, &ctx2, &leaves2).unwrap();
-        // Exactly the grey nodes of Fig 1(b).
+        // The new leaves and the root.
         let positions: Vec<NodePos> = nodes2.iter().map(|(k, _)| k.pos).collect();
-        assert_eq!(
-            positions,
-            vec![
-                NodePos::new(1, 1),
-                NodePos::new(2, 1),
-                NodePos::new(0, 2),
-                NodePos::new(2, 2),
-                NodePos::new(0, 4)
-            ]
-        );
-        // Weaving: (0,2).left → white v1, (2,2).right → white v1.
-        let by_pos: HashMap<NodePos, TreeNode> = nodes2.iter().map(|(k, n)| (k.pos, *n)).collect();
-        assert_eq!(
-            by_pos[&NodePos::new(0, 2)],
-            TreeNode::Inner { children: [Some(Version(1)), Some(Version(2))] }
-        );
-        assert_eq!(
-            by_pos[&NodePos::new(2, 2)],
-            TreeNode::Inner { children: [Some(Version(2)), Some(Version(1))] }
-        );
-        assert_eq!(
-            by_pos[&NodePos::new(0, 4)],
-            TreeNode::Inner { children: [Some(Version(2)), Some(Version(2))] }
-        );
+        assert_eq!(positions, vec![NodePos::new(1, 1), NodePos::new(2, 1), NodePos::new(0, 4)]);
+        // Weaving: the root's first and last children are v1's leaves.
+        assert_eq!(nodes2[2].1, inner([1, 2, 2, 1]));
         commit(&store, nodes2);
 
-        // (c) v3: append one page — root grows to (0,8).
+        // (c) v3: append one page — root grows to (0,16).
         let root2 = RootRef { version: Version(2), pos: NodePos::new(0, 4) };
         let ctx3 = UpdateContext {
             vw: Version(3),
             range: PageRange::new(4, 1),
-            new_root: NodePos::new(0, 8),
+            new_root: NodePos::new(0, 16),
             overrides: vec![],
             ref_root: Some(root2),
         };
         let nodes3 = build_meta(&reader, &ctx3, &[pd(4, 304)]).unwrap();
         let by_pos: HashMap<NodePos, TreeNode> = nodes3.iter().map(|(k, n)| (k.pos, *n)).collect();
-        // New black root: left = old grey root (v2), right = own subtree.
-        assert_eq!(
-            by_pos[&NodePos::new(0, 8)],
-            TreeNode::Inner { children: [Some(Version(2)), Some(Version(3))] }
-        );
-        // Incomplete right spine: dangling children are None.
-        assert_eq!(
-            by_pos[&NodePos::new(4, 4)],
-            TreeNode::Inner { children: [Some(Version(3)), None] }
-        );
-        assert_eq!(
-            by_pos[&NodePos::new(4, 2)],
-            TreeNode::Inner { children: [Some(Version(3)), None] }
-        );
+        // New root: first child = old root (v2), then its own subtree,
+        // and nothing beyond the content.
+        assert_eq!(by_pos[&NodePos::new(0, 16)], inner([2, 3, 0, 0]));
+        // Incomplete spine: dangling children are None.
+        assert_eq!(by_pos[&NodePos::new(4, 4)], inner([3, 0, 0, 0]));
         commit(&store, nodes3);
 
         // Every snapshot remains readable with the right pages.
@@ -406,7 +406,7 @@ mod tests {
             vec![100, 201, 202, 103],
             "v2 shares untouched pages with v1"
         );
-        let root3 = RootRef { version: Version(3), pos: NodePos::new(0, 8) };
+        let root3 = RootRef { version: Version(3), pos: NodePos::new(0, 16) };
         let v3 = read(root3, ByteRange::new(0, 20));
         assert_eq!(
             v3.iter().map(|p| p.pid.raw()).collect::<Vec<_>>(),
@@ -436,52 +436,50 @@ mod tests {
         commit(&store, build_meta(&reader, &ctx1, &leaves1).unwrap());
         let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
 
-        // C1 gets v2 appending pages [4,6); C2 gets v3 appending [6,8).
-        // C2's border (4,2) will be created by C1 → the VM supplies the
-        // override (4,2) → v2. C2 builds FIRST (C1 hasn't stored yet).
+        // C1 gets v2 appending pages [4,8); C2 gets v3 appending [8,12).
+        // C2's border (4,4) will be created by C1 → the VM supplies the
+        // override (4,4) → v2. C2 builds FIRST (C1 hasn't stored yet).
         let ctx3 = UpdateContext {
             vw: Version(3),
-            range: PageRange::new(6, 2),
-            new_root: NodePos::new(0, 8),
-            overrides: vec![(NodePos::new(4, 2), Version(2))],
+            range: PageRange::new(8, 4),
+            new_root: NodePos::new(0, 16),
+            overrides: vec![(NodePos::new(4, 4), Version(2))],
             ref_root: Some(root1),
         };
-        let nodes3 = build_meta(&reader, &ctx3, &[pd(6, 306), pd(7, 307)]).unwrap();
+        let leaves3: Vec<_> = (8..12).map(|i| pd(i, 300 + i as u128)).collect();
+        let nodes3 = build_meta(&reader, &ctx3, &leaves3).unwrap();
         let by_pos: HashMap<NodePos, TreeNode> = nodes3.iter().map(|(k, n)| (k.pos, *n)).collect();
         assert_eq!(
-            by_pos[&NodePos::new(4, 4)],
-            TreeNode::Inner { children: [Some(Version(2)), Some(Version(3))] },
+            by_pos[&NodePos::new(0, 16)],
+            inner([1, 2, 3, 0]),
             "C2 links to C1's yet-unwritten node via the override"
-        );
-        assert_eq!(
-            by_pos[&NodePos::new(0, 8)],
-            TreeNode::Inner { children: [Some(Version(1)), Some(Version(3))] }
         );
         commit(&store, nodes3);
 
         // Now C1 builds and stores.
         let ctx2 = UpdateContext {
             vw: Version(2),
-            range: PageRange::new(4, 2),
-            new_root: NodePos::new(0, 8),
+            range: PageRange::new(4, 4),
+            new_root: NodePos::new(0, 16),
             overrides: vec![],
             ref_root: Some(root1),
         };
-        commit(&store, build_meta(&reader, &ctx2, &[pd(4, 204), pd(5, 205)]).unwrap());
+        let leaves2: Vec<_> = (4..8).map(|i| pd(i, 200 + i as u128)).collect();
+        commit(&store, build_meta(&reader, &ctx2, &leaves2).unwrap());
 
         // Snapshot v3 = v1 pages + C1's pages + C2's pages.
-        let root3 = RootRef { version: Version(3), pos: NodePos::new(0, 8) };
-        let v3 = read_meta(&reader, root3, ByteRange::new(0, 32), PSIZE).unwrap();
+        let root3 = RootRef { version: Version(3), pos: NodePos::new(0, 16) };
+        let v3 = read_meta(&reader, root3, ByteRange::new(0, 48), PSIZE).unwrap();
         assert_eq!(
             v3.iter().map(|p| p.pid.raw()).collect::<Vec<_>>(),
-            vec![100, 101, 102, 103, 204, 205, 306, 307]
+            vec![100, 101, 102, 103, 204, 205, 206, 207, 308, 309, 310, 311]
         );
         // And v2 alone sees only C1's append.
-        let root2 = RootRef { version: Version(2), pos: NodePos::new(0, 8) };
-        let v2 = read_meta(&reader, root2, ByteRange::new(0, 24), PSIZE).unwrap();
+        let root2 = RootRef { version: Version(2), pos: NodePos::new(0, 16) };
+        let v2 = read_meta(&reader, root2, ByteRange::new(0, 32), PSIZE).unwrap();
         assert_eq!(
             v2.iter().map(|p| p.pid.raw()).collect::<Vec<_>>(),
-            vec![100, 101, 102, 103, 204, 205]
+            vec![100, 101, 102, 103, 204, 205, 206, 207]
         );
     }
 
@@ -493,12 +491,12 @@ mod tests {
         let ctx1 = UpdateContext {
             vw: Version(1),
             range: PageRange::new(0, 2),
-            new_root: NodePos::new(0, 2),
+            new_root: NodePos::new(0, 4),
             overrides: vec![],
             ref_root: None,
         };
         commit(&store, build_meta(&reader, &ctx1, &[pd(0, 100), pd(1, 101)]).unwrap());
-        let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 2) };
+        let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
 
         // Branch at v1; the branch overwrites page 0 as its v2.
         let branch_lineage = Lineage::branch(&parent_lineage, Version(1), BlobId(2));
@@ -506,7 +504,7 @@ mod tests {
         let ctx2 = UpdateContext {
             vw: Version(2),
             range: PageRange::new(0, 1),
-            new_root: NodePos::new(0, 2),
+            new_root: NodePos::new(0, 4),
             overrides: vec![],
             ref_root: Some(root1),
         };
@@ -516,7 +514,7 @@ mod tests {
         commit(&store, nodes);
 
         // Branch v2 reads its new page plus the parent's shared page.
-        let root2 = RootRef { version: Version(2), pos: NodePos::new(0, 2) };
+        let root2 = RootRef { version: Version(2), pos: NodePos::new(0, 4) };
         let v2 = read_meta(&breader, root2, ByteRange::new(0, 8), PSIZE).unwrap();
         assert_eq!(v2.iter().map(|p| p.pid.raw()).collect::<Vec<_>>(), vec![900, 101]);
         // Parent v1 reads through the *parent* lineage, untouched.
@@ -536,7 +534,7 @@ mod tests {
         let ctx = UpdateContext {
             vw: Version(1),
             range: PageRange::new(0, 2),
-            new_root: NodePos::new(0, 2),
+            new_root: NodePos::new(0, 4),
             overrides: vec![],
             ref_root: None,
         };
@@ -546,9 +544,14 @@ mod tests {
 
     #[test]
     fn border_set_lookup_errors_on_unknown() {
-        let b = BorderSet { entries: vec![(NodePos::new(0, 1), Some(Version(1)))] };
+        // An update of page 1 under root (0,4): borders (0,1), (2,1), (3,1).
+        let mut b = BorderSet::new(1, 2);
+        b.insert(NodePos::new(0, 1), Some(Version(1)));
+        b.insert(NodePos::new(3, 1), None);
         assert_eq!(b.lookup(NodePos::new(0, 1)).unwrap(), Some(Version(1)));
-        assert!(b.lookup(NodePos::new(1, 1)).is_err());
+        assert_eq!(b.lookup(NodePos::new(3, 1)).unwrap(), None);
+        assert!(b.lookup(NodePos::new(2, 1)).is_err(), "not resolved");
+        assert!(b.lookup(NodePos::new(0, 4)).is_err(), "above the borders' levels");
     }
 
     /// A node store that answers with a leaf where the descent expects
@@ -573,8 +576,9 @@ mod tests {
         assert!(matches!(err, BlobError::Internal(_)), "{err:?}");
     }
 
-    /// Fig. 1(b) and (c) once more, counting node fetches: a border is
-    /// read out of its parent, and each path node is fetched once.
+    /// Counting node fetches: a border is read out of its parent, and
+    /// each path node is fetched once — also where the two boundary
+    /// paths part between two tree levels.
     #[test]
     fn borders_cost_one_get_per_distinct_path_node() {
         let store = store();
@@ -582,14 +586,14 @@ mod tests {
         let reader = TreeReader::new(&store, &lineage);
         let ctx1 = UpdateContext {
             vw: Version(1),
-            range: PageRange::new(0, 8),
-            new_root: NodePos::new(0, 8),
+            range: PageRange::new(0, 16),
+            new_root: NodePos::new(0, 16),
             overrides: vec![],
             ref_root: None,
         };
-        let leaves1: Vec<_> = (0..8).map(|i| pd(i, 100 + i as u128)).collect();
+        let leaves1: Vec<_> = (0..16).map(|i| pd(i, 100 + i as u128)).collect();
         commit(&store, build_meta(&reader, &ctx1, &leaves1).unwrap());
-        let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 8) };
+        let root1 = RootRef { version: Version(1), pos: NodePos::new(0, 16) };
         // Each build is its own version: one version, one slab layout.
         let next = std::cell::Cell::new(2);
         let gets = |range: PageRange, new_root: NodePos, overrides: Vec<(NodePos, Version)>| {
@@ -600,16 +604,18 @@ mod tests {
             build_meta(&reader, &ctx, &leaves).unwrap();
             store.stats().total_gets - before
         };
-        // One page: the root, (0,4), (2,2) — not the three borders.
-        assert_eq!(gets(PageRange::new(3, 1), NodePos::new(0, 8), vec![]), 3);
-        // Pages 3..5 part at the root: root + (0,4), (2,2) + (4,4), (4,2).
-        assert_eq!(gets(PageRange::new(3, 2), NodePos::new(0, 8), vec![]), 5);
-        // Overrides for the deepest borders spare the walks below them.
-        let spared = vec![(NodePos::new(2, 1), Version(9)), (NodePos::new(5, 1), Version(9))];
-        assert_eq!(gets(PageRange::new(3, 2), NodePos::new(0, 8), spared), 3);
+        let root = NodePos::new(0, 16);
+        // One page: the root and (0,4) — not the six borders.
+        assert_eq!(gets(PageRange::new(3, 1), root, vec![]), 2);
+        // Pages 3..5 differ in bit 2, so their paths part at the root
+        // (level 4): root + (0,4) + (4,4).
+        assert_eq!(gets(PageRange::new(3, 2), root, vec![]), 3);
+        // Overrides for one side's deepest borders spare its walk.
+        let spared = (5..8).map(|p| (NodePos::new(p, 1), Version(9))).collect();
+        assert_eq!(gets(PageRange::new(3, 2), root, spared), 2);
         // A grown root: the old root is a border resolved without a get,
         // and everything right of it lies beyond the content.
-        assert_eq!(gets(PageRange::new(8, 1), NodePos::new(0, 16), vec![]), 0);
+        assert_eq!(gets(PageRange::new(16, 1), NodePos::new(0, 64), vec![]), 0);
     }
 
     use std::collections::HashMap;

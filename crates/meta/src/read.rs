@@ -5,6 +5,7 @@ use std::collections::HashSet;
 
 use blobseer_types::{
     BlobError, ByteRange, NodePos, PageDescriptor, PageId, ProviderId, Result, Version, FANOUT,
+    LEVEL_BITS,
 };
 
 use crate::lineage::Lineage;
@@ -169,7 +170,8 @@ pub fn read_meta_multi(
     let mut out = Vec::with_capacity(union as usize);
     // Up to `FANOUT - 1` pending later siblings per level above the node
     // being expanded, plus its children: never a regrow.
-    let mut stack = Vec::with_capacity((FANOUT as usize - 1) * root.pos.level() as usize + 1);
+    let levels = (root.pos.level() / LEVEL_BITS) as usize;
+    let mut stack = Vec::with_capacity((FANOUT as usize - 1) * levels + 1);
     stack.push((root.version, root.pos));
     while let Some((version, pos)) = stack.pop() {
         match reader.fetch(version, pos, true)? {
@@ -257,7 +259,8 @@ mod tests {
     use blobseer_types::{BlobId, PageId, PageRange, ProviderId};
     use std::time::Duration;
 
-    /// Hand-build the Figure 1(a) tree: version 1 covering 4 pages.
+    /// Hand-build the Figure 1(a) tree at four children: version 1
+    /// covering 4 pages, one root over four leaves.
     fn fig1a_store() -> (MetaStore, Lineage) {
         let store = MetaStore::new(4, Duration::from_millis(100));
         let lineage = Lineage::root(BlobId(1));
@@ -275,10 +278,7 @@ mod tests {
         for i in 0..4 {
             store.put_new(k(1, i, 1), leaf(i));
         }
-        let inner = |l, r| TreeNode::Inner { children: [Some(Version(l)), Some(Version(r))] };
-        store.put_new(k(1, 0, 2), inner(1, 1));
-        store.put_new(k(1, 2, 2), inner(1, 1));
-        store.put_new(k(1, 0, 4), inner(1, 1));
+        store.put_new(k(1, 0, 4), TreeNode::Inner { children: [Some(Version(1)); 4] });
         (store, lineage)
     }
 
@@ -321,11 +321,11 @@ mod tests {
         }
         assert!(matches!(read_meta_page(&reader, root, 4), Err(BlobError::Internal(_))));
         // A missing child inside the tree is corrupt metadata.
-        let partial = RootRef { version: Version(2), pos: NodePos::new(0, 2) };
+        let partial = RootRef { version: Version(2), pos: NodePos::new(0, 4) };
         store.reserve(BlobId(1), Version(2), PageRange::new(0, 1), partial.pos);
         store.put_new(
-            NodeKey { blob: BlobId(1), version: Version(2), pos: NodePos::new(0, 2) },
-            TreeNode::Inner { children: [Some(Version(1)), None] },
+            NodeKey { blob: BlobId(1), version: Version(2), pos: NodePos::new(0, 4) },
+            TreeNode::Inner { children: [Some(Version(1)), None, None, None] },
         );
         assert!(read_meta_page(&reader, partial, 0).is_ok());
         assert!(matches!(read_meta_page(&reader, partial, 1), Err(BlobError::Internal(_))));
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn collect_tree_pages_enumerates_leaves_once_across_shared_roots() {
         let (store, lineage) = fig1a_store();
-        // A v2 tree overwriting page 0 only, sharing v1's right half.
+        // A v2 tree overwriting page 0 only, sharing v1's other leaves.
         let k = |v: u64, o: u64, s: u64| NodeKey {
             blob: BlobId(1),
             version: Version(v),
@@ -378,12 +378,10 @@ mod tests {
             TreeNode::Leaf { pid: PageId(200), provider: ProviderId(0), valid_len: 4 },
         );
         store.put_new(
-            k(2, 0, 2),
-            TreeNode::Inner { children: [Some(Version(2)), Some(Version(1))] },
-        );
-        store.put_new(
             k(2, 0, 4),
-            TreeNode::Inner { children: [Some(Version(2)), Some(Version(1))] },
+            TreeNode::Inner {
+                children: [Some(Version(2)), Some(Version(1)), Some(Version(1)), Some(Version(1))],
+            },
         );
         let reader = TreeReader::new(&store, &lineage);
 
@@ -395,10 +393,10 @@ mod tests {
         collect_tree_pages(&reader, root1, &mut visited, &mut on_leaf).unwrap();
         collect_tree_pages(&reader, root2, &mut visited, &mut on_leaf).unwrap();
         pids.sort_unstable();
-        // v1's four leaves plus v2's one new leaf — the shared right
-        // half is walked exactly once.
+        // v1's four leaves plus v2's one new leaf — the shared leaves
+        // are walked exactly once.
         assert_eq!(pids, vec![100, 101, 102, 103, 200]);
-        assert_eq!(visited.len(), 7 + 3, "v1's 7 nodes + v2's 3 new ones");
+        assert_eq!(visited.len(), 5 + 2, "v1's 5 nodes + v2's 2 new ones");
     }
 
     #[test]
@@ -406,7 +404,7 @@ mod tests {
         let store = MetaStore::new(2, Duration::from_millis(10));
         let lineage = Lineage::root(BlobId(3));
         let reader = TreeReader::new(&store, &lineage);
-        let root = RootRef { version: Version(1), pos: NodePos::new(0, 2) };
+        let root = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
         let err =
             collect_tree_pages(&reader, root, &mut HashSet::new(), &mut |_, _| {}).unwrap_err();
         assert!(matches!(err, BlobError::MetadataMissing { .. }));
@@ -418,7 +416,7 @@ mod tests {
         let reader = TreeReader::new(&store, &lineage);
         let root = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
         assert_eq!(reader.version_at(root, NodePos::new(0, 4), false).unwrap(), Some(Version(1)));
-        assert_eq!(reader.version_at(root, NodePos::new(2, 2), false).unwrap(), Some(Version(1)));
+        assert_eq!(reader.version_at(root, NodePos::new(2, 1), false).unwrap(), Some(Version(1)));
         assert_eq!(reader.version_at(root, NodePos::new(3, 1), false).unwrap(), Some(Version(1)));
         // Outside the root span.
         assert_eq!(reader.version_at(root, NodePos::new(4, 4), false).unwrap(), None);
@@ -429,7 +427,7 @@ mod tests {
         let store = MetaStore::new(2, Duration::from_millis(10));
         let lineage = Lineage::root(BlobId(9));
         let reader = TreeReader::new(&store, &lineage);
-        let root = RootRef { version: Version(1), pos: NodePos::new(0, 2) };
+        let root = RootRef { version: Version(1), pos: NodePos::new(0, 4) };
         let err = read_meta(&reader, root, ByteRange::new(0, 8), 4).unwrap_err();
         assert_eq!(err, BlobError::Timeout("metadata tree node"));
     }

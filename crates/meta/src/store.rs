@@ -294,7 +294,7 @@ mod tests {
         let store = MetaStore::new(4, Duration::from_millis(50));
         let real = TreeNode::Leaf { pid: PageId(1), provider: ProviderId(0), valid_len: 4 };
         let repair = TreeNode::Leaf { pid: PageId(2), provider: ProviderId(1), valid_len: 4 };
-        reserve(&store, 1, 2, 2);
+        reserve(&store, 1, 2, 4);
         assert!(store.put_new(key(1, 0, 1), real));
         assert!(!store.put_new(key(1, 0, 1), repair), "dead writer's node stays");
         assert_eq!(store.get(&key(1, 0, 1)).unwrap(), real);
@@ -316,7 +316,7 @@ mod tests {
         let leaf =
             |pid: u128| TreeNode::Leaf { pid: PageId(pid), provider: ProviderId(1), valid_len: 4 };
         reserve(&store, 1, 1, 1);
-        reserve(&store, 2, 2, 2);
+        reserve(&store, 2, 2, 4);
         store.put_new(key(1, 0, 1), leaf(10)); // v1 leaf, unreachable
         store.put_new(key(2, 0, 1), leaf(20)); // v2 leaf, reachable
         store.put_new(key(2, 1, 1), leaf(21)); // v2 leaf, unreachable
@@ -335,10 +335,11 @@ mod tests {
         let store = MetaStore::new(4, Duration::from_millis(50));
         let leaf =
             |pid: u128| TreeNode::Leaf { pid: PageId(pid), provider: ProviderId(2), valid_len: 4 };
-        reserve(&store, 1, 2, 2);
+        reserve(&store, 1, 2, 4);
         store.put_new(key(1, 0, 1), leaf(10));
         store.put_new(key(1, 1, 1), leaf(11));
-        store.put_new(key(1, 0, 2), TreeNode::Inner { children: [Some(Version(1)), None] });
+        let root = TreeNode::Inner { children: [Some(Version(1)), Some(Version(1)), None, None] };
+        store.put_new(key(1, 0, 4), root);
         let mut seen = Vec::new();
         store.for_each_leaf(|pid, provider| seen.push((pid.raw(), provider)));
         seen.sort_unstable();
@@ -371,12 +372,12 @@ mod tests {
     fn get_wait_sees_delayed_writer() {
         let store = Arc::new(MetaStore::new(4, Duration::from_secs(5)));
         let s2 = Arc::clone(&store);
-        let waiter = std::thread::spawn(move || s2.get_wait(&key(2, 0, 2)));
+        let waiter = std::thread::spawn(move || s2.get_wait(&key(2, 0, 4)));
         std::thread::sleep(Duration::from_millis(20));
-        let n = TreeNode::Inner { children: [Some(Version(1)), None] };
+        let n = TreeNode::Inner { children: [Some(Version(1)), None, None, None] };
         // The waiter parked before the slab existed.
-        reserve(&store, 2, 1, 2);
-        store.put_new(key(2, 0, 2), n);
+        reserve(&store, 2, 1, 4);
+        store.put_new(key(2, 0, 4), n);
         assert_eq!(waiter.join().unwrap().unwrap(), n);
     }
 }

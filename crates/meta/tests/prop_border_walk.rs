@@ -25,7 +25,9 @@ use blobseer_meta::plan::{border_positions, creates_position, update_plan};
 use blobseer_meta::{
     build_meta, Lineage, MetaStore, NodeKey, RootRef, TreeNode, TreeReader, UpdateContext,
 };
-use blobseer_types::{BlobId, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version};
+use blobseer_types::{
+    BlobId, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version, LEVEL_BITS,
+};
 use proptest::prelude::*;
 
 /// One update: (start scale into [0, pages], page count, pick of the
@@ -85,7 +87,7 @@ fn checked_build(
     let overrides: HashMap<NodePos, Version> = ctx.overrides.iter().copied().collect();
     let mut expected = HashMap::new();
     let mut visited = HashSet::new();
-    for pos in border_positions(ctx.range, ctx.new_root) {
+    for pos in border_positions(ctx.range, ctx.new_root, LEVEL_BITS) {
         let version = match (overrides.get(&pos), ctx.ref_root) {
             (Some(&v), _) => Some(v),
             (None, Some(root)) => {
@@ -102,7 +104,7 @@ fn checked_build(
     let gets = store.stats().total_gets - gets_before;
     assert_eq!(gets, visited.len() as u64, "{ctx:?}: one get per distinct path node");
 
-    let plan = update_plan(ctx.range, ctx.new_root);
+    let plan = update_plan(ctx.range, ctx.new_root, LEVEL_BITS);
     assert_eq!(nodes.len() as u64, plan.node_count());
     let child = |pos: NodePos| {
         if creates_position(ctx.range, ctx.new_root, pos) {
@@ -135,7 +137,7 @@ fn replay(store: &MetaStore, lineage: &Lineage, history: &mut History, steps: &[
         let new_root = NodePos::root_for(pages);
 
         let reference = history[usize::from(pick) % history.len()].0;
-        let overrides = border_positions(range, new_root)
+        let overrides = border_positions(range, new_root, LEVEL_BITS)
             .into_iter()
             .enumerate()
             .filter(|&(i, _)| i < 16 && mask >> i & 1 == 1)
@@ -182,7 +184,8 @@ proptest! {
     ) {
         let range = PageRange::new(first, count);
         let root = NodePos::root_for(range.end() + grow);
-        let created: HashSet<NodePos> = update_plan(range, root).positions().collect();
+        let created: HashSet<NodePos> =
+            update_plan(range, root, LEVEL_BITS).positions().collect();
         let by_definition: BTreeSet<(std::cmp::Reverse<u32>, u64)> = created
             .iter()
             .filter(|p| !p.is_leaf())
@@ -190,7 +193,7 @@ proptest! {
             .filter(|c| !created.contains(c))
             .map(|c| (std::cmp::Reverse(c.level()), c.offset))
             .collect();
-        let got: Vec<(std::cmp::Reverse<u32>, u64)> = border_positions(range, root)
+        let got: Vec<(std::cmp::Reverse<u32>, u64)> = border_positions(range, root, LEVEL_BITS)
             .into_iter()
             .map(|c| (std::cmp::Reverse(c.level()), c.offset))
             .collect();

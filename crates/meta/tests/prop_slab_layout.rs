@@ -6,15 +6,18 @@
 //! every planned position is its index in `update_plan(..).positions()`
 //! and in `build_meta`'s output, the inverse map gives the position
 //! back, every position the update does not create (beside the planned
-//! spans, at every level, and above the root) has no rank, and the
-//! closed form of the shifted sum behind the ranks equals its loop.
+//! spans, at every level, between the tree's levels, and above the
+//! root) has no rank, and the closed form of the shifted sum behind the
+//! ranks equals its loop over the tree's levels.
 
 use std::time::Duration;
 
 use blobseer_dht::Layout;
 use blobseer_meta::plan::{creates_position, shifted_sum, update_plan};
 use blobseer_meta::{build_meta, Lineage, MetaStore, SlabLayout, TreeReader, UpdateContext};
-use blobseer_types::{BlobId, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version};
+use blobseer_types::{
+    BlobId, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version, LEVEL_BITS,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,7 +34,7 @@ proptest! {
         let layout = SlabLayout::new(range, root);
         prop_assert_eq!(SlabLayout::decode(layout.encode()), layout);
 
-        let plan = update_plan(range, root);
+        let plan = update_plan(range, root, LEVEL_BITS);
         prop_assert_eq!(layout.slots() as u64, plan.node_count());
         prop_assert_eq!(layout.leaves() as u64, count);
         for (index, pos) in plan.positions().enumerate() {
@@ -72,15 +75,21 @@ proptest! {
                     continue;
                 }
                 let pos = NodePos::new(offset, size);
-                let planned = level <= root.level() && creates_position(range, root, pos);
+                // Only the tree's levels hold positions.
+                let planned = level <= root.level()
+                    && level % LEVEL_BITS == 0
+                    && creates_position(range, root, pos);
                 prop_assert_eq!(layout.rank(pos).is_some(), planned, "{:?}", pos);
             }
         }
     }
 
     #[test]
-    fn the_closed_form_equals_the_loop(x in prop_oneof![0u64..1024, 0u64..(1 << 63)], k in 0u32..=64) {
-        let looped: u64 = (0..k).map(|j| x >> j).sum();
+    fn the_closed_form_equals_the_loop(
+        x in prop_oneof![0u64..1024, 0u64..(1 << 63)],
+        k in (0u32..=64 / LEVEL_BITS).prop_map(|i| i * LEVEL_BITS),
+    ) {
+        let looped: u64 = (0..k).step_by(LEVEL_BITS as usize).map(|j| x >> j).sum();
         prop_assert_eq!(shifted_sum(x, k), looped);
     }
 }

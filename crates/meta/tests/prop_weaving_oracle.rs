@@ -17,7 +17,8 @@ use blobseer_meta::{
     build_meta, read_meta, read_meta_multi, Lineage, MetaStore, RootRef, TreeReader, UpdateContext,
 };
 use blobseer_types::{
-    BlobId, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version,
+    BlobId, ByteRange, NodePos, PageDescriptor, PageId, PageRange, ProviderId, Version, FANOUT,
+    LEVEL_BITS,
 };
 use proptest::prelude::*;
 
@@ -37,12 +38,12 @@ fn requests() -> impl Strategy<Value = Vec<(u16, u64)>> {
 }
 
 /// The root of a snapshot of `pages` pages, computed independently of
-/// `NodePos::root_for`: offset 0 and the smallest `1 << k` that is at
-/// least `max(1, pages)`.
+/// `NodePos::root_for`: offset 0 and the smallest power of `FANOUT`
+/// that is at least `max(1, pages)`.
 fn least_covering_root(pages: u64) -> NodePos {
     let mut size = 1;
     while size < pages.max(1) {
-        size *= 2;
+        size *= FANOUT;
     }
     NodePos::new(0, size)
 }
@@ -96,13 +97,13 @@ proptest! {
             applied.push(Applied { range, root });
         }
 
-        // Oracle check: for every snapshot k and dyadic position under
-        // its root, the occupying node's version is the highest u ≤ k
-        // creating that position.
+        // Oracle check: for every snapshot k and tree position under
+        // its root (every level's), the occupying node's version is the
+        // highest u ≤ k creating that position.
         for (k_idx, snap) in applied.iter().enumerate() {
             let k = Version(k_idx as u64 + 1);
             let root = RootRef { version: k, pos: snap.root };
-            for level in 0..=snap.root.level() {
+            for level in (0..=snap.root.level()).step_by(LEVEL_BITS as usize) {
                 let size = 1u64 << level;
                 for idx in 0..(snap.root.size >> level) {
                     let pos = NodePos::new(idx * size, size);
@@ -170,8 +171,9 @@ proptest! {
         }
 
         // Structural sanity rides along: every root sits at offset 0 and
-        // is the least power of two covering the size so far, found by
-        // doubling rather than by `root_for`, which built the roots.
+        // is the least power of the fanout covering the size so far,
+        // found by multiplying rather than by `root_for`, which built
+        // the roots.
         let mut max_end = 0;
         for a in &applied {
             max_end = max_end.max(a.range.end());
@@ -190,10 +192,10 @@ proptest! {
         // update; created leaves are exactly the update's pages.
         let range = PageRange::new(first, count);
         let root = NodePos::root_for(range.end() + grow);
-        let plan = update_plan(range, root);
+        let plan = update_plan(range, root, LEVEL_BITS);
         let created: std::collections::HashSet<NodePos> = plan.positions().collect();
         let borders: std::collections::HashSet<NodePos> =
-            blobseer_meta::plan::border_positions(range, root).into_iter().collect();
+            blobseer_meta::plan::border_positions(range, root, LEVEL_BITS).into_iter().collect();
         prop_assert!(created.is_disjoint(&borders));
         for pos in &created {
             prop_assert!(pos.intersects(range));

@@ -3,12 +3,13 @@
 //! Per append, the simulated client executes the real pipeline of
 //! Algorithm 2: store all new pages in parallel → register with the
 //! version manager → build the new metadata tree (the node set comes
-//! from [`blobseer_meta::plan::update_plan`] — the *real* planner) and
-//! store every node in parallel → notify the version manager. The
-//! client-side tree build charges CPU per node and per level, which is
-//! where the paper's "slight bandwidth decrease ... when the number of
-//! pages reaches a power of two" comes from: crossing a power of two
-//! adds a tree level permanently.
+//! from [`blobseer_meta::plan::update_plan`] — the *real* planner, at
+//! the paper's two children per node) and store every node in parallel
+//! → notify the version manager. The client-side tree build charges
+//! CPU per node and per level, which is where the paper's "slight
+//! bandwidth decrease ... when the number of pages reaches a power of
+//! two" comes from: crossing a power of two adds a tree level
+//! permanently.
 
 use std::sync::{Arc, Mutex};
 
@@ -17,7 +18,7 @@ use blobseer_simnet::{to_secs, Activity, Engine, Nanos, Network, NodeId, Process
 use blobseer_types::{NodePos, PageRange};
 
 use crate::cluster::Cluster;
-use crate::params::{SimParams, BUILD_PER_LEVEL, BUILD_PER_NODE};
+use crate::params::{SimParams, BUILD_PER_LEVEL, BUILD_PER_NODE, PAPER_LEVEL_BITS};
 use crate::rpc::Rpc;
 
 /// One measured append: the paper plots `mbps` against `pages_after`.
@@ -202,8 +203,11 @@ impl Process for AppendClient {
                     }
                     self.append_start = now;
                     let range = PageRange::new(pages_before, self.pages_per_append);
-                    let root = NodePos::root_for(pages_before + self.pages_per_append);
-                    self.plan = Some(update_plan(range, root));
+                    let root = NodePos::root_for_step(
+                        pages_before + self.pages_per_append,
+                        PAPER_LEVEL_BITS,
+                    );
+                    self.plan = Some(update_plan(range, root, PAPER_LEVEL_BITS));
                     self.phase = Phase::Register;
                     let batch = range.iter().map(|p| self.page_store(p)).collect();
                     return Step::AwaitWindow {
@@ -227,16 +231,14 @@ impl Process for AppendClient {
                         // client wrote itself — resolution is local.
                         continue;
                     }
-                    // Cold descent: sequential fetches of the border
-                    // positions plus the path from the root.
+                    // Cold descent: sequential fetches of the path from
+                    // the root to the first page (each inner span's
+                    // first position) plus the border positions.
                     let plan = self.plan.as_ref().expect("planned");
                     let mut stages = Vec::new();
-                    let mut cur = plan.root;
-                    while !cur.is_leaf() && cur.intersects(plan.range) {
-                        stages.extend(self.node_fetch(cur));
-                        cur = cur.child(cur.slot_toward(plan.range.first));
-                    }
-                    for pos in border_positions(plan.range, plan.root) {
+                    let path = plan.levels.iter().skip(1).rev().flat_map(|s| s.positions().take(1));
+                    let borders = border_positions(plan.range, plan.root, PAPER_LEVEL_BITS);
+                    for pos in path.chain(borders) {
                         stages.extend(self.node_fetch(pos));
                     }
                     if stages.is_empty() {

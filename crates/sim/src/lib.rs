@@ -19,8 +19,9 @@
 //!
 //! * the number and position of metadata tree nodes touched by an
 //!   update or a read come from [`blobseer_meta::plan`] — the exact
-//!   planner the real engine executes, which is where the power-of-two
-//!   bandwidth steps of Figure 2(a) originate;
+//!   planner the real engine executes, here at the paper's two children
+//!   per node ([`PAPER_LEVEL_BITS`]; the engine's tree has four), which
+//!   is where the power-of-two bandwidth steps of Figure 2(a) originate;
 //! * page→provider placement replays the engine's round-robin
 //!   allocation, and tree-node→metadata-provider placement uses the
 //!   real DHT hash ([`blobseer_dht::static_bucket`]), so simulated
@@ -38,5 +39,5 @@ mod rpc;
 
 pub use append::{append_experiment, pipelined_append_experiment, AppendPoint, PipelinedSummary};
 pub use cluster::Cluster;
-pub use params::SimParams;
+pub use params::{SimParams, PAPER_LEVEL_BITS};
 pub use read::{read_experiment, ReadSummary};

@@ -2,6 +2,11 @@
 
 use blobseer_simnet::{millis, Nanos};
 
+/// Bits of page index per level of the simulated tree: the paper's tree
+/// is binary (§4.1), and Figures 2(a) and 2(b) step at its powers of
+/// two. The engine's tree steps `blobseer_types::LEVEL_BITS`.
+pub const PAPER_LEVEL_BITS: u32 = 1;
+
 /// Client CPU per tree node an update creates (building the new tree
 /// in memory): 0.01 ms.
 pub const BUILD_PER_NODE: Nanos = 10_000;

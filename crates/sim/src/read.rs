@@ -3,9 +3,10 @@
 //! A blob of `blob_pages` pages (the paper grows it to 64 GiB = 2^20
 //! pages of 64 KiB) is served by co-deployed data+metadata providers.
 //! Each reader executes Algorithm 1: consult the version manager, walk
-//! the metadata tree level by level (parents before children — the
-//! node set per level is [`blobseer_meta::plan::update_plan`]'s span
-//! there: a read visits what an update of its range creates),
+//! the paper's binary metadata tree level by level (parents before
+//! children — the node set per level is
+//! [`blobseer_meta::plan::update_plan`]'s span there: a read visits
+//! what an update of its range creates),
 //! then fetch all pages in parallel. Readers run *on provider nodes*
 //! ("the readers are deployed on nodes that already run a data and
 //! metadata provider"), so client-side work contends with serving work
@@ -20,7 +21,7 @@ use blobseer_simnet::{to_secs, Activity, Engine, Nanos, Network, NodeId, Process
 use blobseer_types::{NodePos, PageRange};
 
 use crate::cluster::Cluster;
-use crate::params::SimParams;
+use crate::params::{SimParams, PAPER_LEVEL_BITS};
 use crate::rpc::Rpc;
 
 /// Aggregate result of one reader-concurrency point.
@@ -53,7 +54,7 @@ pub fn read_experiment(
     let mut net = Network::new(params.latency);
     let cluster = Cluster::build(&mut net, providers, 0)
         .with_centralized_metadata(params.centralized_metadata);
-    let root = NodePos::root_for(blob_pages);
+    let root = NodePos::root_for_step(blob_pages, PAPER_LEVEL_BITS);
     let results = Arc::new(Mutex::new(Vec::new()));
     let mut engine = Engine::new(net);
     for r in 0..readers {
@@ -63,7 +64,7 @@ pub fn read_experiment(
             client: cluster.co_deployed_client(r),
             cluster: cluster.clone(),
             page_size,
-            levels: update_plan(range, root).levels,
+            levels: update_plan(range, root, PAPER_LEVEL_BITS).levels,
             range,
             phase: Phase::Begin,
             start: 0,

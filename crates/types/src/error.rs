@@ -33,6 +33,10 @@ pub enum BlobError {
     /// Zero-byte updates are rejected: they would publish a snapshot
     /// indistinguishable from its predecessor.
     EmptyUpdate,
+    /// The blob has assigned its last version: a tree node names a
+    /// child's version in 48 bits, so no update gets a version above
+    /// `2^48 − 1`. Nothing was assigned.
+    VersionsExhausted { blob: BlobId },
     /// A page referenced by metadata is missing from its provider.
     PageMissing { pid: PageId, provider: ProviderId },
     /// Every reachable copy of a page failed checksum verification.
@@ -117,6 +121,9 @@ impl fmt::Display for BlobError {
                 "read of {blob} {version} up to byte {requested_end} exceeds snapshot size {snapshot_size}"
             ),
             BlobError::EmptyUpdate => write!(f, "zero-byte updates are not allowed"),
+            BlobError::VersionsExhausted { blob } => {
+                write!(f, "{blob} has assigned its last version (2^48 - 1)")
+            }
             BlobError::PageMissing { pid, provider } => {
                 write!(f, "{pid:?} missing from {provider}")
             }

@@ -9,7 +9,8 @@
 //! * identifiers — [`BlobId`], [`Version`], [`PageId`], [`ProviderId`],
 //!   [`TenantId`];
 //! * range arithmetic — [`ByteRange`], [`PageRange`], the dyadic
-//!   segment-tree positions [`NodePos`] and the tree's arity [`FANOUT`];
+//!   segment-tree positions [`NodePos`], the tree's arity [`FANOUT`] and
+//!   its level step [`LEVEL_BITS`];
 //! * the [`PageDescriptor`] record exchanged between the metadata layer
 //!   and the data-access layer (the paper's *PD* sets);
 //! * store-wide [`StoreConfig`] and the common [`BlobError`] type.
@@ -29,7 +30,7 @@ pub use config::{QosConfig, StoreConfig, TenantQuota, TenantQuotaEntry, DEFAULT_
 pub use error::{BlobError, Result};
 pub use ids::{BlobId, PageId, PageIdGen, PageIdHash, PageIdHasher, ProviderId, TenantId, Version};
 pub use page::{PageDescriptor, PageSlice};
-pub use range::{ByteRange, NodePos, PageRange, FANOUT};
+pub use range::{ByteRange, NodePos, PageRange, FANOUT, LEVEL_BITS};
 
 /// Integer ceiling division.
 #[inline]

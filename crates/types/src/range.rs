@@ -11,13 +11,15 @@
 //!    self-aligned page ranges ([`NodePos`]); the tree of snapshot `v`
 //!    is rooted at [`NodePos::root_for`]`(pages(v))`.
 //!
-//! The tree's arity is one constant, [`FANOUT`]. An inner node's range
-//! splits into `FANOUT` equal children, named by their **slot**
-//! `0..FANOUT` in page order, and every walk goes through the slot
-//! helpers ([`NodePos::child`], [`NodePos::children`],
-//! [`NodePos::slot`], [`NodePos::slot_toward`]). A formula that holds
-//! only for two children carries `const _: () = assert!(FANOUT == 2);`
-//! beside it, so a change of arity finds each one by compiling.
+//! The engine's tree has one arity, [`FANOUT`] = 4: a tree level is
+//! [`LEVEL_BITS`] = 2 bits of page index, so node sizes are powers of
+//! four and a position's [`NodePos::level`] (`log2(size)`) is always a
+//! multiple of `LEVEL_BITS`. An inner node's range splits into `FANOUT`
+//! equal children, named by their **slot** `0..FANOUT` in page order,
+//! and every walk goes through the slot helpers ([`NodePos::child`],
+//! [`NodePos::children`], [`NodePos::slot`], [`NodePos::slot_toward`]).
+//! The paper draws a binary tree (§4.1); its simulator twin keeps one by
+//! planning with a level step of 1 bit (`blobseer_meta::plan`).
 //!
 //! Keeping the tree coordinates in *pages* (not bytes) makes every
 //! alignment argument in the paper's Algorithms 3 & 4 an exact integer
@@ -182,13 +184,17 @@ impl fmt::Debug for PageRange {
     }
 }
 
+/// Bits of page index per tree level: `log2(FANOUT)`.
+pub const LEVEL_BITS: u32 = 2;
+
 /// Children per inner node of the segment tree.
-pub const FANOUT: u64 = 2;
+pub const FANOUT: u64 = 1 << LEVEL_BITS;
 
 /// A segment-tree node position: a *dyadic* page range.
 ///
 /// Positions satisfy two invariants, checked in debug builds:
-/// `size` is a power of two, and `offset` is a multiple of `size`
+/// `size` is a power of two (of four, in the engine's tree), and
+/// `offset` is a multiple of `size`
 /// (self-alignment). Under these invariants any two positions are either
 /// disjoint or nested — the property that makes the paper's tree-weaving
 /// well defined: a tree position is occupied by exactly one node per
@@ -214,8 +220,17 @@ impl NodePos {
     /// power of [`FANOUT`] that is at least `pages` (1 for none).
     #[inline]
     pub fn root_for(pages: u64) -> Self {
-        const _: () = assert!(FANOUT == 2);
-        NodePos::new(0, pages.max(1).next_power_of_two())
+        NodePos::root_for_step(pages, LEVEL_BITS)
+    }
+
+    /// The root position over `pages` pages in a tree whose levels are
+    /// `bits` bits of page index apart: the least power of `2^bits`
+    /// that is at least `pages` (1 for none). The engine's tree is
+    /// [`NodePos::root_for`]; the simulator's binary one takes 1.
+    #[inline]
+    pub fn root_for_step(pages: u64, bits: u32) -> Self {
+        let level = pages.max(1).next_power_of_two().trailing_zeros().next_multiple_of(bits);
+        NodePos::new(0, 1 << level)
     }
 
     /// `true` when this position covers a single page.
@@ -224,7 +239,8 @@ impl NodePos {
         self.size == 1
     }
 
-    /// Tree level: 0 for leaves, `log2(size)` in general.
+    /// Tree level: 0 for leaves, `log2(size)` in general, so a level
+    /// step down is [`LEVEL_BITS`].
     #[inline]
     pub fn level(self) -> u32 {
         self.size.trailing_zeros()
@@ -247,8 +263,9 @@ impl NodePos {
         (0..FANOUT as usize).map(move |slot| self.child(slot))
     }
 
-    /// The slot this position occupies under its parent (paper: left
-    /// iff `offset % (2 × size) == 0`).
+    /// The slot this position occupies under its parent: `offset /
+    /// size` modulo `FANOUT` (paper, binary: left iff `offset % (2 ×
+    /// size) == 0`).
     #[inline]
     pub fn slot(self) -> usize {
         ((self.offset >> self.level()) % FANOUT) as usize
@@ -362,22 +379,25 @@ mod tests {
 
     #[test]
     fn node_pos_navigation() {
-        // The 4-page example tree from paper Figure 1(a).
-        let root = NodePos::root_for(4);
-        assert_eq!(root, NodePos::new(0, 4));
-        assert_eq!(root.child(0), NodePos::new(0, 2));
-        assert_eq!(root.child(1), NodePos::new(2, 2));
-        assert_eq!(root.child(0).child(0), NodePos::new(0, 1));
-        assert_eq!(root.child(1).child(1), NodePos::new(3, 1));
-        assert_eq!(root.children().collect::<Vec<_>>(), [root.child(0), root.child(1)]);
+        // A 16-page tree: the root's children cover 4 pages each.
+        let root = NodePos::root_for(16);
+        assert_eq!(root, NodePos::new(0, 16));
+        assert_eq!(root.child(0), NodePos::new(0, 4));
+        assert_eq!(root.child(3), NodePos::new(12, 4));
+        assert_eq!(root.child(1).child(2), NodePos::new(6, 1));
+        assert_eq!(root.child(3).child(3), NodePos::new(15, 1));
+        assert_eq!(
+            root.children().collect::<Vec<_>>(),
+            (0..FANOUT).map(|i| NodePos::new(4 * i, 4)).collect::<Vec<_>>()
+        );
         assert!(root.child(0).child(0).is_leaf());
-        assert_eq!(root.level(), 2);
+        assert_eq!(root.level(), 2 * LEVEL_BITS);
         assert_eq!(NodePos::new(3, 1).level(), 0);
     }
 
     #[test]
     fn node_pos_parent_inverts_children() {
-        let root = NodePos::new(0, 8);
+        let root = NodePos::new(0, 64);
         for pos in root.children().chain(root.children().flat_map(NodePos::children)) {
             assert_eq!(pos.parent().child(pos.slot()), pos);
         }
@@ -385,38 +405,46 @@ mod tests {
 
     #[test]
     fn node_pos_slot_detection() {
-        assert_eq!(NodePos::new(0, 2).slot(), 0);
-        assert_eq!(NodePos::new(2, 2).slot(), 1);
-        assert_eq!(NodePos::new(4, 2).slot(), 0);
-        assert_eq!(NodePos::new(6, 2).slot(), 1);
+        for (offset, slot) in [(0, 0), (4, 1), (8, 2), (12, 3), (16, 0), (28, 3)] {
+            assert_eq!(NodePos::new(offset, 4).slot(), slot, "({offset}, 4)");
+        }
         assert_eq!(NodePos::new(0, 1).slot(), 0);
-        assert_eq!(NodePos::new(1, 1).slot(), 1);
+        assert_eq!(NodePos::new(6, 1).slot(), 2);
+        assert_eq!(NodePos::new(7, 1).slot(), 3);
     }
 
     #[test]
     fn node_pos_root_growth_matches_figure_1c() {
-        // Fig 1(c): appending a 5th page to a 4-page blob grows the root
-        // from (0,4) to (0,8), whose first child is the old root.
+        // Fig 1(c), at four children: appending a 5th page to a 4-page
+        // blob grows the root from (0,4) to (0,16), whose first child is
+        // the old root.
         assert_eq!(NodePos::root_for(4), NodePos::new(0, 4));
         let grown = NodePos::root_for(5);
-        assert_eq!(grown, NodePos::new(0, 8));
+        assert_eq!(grown, NodePos::new(0, 16));
         assert_eq!(grown.child(0), NodePos::new(0, 4));
-        for (pages, size) in
-            [(0, 1), (1, 1), (2, 2), (3, 4), (1023, 1024), (1024, 1024), (1025, 2048)]
-        {
+        for (pages, size) in [
+            (0, 1),
+            (1, 1),
+            (2, 4),
+            (3, 4),
+            (5, 16),
+            (17, 64),
+            (1023, 1024),
+            (1024, 1024),
+            (1025, 4096),
+        ] {
             assert_eq!(NodePos::root_for(pages), NodePos::new(0, size), "{pages} pages");
         }
     }
 
     #[test]
     fn node_pos_slot_toward() {
-        let root = NodePos::new(0, 8);
-        assert_eq!(root.slot_toward(0), 0);
-        assert_eq!(root.slot_toward(3), 0);
-        assert_eq!(root.slot_toward(4), 1);
-        assert_eq!(root.slot_toward(7), 1);
-        assert_eq!(NodePos::new(4, 4).slot_toward(5), 0);
-        assert_eq!(NodePos::new(4, 4).slot_toward(6), 1);
+        let root = NodePos::new(0, 16);
+        for (page, slot) in [(0, 0), (3, 0), (4, 1), (9, 2), (12, 3), (15, 3)] {
+            assert_eq!(root.slot_toward(page), slot, "page {page}");
+        }
+        assert_eq!(NodePos::new(4, 4).slot_toward(5), 1);
+        assert_eq!(NodePos::new(4, 4).slot_toward(7), 3);
     }
 
     #[test]

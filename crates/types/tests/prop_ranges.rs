@@ -4,13 +4,14 @@
 //! planners: if dyadic positions ever overlapped without nesting, the
 //! metadata "weaving" of the paper would be ill-defined.
 
-use blobseer_types::{ByteRange, NodePos, PageRange, FANOUT};
+use blobseer_types::{ByteRange, NodePos, PageRange, FANOUT, LEVEL_BITS};
 use proptest::prelude::*;
 
-/// Strategy producing a valid dyadic position within a bounded universe.
+/// Strategy producing a valid tree position within a bounded universe:
+/// its size is a power of `FANOUT`.
 fn node_pos() -> impl Strategy<Value = NodePos> {
-    (0u32..16, 0u64..4096).prop_map(|(level, slot)| {
-        let size = 1u64 << level;
+    (0u32..8, 0u64..4096).prop_map(|(depth, slot)| {
+        let size = 1u64 << (depth * LEVEL_BITS);
         NodePos::new(slot * size, size)
     })
 }
@@ -51,7 +52,7 @@ proptest! {
             a = a.parent();
         }
         prop_assert!(a.contains(p));
-        prop_assert_eq!(a.level(), p.level() + up);
+        prop_assert_eq!(a.level(), p.level() + up * LEVEL_BITS);
     }
 
     #[test]

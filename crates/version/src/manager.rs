@@ -5,10 +5,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blobseer_meta::plan::{borders_at_level, creates_position};
-use blobseer_meta::{Lineage, RootRef, UpdateContext};
+use blobseer_meta::plan::{borders_at_level, creates_position, levels_below};
+use blobseer_meta::{Lineage, RootRef, UpdateContext, MAX_VERSION};
 use blobseer_metrics::Counter;
-use blobseer_types::{div_ceil, BlobError, BlobId, ByteRange, NodePos, PageRange, Result, Version};
+use blobseer_types::{
+    div_ceil, BlobError, BlobId, ByteRange, NodePos, PageRange, Result, Version, LEVEL_BITS,
+};
 use parking_lot::{Mutex, RwLock};
 
 use crate::state::{BlobInner, BlobState, Inflight, UpdateState};
@@ -409,7 +411,7 @@ impl VersionManager {
             return Err(BlobError::EmptyUpdate);
         }
 
-        let vw = Version(inner.sizes.len() as u64);
+        let vw = next_version(blob, inner.last_assigned())?;
         let new_size = prev_size.max(offset + size);
         let range = ByteRange::new(offset, size).pages(self.psize);
         let new_root = NodePos::root_for(div_ceil(new_size, self.psize));
@@ -1004,6 +1006,14 @@ impl std::fmt::Debug for VersionManager {
     }
 }
 
+/// The version after `last`, the only way a version is minted: refused
+/// with [`BlobError::VersionsExhausted`] past [`MAX_VERSION`], the
+/// highest version a tree node's child field holds, so the node codec
+/// never truncates one.
+fn next_version(blob: BlobId, last: Version) -> Result<Version> {
+    Some(last.next()).filter(|&v| v <= MAX_VERSION).ok_or(BlobError::VersionsExhausted { blob })
+}
+
 /// The partial border set of an update of `range` under `root` (paper
 /// §4.2): for each border position, the highest version below `below`
 /// in `inflight` whose update creates a node there. Aborted holes count
@@ -1020,8 +1030,8 @@ fn inflight_overrides(
     let (first, last) = (range.first, range.end() - 1);
     let lower = inflight.range(..below.raw());
     let mut out = Vec::new();
-    for level in (0..root.level()).rev() {
-        for pos in borders_at_level(first, last, level).into_iter().flatten() {
+    for level in levels_below(root, LEVEL_BITS) {
+        for (_, pos) in borders_at_level(first, last, level, LEVEL_BITS) {
             let creator =
                 lower.clone().rev().find(|(_, inf)| creates_position(inf.range, inf.root, pos));
             if let Some((&vk, _)) = creator {
@@ -1070,7 +1080,7 @@ mod tests {
         assert_eq!(a1.offset, 0);
         assert_eq!(a1.new_size, 8);
         assert_eq!(a1.range, PageRange::new(0, 2));
-        assert_eq!(a1.new_root, NodePos::new(0, 2));
+        assert_eq!(a1.new_root, NodePos::new(0, 4), "2 pages: the least power of four");
         assert!(a1.ref_root.is_none(), "nothing published yet");
         assert!(a1.prev_root.is_none(), "v0 is empty");
 
@@ -1086,11 +1096,12 @@ mod tests {
     #[test]
     fn assigned_roots_are_the_least_covering_power() {
         // Independent of `NodePos::root_for`: offset 0 and the smallest
-        // `1 << k` covering `max(1, pages)`, found by doubling.
+        // power of `FANOUT` covering `max(1, pages)`, found by
+        // multiplying.
         let oracle = |pages: u64| {
             let mut size = 1;
             while size < pages.max(1) {
-                size *= 2;
+                size *= blobseer_types::FANOUT;
             }
             NodePos::new(0, size)
         };
@@ -1111,6 +1122,21 @@ mod tests {
             assert_eq!(a.new_root, oracle(size.div_ceil(PSIZE)), "update {i}, size {size}");
         }
         assert!(size > 32 * PSIZE, "the run crosses several powers: {size}");
+    }
+
+    #[test]
+    fn assign_refuses_a_version_past_the_codec_bound() {
+        // A blob's size table cannot hold 2^48 entries, so the last
+        // assigned version is set where `assign` takes it from.
+        let b = BlobId(7);
+        let last = Version(MAX_VERSION.raw() - 1);
+        assert_eq!(next_version(b, last), Ok(MAX_VERSION));
+        assert_eq!(next_version(b, MAX_VERSION), Err(BlobError::VersionsExhausted { blob: b }));
+        assert_eq!(MAX_VERSION, Version((1 << 48) - 1));
+        // Below the bound, `assign` mints through it as before.
+        let vm = vm();
+        let b = vm.create();
+        assert_eq!(vm.assign(b, UpdateKind::Append { size: 1 }).unwrap().vw, Version(1));
     }
 
     #[test]
@@ -1208,14 +1234,14 @@ mod tests {
         let b = vm.create();
         let a1 = vm.assign(b, UpdateKind::Append { size: 16 }).unwrap(); // v1: 4 pages
         vm.complete(b, a1.vw).unwrap();
-        // C1: v2 appends pages [4,6); stays in flight.
-        let a2 = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap();
-        assert_eq!(a2.range, PageRange::new(4, 2));
+        // C1: v2 appends pages [4,8); stays in flight.
+        let a2 = vm.assign(b, UpdateKind::Append { size: 16 }).unwrap();
+        assert_eq!(a2.range, PageRange::new(4, 4));
         assert!(a2.overrides.is_empty(), "borders all come from published v1");
-        // C2: v3 appends pages [6,8); its border (4,2) is created by v2.
-        let a3 = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap();
-        assert_eq!(a3.range, PageRange::new(6, 2));
-        assert_eq!(a3.overrides, vec![(NodePos::new(4, 2), Version(2))]);
+        // C2: v3 appends pages [8,12); its border (4,4) is created by v2.
+        let a3 = vm.assign(b, UpdateKind::Append { size: 16 }).unwrap();
+        assert_eq!(a3.range, PageRange::new(8, 4));
+        assert_eq!(a3.overrides, vec![(NodePos::new(4, 4), Version(2))]);
         assert_eq!(a3.ref_root.unwrap().version, Version(1));
     }
 
@@ -1226,11 +1252,11 @@ mod tests {
         let a1 = vm.assign(b, UpdateKind::Append { size: 16 }).unwrap();
         vm.complete(b, a1.vw).unwrap();
         // Two in-flight overwrites of page 0; a third writer of page 2
-        // needs border (0,2) → must take the *newest* in-flight creator.
+        // needs border (0,1) → must take the *newest* in-flight creator.
         vm.assign(b, UpdateKind::Write { offset: 0, size: 4 }).unwrap(); // v2
         vm.assign(b, UpdateKind::Write { offset: 0, size: 4 }).unwrap(); // v3
         let a4 = vm.assign(b, UpdateKind::Write { offset: 8, size: 4 }).unwrap(); // v4
-        assert!(a4.overrides.contains(&(NodePos::new(0, 2), Version(3))));
+        assert!(a4.overrides.contains(&(NodePos::new(0, 1), Version(3))));
         assert!(!a4.overrides.iter().any(|&(_, v)| v == Version(2)));
     }
 
@@ -1546,10 +1572,10 @@ mod tests {
         let b = vm.create();
         let a1 = vm.assign(b, UpdateKind::Append { size: 16 }).unwrap();
         vm.complete(b, a1.vw).unwrap();
-        let _a2 = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap(); // pages [4,6)
-        let a3 = vm.assign(b, UpdateKind::Append { size: 8 }).unwrap(); // pages [6,8), dies
+        let _a2 = vm.assign(b, UpdateKind::Append { size: 16 }).unwrap(); // pages [4,8)
+        let a3 = vm.assign(b, UpdateKind::Append { size: 16 }).unwrap(); // pages [8,12), dies
         let ticket = vm.begin_abort(b, a3.vw).unwrap();
-        assert_eq!(ticket.overrides, vec![(NodePos::new(4, 2), Version(2))]);
+        assert_eq!(ticket.overrides, vec![(NodePos::new(4, 4), Version(2))]);
         assert_eq!(ticket.ref_root.unwrap().version, Version(1));
         assert_eq!(ticket.prev_root.unwrap().version, Version(2));
         vm.commit_abort(b, a3.vw).unwrap();

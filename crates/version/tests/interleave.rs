@@ -91,7 +91,8 @@ fn paused_publication_is_torn_and_readers_retry_past_it() {
     release.store(true, Ordering::Release);
     writer.join().unwrap();
     let (words, seq, retries) = reader.join().unwrap();
-    assert_eq!(words, [2, 8, 2], "only the complete new triple is returnable");
+    // Two pages: the root spans four.
+    assert_eq!(words, [2, 8, 4], "only the complete new triple is returnable");
     assert_eq!(seq, 4, "publication bumped the sequence to the next even value");
     assert!(retries >= 1, "the retry loop demonstrably retried (got {retries})");
 
@@ -150,5 +151,5 @@ fn reads_before_and_after_a_pause_window_stay_consistent() {
     // After the window closes, every read path agrees on v2.
     assert_eq!(vm.get_recent(b).unwrap().raw(), 2);
     let view = vm.snapshot_view(b, blobseer_types::Version(2)).unwrap();
-    assert_eq!((view.size, view.root.unwrap().pos.size), (8, 2));
+    assert_eq!((view.size, view.root.unwrap().pos.size), (8, 4));
 }

@@ -288,9 +288,10 @@ fn retiring_a_parent_retires_its_branch_inherited_history() {
     let (parent, v4) = overwritten_parent(&s);
     let branch = parent.branch(v4).unwrap();
     // The branch pins v4, so retiring v1 and v2 is allowed; their
-    // page-0 overwrites and the nodes above them go.
+    // page-0 overwrites and the nodes above them go: in a four-page
+    // tree of four children, a leaf and the root per version.
     let report = parent.retire_versions(Version(3)).unwrap();
-    assert_eq!((report.nodes_removed, report.pages_removed), (6, 2));
+    assert_eq!((report.nodes_removed, report.pages_removed), (4, 2));
 
     // The branch inherited v1 and v2 from the parent: they are retired
     // there too, typed, and never a metadata timeout.
